@@ -124,7 +124,8 @@ def _cmd_compute(args) -> int:
         print("# cofactor decompositions over the sorted monic input")
         for rec in result.cofactor_records:
             ok = admissibility_check(rec.cofactors, rec.sig, system.order)
-            assert expand_cofactors(rec.cofactors, result.sorted_input) == rec.poly
+            if expand_cofactors(rec.cofactors, result.sorted_input) != rec.poly:
+                raise AssertionError("cofactor decomposition does not reproduce its element")
             print(
                 "cofactor: sig = %s  element = %s  admissible = %s"
                 % (_sig_text(rec.sig, system), render_polynomial(rec.poly), "yes" if ok else "no")

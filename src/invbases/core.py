@@ -6,6 +6,7 @@ stored as `fractions.Fraction`, so every value has one canonical form.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -148,23 +149,28 @@ class Ordering:
     def __post_init__(self):
         if self.kind not in ORDER_KINDS:
             raise UsageError("unknown ordering kind %r" % (self.kind,))
+        # The formula is picked here, once; `key` only checks the dimension.
+        object.__setattr__(self, "_n", self.vars.n)
+        object.__setattr__(self, "_key", _key_formula(self.kind, self.vars.priority))
+
+    def __reduce__(self):
+        # Rebuild the derived key on unpickling; a local function does not pickle.
+        return (Ordering, (self.kind, self.vars))
 
     @property
     def admissible(self) -> bool:
         return self.kind in (LEX, DEGREVLEX)
 
     def key(self, m: Monomial):
-        """Sort key; bigger key means greater monomial."""
-        e = m.exps
-        pr = self.vars.priority
-        if len(e) != self.vars.n:
-            raise UsageError("monomial dimension mismatch: %d vs %d" % (len(e), self.vars.n))
-        if self.kind == LEX:
-            return tuple(e[i] for i in pr)
-        if self.kind == DEGREVLEX:
-            return (m.deg, tuple(-e[i] for i in reversed(pr)))
-        # alex: smaller total degree wins, then lex
-        return (-m.deg, tuple(e[i] for i in pr))
+        """Sort key; bigger key means greater monomial.
+
+        lex: the exponents in priority order; degrevlex: the total degree,
+        then the negated exponents in reverse priority order; alex: the
+        negated total degree, then the exponents in priority order.
+        """
+        if len(m.exps) != self._n:
+            raise UsageError("monomial dimension mismatch: %d vs %d" % (len(m.exps), self._n))
+        return self._key(m)
 
     def cmp(self, a: Monomial, b: Monomial) -> int:
         ka, kb = self.key(a), self.key(b)
@@ -173,6 +179,31 @@ class Ordering:
         if ka > kb:
             return GREATER
         return EQUAL
+
+
+def _key_formula(kind: str, pr: tuple[int, ...]):
+    """The sort key of one ordering kind under the variable priority `pr`,
+    as a function of the monomial alone (no dimension check)."""
+    if kind == LEX and pr == tuple(range(len(pr))):
+        return operator.attrgetter("exps")
+    if kind == LEX:
+        def lex_key(m: Monomial):
+            e = m.exps
+            return tuple([e[i] for i in pr])
+        return lex_key
+    if kind == DEGREVLEX:
+        rpr = pr[::-1]
+
+        def degrevlex_key(m: Monomial):
+            e = m.exps
+            return (m.deg, tuple([-e[i] for i in rpr]))
+        return degrevlex_key
+
+    def alex_key(m: Monomial):
+        # smaller total degree wins, then lex
+        e = m.exps
+        return (-m.deg, tuple([e[i] for i in pr]))
+    return alex_key
 
 
 def lex(vars: VarSet) -> Ordering:
@@ -286,12 +317,23 @@ class Polynomial:
         return Polynomial._raw(self.order, tuple((-c, m) for c, m in self.terms))
 
     def __add__(self, other: Polynomial) -> Polynomial:
-        if self.order != other.order:
-            raise UsageError("cannot combine polynomials under different orderings")
-        return Polynomial._raw(self.order, _merge(self.order, self.terms, other.terms))
+        return self._combine(1, None, other)
 
     def __sub__(self, other: Polynomial) -> Polynomial:
-        return self + (-other)
+        return self._combine(-1, None, other)
+
+    def sub_mul_term(self, coeff, mono: Monomial, other: Polynomial) -> Polynomial:
+        """self - coeff*mono*other in one merge: the reduction step
+        ``h - g.mul_term(c, u)`` without the two intermediate polynomials."""
+        return self._combine(-Fraction(coeff), mono, other)
+
+    def _combine(self, coeff, mono: Monomial | None, other: Polynomial) -> Polynomial:
+        """self + coeff*mono*other; `mono` None stands for 1."""
+        if self.order != other.order:
+            raise UsageError("cannot combine polynomials under different orderings")
+        if coeff == 0:
+            return self
+        return Polynomial._raw(self.order, _merge(self.order, self.terms, other.terms, coeff, mono))
 
     def __mul__(self, other: Polynomial) -> Polynomial:
         if not isinstance(other, Polynomial):
@@ -357,27 +399,53 @@ def _canonical_terms(order: Ordering, terms) -> tuple:
     return tuple(out)
 
 
-def _merge(order: Ordering, a: tuple, b: tuple) -> tuple:
-    """Merge two canonical term tuples, adding coefficients."""
-    out = []
-    i = j = 0
+def _merge(order: Ordering, a: tuple, b: tuple, coeff, mono: Monomial | None) -> tuple:
+    """The canonical terms of a + coeff*mono*b, for canonical term tuples a
+    and b, a nonzero coefficient and a monomial (None stands for 1).
+
+    One pass over both tuples: every term's order key is taken once, when
+    the pass reaches the term, and equal keys mean equal monomials.
+    Multiplying by a monomial keeps b's terms in order, because every
+    ordering kind here is compatible with multiplication.
+    """
+    if coeff != 1 or mono is not None:
+        b = [(c * coeff, m if mono is None else mono_mul(m, mono)) for c, m in b]
     na, nb = len(a), len(b)
+    if not nb:
+        return a
+    if not na:
+        return tuple(b)
     key = order.key
-    while i < na and j < nb:
-        ca, ma = a[i]
-        cb, mb = b[j]
-        if ma == mb:
-            c = ca + cb
-            if c != 0:
-                out.append((c, ma))
+    out = []
+    append = out.append
+    i = j = 0
+    ta, tb = a[0], b[0]
+    ka, kb = key(ta[1]), key(tb[1])
+    while True:
+        if ka > kb:
+            append(ta)
             i += 1
+            if i == na:
+                break
+            ta = a[i]
+            ka = key(ta[1])
+        elif ka < kb:
+            append(tb)
             j += 1
-        elif key(ma) > key(mb):
-            out.append(a[i])
-            i += 1
+            if j == nb:
+                break
+            tb = b[j]
+            kb = key(tb[1])
         else:
-            out.append(b[j])
+            c = ta[0] + tb[0]
+            if c != 0:
+                append((c, ta[1]))
+            i += 1
             j += 1
+            if i == na or j == nb:
+                break
+            ta, tb = a[i], b[j]
+            ka, kb = key(ta[1]), key(tb[1])
     out.extend(a[i:])
     out.extend(b[j:])
     return tuple(out)
@@ -423,4 +491,4 @@ def spoly(f: Polynomial, g: Polynomial) -> Polynomial:
     l = mono_lcm(f.lm, g.lm)
     uf = mono_div(l, f.lm)
     ug = mono_div(l, g.lm)
-    return f.mul_term(1 / f.lc, uf) - g.mul_term(1 / g.lc, ug)
+    return f.mul_term(1 / f.lc, uf).sub_mul_term(1 / g.lc, ug, g)

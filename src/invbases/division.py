@@ -64,7 +64,8 @@ class Division:
     def name(self) -> str:
         if self.kind == THOMAS:
             return THOMAS
-        assert self.base is not None
+        if self.base is None:
+            raise AssertionError("order-generated division without a base ordering")
         return JANET if self.base.kind == "lex" else self.base.kind
 
     def nm_pair(self, u: Monomial, v: Monomial) -> frozenset[int]:
@@ -122,7 +123,14 @@ def division_by_name(name: str, vars: VarSet) -> Division:
 
 
 class Partition:
-    """Cached multiplicative/nonmultiplicative split for one fixed set U."""
+    """Multiplicative/nonmultiplicative split of a growing set U.
+
+    Built for a whole set, then grown one monomial at a time by `add`.
+    Every division here takes nm_set(u, U) as the union of nm_pair(u, v)
+    over v in U, so an addition only widens the existing sets by the pairs
+    with the newcomer.  Removing monomials can shrink the sets: build a new
+    partition for what remains.
+    """
 
     __slots__ = ("division", "monomials", "_nm")
 
@@ -130,6 +138,18 @@ class Partition:
         self.division = division
         self.monomials = monomials
         self._nm = {u: division.nm_set(u, monomials) for u in set(monomials)}
+
+    def add(self, w: Monomial) -> None:
+        """Extend U by w (appended to `monomials`), keeping every split
+        equal to that of a partition built from scratch."""
+        nm_pair = self.division.nm_pair
+        nm = self._nm
+        for u, nm_u in nm.items():
+            extra = nm_pair(u, w)
+            if extra:
+                nm[u] = nm_u | extra
+        self.monomials = self.monomials + (w,)
+        nm[w] = self.division.nm_set(w, self.monomials)
 
     def nonmult(self, u: Monomial) -> frozenset[int]:
         try:

@@ -92,7 +92,8 @@ class EngineOptions:
     shifted heads, which is only meaningful when the division is generated
     by an admissible ordering, so the default `None` enables it exactly
     then.  `check_invariants` enables internal assertions and diagnostics
-    on every iteration.
+    on every iteration, among them a comparison of the partition kept up by
+    insertions against one rebuilt from scratch.
     """
 
     use_syzygy_signatures: bool = False
@@ -132,7 +133,8 @@ class _QEntry:
 
 
 def _expand(cofactors, generators) -> Polynomial:
-    assert len(cofactors) == len(generators)
+    if len(cofactors) != len(generators):
+        raise AssertionError("cofactor vector length differs from the generator count")
     acc = Polynomial.zero(generators[0].order)
     for c, g in zip(cofactors, generators):
         acc = acc + c * g
@@ -241,6 +243,13 @@ class _Engine:
         return next(self._anc_ids)
 
     def _refresh_partition(self) -> None:
+        """Rebuild the partition over the current heads, O(|T|^2) pair rules.
+
+        Insertions instead grow the kept partition with `Partition.add`, at
+        O(|T|) pair rules; a rebuild is needed only for the first basis and
+        after `_purge`, because removing heads can shrink the
+        nonmultiplicative sets of the heads that stay.
+        """
         self._partition = self.division.partition([t.poly.lm for t in self.T])
 
     def _bump_deg(self, poly: Polynomial) -> None:
@@ -249,10 +258,10 @@ class _Engine:
 
     def _check_cofactors(self, sp: SigPoly) -> None:
         if self.options.track_cofactors:
-            assert sp.cofactors is not None, "cofactor tracking lost a vector"
-            assert _expand(sp.cofactors, self.gens) == sp.poly, (
-                "cofactor expansion does not reproduce the polynomial"
-            )
+            if sp.cofactors is None:
+                raise AssertionError("cofactor tracking lost a vector")
+            if _expand(sp.cofactors, self.gens) != sp.poly:
+                raise AssertionError("cofactor expansion does not reproduce the polynomial")
 
     # -- queue ---------------------------------------------------------
 
@@ -263,10 +272,12 @@ class _Engine:
             return False
         self._bump_deg(sp.poly)
         self._check_cofactors(sp)
-        if self.options.check_invariants and creator_sig is not None:
-            assert sig_cmp(self.order, sp.sig, creator_sig) >= 0, (
-                "queued signature below its creator"
-            )
+        if (
+            self.options.check_invariants
+            and creator_sig is not None
+            and sig_cmp(self.order, sp.sig, creator_sig) < 0
+        ):
+            raise AssertionError("queued signature below its creator")
         if self.options.same_signature_discard:
             incumbent = self._sig_best.get(sp.sig)
             if incumbent is not None and incumbent.alive:
@@ -329,11 +340,26 @@ class _Engine:
 
     # -- invariants ----------------------------------------------------
 
+    def _check_partition(self) -> None:
+        """The partition kept up by `Partition.add` must equal one built
+        from scratch over the current heads."""
+        kept = self._partition
+        fresh = self.division.partition([t.poly.lm for t in self.T])
+        if kept.monomials != fresh.monomials:
+            raise AssertionError("partition lists the heads differently from the basis")
+        for u in fresh.monomials:
+            if kept.nonmult(u) != fresh.nonmult(u):
+                raise AssertionError(
+                    "partition keeps nonmultiplicative variables %s for %r, a rebuild gives %s"
+                    % (sorted(kept.nonmult(u)), u.exps, sorted(fresh.nonmult(u)))
+                )
+
     def _pop_checks(self, p: SigPoly) -> None:
         if not self.options.check_invariants:
             return
         lms = [t.poly.lm for t in self.T]
-        assert len(set(lms)) == len(lms), "duplicate heads in the basis"
+        if len(set(lms)) != len(lms):
+            raise AssertionError("duplicate heads in the basis")
         violated = False
         same_index = False
         for t in self.T:
@@ -378,7 +404,7 @@ class _Engine:
         order = self.order
         part = self._partition
         h = p.poly
-        r = Polynomial.zero(order)
+        rem = []  # irreducible heads, descending: the normal form's terms
         cofs = p.cofactors
         at_head = True
         deflected: set[tuple[Signature, Monomial]] = set()
@@ -386,14 +412,15 @@ class _Engine:
         while not h.is_zero:
             self._bump_deg(h)
             candidates = []
+            hlm = h.lm
             for q in self.T:
-                u = mono_div(h.lm, q.poly.lm)
+                u = mono_div(hlm, q.poly.lm)
                 if u is None or not part.allows(q.poly.lm, u):
                     continue
                 safe = sig_cmp(order, sig_mul(u, q.sig), p.sig) <= 0
                 candidates.append(((0 if safe else 1, order.key(q.poly.lm), q.uid), q, u))
             if not candidates:
-                r = r + Polynomial(order, (h.lt,))
+                rem.append(h.lt)
                 h = h.drop_lt()
                 at_head = False
                 continue
@@ -418,14 +445,17 @@ class _Engine:
                 # where it is a legitimate new element.
                 if self.deflect:
                     c = h.lc / chosen.poly.lc
-                    value = (r + h) - chosen.poly.mul_term(c, chosen_u)
+                    # Every remainder term lies above every term of h.
+                    value = Polynomial._raw(order, tuple(rem) + h.terms).sub_mul_term(
+                        c, chosen_u, chosen.poly
+                    )
                     dsig = sig_mul(chosen_u, chosen.sig)
                     if not value.is_zero and (dsig, value.lm) not in deflected:
                         deflected.add((dsig, value.lm))
                         dcofs = None
                         if cofs is not None:
                             dcofs = tuple(
-                                (a - b.mul_term(c, chosen_u)).scale(1 / value.lc)
+                                a.sub_mul_term(c, chosen_u, b).scale(1 / value.lc)
                                 for a, b in zip(cofs, chosen.cofactors)
                             )
                         dsp = SigPoly(
@@ -439,21 +469,21 @@ class _Engine:
                         )
                         if self._push(dsp, creator_sig=p.sig):
                             self.diagnostics["deflections"] += 1
-                r = r + Polynomial(order, (h.lt,))
+                rem.append(h.lt)
                 h = h.drop_lt()
                 at_head = False
                 continue
             c = h.lc / chosen.poly.lc
-            h = h - chosen.poly.mul_term(c, chosen_u)
+            h = h.sub_mul_term(c, chosen_u, chosen.poly)
             if cofs is not None:
                 cofs = tuple(
-                    a - b.mul_term(c, chosen_u)
+                    a.sub_mul_term(c, chosen_u, b)
                     for a, b in zip(cofs, chosen.cofactors)
                 )
             at_head = False
 
         p.cofactors = cofs
-        return r, None
+        return Polynomial._raw(order, tuple(rem)), None
 
     # -- main loop -----------------------------------------------------
 
@@ -511,12 +541,12 @@ class _Engine:
             )
         self._check_cofactors(t_new)
         self._bump_deg(hm)
-        if self.options.check_invariants:
-            assert all(t.poly.lm != hm.lm for t in self.T), (
-                "inserted a duplicate head into the basis"
-            )
+        if self.options.check_invariants and any(t.poly.lm == hm.lm for t in self.T):
+            raise AssertionError("inserted a duplicate head into the basis")
         self.T.append(t_new)
-        self._refresh_partition()
+        self._partition.add(hm.lm)
+        if self.options.check_invariants:
+            self._check_partition()
         if t_new.cofactors is not None:
             self.records.append(CofactorRecord(t_new.sig, t_new.poly, t_new.cofactors))
 
@@ -556,13 +586,13 @@ class _Engine:
             u = mono_div(q.poly.lm, t_new.poly.lm)
             if u is None or not part.allows(t_new.poly.lm, u):
                 continue
-            value = q.poly - t_new.poly.mul_term(q.poly.lc, u)
+            value = q.poly.sub_mul_term(q.poly.lc, u, t_new.poly)
             if value.is_zero:
                 continue
             vcofs = None
             if q.cofactors is not None:
                 vcofs = tuple(
-                    (a - b.mul_term(q.poly.lc, u)).scale(1 / value.lc)
+                    a.sub_mul_term(q.poly.lc, u, b).scale(1 / value.lc)
                     for a, b in zip(q.cofactors, t_new.cofactors)
                 )
             sp = SigPoly(
@@ -655,22 +685,23 @@ def nf_full(f: Polynomial, G, division: Division, order: Ordering) -> Polynomial
     part = division.partition([g.lm for g in polys])
     ranked = sorted(range(len(polys)), key=lambda i: (order.key(polys[i].lm), i))
     h = f
-    r = Polynomial.zero(order)
+    rem = []
     while not h.is_zero:
         hit = None
         hit_u = None
+        hlm = h.lm
         for i in ranked:
             g = polys[i]
-            u = mono_div(h.lm, g.lm)
+            u = mono_div(hlm, g.lm)
             if u is not None and part.allows(g.lm, u):
                 hit, hit_u = g, u
                 break
         if hit is None:
-            r = r + Polynomial(order, (h.lt,))
+            rem.append(h.lt)
             h = h.drop_lt()
         else:
-            h = h - hit.mul_term(h.lc / hit.lc, hit_u)
-    return r
+            h = h.sub_mul_term(h.lc / hit.lc, hit_u, hit)
+    return Polynomial._raw(order, tuple(rem))
 
 
 def min_bas(H, division: Division, order: Ordering) -> list[Polynomial]:

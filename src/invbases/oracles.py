@@ -34,22 +34,23 @@ def buchberger_nf(f: Polynomial, G, order: Ordering) -> Polynomial:
             raise UsageError("zero polynomial in the reducing set")
     ranked = sorted(range(len(polys)), key=lambda i: (order.key(polys[i].lm), i))
     h = f
-    r = Polynomial.zero(order)
+    rem = []
     while not h.is_zero:
         hit = None
         hit_u = None
+        hlm = h.lm
         for i in ranked:
             g = polys[i]
-            u = mono_div(h.lm, g.lm)
+            u = mono_div(hlm, g.lm)
             if u is not None:
                 hit, hit_u = g, u
                 break
         if hit is None:
-            r = r + Polynomial(order, (h.lt,))
+            rem.append(h.lt)
             h = h.drop_lt()
         else:
-            h = h - hit.mul_term(h.lc / hit.lc, hit_u)
-    return r
+            h = h.sub_mul_term(h.lc / hit.lc, hit_u, hit)
+    return Polynomial._raw(order, tuple(rem))
 
 
 def is_groebner(G, order: Ordering) -> bool:

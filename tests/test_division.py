@@ -5,6 +5,7 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from invbases.core import (
     Monomial,
@@ -30,7 +31,7 @@ from invbases.division import (
     thomas_division,
 )
 
-from conftest import monomial_sets
+from conftest import monomial_sets, monomials
 
 VS = VarSet(("x", "y"))
 JAN = janet(VS)
@@ -153,6 +154,22 @@ class TestPartition:
                 sub = tuple(u for i, u in enumerate(U) if i != drop)
                 for u in sub:
                     assert div.nm_set(u, sub) <= div.nm_set(u, U)
+
+    @given(st.lists(monomials(2, 4), min_size=1, max_size=7),
+           st.lists(monomials(3, 3), min_size=1, max_size=7))
+    @settings(max_examples=40)
+    def test_adding_one_at_a_time_matches_a_fresh_partition(self, seq2, seq3):
+        # Repeats included: the engine never adds a head twice, but a
+        # partition over a list with repeats is still well defined.
+        for seq, vs in ((seq2, VS), (seq3, VarSet(("x", "y", "z")))):
+            for div in (janet(vs), alex_division(vs), thomas_division(vs)):
+                grown = div.partition(seq[:1])
+                for i, w in enumerate(seq[1:], start=2):
+                    grown.add(w)
+                    fresh = div.partition(seq[:i])
+                    assert grown.monomials == fresh.monomials
+                    for u in fresh.monomials:
+                        assert grown.nonmult(u) == fresh.nonmult(u)
 
 
 class TestInvDivisor:

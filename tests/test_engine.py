@@ -1,13 +1,19 @@
 """The completion engine: pinned small runs, options, extraction, invariants."""
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import invbases
 from invbases.core import (
     Monomial,
     Polynomial,
@@ -23,6 +29,7 @@ from invbases.division import alex_division, division_by_name, janet, thomas_div
 from invbases.engine import (
     EngineOptions,
     Stats,
+    _Engine,
     inv_bas,
     inv_comp,
     min_bas,
@@ -349,6 +356,119 @@ class TestOptionVariants:
         for rec in r.cofactor_records:
             assert expand_cofactors(rec.cofactors, r.sorted_input) == rec.poly
             assert admissibility_check(rec.cofactors, rec.sig, sf.order)
+
+
+# reds c1 c2 f5 super polys_loop polys_min max_deg, and the minimal heads,
+# of the default degrevlex runs; any change to them changes the algorithm.
+PINNED_RUNS = {
+    ("cyclic5", "janet"): (
+        (0, 39, 27, 49, 3, 52, 23, 9),
+        "x1 x2*x3*x4*x5^2 x2*x3*x4^2 x2*x3*x5^5 x2*x3^2 x2*x4*x5^5 x2*x4^2*x5^3 "
+        "x2*x4^3 x2*x5^5 x2^2 x3*x4*x5^5 x3*x4^2*x5^3 x3*x4^3 x3*x5^7 x3^2*x4*x5^5 "
+        "x3^2*x4^2 x3^2*x5^5 x3^3 x4*x5^7 x4^2*x5^6 x4^3*x5^4 x4^4 x5^8",
+    ),
+    ("katsura5", "janet"): (
+        (0, 31, 3, 44, 2, 35, 23, 7),
+        "u0 u1*u2 u1*u3*u4 u1*u3*u5^2 u1*u3^2 u1*u4*u5^2 u1*u4^2 u1*u5^4 u1^2 "
+        "u2*u3 u2*u4*u5^2 u2*u4^2 u2*u5^4 u2^2 u3*u4*u5 u3*u4^2 u3*u5^4 u3^2 "
+        "u4*u5^4 u4^2*u5^2 u4^3*u5 u4^4 u5^6",
+    ),
+    ("trinks", "janet"): (
+        (0, 27, 119, 15, 42, 70, 20, 8),
+        "b^3 p s*b s^2 t*b^2 t*s t^2 w*b^2 w*p w*s*b w*s^2 w*t w*z w^2*b w^2*p "
+        "w^2*s w^2*t w^2*z w^3 z",
+    ),
+    ("weispfenning94", "janet"): (
+        (0, 0, 3, 25, 13, 61, 17, 11),
+        "x*y*z^5 x*y^2*z^4 x*y^3*z^2 x*y^4 x*z^6 x^2*y*z^3 x^2*y^2*z x^2*y^3 "
+        "x^2*z^4 x^3*y x^3*z^3 x^4 y*z^7 y^2*z^6 y^3*z^4 y^4 z^9",
+    ),
+    ("noon3", "alex"): (
+        (86, 1, 9, 57, 5, 75, 11, 13),
+        "x1*x2*x3^3 x1*x2^2 x1*x3^4 x1^2*x2 x1^2*x3 x1^4 x2*x3^4 x2^2*x3^2 "
+        "x2^3*x3 x2^4 x3^5",
+    ),
+}
+
+
+class TestPinnedRuns:
+    @pytest.mark.parametrize("name, division_name", sorted(PINNED_RUNS))
+    def test_counters_and_heads(self, name, division_name):
+        counters, heads = PINNED_RUNS[name, division_name]
+        sf = load_builtin(name, order="degrevlex")
+        r = inv_comp(sf.polynomials, division_by_name(division_name, sf.vars), sf.order)
+        s = r.stats
+        assert (
+            s.reds, s.c1, s.c2, s.f5, s.super, s.polys_loop, s.polys_min, s.max_deg
+        ) == counters
+        assert " ".join(lm_names(r.basis, sf.vars.names)) == heads
+
+
+class TestInvariantChecks:
+    @pytest.mark.parametrize(
+        "name, division_name",
+        [("katsura4", "janet"), ("katsura4", "alex"), ("noon3", "thomas")],
+    )
+    def test_kept_partition_matches_a_rebuild_after_every_insertion(
+        self, name, division_name, monkeypatch
+    ):
+        calls = []
+        check = _Engine._check_partition
+
+        def counted(engine):
+            calls.append(len(engine.T))
+            check(engine)
+
+        monkeypatch.setattr(_Engine, "_check_partition", counted)
+        sf = load_builtin(name, order="degrevlex")
+        div = division_by_name(division_name, sf.vars)
+        r = inv_comp(sf.polynomials, div, sf.order, EngineOptions(check_invariants=True))
+        # One check per insertion; only the seed element was not inserted.
+        assert len(calls) == r.stats.polys_loop - 1 + r.diagnostics["purged_t"]
+
+    def test_partition_check_catches_a_stale_split(self):
+        sf = parse_system(WORKED_EXAMPLE)
+        engine = _Engine(sf.polynomials, janet(sf.vars), sf.order, EngineOptions())
+        engine._check_partition()
+        head = engine.T[0].poly.lm
+        engine._partition._nm[head] = frozenset({0, 1})
+        with pytest.raises(AssertionError, match="nonmultiplicative"):
+            engine._check_partition()
+        engine._partition = janet(sf.vars).partition([head, Monomial((5, 5))])
+        with pytest.raises(AssertionError, match="lists the heads"):
+            engine._check_partition()
+
+    def test_checks_raise_under_python_O(self):
+        # Run in a child interpreter, because -O strips `assert` statements.
+        script = textwrap.dedent(
+            """
+            import sys
+            from invbases.division import janet
+            from invbases.engine import EngineOptions, _Engine
+            from invbases.systems import parse_system
+
+            sf = parse_system(sys.argv[1])
+            opts = EngineOptions(track_cofactors=True)
+            engine = _Engine(sf.polynomials, janet(sf.vars), sf.order, opts)
+            broken = engine.T[0]
+            broken.cofactors = tuple(c.scale(2) for c in broken.cofactors)
+            print("optimize", sys.flags.optimize, flush=True)
+            engine._check_cofactors(broken)
+            """
+        )
+        src = str(Path(invbases.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script, WORKED_EXAMPLE],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert "optimize 1" in proc.stdout
+        assert proc.returncode != 0
+        assert "AssertionError: cofactor expansion does not reproduce" in proc.stderr
 
 
 class TestOrderInsensitivity:

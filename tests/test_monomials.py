@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given
@@ -186,9 +187,32 @@ class TestOrderings:
                     assert (o.key(a) < o.key(b)) == (c == LESS)
 
     def test_key_rejects_wrong_dimension(self):
-        o = lex(VarSet(("x", "y")))
-        with pytest.raises(UsageError):
-            o.key(Monomial((1, 1, 1)))
+        for kind in ("lex", "degrevlex", "alex"):
+            for priority in (None, (1, 0)):
+                o = ordering_by_name(kind, VarSet(("x", "y"), priority))
+                with pytest.raises(UsageError):
+                    o.key(Monomial((1, 1, 1)))
+                with pytest.raises(UsageError):
+                    o.key(Monomial((1,)))
+
+    def test_orderings_pickle(self):
+        vs = VarSet(("x", "y"), (1, 0))
+        for kind in ("lex", "degrevlex", "alex"):
+            o = ordering_by_name(kind, vs)
+            back = pickle.loads(pickle.dumps(o))
+            assert back == o
+            assert back.key(X2Y) == o.key(X2Y)
+
+    @given(monomials(3))
+    def test_key_is_the_textbook_formula(self, m):
+        e = m.exps
+        for priority in ((0, 1, 2), (2, 0, 1), (1, 2, 0)):
+            vs = VarSet(("x", "y", "z"), priority)
+            lex_part = tuple(e[i] for i in priority)
+            revlex_part = tuple(-e[i] for i in reversed(priority))
+            assert lex(vs).key(m) == lex_part
+            assert degrevlex(vs).key(m) == (sum(e), revlex_part)
+            assert alex(vs).key(m) == (-sum(e), lex_part)
 
     @given(monomials(3), monomials(3))
     def test_cmp_antisymmetry(self, a, b):

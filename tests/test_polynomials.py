@@ -14,12 +14,13 @@ from invbases.core import (
     degrevlex,
     lex,
     mono_lcm,
+    mono_mul,
     mono_one,
     render_polynomial,
     spoly,
 )
 
-from conftest import polynomials
+from conftest import monomials, polynomials, small_fractions
 
 VS = VarSet(("x", "y"))
 LEX = lex(VS)
@@ -145,6 +146,24 @@ class TestArithmetic:
     @given(polynomials(LEX, 2), polynomials(LEX, 2))
     def test_addition_then_subtraction_round_trips(self, p, q):
         assert (p + q) - q == p
+
+    @given(polynomials(DRL, 2), polynomials(DRL, 2), small_fractions(), monomials(2, 2))
+    def test_sub_mul_term_equals_the_two_step_form(self, p, g, c, u):
+        expected = p - g.mul_term(c, u)
+        assert p.sub_mul_term(c, u, g) == expected
+        # The constructor's dict accumulation shares no code with the merge.
+        scaled = [(-c * tc, mono_mul(tm, u)) for tc, tm in g.terms]
+        assert expected == Polynomial(DRL, list(p.terms) + scaled)
+        assert_canonical(p.sub_mul_term(c, u, g))
+        # Full cancellation: subtract p from a multiple of itself.
+        assert p.mul_term(c, u).sub_mul_term(c, u, p).is_zero
+        assert p.sub_mul_term(0, u, g) == p - g.mul_term(0, u) == p
+
+    def test_sub_mul_term_rejects_mixed_orderings(self):
+        with pytest.raises(UsageError):
+            poly(LEX, (1, XY)).sub_mul_term(1, X, poly(DRL, (1, Y)))
+        with pytest.raises(UsageError):
+            poly(LEX, (1, XY)).sub_mul_term(0, X, poly(DRL, (1, Y)))
 
     @given(polynomials(DRL, 2, max_deg=2, max_terms=3),
            polynomials(DRL, 2, max_deg=2, max_terms=3))

@@ -7,25 +7,23 @@ from dataclasses import dataclass, field
 
 from .core import UsageError
 from .division import division_by_name
-from .engine import EngineOptions, inv_bas, inv_comp, nf_full
+# `nf_full` is not called here, but stays importable from this module: the
+# benchmark's count tracer (perfbench/layers.py) wraps it under this name.
+from .engine import (  # noqa: F401
+    EngineOptions,
+    Stats,
+    _InvolutiveReducer,
+    inv_bas,
+    inv_comp,
+    nf_full,
+)
 from .oracles import buchberger_nf, is_groebner, is_involutive, random_ideal_member
 from .systems import SystemFile, load_builtin, load_system_file
 
-COLUMNS = (
-    "system",
-    "algorithm",
-    "division",
-    "time_ms",
-    "reds",
-    "c1",
-    "c2",
-    "f5",
-    "super",
-    "polys_loop",
-    "polys_min",
-    "max_deg",
-    "verified",
-)
+# The columns copied from `Stats` under the same name.
+COUNTERS = ("reds", "c1", "c2", "f5", "super", "polys_loop", "polys_min", "max_deg")
+
+COLUMNS = ("system", "algorithm", "division", "time_ms") + COUNTERS + ("verified",)
 
 ALGORITHMS = ("invcomp", "invbas")
 
@@ -45,6 +43,20 @@ class BenchRow:
     polys_min: int
     max_deg: int
     verified: bool | None
+
+    @classmethod
+    def from_stats(
+        cls, system: str, algorithm: str, division: str, stats: Stats, verified: bool | None
+    ) -> BenchRow:
+        """The row of one completion run, its counters taken from `stats`."""
+        return cls(
+            system=system,
+            algorithm=algorithm,
+            division=division,
+            time_ms=stats.elapsed_ms,
+            verified=verified,
+            **{col: getattr(stats, col) for col in COUNTERS},
+        )
 
     def as_dict(self) -> dict:
         return {col: getattr(self, col) for col in COLUMNS}
@@ -85,9 +97,10 @@ def verify_basis(
     if not is_involutive(basis, division, order):
         return False
     if rng is not None:
+        reducer = _InvolutiveReducer(basis, division, order)
         for _ in range(samples):
             member = random_ideal_member(rng, system.polynomials, order)
-            if not nf_full(member, basis, division, order).is_zero:
+            if not reducer.nf(member).is_zero:
                 return False
             if not buchberger_nf(member, basis, order).is_zero:
                 return False
@@ -115,22 +128,7 @@ def run_one(
     verified: bool | None = None
     if verify:
         verified = verify_basis(result.basis, system, division, rng, verify_samples)
-    s = result.stats
-    row = BenchRow(
-        system=system.name,
-        algorithm=algorithm,
-        division=division_name,
-        time_ms=s.elapsed_ms,
-        reds=s.reds,
-        c1=s.c1,
-        c2=s.c2,
-        f5=s.f5,
-        super=s.super,
-        polys_loop=s.polys_loop,
-        polys_min=s.polys_min,
-        max_deg=s.max_deg,
-        verified=verified,
-    )
+    row = BenchRow.from_stats(system.name, algorithm, division_name, result.stats, verified)
     return row, result.basis
 
 

@@ -140,21 +140,8 @@ def _cmd_compute(args) -> int:
         verified = verify_basis(result.basis, system, division, rng, samples=10)
 
     if args.stats:
-        s = result.stats
-        row = BenchRow(
-            system=system.name,
-            algorithm=args.algorithm,
-            division=args.division,
-            time_ms=s.elapsed_ms,
-            reds=s.reds,
-            c1=s.c1,
-            c2=s.c2,
-            f5=s.f5,
-            super=s.super,
-            polys_loop=s.polys_loop,
-            polys_min=s.polys_min,
-            max_deg=s.max_deg,
-            verified=verified,
+        row = BenchRow.from_stats(
+            system.name, args.algorithm, args.division, result.stats, verified
         )
         print(format_stats([row], args.stats), end="")
 

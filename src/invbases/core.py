@@ -92,7 +92,16 @@ class Monomial:
 
     def divides(self, other: Monomial) -> bool:
         _check_dim(self, other)
-        return all(a <= b for a, b in zip(self.exps, other.exps))
+        return self.deg <= other.deg and all(map(operator.le, self.exps, other.exps))
+
+
+def _mono(exps: tuple, deg: int) -> Monomial:
+    """Internal constructor for exponents and degree already known valid:
+    products, quotients and lcms of valid monomials."""
+    m = object.__new__(Monomial)
+    m.exps = exps
+    m.deg = deg
+    return m
 
 
 def mono_one(n: int) -> Monomial:
@@ -113,23 +122,22 @@ def _check_dim(a: Monomial, b: Monomial) -> None:
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     _check_dim(a, b)
-    return Monomial(tuple(x + y for x, y in zip(a.exps, b.exps)))
+    return _mono(tuple(map(operator.add, a.exps, b.exps)), a.deg + b.deg)
 
 
 def mono_div(a: Monomial, b: Monomial) -> Monomial | None:
     """Exact quotient a/b, or None when b does not divide a."""
     _check_dim(a, b)
-    out = []
-    for x, y in zip(a.exps, b.exps):
-        if x < y:
-            return None
-        out.append(x - y)
-    return Monomial(tuple(out))
+    ae, be = a.exps, b.exps
+    if a.deg < b.deg or not all(map(operator.ge, ae, be)):
+        return None
+    return _mono(tuple(map(operator.sub, ae, be)), a.deg - b.deg)
 
 
 def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
     _check_dim(a, b)
-    return Monomial(tuple(max(x, y) for x, y in zip(a.exps, b.exps)))
+    e = tuple(map(max, a.exps, b.exps))
+    return _mono(e, sum(e))
 
 
 @dataclass(frozen=True)

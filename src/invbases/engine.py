@@ -678,30 +678,44 @@ def reg_normal_form(
 
 def nf_full(f: Polynomial, G, division: Division, order: Ordering) -> Polynomial:
     """Full involutive normal form of f against the polynomials G."""
-    polys = [g for g in G]
-    for g in polys:
-        if g.is_zero:
-            raise UsageError("zero polynomial in the reducing set")
-    part = division.partition([g.lm for g in polys])
-    ranked = sorted(range(len(polys)), key=lambda i: (order.key(polys[i].lm), i))
-    h = f
-    rem = []
-    while not h.is_zero:
-        hit = None
-        hit_u = None
-        hlm = h.lm
-        for i in ranked:
-            g = polys[i]
-            u = mono_div(hlm, g.lm)
-            if u is not None and part.allows(g.lm, u):
-                hit, hit_u = g, u
-                break
-        if hit is None:
-            rem.append(h.lt)
-            h = h.drop_lt()
-        else:
-            h = h.sub_mul_term(h.lc / hit.lc, hit_u, hit)
-    return Polynomial._raw(order, tuple(rem))
+    return _InvolutiveReducer(G, division, order).nf(f)
+
+
+class _InvolutiveReducer:
+    """Full involutive reduction against a fixed set G: the set is checked,
+    partitioned and ranked once, for any number of normal forms."""
+
+    __slots__ = ("order", "partition", "ranked")
+
+    def __init__(self, G, division: Division, order: Ordering):
+        polys = [g for g in G]
+        for g in polys:
+            if g.is_zero:
+                raise UsageError("zero polynomial in the reducing set")
+        self.order = order
+        self.partition = division.partition([g.lm for g in polys])
+        ranked = sorted(range(len(polys)), key=lambda i: (order.key(polys[i].lm), i))
+        self.ranked = [polys[i] for i in ranked]
+
+    def nf(self, f: Polynomial) -> Polynomial:
+        allows = self.partition.allows
+        h = f
+        rem = []
+        while not h.is_zero:
+            hit = None
+            hit_u = None
+            hlm = h.lm
+            for g in self.ranked:
+                u = mono_div(hlm, g.lm)
+                if u is not None and allows(g.lm, u):
+                    hit, hit_u = g, u
+                    break
+            if hit is None:
+                rem.append(h.lt)
+                h = h.drop_lt()
+            else:
+                h = h.sub_mul_term(h.lc / hit.lc, hit_u, hit)
+        return Polynomial._raw(self.order, tuple(rem))
 
 
 def min_bas(H, division: Division, order: Ordering) -> list[Polynomial]:

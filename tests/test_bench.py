@@ -16,8 +16,8 @@ from invbases.bench import (
     verify_basis,
 )
 from invbases.core import UsageError
-from invbases.division import janet
-from invbases.engine import EngineOptions, inv_comp
+from invbases.division import Division, janet
+from invbases.engine import EngineOptions, Stats, inv_comp
 from invbases.systems import load_builtin
 
 from conftest import WORKED_EXAMPLE
@@ -58,6 +58,31 @@ class TestVerifyBasis:
     def test_rejects_the_raw_input(self):
         sf = load_builtin("cyclic3")
         assert not verify_basis(sf.polynomials, sf, janet(sf.vars))
+
+    def test_random_members_share_one_partition(self, monkeypatch):
+        sf = load_builtin("cyclic3")
+        div = janet(sf.vars)
+        r = inv_comp(sf.polynomials, div, sf.order)
+        calls = []
+        partition = Division.partition
+
+        def counted(division, U):
+            calls.append(len(U))
+            return partition(division, U)
+
+        monkeypatch.setattr(Division, "partition", counted)
+        assert verify_basis(r.basis, sf, div, random.Random(1), samples=5)
+        # One for the involutivity check, one for all five random members.
+        assert calls == [len(r.basis)] * 2
+
+
+class TestRowFromStats:
+    def test_copies_every_counter_and_the_time(self):
+        stats = Stats(reds=0, c1=1, c2=2, f5=3, super=4, polys_loop=5, polys_min=4,
+                      max_deg=6, elapsed_ms=1.25)
+        row = BenchRow.from_stats("s", "invcomp", "janet", stats, None)
+        assert row == make_row()
+        assert BenchRow.from_stats("s", "invcomp", "janet", stats, True) == make_row(verified=True)
 
 
 class TestRunOne:

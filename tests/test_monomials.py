@@ -6,6 +6,7 @@ import pickle
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from invbases.core import (
     EQUAL,
@@ -101,6 +102,36 @@ class TestMonomialOps:
     @given(monomials(3), monomials(3))
     def test_divides_iff_div_succeeds(self, a, b):
         assert a.divides(b) == (mono_div(b, a) is not None)
+
+    @given(monomials(3), monomials(3))
+    def test_results_match_validated_construction(self, a, b):
+        # The kernel builds its results without re-validating; they must
+        # carry the same exponents and degree as the public constructor's.
+        ea, eb = a.exps, b.exps
+        expected = {
+            mono_mul: Monomial(tuple(x + y for x, y in zip(ea, eb))),
+            mono_lcm: Monomial(tuple(max(x, y) for x, y in zip(ea, eb))),
+        }
+        if all(x >= y for x, y in zip(ea, eb)):
+            expected[mono_div] = Monomial(tuple(x - y for x, y in zip(ea, eb)))
+        for op, want in expected.items():
+            got = op(a, b)
+            assert (got.exps, got.deg) == (want.exps, want.deg)
+            assert type(got.exps) is tuple and got == want and hash(got) == hash(want)
+
+    @given(monomials(2), monomials(3))
+    def test_dimension_mismatch_raises_everywhere(self, a, b):
+        for x, y in ((a, b), (b, a)):
+            for op in (mono_mul, mono_div, mono_lcm, Monomial.divides):
+                with pytest.raises(UsageError):
+                    op(x, y)
+
+    @given(st.lists(st.integers(0, 3), min_size=1, max_size=4))
+    def test_division_by_a_bigger_degree_fails(self, exps):
+        a = Monomial(exps)
+        bigger = Monomial([e + 1 for e in exps])
+        assert mono_div(a, bigger) is None and not bigger.divides(a)
+        assert mono_div(bigger, a) is not None and a.divides(bigger)
 
 
 class TestVarSet:

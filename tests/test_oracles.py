@@ -3,21 +3,26 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from invbases.core import (
     Monomial,
     Polynomial,
     UsageError,
     VarSet,
+    degrevlex,
     lex,
     render_polynomial,
+    spoly,
 )
-from invbases.division import janet
+from invbases.division import Division, janet
 from invbases.engine import inv_comp
 from invbases.oracles import (
+    _open_pairs,
     admissibility_check,
     buchberger_nf,
     expand_cofactors,
@@ -26,7 +31,7 @@ from invbases.oracles import (
     random_ideal_member,
 )
 from invbases.signatures import Signature
-from invbases.systems import parse_polynomial, parse_system
+from invbases.systems import load_builtin, parse_polynomial, parse_system
 
 from conftest import WORKED_EXAMPLE, polynomials
 
@@ -36,6 +41,43 @@ LEX = lex(VS)
 
 def poly(text):
     return parse_polynomial(text, LEX)
+
+
+def exhaustive_is_groebner(G, order) -> bool:
+    """The reference Buchberger test: every pair's S-polynomial reduces to
+    zero, with no criterion skipping any pair."""
+    polys = list(G)
+    return all(
+        buchberger_nf(spoly(f, g), polys, order).is_zero for f, g in combinations(polys, 2)
+    )
+
+
+def janet_basis(name):
+    sf = load_builtin(name, order="degrevlex")
+    return sf, inv_comp(sf.polynomials, janet(sf.vars), sf.order).basis
+
+
+@st.composite
+def candidate_sets(draw):
+    """Small sets in 2-3 variables under lex or degrevlex: random sets of
+    polynomials with two terms or more (mostly not Gröbner), completed Janet
+    bases (Gröbner) and bases with one element dropped, each possibly with a
+    repeated head (a scaled copy of an element, or one with a changed tail)."""
+    n = draw(st.sampled_from((2, 3)))
+    vs = VarSet(("x", "y", "z")[:n])
+    order = draw(st.sampled_from((lex(vs), degrevlex(vs))))
+    binomials_up = polynomials(order, n, max_deg=2, max_terms=3).filter(lambda p: len(p) >= 2)
+    polys = draw(st.lists(binomials_up, min_size=2, max_size=4))
+    kind = draw(st.sampled_from(("random", "basis", "dropped")))
+    if kind != "random":
+        polys = list(inv_comp(polys, janet(vs), order).basis)
+        if kind == "dropped" and len(polys) > 1:
+            del polys[draw(st.integers(0, len(polys) - 1))]
+    repeat = draw(st.sampled_from(("none", "scaled", "tail")))
+    if repeat != "none":
+        p = draw(st.sampled_from(polys))
+        polys.append(p.scale(2) if repeat == "scaled" else p + p.drop_lt().scale(2))
+    return order, polys
 
 
 @pytest.fixture(scope="module")
@@ -99,6 +141,55 @@ class TestIsGroebner:
             is_groebner([poly("x"), Polynomial.zero(LEX)], LEX)
 
 
+class TestGroebnerCriteria:
+    def test_coprime_heads_are_skipped(self):
+        assert list(_open_pairs([Monomial((2, 0)), Monomial((0, 3))])) == []
+
+    def test_strict_chain_skips_the_outer_pair(self):
+        # x*y divides lcm(x^2*y, x*y^2) = x^2*y^2, and its lcm with either
+        # head is a proper divisor of it: only the two inner pairs remain.
+        heads = [Monomial((2, 1)), Monomial((1, 2)), Monomial((1, 1))]
+        assert list(_open_pairs(heads)) == [(0, 2), (1, 2)]
+
+    def test_chain_through_the_lcm_itself_does_not_skip(self):
+        # x*y*z divides lcm(x*y, y*z) but equals its lcm with x*y.
+        heads = [Monomial((1, 1, 0)), Monomial((0, 1, 1)), Monomial((1, 1, 1))]
+        assert (0, 1) in list(_open_pairs(heads))
+
+    def test_repeated_heads_stay_open(self):
+        # Two elements with one head: their pair is never coprime, and a
+        # third head equal to both cannot chain it.
+        heads = [Monomial((1, 1)), Monomial((1, 1)), Monomial((1, 1))]
+        assert list(_open_pairs(heads)) == [(0, 1), (0, 2), (1, 2)]
+
+    def test_cyclic5_reduces_at_most_a_third_of_its_pairs(self):
+        _, basis = janet_basis("cyclic5")
+        n = len(basis)
+        assert n * (n - 1) // 2 == 253
+        open_pairs = len(list(_open_pairs([g.lm for g in basis])))
+        assert open_pairs == 73
+        assert 3 * open_pairs <= 253
+
+    @pytest.mark.parametrize("name", ["katsura4", "noon3", "cyclic4"])
+    def test_agrees_with_exhaustive_on_drop_one_subsets(self, name):
+        sf, basis = janet_basis(name)
+        assert is_groebner(basis, sf.order) and exhaustive_is_groebner(basis, sf.order)
+        verdicts = []
+        for k in range(len(basis)):
+            subset = basis[:k] + basis[k + 1:]
+            verdict = exhaustive_is_groebner(subset, sf.order)
+            assert is_groebner(subset, sf.order) == verdict
+            verdicts.append(verdict)
+        # Both verdicts occur: some heads are redundant, some are not.
+        assert not all(verdicts)
+
+    @given(case=candidate_sets())
+    @settings(max_examples=150, deadline=None)
+    def test_agrees_with_exhaustive_on_random_sets(self, case):
+        order, polys = case
+        assert is_groebner(polys, order) == exhaustive_is_groebner(polys, order)
+
+
 class TestIsInvolutive:
     def test_completed_basis(self, worked_run):
         sf, r = worked_run
@@ -116,6 +207,19 @@ class TestIsInvolutive:
     def test_empty_basis_is_rejected(self):
         with pytest.raises(UsageError):
             is_involutive([], janet(VS), LEX)
+
+    def test_builds_one_partition(self, monkeypatch):
+        calls = []
+        partition = Division.partition
+
+        def counted(division, U):
+            calls.append(len(U))
+            return partition(division, U)
+
+        sf, basis = janet_basis("katsura4")
+        monkeypatch.setattr(Division, "partition", counted)
+        assert is_involutive(basis, janet(sf.vars), sf.order)
+        assert calls == [len(basis)]
 
 
 class TestExpandCofactors:

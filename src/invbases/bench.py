@@ -10,7 +10,6 @@ from .division import division_by_name
 # `nf_full` is not called here, but stays importable from this module: the
 # benchmark's count tracer (perfbench/layers.py) wraps it under this name.
 from .engine import (  # noqa: F401
-    EngineOptions,
     Stats,
     _InvolutiveReducer,
     inv_bas,
@@ -71,7 +70,6 @@ class BenchConfig:
     verify: bool = False
     verify_samples: int = 10
     seed: int = 0
-    options: EngineOptions = field(default_factory=EngineOptions)
 
 
 def resolve_system(name: str, order: str | None = None) -> SystemFile:
@@ -114,13 +112,12 @@ def run_one(
     verify: bool = False,
     rng: random.Random | None = None,
     verify_samples: int = 0,
-    options: EngineOptions | None = None,
 ) -> tuple[BenchRow, list]:
     division = division_by_name(division_name, system.vars)
     if algorithm == "invcomp":
-        result = inv_comp(system.polynomials, division, system.order, options)
+        result = inv_comp(system.polynomials, division, system.order)
     elif algorithm == "invbas":
-        result = inv_bas(system.polynomials, division, system.order, options)
+        result = inv_bas(system.polynomials, division, system.order)
     else:
         raise UsageError(
             "unknown algorithm %r (expected one of %s)" % (algorithm, ", ".join(ALGORITHMS))
@@ -148,7 +145,6 @@ def run_bench(config: BenchConfig) -> list[BenchRow]:
                     verify=config.verify,
                     rng=rng,
                     verify_samples=config.verify_samples,
-                    options=config.options,
                 )
                 rows.append(row)
     return rows

@@ -91,32 +91,22 @@ def _common_flags(cmd: argparse.ArgumentParser, multi: bool = False) -> None:
         action="store_true",
         help="independently verify results; failures exit with status 1",
     )
-    cmd.add_argument(
-        "--use-syzygy-signatures",
-        action="store_true",
-        help="also prune by signatures of discovered syzygies",
-    )
     cmd.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
 
 
-def _options(args) -> EngineOptions:
-    return EngineOptions(
-        use_syzygy_signatures=args.use_syzygy_signatures,
-        track_cofactors=getattr(args, "cofactors", False),
-    )
-
-
 def _cmd_compute(args) -> int:
+    if args.cofactors and args.algorithm != "invcomp":
+        raise UsageError("--cofactors needs --algorithm invcomp: only it tracks cofactors")
     if args.input is not None:
         system = load_system_file(args.input, order=args.order)
     else:
         system = load_builtin(args.system, order=args.order)
     division = division_by_name(args.division, system.vars)
-    options = _options(args)
     if args.algorithm == "invcomp":
+        options = EngineOptions(track_cofactors=args.cofactors)
         result = inv_comp(system.polynomials, division, system.order, options)
     else:
-        result = inv_bas(system.polynomials, division, system.order, options)
+        result = inv_bas(system.polynomials, division, system.order)
 
     print(render_system(with_polynomials(system, result.basis)), end="")
 
@@ -164,7 +154,6 @@ def _cmd_bench(args) -> int:
         order=args.order,
         verify=args.verify,
         seed=args.seed,
-        options=EngineOptions(use_syzygy_signatures=args.use_syzygy_signatures),
     )
     rows = run_bench(config)
     print(format_stats(rows, args.stats), end="")

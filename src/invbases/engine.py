@@ -29,7 +29,7 @@ from .core import (
     mono_mul,
     mono_var,
 )
-from .division import Division, Partition, minimal_completion
+from .division import Division, minimal_completion
 from .signatures import (
     LMArchive,
     Signature,
@@ -42,9 +42,31 @@ from .signatures import (
 )
 
 
+# The engine's diagnostic counters: kept in `Stats`, outside the `--stats`
+# columns, and read by name through `CompletionResult.diagnostics`.
+DIAGNOSTICS = (
+    "global_sig_violations",
+    "same_index_sig_violations",
+    "sig_merges",
+    "purged_t",
+    "killed_q",
+    "deflections",
+)
+
+
 @dataclass
 class Stats:
-    """Counters for one completion run."""
+    """Counters for one completion run.
+
+    The first eight are the `--stats` columns.  The diagnostics count
+    deflected combinations queued (`deflections`), queued elements of equal
+    signature merged (`sig_merges`) and of those the queued ones dropped
+    (`killed_q`), basis elements purged with a redundant generator
+    (`purged_t`), and, only under `check_invariants`, the pops whose
+    signature lies below some basis element's (`global_sig_violations`), at
+    the same module position (`same_index_sig_violations`).  `inv_bas`
+    leaves the diagnostics at zero.
+    """
 
     reds: int = 0
     c1: int = 0
@@ -54,6 +76,12 @@ class Stats:
     polys_loop: int = 0
     polys_min: int = 0
     max_deg: int = 0
+    deflections: int = 0
+    sig_merges: int = 0
+    killed_q: int = 0
+    purged_t: int = 0
+    global_sig_violations: int = 0
+    same_index_sig_violations: int = 0
     elapsed_ms: float = 0.0
 
     def note(self, verdict: Verdict) -> None:
@@ -75,33 +103,18 @@ class Stats:
 
 @dataclass
 class EngineOptions:
-    """Tunable behaviour of the signature-based completion.
+    """Opt-in extras of the signature-based completion.  Neither changes
+    the basis or the `--stats` counters.
 
-    `same_signature_discard` keeps at most one queued element per signature
-    (the one with the smallest head); elements of equal signature reduce to
-    the same normal form up to redundancy, so only one needs processing.
-    Turning it off queues everything literally.  `deflect_unsafe` queues the
-    combination a signature-raising head reduction would have formed under
-    the reducer's shifted signature; with the default `None` this happens
-    exactly for divisions generated by a non-admissible ordering, where a
-    skipped head may otherwise stay involutively reducible forever and the
-    completion would miss part of the ideal.  `sig_cover_discard` drops a
-    popped element when a processed element of smaller signature certifies
-    a strictly smaller head at the popped signature (counted with the
-    super-top-reduction discards); the certificate compares order keys of
-    shifted heads, which is only meaningful when the division is generated
-    by an admissible ordering, so the default `None` enables it exactly
-    then.  `check_invariants` enables internal assertions and diagnostics
-    on every iteration, among them a comparison of the partition kept up by
-    insertions against one rebuilt from scratch.
+    `track_cofactors` carries with every element its expression over the
+    monic sorted generators and records one `CofactorRecord` per basis
+    insertion.  `check_invariants` enables internal assertions and the two
+    signature diagnostics on every iteration, among them a comparison of
+    the partition kept up by insertions against one rebuilt from scratch.
     """
 
-    use_syzygy_signatures: bool = False
     track_cofactors: bool = False
     check_invariants: bool = False
-    same_signature_discard: bool = True
-    deflect_unsafe: bool | None = None
-    sig_cover_discard: bool | None = None
 
 
 @dataclass(frozen=True)
@@ -120,16 +133,11 @@ class CompletionResult:
     loop_basis: list[Polynomial]
     sorted_input: list[Polynomial]
     cofactor_records: list[CofactorRecord] = field(default_factory=list)
-    diagnostics: dict = field(default_factory=dict)
 
-
-class _QEntry:
-    __slots__ = ("sp", "alive", "seq")
-
-    def __init__(self, sp: SigPoly, seq: int):
-        self.sp = sp
-        self.alive = True
-        self.seq = seq
+    @property
+    def diagnostics(self) -> dict[str, int]:
+        """The diagnostic counters of `stats`, by name."""
+        return {name: getattr(self.stats, name) for name in DIAGNOSTICS}
 
 
 def _expand(cofactors, generators) -> Polynomial:
@@ -139,18 +147,6 @@ def _expand(cofactors, generators) -> Polynomial:
     for c, g in zip(cofactors, generators):
         acc = acc + c * g
     return acc
-
-
-def _resolve_deflect(options: EngineOptions, division: Division) -> bool:
-    if options.deflect_unsafe is not None:
-        return options.deflect_unsafe
-    return division.kind == "order" and not division.base.admissible
-
-
-def _resolve_cover(options: EngineOptions, division: Division) -> bool:
-    if options.sig_cover_discard is not None:
-        return options.sig_cover_discard
-    return division.kind == "order" and division.base.admissible
 
 
 def _check_inputs(F, division: Division, order: Ordering) -> list[Polynomial]:
@@ -172,64 +168,78 @@ def _check_inputs(F, division: Division, order: Ordering) -> list[Polynomial]:
 
 
 class _Engine:
-    """State of one signature-based completion run."""
+    """State of one signature-based completion run.
 
-    def __init__(self, F, division: Division, order: Ordering, options: EngineOptions):
-        polys = _check_inputs(F, division, order)
+    The engine starts from a fixed basis of processed elements (empty for a
+    completion, which `seed` then fills from the input system) and an
+    optional archive of recorded heads.
+    """
+
+    def __init__(
+        self,
+        division: Division,
+        order: Ordering,
+        options: EngineOptions,
+        basis=(),
+        archive: LMArchive | None = None,
+    ):
         self.division = division
         self.order = order
         self.options = options
-        self.deflect = _resolve_deflect(options, division)
-        self.cover = _resolve_cover(options, division)
+        # Under a division generated by a non-admissible ordering a head
+        # reducible only unsafely may otherwise stay involutively reducible
+        # forever, so its combination is deflected into the queue.  The
+        # cover check compares order keys of shifted heads, which is only
+        # meaningful when the generating ordering is admissible.
+        generated = division.kind == "order"
+        self.deflect = generated and not division.base.admissible
+        self.cover = generated and division.base.admissible
         self.stats = Stats()
-        self.diagnostics = {
-            "global_sig_violations": 0,
-            "same_index_sig_violations": 0,
-            "sig_merges": 0,
-            "purged_t": 0,
-            "killed_q": 0,
-            "deflections": 0,
-        }
-
-        # Generators are made monic and sorted by decreasing head (stable, so
-        # equal heads keep input order); sorted position i is module e_(i+1).
-        self.gens = sorted(
-            (f.monic() for f in polys),
-            key=lambda f: order.key(f.lm),
-            reverse=True,
-        )
-        self.k = len(self.gens)
+        self.gens: list[Polynomial] = []
 
         self._uid = itertools.count()
         self._seq = itertools.count()
         self._anc_ids = itertools.count()
         self._heap: list = []
-        self._sig_best: dict[Signature, _QEntry] = {}
-        self._queued: dict[tuple[Signature, Monomial], _QEntry] = {}
+        # The one queued element of each signature; heap slots of elements
+        # merged away stay behind and are skipped by `_pop`.
+        self._sig_best: dict[Signature, SigPoly] = {}
 
-        self.archive = LMArchive([[g.lm] for g in self.gens])
-        self.syzygies: list[Signature] = []
+        self.archive = archive
         self.records: list[CofactorRecord] = []
 
-        self.T: list[SigPoly] = []
-        self._partition: Partition | None = None
+        self.T: list[SigPoly] = list(basis)
+        self._refresh_partition()
 
+    def seed(self, F) -> None:
+        """Queue the generators of F, checked, made monic and sorted by
+        decreasing head (stable, so equal heads keep input order); sorted
+        position i is module e_(i+1).  The last one starts the basis."""
+        order = self.order
+        polys = _check_inputs(F, self.division, order)
+        self.gens = sorted(
+            (f.monic() for f in polys),
+            key=lambda f: order.key(f.lm),
+            reverse=True,
+        )
+        k = len(self.gens)
+        self.archive = LMArchive([[g.lm] for g in self.gens])
         unit = None
         for i, g in enumerate(self.gens):
             sig = Signature(_one(order), i + 1)
-            if options.track_cofactors:
+            if self.options.track_cofactors:
                 unit = tuple(
                     Polynomial.one(order) if j == i else Polynomial.zero(order)
-                    for j in range(self.k)
+                    for j in range(k)
                 )
             sp = SigPoly(sig, g, g.lm, self._new_anc_id(), set(), next(self._uid), unit)
-            if i == self.k - 1:
+            if i == k - 1:
                 self.T.append(sp)
+                self._partition.add(g.lm)
                 if unit is not None:
                     self.records.append(CofactorRecord(sig, g, unit))
             else:
                 self._push(sp, creator_sig=None)
-        self._refresh_partition()
 
     # -- bookkeeping ---------------------------------------------------
 
@@ -246,8 +256,8 @@ class _Engine:
         """Rebuild the partition over the current heads, O(|T|^2) pair rules.
 
         Insertions instead grow the kept partition with `Partition.add`, at
-        O(|T|) pair rules; a rebuild is needed only for the first basis and
-        after `_purge`, because removing heads can shrink the
+        O(|T|) pair rules; a rebuild is needed only for the starting basis
+        and after `_purge`, because removing heads can shrink the
         nonmultiplicative sets of the heads that stay.
         """
         self._partition = self.division.partition([t.poly.lm for t in self.T])
@@ -267,7 +277,12 @@ class _Engine:
 
     def _push(self, sp: SigPoly, creator_sig: Signature | None) -> bool:
         """Queue a signature-labelled polynomial; returns False when merged
-        away by an already-queued element of the same signature."""
+        away by an already-queued element of the same signature.
+
+        At most one element per signature stays queued, the one with the
+        smallest head: elements of equal signature reduce to the same normal
+        form up to redundancy, so only one needs processing.
+        """
         if sp.poly.is_zero:
             return False
         self._bump_deg(sp.poly)
@@ -278,53 +293,24 @@ class _Engine:
             and sig_cmp(self.order, sp.sig, creator_sig) < 0
         ):
             raise AssertionError("queued signature below its creator")
-        if self.options.same_signature_discard:
-            incumbent = self._sig_best.get(sp.sig)
-            if incumbent is not None and incumbent.alive:
-                self.diagnostics["sig_merges"] += 1
-                if self.order.key(sp.poly.lm) < self.order.key(incumbent.sp.poly.lm):
-                    self._kill(incumbent)
-                else:
-                    return False
-        else:
-            dup = self._queued.get((sp.sig, sp.poly.lm))
-            if dup is not None and dup.alive:
+        lm_key = self.order.key(sp.poly.lm)
+        incumbent = self._sig_best.get(sp.sig)
+        if incumbent is not None:
+            self.stats.sig_merges += 1
+            if lm_key >= self.order.key(incumbent.poly.lm):
                 return False
-        entry = _QEntry(sp, next(self._seq))
-        key = (
-            sig_sort_key(self.order, sp.sig),
-            self.order.key(sp.poly.lm),
-            entry.seq,
-        )
-        heapq.heappush(self._heap, (key, entry.seq, entry))
-        if self.options.same_signature_discard:
-            self._sig_best[sp.sig] = entry
-        else:
-            self._queued[(sp.sig, sp.poly.lm)] = entry
+            self.stats.killed_q += 1
+        self._sig_best[sp.sig] = sp
+        key = (sig_sort_key(self.order, sp.sig), lm_key, next(self._seq))
+        heapq.heappush(self._heap, (key, sp))
         return True
-
-    def _kill(self, entry: _QEntry) -> None:
-        if entry.alive:
-            entry.alive = False
-            self.diagnostics["killed_q"] += 1
-            if self._sig_best.get(entry.sp.sig) is entry:
-                del self._sig_best[entry.sp.sig]
-            key = (entry.sp.sig, entry.sp.poly.lm)
-            if self._queued.get(key) is entry:
-                del self._queued[key]
 
     def _pop(self) -> SigPoly | None:
         while self._heap:
-            _, _, entry = heapq.heappop(self._heap)
-            if not entry.alive:
-                continue
-            entry.alive = False
-            if self._sig_best.get(entry.sp.sig) is entry:
-                del self._sig_best[entry.sp.sig]
-            key = (entry.sp.sig, entry.sp.poly.lm)
-            if self._queued.get(key) is entry:
-                del self._queued[key]
-            return entry.sp
+            _, sp = heapq.heappop(self._heap)
+            if self._sig_best.get(sp.sig) is sp:
+                del self._sig_best[sp.sig]
+                return sp
         return None
 
     def _purge(self, anc_id: int) -> None:
@@ -334,7 +320,7 @@ class _Engine:
         usual criteria when popped."""
         before = len(self.T)
         self.T = [t for t in self.T if t.anc_id != anc_id]
-        self.diagnostics["purged_t"] += before - len(self.T)
+        self.stats.purged_t += before - len(self.T)
         if len(self.T) != before:
             self._refresh_partition()
 
@@ -369,9 +355,9 @@ class _Engine:
                 if t.sig.index == p.sig.index:
                     same_index = True
         if violated:
-            self.diagnostics["global_sig_violations"] += 1
+            self.stats.global_sig_violations += 1
         if same_index:
-            self.diagnostics["same_index_sig_violations"] += 1
+            self.stats.same_index_sig_violations += 1
 
     def _covered(self, p: SigPoly) -> bool:
         """True when a processed element certifies, at p's exact signature,
@@ -429,20 +415,20 @@ class _Engine:
                 # The head certified by sig(p) is redundant as soon as a
                 # signature-safe involutive head divisor triggers one of
                 # the criteria.
-                syz = tuple(self.syzygies) if self.options.use_syzygy_signatures else None
                 for rank, q, _u in candidates:
                     if rank[0] != 0:
                         break
-                    verdict = criteria(p, q, self.archive, order, syz)
+                    verdict = criteria(p, q, self.archive, order)
                     if verdict is not Verdict.NONE:
                         return Polynomial.zero(order), verdict
             chosen_rank, chosen, chosen_u = candidates[0]
             safe = chosen_rank[0] == 0
             if not safe:
                 # Every head divisor would raise the signature; the head
-                # stays.  Optionally queue the combination the reduction
-                # would have formed under the reducer's shifted signature,
-                # where it is a legitimate new element.
+                # stays.  Where the division asks for it, queue the
+                # combination the reduction would have formed under the
+                # reducer's shifted signature, where it is a legitimate new
+                # element.
                 if self.deflect:
                     c = h.lc / chosen.poly.lc
                     # Every remainder term lies above every term of h.
@@ -468,7 +454,7 @@ class _Engine:
                             dcofs,
                         )
                         if self._push(dsp, creator_sig=p.sig):
-                            self.diagnostics["deflections"] += 1
+                            self.stats.deflections += 1
                 rem.append(h.lt)
                 h = h.drop_lt()
                 at_head = False
@@ -504,8 +490,6 @@ class _Engine:
                 continue
             if h.is_zero:
                 self.stats.reds += 1
-                if self.options.use_syzygy_signatures:
-                    self.syzygies.append(p.sig)
                 if p.poly.lm == p.anc_lm:
                     self._purge(p.anc_id)
                 continue
@@ -521,7 +505,6 @@ class _Engine:
             loop_basis=loop_basis,
             sorted_input=list(self.gens),
             cofactor_records=self.records,
-            diagnostics=dict(self.diagnostics),
         )
 
     def _insert(self, p: SigPoly, h: Polynomial) -> None:
@@ -618,7 +601,8 @@ def inv_comp(
     options: EngineOptions | None = None,
 ) -> CompletionResult:
     """Signature-based completion of F to a minimal involutive basis."""
-    engine = _Engine(F, division, order, options or EngineOptions())
+    engine = _Engine(division, order, options or EngineOptions())
+    engine.seed(F)
     return engine.run()
 
 
@@ -629,44 +613,16 @@ def reg_normal_form(
     order: Ordering,
     archive: LMArchive | None = None,
     q_sink: list[SigPoly] | None = None,
-    options: EngineOptions | None = None,
 ):
     """Signature-safe involutive normal form of p against a fixed basis.
 
-    Standalone entry point over an explicit basis: deflected combinations
-    are appended to `q_sink` instead of an internal queue.  Returns
-    (normal form, verdict) as the engine-internal reduction does.
+    Standalone entry point over an explicit basis, reducing as the engine
+    does under this division: where the division deflects (one generated
+    by a non-admissible ordering), the deflected combinations are appended
+    to `q_sink` instead of an internal queue.  Returns (normal form,
+    verdict) as the engine-internal reduction does.
     """
-    opts = options or EngineOptions()
-    basis = list(basis)
-    engine = _Engine.__new__(_Engine)
-    engine.division = division
-    engine.order = order
-    engine.options = opts
-    engine.deflect = _resolve_deflect(opts, division)
-    engine.cover = _resolve_cover(opts, division)
-    engine.stats = Stats()
-    engine.diagnostics = {
-        "global_sig_violations": 0,
-        "same_index_sig_violations": 0,
-        "sig_merges": 0,
-        "purged_t": 0,
-        "killed_q": 0,
-        "deflections": 0,
-    }
-    engine.gens = [sp.poly for sp in basis] or [p.poly]
-    engine.k = max([p.sig.index] + [sp.sig.index for sp in basis])
-    engine._uid = itertools.count()
-    engine._seq = itertools.count()
-    engine._anc_ids = itertools.count()
-    engine._heap = []
-    engine._sig_best = {}
-    engine._queued = {}
-    engine.archive = archive
-    engine.syzygies = []
-    engine.records = []
-    engine.T = basis
-    engine._refresh_partition()
+    engine = _Engine(division, order, EngineOptions(), basis, archive)
     h, verdict = engine.regular_normal_form(p)
     if q_sink is not None:
         drained = engine._pop()
@@ -748,19 +704,13 @@ def min_bas(H, division: Division, order: Ordering) -> list[Polynomial]:
     return [by_lm[m] for m in sorted(wanted, key=order.key)]
 
 
-def inv_bas(
-    F,
-    division: Division,
-    order: Ordering,
-    options: EngineOptions | None = None,
-) -> CompletionResult:
+def inv_bas(F, division: Division, order: Ordering) -> CompletionResult:
     """Plain involutive completion without signatures.
 
     Repeatedly normal-forms the smallest queued element, displaces basis
     members whose heads become properly divisible, and queues every fresh
     nonmultiplicative prolongation after each basis change.
     """
-    del options  # accepted for interface symmetry; nothing to tune here
     start = time.perf_counter()
     polys = _check_inputs(F, division, order)
     stats = Stats()

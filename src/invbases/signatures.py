@@ -149,15 +149,13 @@ def criteria(
     q: SigPoly,
     archive: LMArchive | None,
     order: Ordering,
-    syzygies: tuple[Signature, ...] | None = None,
 ) -> Verdict:
     """Decide whether reducing the head of p by q is provably redundant.
 
     Checked in precedence order: super-top-reduction (the reduction would
     reproduce p's own signature), the two classical product/chain
     criteria on ancestors, then the signature criterion against heads
-    recorded at later module positions (optionally extended by explicit
-    syzygy signatures).
+    recorded at later module positions.
     """
     if p.poly.is_zero or q.poly.is_zero:
         raise UsageError("criteria need nonzero polynomials")
@@ -177,9 +175,5 @@ def criteria(
 
     if archive is not None and archive.divisor_above(p.sig.index, p.sig.mono) is not None:
         return Verdict.F5
-    if syzygies:
-        for s in syzygies:
-            if s.index == p.sig.index and s.mono.divides(p.sig.mono):
-                return Verdict.F5
 
     return Verdict.NONE

@@ -96,7 +96,6 @@ def parse_polynomial(text: str, order: Ordering) -> Polynomial:
         nonlocal terms
         coeff = Fraction(1)
         mono = mono_one(vars.n)
-        saw_factor = False
         j = start
         while True:
             if j >= len(tokens):
@@ -125,12 +124,10 @@ def parse_polynomial(text: str, order: Ordering) -> Polynomial:
                 j += 1
             else:
                 raise ParseError("expected a coefficient or variable, got %r" % val)
-            saw_factor = True
             if j < len(tokens) and tokens[j] == ("op", "*"):
                 j += 1
                 continue
             break
-        assert saw_factor
         terms.append((coeff, mono))
         return j
 
@@ -152,9 +149,7 @@ def parse_polynomial(text: str, order: Ordering) -> Polynomial:
             continue
         if not expect_term:
             raise ParseError("expected '+' or '-' before %r" % val)
-        before = len(terms)
         i = term(i)
-        assert len(terms) == before + 1
         c, m = terms[-1]
         terms[-1] = (sign * c, m)
         sign = Fraction(1)

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from invbases.bench import (
+    COLUMNS,
     BenchConfig,
     BenchRow,
     format_stats,
@@ -17,7 +18,7 @@ from invbases.bench import (
 )
 from invbases.core import UsageError
 from invbases.division import Division, janet
-from invbases.engine import EngineOptions, Stats, inv_comp
+from invbases.engine import Stats, inv_comp
 from invbases.systems import load_builtin
 
 from conftest import WORKED_EXAMPLE
@@ -77,6 +78,12 @@ class TestVerifyBasis:
 
 
 class TestRowFromStats:
+    def test_columns_are_the_stats_counters_only(self):
+        assert COLUMNS == (
+            "system", "algorithm", "division", "time_ms", "reds", "c1", "c2", "f5",
+            "super", "polys_loop", "polys_min", "max_deg", "verified",
+        )
+
     def test_copies_every_counter_and_the_time(self):
         stats = Stats(reds=0, c1=1, c2=2, f5=3, super=4, polys_loop=5, polys_min=4,
                       max_deg=6, elapsed_ms=1.25)
@@ -106,14 +113,6 @@ class TestRunOne:
     def test_unknown_algorithm(self):
         with pytest.raises(UsageError):
             run_one(load_builtin("cyclic2"), "magic", "janet")
-
-    def test_options_are_honoured(self):
-        sf = load_builtin("cyclic3")
-        row, basis = run_one(
-            sf, "invcomp", "janet",
-            options=EngineOptions(use_syzygy_signatures=True),
-        )
-        assert len(basis) == row.polys_min
 
 
 class TestRunBench:

@@ -71,6 +71,8 @@ class TestCompute:
         for key in ("time_ms", "reds", "c1", "c2", "f5", "super",
                     "polys_loop", "polys_min", "max_deg"):
             assert key in row
+        # The engine's diagnostics live in `Stats` but are no column.
+        assert list(row) == TSV_HEADER.split("\t")
 
     def test_order_override(self, capsys):
         rc = main(["compute", "--system", "cyclic2", "--order", "lex"])
@@ -158,6 +160,20 @@ class TestFailures:
         captured = capsys.readouterr()
         assert rc == 2
         assert "error:" in captured.err
+
+    def test_cofactors_need_the_signature_algorithm(self, capsys):
+        rc = main(["compute", "--system", "cyclic2", "--algorithm", "invbas", "--cofactors"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert "--algorithm invcomp" in captured.err
+
+    @pytest.mark.parametrize("command", ["compute --system", "bench --systems"])
+    def test_syzygy_signature_flag_is_gone(self, command, capsys):
+        rc = main(command.split() + ["cyclic2", "--use-syzygy-signatures"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "--use-syzygy-signatures" in captured.err
 
     def test_no_command(self, capsys):
         rc = main([])

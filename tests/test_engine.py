@@ -251,14 +251,11 @@ class TestRegularNormalForm:
             self.f2.lm,
             2,
         )
+        # The alex division deflects: the unsafe head reduction by f1 is
+        # queued under the reducer's shifted signature.
         sink: list[SigPoly] = []
         h, verdict = reg_normal_form(
-            p,
-            [self.t2, self.t1],
-            JAN,
-            LEX,
-            q_sink=sink,
-            options=EngineOptions(deflect_unsafe=True),
+            p, [self.t2, self.t1], alex_division(VS), LEX, q_sink=sink
         )
         assert verdict is None
         assert render_polynomial(h) == "x^2*y - 9/4*y^3"
@@ -327,26 +324,34 @@ class TestMinBas:
         assert not is_involutive(greedy, div, sf.order)
 
 
+DEBUG = EngineOptions(check_invariants=True, track_cofactors=True)
+
+
 class TestOptionVariants:
-    @pytest.mark.parametrize("name", ["cyclic3", "katsura3"])
+    """The options check and record; they never change the completion."""
+
+    # The two Janet ids name the position the debug run had in an earlier,
+    # longer list of option sets, so that their history stays comparable.
     @pytest.mark.parametrize(
-        "opts",
+        "name, division_name",
         [
-            EngineOptions(use_syzygy_signatures=True),
-            EngineOptions(same_signature_discard=False),
-            EngineOptions(sig_cover_discard=False),
-            EngineOptions(deflect_unsafe=True),
-            EngineOptions(check_invariants=True, track_cofactors=True),
+            pytest.param("cyclic3", "janet", id="opts4-cyclic3"),
+            pytest.param("katsura3", "janet", id="opts4-katsura3"),
+            pytest.param("noon3", "alex", id="noon3-alex"),
+            pytest.param("noon3", "thomas", id="noon3-thomas"),
         ],
     )
-    def test_toggles_do_not_change_the_basis(self, name, opts):
+    def test_toggles_do_not_change_the_basis(self, name, division_name):
         sf = load_builtin(name)
-        div = janet(sf.vars)
+        div = division_by_name(division_name, sf.vars)
         base = inv_comp(sf.polynomials, div, sf.order)
-        varied = inv_comp(sf.polynomials, div, sf.order, opts)
+        varied = inv_comp(sf.polynomials, div, sf.order, DEBUG)
         assert {p.lm for p in varied.basis} == {p.lm for p in base.basis}
         assert is_groebner(varied.basis, sf.order)
         assert is_involutive(varied.basis, div, sf.order)
+        assert varied.cofactor_records
+        for rec in varied.cofactor_records:
+            assert expand_cofactors(rec.cofactors, varied.sorted_input) == rec.poly
 
     def test_cofactors_expand_on_a_larger_run(self):
         sf = load_builtin("cyclic4")
@@ -356,6 +361,30 @@ class TestOptionVariants:
         for rec in r.cofactor_records:
             assert expand_cofactors(rec.cofactors, r.sorted_input) == rec.poly
             assert admissibility_check(rec.cofactors, rec.sig, sf.order)
+
+
+class TestCountersInStats:
+    def test_diagnostics_are_read_from_stats(self):
+        sf = load_builtin("noon3", order="degrevlex")
+        r = inv_comp(sf.polynomials, alex_division(sf.vars), sf.order, DEBUG)
+        assert set(r.diagnostics) == {
+            "global_sig_violations",
+            "same_index_sig_violations",
+            "sig_merges",
+            "purged_t",
+            "killed_q",
+            "deflections",
+        }
+        assert r.diagnostics == {name: getattr(r.stats, name) for name in r.diagnostics}
+        assert r.stats.deflections > 0
+        r.stats.deflections += 1
+        assert r.diagnostics["deflections"] == r.stats.deflections
+
+    def test_classical_run_reports_zero_diagnostics(self):
+        sf = load_builtin("cyclic3")
+        r = inv_bas(sf.polynomials, janet(sf.vars), sf.order)
+        assert len(r.diagnostics) == 6
+        assert set(r.diagnostics.values()) == {0}
 
 
 # reds c1 c2 f5 super polys_loop polys_min max_deg, and the minimal heads,
@@ -428,7 +457,8 @@ class TestInvariantChecks:
 
     def test_partition_check_catches_a_stale_split(self):
         sf = parse_system(WORKED_EXAMPLE)
-        engine = _Engine(sf.polynomials, janet(sf.vars), sf.order, EngineOptions())
+        engine = _Engine(janet(sf.vars), sf.order, EngineOptions())
+        engine.seed(sf.polynomials)
         engine._check_partition()
         head = engine.T[0].poly.lm
         engine._partition._nm[head] = frozenset({0, 1})
@@ -449,7 +479,8 @@ class TestInvariantChecks:
 
             sf = parse_system(sys.argv[1])
             opts = EngineOptions(track_cofactors=True)
-            engine = _Engine(sf.polynomials, janet(sf.vars), sf.order, opts)
+            engine = _Engine(janet(sf.vars), sf.order, opts)
+            engine.seed(sf.polynomials)
             broken = engine.T[0]
             broken.cofactors = tuple(c.scale(2) for c in broken.cofactors)
             print("optimize", sys.flags.optimize, flush=True)

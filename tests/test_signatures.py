@@ -153,12 +153,6 @@ class TestCriteria:
         p = sp(XY2, 1, poly((1, X2Y)))
         assert criteria(p, q, arch, LEX) == Verdict.F5
 
-    def test_signature_criterion_against_explicit_syzygies(self):
-        q = sp(ONE, 1, poly((1, XY)))
-        p = sp(XY2, 1, poly((1, X2Y)))
-        assert criteria(p, q, None, LEX, syzygies=(Signature(Y, 1),)) == Verdict.F5
-        assert criteria(p, q, None, LEX, syzygies=(Signature(Y, 2),)) == Verdict.NONE
-
     def test_none_without_any_evidence(self):
         arch = LMArchive([[X2], [Y2]])
         q = sp(ONE, 1, poly((1, XY)))

@@ -221,8 +221,8 @@ def minimal_completion(
     current = set(U)
     if not current:
         raise UsageError("cannot complete an empty monomial set")
+    part = division.partition(sorted(current, key=order.key))
     for _ in range(max_steps):
-        part = division.partition(sorted(current, key=order.key))
         candidate = None
         candidate_key = None
         for u in current:
@@ -236,6 +236,7 @@ def minimal_completion(
         if candidate is None:
             return frozenset(current)
         current.add(candidate)
+        part.add(candidate)
     raise UsageError("monomial completion did not terminate within %d steps" % max_steps)
 
 

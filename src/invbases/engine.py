@@ -1,20 +1,22 @@
 """Completion of polynomial systems to minimal involutive bases.
 
-Two completion procedures are provided.  `inv_bas` is the classical loop:
-repeatedly take the involutive normal form of a queued element or
-nonmultiplicative prolongation and grow the basis until every prolongation
-reduces to zero.  `inv_comp` does the same job signature-first: every
-intermediate carries a module signature, head reductions are restricted to
-signature-safe ones, and provably redundant reductions are skipped via the
-super-top-reduction test, two ancestor criteria and a signature criterion
-fed by the heads discovered at later module positions.  Both return a
-minimal basis together with counters describing the run.
+Two completion procedures are provided.  `inv_bas` is the Gerdt–Blinkov
+algorithm: it skips a queued element when the ancestor criteria C1/C2 hold,
+else adds its nonzero involutive normal form to the basis and queues each
+nonmultiplicative prolongation once.  `inv_comp` does the same job
+signature-first: every intermediate carries a module signature, head
+reductions are restricted to signature-safe ones, and redundant reductions
+are skipped via the super-top-reduction test, C1/C2 and a signature
+criterion fed by the heads discovered at later module positions.  Both grow
+their partition with `Partition.add`, pop from a heap and return a minimal
+basis together with counters describing the run.
 
 The resulting minimal involutive basis is in particular a Gröbner basis of
 the input ideal, which `oracles` can verify independently.
 """
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 import time
@@ -27,14 +29,16 @@ from .core import (
     UsageError,
     mono_div,
     mono_mul,
+    mono_one,
     mono_var,
 )
-from .division import Division, minimal_completion
+from .division import Division, inv_divisor, minimal_completion
 from .signatures import (
     LMArchive,
     Signature,
     SigPoly,
     Verdict,
+    ancestor_criteria,
     criteria,
     sig_cmp,
     sig_mul,
@@ -58,7 +62,8 @@ DIAGNOSTICS = (
 class Stats:
     """Counters for one completion run.
 
-    The first eight are the `--stats` columns.  The diagnostics count
+    The first eight are the `--stats` columns (`inv_bas` leaves `f5` and
+    `super` at zero).  The diagnostics count
     deflected combinations queued (`deflections`), queued elements of equal
     signature merged (`sig_merges`) and of those the queued ones dropped
     (`killed_q`), basis elements purged with a redundant generator
@@ -226,7 +231,7 @@ class _Engine:
         self.archive = LMArchive([[g.lm] for g in self.gens])
         unit = None
         for i, g in enumerate(self.gens):
-            sig = Signature(_one(order), i + 1)
+            sig = Signature(mono_one(order.vars.n), i + 1)
             if self.options.track_cofactors:
                 unit = tuple(
                     Polynomial.one(order) if j == i else Polynomial.zero(order)
@@ -418,7 +423,7 @@ class _Engine:
                 for rank, q, _u in candidates:
                     if rank[0] != 0:
                         break
-                    verdict = criteria(p, q, self.archive, order)
+                    verdict = criteria(p, q, self.archive)
                     if verdict is not Verdict.NONE:
                         return Polynomial.zero(order), verdict
             chosen_rank, chosen, chosen_u = candidates[0]
@@ -590,10 +595,6 @@ class _Engine:
             self._push(sp, creator_sig=t_new.sig)
 
 
-def _one(order: Ordering) -> Monomial:
-    return Monomial((0,) * order.vars.n)
-
-
 def inv_comp(
     F,
     division: Division,
@@ -638,8 +639,9 @@ def nf_full(f: Polynomial, G, division: Division, order: Ordering) -> Polynomial
 
 
 class _InvolutiveReducer:
-    """Full involutive reduction against a fixed set G: the set is checked,
-    partitioned and ranked once, for any number of normal forms."""
+    """Full involutive reduction against a set G: the set is checked,
+    partitioned and ranked once, for any number of normal forms, and can
+    grow by `add`."""
 
     __slots__ = ("order", "partition", "ranked")
 
@@ -652,6 +654,12 @@ class _InvolutiveReducer:
         self.partition = division.partition([g.lm for g in polys])
         ranked = sorted(range(len(polys)), key=lambda i: (order.key(polys[i].lm), i))
         self.ranked = [polys[i] for i in ranked]
+
+    def add(self, g: Polynomial) -> None:
+        """Extend G by a nonzero g, ranked as a fresh reducer over G + [g]
+        ranks it: after every element of equal head."""
+        self.partition.add(g.lm)
+        bisect.insort(self.ranked, g, key=lambda f: self.order.key(f.lm))
 
     def nf(self, f: Polynomial) -> Polynomial:
         allows = self.partition.allows
@@ -705,63 +713,61 @@ def min_bas(H, division: Division, order: Ordering) -> list[Polynomial]:
 
 
 def inv_bas(F, division: Division, order: Ordering) -> CompletionResult:
-    """Plain involutive completion without signatures.
+    """The Gerdt–Blinkov involutive completion, without signatures.
 
-    Repeatedly normal-forms the smallest queued element, displaces basis
-    members whose heads become properly divisible, and queues every fresh
-    nonmultiplicative prolongation after each basis change.
+    Elements are triples (poly, anc, processed): anc is the head of the
+    element whose prolongations led to poly, processed the variables whose
+    prolongations of poly are queued.  A nonzero normal form h sends the
+    basis elements whose heads lm(h) properly divides back to the queue, and
+    keeps its element's ancestry when its head is unchanged.
     """
     start = time.perf_counter()
     polys = _check_inputs(F, division, order)
     stats = Stats()
-    queue: list[Polynomial] = [f.monic() for f in polys]
-    for f in queue:
-        if f.degree > stats.max_deg:
-            stats.max_deg = f.degree
-    G: list[Polynomial] = []
+    seq = itertools.count()
+    queue: list = []
 
-    def pop_minimal() -> Polynomial:
-        lms = [q.lm for q in queue]
-        best = None
-        for i, q in enumerate(queue):
-            if any(m != q.lm and m.divides(q.lm) for m in lms):
-                continue
-            if best is None or (order.key(q.lm), i) < (order.key(queue[best].lm), best):
-                best = i
-        if best is None:
-            best = min(range(len(queue)), key=lambda i: (order.key(queue[i].lm), i))
-        return queue.pop(best)
+    def push(poly: Polynomial, anc: Monomial, processed: set[int]) -> None:
+        stats.max_deg = max(stats.max_deg, poly.degree)
+        heapq.heappush(queue, (order.key(poly.lm), next(seq), (poly, anc, processed)))
 
+    gens = [f.monic() for f in polys]
+    for g in gens:
+        push(g, g.lm, set())
+    basis: dict[Monomial, tuple] = {}  # head -> (poly, anc, processed)
+    reducer = _InvolutiveReducer((), division, order)
     while queue:
-        p = pop_minimal()
-        if p.degree > stats.max_deg:
-            stats.max_deg = p.degree
-        h = nf_full(p, G, division, order) if G else p
+        p, anc, processed = heapq.heappop(queue)[2]
+        divisor = inv_divisor(reducer.partition, p.lm, order)
+        if divisor is not None:
+            verdict = ancestor_criteria(p.lm, anc, basis[divisor][1])
+            if verdict is not Verdict.NONE:
+                stats.note(verdict)
+                continue
+        h = reducer.nf(p)
         if h.is_zero:
             stats.reds += 1
             continue
-        if h.degree > stats.max_deg:
-            stats.max_deg = h.degree
+        stats.max_deg = max(stats.max_deg, h.degree)
         h = h.monic()
-        displaced = [g for g in G if g.lm != h.lm and h.lm.divides(g.lm)]
-        G = [g for g in G if g not in displaced]
-        queue.extend(displaced)
-        G.append(h)
-        part = division.partition([g.lm for g in G])
-        n = order.vars.n
-        for g in G:
-            for i in sorted(part.nonmult(g.lm)):
-                cand = g.mul_term(1, mono_var(i, n))
-                if cand not in queue:
-                    queue.append(cand)
+        displaced = [m for m in basis if m != h.lm and h.lm.divides(m)]
+        for m in displaced:
+            push(*basis.pop(m))
+        if displaced:
+            reducer = _InvolutiveReducer([t[0] for t in basis.values()], division, order)
+        basis[h.lm] = (h, anc, processed) if h.lm == p.lm else (h, h.lm, set())
+        reducer.add(h)
+        for q, q_anc, q_processed in basis.values():
+            fresh = reducer.partition.nonmult(q.lm) - q_processed
+            for i in sorted(fresh):
+                push(q.mul_term(1, mono_var(i, order.vars.n)), q_anc, set())
+            q_processed |= fresh
 
-    stats.polys_loop = len(G)
-    basis = min_bas(G, division, order)
-    stats.polys_min = len(basis)
+    loop_basis = [t[0] for t in basis.values()]
+    stats.polys_loop = len(loop_basis)
+    basis_min = min_bas(loop_basis, division, order)
+    stats.polys_min = len(basis_min)
     stats.elapsed_ms = (time.perf_counter() - start) * 1000.0
     return CompletionResult(
-        basis=basis,
-        stats=stats,
-        loop_basis=list(G),
-        sorted_input=[f.monic() for f in polys],
+        basis=basis_min, stats=stats, loop_basis=loop_basis, sorted_input=gens
     )

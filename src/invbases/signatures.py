@@ -144,18 +144,24 @@ class Verdict(enum.Enum):
     F5 = "f5"
 
 
-def criteria(
-    p: SigPoly,
-    q: SigPoly,
-    archive: LMArchive | None,
-    order: Ordering,
-) -> Verdict:
+def ancestor_criteria(lm: Monomial, anc_p: Monomial, anc_q: Monomial) -> Verdict:
+    """C1/C2 for reducing the head `lm` of an element with ancestor `anc_p`
+    by one with ancestor `anc_q`: `lm` is the product of the ancestors (C1),
+    or their lcm properly divides `lm` (C2)."""
+    if mono_mul(anc_p, anc_q) == lm:
+        return Verdict.C1
+    l = mono_lcm(anc_p, anc_q)
+    if l != lm and l.divides(lm):
+        return Verdict.C2
+    return Verdict.NONE
+
+
+def criteria(p: SigPoly, q: SigPoly, archive: LMArchive | None) -> Verdict:
     """Decide whether reducing the head of p by q is provably redundant.
 
     Checked in precedence order: super-top-reduction (the reduction would
-    reproduce p's own signature), the two classical product/chain
-    criteria on ancestors, then the signature criterion against heads
-    recorded at later module positions.
+    reproduce p's own signature), the two ancestor criteria C1/C2, then the
+    signature criterion against heads recorded at later module positions.
     """
     if p.poly.is_zero or q.poly.is_zero:
         raise UsageError("criteria need nonzero polynomials")
@@ -166,12 +172,9 @@ def criteria(
     if sig_mul(u, q.sig) == p.sig:
         return Verdict.SUPER
 
-    if mono_mul(p.anc_lm, q.anc_lm) == p.poly.lm:
-        return Verdict.C1
-
-    l = mono_lcm(p.anc_lm, q.anc_lm)
-    if l != p.poly.lm and l.divides(p.poly.lm):
-        return Verdict.C2
+    verdict = ancestor_criteria(p.poly.lm, p.anc_lm, q.anc_lm)
+    if verdict is not Verdict.NONE:
+        return verdict
 
     if archive is not None and archive.divisor_above(p.sig.index, p.sig.mono) is not None:
         return Verdict.F5

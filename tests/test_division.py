@@ -259,6 +259,40 @@ class TestMinimalCompletion:
                 assert inv_divisor(part, m) is not None
 
 
+def rebuilding_minimal_completion(division, U, order):
+    """The completion as it was before the partition was grown in place:
+    rebuild the partition of the current set before every step."""
+    current = set(U)
+    while True:
+        part = division.partition(sorted(current, key=order.key))
+        candidates = [
+            mono_mul(u, mono_var(i, division.vars.n))
+            for u in current
+            for i in part.nonmult(u)
+        ]
+        missing = [m for m in candidates if inv_divisor(part, m) is None]
+        if not missing:
+            return frozenset(current)
+        current.add(min(missing, key=order.key))
+
+
+class TestGrownPartitionCompletion:
+    @pytest.mark.parametrize("division_name", ["janet", "alex", "thomas"])
+    @given(U=monomial_sets(3, max_deg=4, max_size=5), use_lex=st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_equals_the_rebuilding_loop(self, division_name, U, use_lex):
+        vs3 = VarSet(("x", "y", "z"))
+        div = division_by_name(division_name, vs3)
+        order = lex(vs3) if use_lex else degrevlex(vs3)
+        assert minimal_completion(div, tuple(U), order) == rebuilding_minimal_completion(
+            div, U, order
+        )
+
+    def test_step_guard_still_stops_the_loop(self):
+        with pytest.raises(UsageError, match="within 1 steps"):
+            minimal_completion(JAN, (X2, Y2), lex(VS), max_steps=1)
+
+
 class TestAxioms:
     def test_honest_divisions_pass_on_random_sets(self):
         rng = random.Random(7)

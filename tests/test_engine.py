@@ -30,6 +30,7 @@ from invbases.engine import (
     EngineOptions,
     Stats,
     _Engine,
+    _InvolutiveReducer,
     inv_bas,
     inv_comp,
     min_bas,
@@ -147,7 +148,7 @@ class TestWorkedExample:
     def test_classical_algorithm_agrees(self, result):
         sf, r = result
         rb = inv_bas(sf.polynomials, janet(sf.vars), sf.order)
-        assert rb.stats.reds == 2
+        assert rb.stats.reds == 1
         assert {p.lm for p in rb.basis} == {p.lm for p in r.basis}
 
 
@@ -433,6 +434,29 @@ class TestPinnedRuns:
         assert " ".join(lm_names(r.basis, sf.vars.names)) == heads
 
 
+# reds c1 c2 polys_loop polys_min max_deg of the default degrevlex runs of
+# the Gerdt-Blinkov baseline, which never counts f5 or super.
+PINNED_CLASSICAL_RUNS = {
+    ("cyclic4", "janet"): (5, 6, 0, 7, 7, 7),
+    ("katsura4", "janet"): (18, 12, 0, 13, 13, 6),
+    ("cyclic5", "janet"): (86, 41, 5, 23, 23, 9),
+    ("noon3", "alex"): (9, 0, 0, 11, 11, 6),
+    ("cyclic3", "thomas"): (0, 3, 10, 18, 18, 6),
+}
+
+
+class TestPinnedClassicalRuns:
+    @pytest.mark.parametrize("name, division_name", sorted(PINNED_CLASSICAL_RUNS))
+    def test_counters(self, name, division_name):
+        sf = load_builtin(name, order="degrevlex")
+        r = inv_bas(sf.polynomials, division_by_name(division_name, sf.vars), sf.order)
+        s = r.stats
+        assert (
+            s.reds, s.c1, s.c2, s.polys_loop, s.polys_min, s.max_deg
+        ) == PINNED_CLASSICAL_RUNS[name, division_name]
+        assert (s.f5, s.super) == (0, 0)
+
+
 class TestInvariantChecks:
     @pytest.mark.parametrize(
         "name, division_name",
@@ -515,17 +539,31 @@ class TestOrderInsensitivity:
             assert {p.lm for p in r.basis} == {p.lm for p in base.basis}
 
 
+CLASSICAL_GRID = [
+    (division_name, name)
+    for division_name in ("janet", "alex", "thomas")
+    for name in ("cyclic2", "cyclic3", "katsura2")
+] + [
+    (division_name, name)
+    for division_name in ("janet", "alex")
+    for name in ("cyclic4", "katsura4", "noon3")
+] + [("thomas", "cyclic4")]
+
+
 class TestAgainstTheClassicalAlgorithm:
-    @pytest.mark.parametrize("name", ["cyclic2", "cyclic3", "katsura2"])
-    @pytest.mark.parametrize("division_name", ["janet", "alex", "thomas"])
+    @pytest.mark.parametrize(
+        "division_name, name",
+        [pytest.param(d, n, id="%s-%s" % (d, n)) for d, n in CLASSICAL_GRID],
+    )
     def test_same_minimal_heads(self, name, division_name):
         sf = load_builtin(name)
         div = division_by_name(division_name, sf.vars)
         rc = inv_comp(sf.polynomials, div, sf.order)
         rb = inv_bas(sf.polynomials, div, sf.order)
         assert {p.lm for p in rc.basis} == {p.lm for p in rb.basis}
-        assert is_involutive(rc.basis, div, sf.order)
-        assert is_groebner(rc.basis, sf.order)
+        for r in (rc, rb):
+            assert is_involutive(r.basis, div, sf.order)
+            assert is_groebner(r.basis, sf.order)
 
     def test_thomas_division_on_the_worked_example(self):
         sf = parse_system(WORKED_EXAMPLE)
@@ -537,9 +575,10 @@ class TestAgainstTheClassicalAlgorithm:
 
 @st.composite
 def small_systems(draw):
-    """1-2 random nonzero generators in two variables under degrevlex."""
-    order = degrevlex(VS)
-    monos = st.tuples(st.integers(0, 2), st.integers(0, 2)).map(Monomial)
+    """1-2 random nonzero generators in 2-3 variables under lex or degrevlex."""
+    vs = VarSet(("x", "y", "z")[: draw(st.integers(2, 3))])
+    order = draw(st.sampled_from((lex, degrevlex)))(vs)
+    monos = st.tuples(*(st.integers(0, 2) for _ in range(vs.n))).map(Monomial)
     coefs = st.integers(-2, 2).filter(lambda c: c != 0)
     polys = []
     for _ in range(draw(st.integers(1, 2))):
@@ -557,7 +596,7 @@ class TestRandomSystems:
     @settings(max_examples=25, deadline=None)
     def test_outputs_always_verify(self, system):
         order, polys = system
-        div = janet(VS)
+        div = janet(order.vars)
         r = inv_comp(polys, div, order)
         assert is_groebner(r.basis, order)
         assert is_involutive(r.basis, div, order)
@@ -565,3 +604,44 @@ class TestRandomSystems:
         member = random_ideal_member(rng, polys, order)
         assert nf_full(member, r.basis, div, order).is_zero
         assert buchberger_nf(member, r.basis, order).is_zero
+
+    @given(small_systems(), st.sampled_from(("janet", "alex", "thomas")))
+    @settings(max_examples=150, deadline=None)
+    def test_both_algorithms_agree_and_verify(self, system, division_name):
+        order, polys = system
+        div = division_by_name(division_name, order.vars)
+        rc = inv_comp(polys, div, order)
+        rb = inv_bas(polys, div, order)
+        assert {p.lm for p in rc.basis} == {p.lm for p in rb.basis}
+        for r in (rc, rb):
+            assert is_groebner(r.basis, order)
+            assert is_involutive(r.basis, div, order)
+
+
+class TestGrownReducer:
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(1, 3)),
+            min_size=1,
+            max_size=8,
+        ),
+        st.integers(0, 3),
+        st.sampled_from(("janet", "alex", "thomas")),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_added_elements_rank_and_split_as_in_a_fresh_reducer(
+        self, terms, start, division_name
+    ):
+        # Heads may repeat: equal heads rank in the order they were added.
+        order = degrevlex(VS)
+        div = division_by_name(division_name, VS)
+        G = [poly(order, (c, Monomial((a, b)))) for a, b, c in terms]
+        start = min(start, len(G))
+        grown = _InvolutiveReducer(G[:start], div, order)
+        for i in range(start, len(G)):
+            grown.add(G[i])
+            fresh = _InvolutiveReducer(G[: i + 1], div, order)
+            assert [id(g) for g in grown.ranked] == [id(g) for g in fresh.ranked]
+            assert grown.partition.monomials == fresh.partition.monomials
+            for u in fresh.partition.monomials:
+                assert grown.partition.nonmult(u) == fresh.partition.nonmult(u)

@@ -22,6 +22,7 @@ from invbases.signatures import (
     Signature,
     SigPoly,
     Verdict,
+    ancestor_criteria,
     criteria,
     sig_cmp,
     sig_mul,
@@ -128,48 +129,75 @@ class TestCriteria:
     def test_super_top_reduction(self):
         q = sp(ONE, 1, poly((1, XY), (1, Y2)))
         p = sp(X, 1, poly((1, X2Y), (1, Y2)))
-        assert criteria(p, q, None, LEX) == Verdict.SUPER
+        assert criteria(p, q, None) == Verdict.SUPER
 
     def test_super_takes_precedence(self):
         # The same pair also satisfies the product criterion on ancestors.
         q = sp(ONE, 1, poly((1, XY)), anc_lm=Y)
         p = sp(X, 1, poly((1, X2Y)), anc_lm=X2)
         assert p.anc_lm == X2 and q.anc_lm == Y
-        assert criteria(p, q, None, LEX) == Verdict.SUPER
+        assert criteria(p, q, None) == Verdict.SUPER
 
     def test_product_criterion_on_ancestors(self):
         q = sp(ONE, 2, poly((1, XY)), anc_lm=Y)
         p = sp(Y2, 1, poly((1, X2Y)), anc_lm=X2)
-        assert criteria(p, q, None, LEX) == Verdict.C1
+        assert criteria(p, q, None) == Verdict.C1
 
     def test_chain_criterion_on_ancestors(self):
         q = sp(ONE, 2, poly((1, XY2)), anc_lm=XY)
         p = sp(Y2, 1, poly((1, X2Y2)), anc_lm=X2)
-        assert criteria(p, q, None, LEX) == Verdict.C2
+        assert criteria(p, q, None) == Verdict.C2
 
     def test_signature_criterion_against_the_archive(self):
         arch = LMArchive([[X2], [Y]])
         q = sp(ONE, 1, poly((1, XY)))
         p = sp(XY2, 1, poly((1, X2Y)))
-        assert criteria(p, q, arch, LEX) == Verdict.F5
+        assert criteria(p, q, arch) == Verdict.F5
 
     def test_none_without_any_evidence(self):
         arch = LMArchive([[X2], [Y2]])
         q = sp(ONE, 1, poly((1, XY)))
         p = sp(XY, 1, poly((1, X2Y)))
-        assert criteria(p, q, arch, LEX) == Verdict.NONE
+        assert criteria(p, q, arch) == Verdict.NONE
 
     def test_rejects_zero_polynomials(self):
         q = sp(ONE, 1, poly((1, XY)))
         z = SigPoly(Signature(X, 1), Polynomial.zero(LEX), XY, 0)
         with pytest.raises(UsageError):
-            criteria(z, q, None, LEX)
+            criteria(z, q, None)
 
     def test_rejects_non_dividing_heads(self):
         q = sp(ONE, 1, poly((1, X2)))
         p = sp(X, 1, poly((1, XY)))
         with pytest.raises(UsageError):
-            criteria(p, q, None, LEX)
+            criteria(p, q, None)
+
+
+class TestAncestorCriteria:
+    def test_product(self):
+        assert ancestor_criteria(X2Y, X2, Y) is Verdict.C1
+
+    def test_chain_needs_a_proper_divisor(self):
+        assert ancestor_criteria(X2Y2, X2, XY) is Verdict.C2
+        # lcm(x^2, x*y) = x^2*y is the head itself: no criterion.
+        assert ancestor_criteria(X2Y, X2, XY) is Verdict.NONE
+
+    def test_product_precedes_chain(self):
+        # x * x*y is the head, and lcm(x, x*y) = x*y properly divides it.
+        assert ancestor_criteria(X2Y, X, XY) is Verdict.C1
+        assert ancestor_criteria(X2Y2, X, Y) is Verdict.C2
+
+    def test_no_common_multiple_below_the_head(self):
+        assert ancestor_criteria(X2Y, X2, Y2) is Verdict.NONE
+
+    def test_criteria_agree_with_it_on_ancestors(self):
+        # Position 2 has no later column, so only C1/C2 can fire.
+        for anc_p, anc_q, head in [(X2, Y, X2Y), (X2, XY, X2Y2), (X2, Y2, X2Y2)]:
+            q = sp(ONE, 2, poly((1, XY)), anc_lm=anc_q)
+            p = sp(Y2, 2, poly((1, head)), anc_lm=anc_p)
+            assert criteria(p, q, LMArchive([[X2], [Y2]])) is ancestor_criteria(
+                head, anc_p, anc_q
+            )
 
 
 class TestSigPoly:

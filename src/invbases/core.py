@@ -270,10 +270,13 @@ class Polynomial:
     def _assert_canonical(self) -> None:
         prev = None
         for c, m in self.terms:
-            assert isinstance(c, Fraction) and c != 0, "non-canonical coefficient"
-            assert len(m.exps) == self.order.vars.n, "monomial dimension mismatch"
+            if not isinstance(c, Fraction) or c == 0:
+                raise AssertionError("non-canonical coefficient")
+            if len(m.exps) != self.order.vars.n:
+                raise AssertionError("monomial dimension mismatch")
             k = self.order.key(m)
-            assert prev is None or k < prev, "terms out of order"
+            if prev is not None and not k < prev:
+                raise AssertionError("terms out of order")
             prev = k
 
     @property
@@ -330,18 +333,28 @@ class Polynomial:
     def __sub__(self, other: Polynomial) -> Polynomial:
         return self._combine(-1, None, other)
 
-    def sub_mul_term(self, coeff, mono: Monomial, other: Polynomial) -> Polynomial:
+    def sub_mul_term(
+        self, coeff, mono: Monomial, other: Polynomial, start: int = 0
+    ) -> Polynomial:
         """self - coeff*mono*other in one merge: the reduction step
-        ``h - g.mul_term(c, u)`` without the two intermediate polynomials."""
-        return self._combine(-Fraction(coeff), mono, other)
+        ``h - g.mul_term(c, u)`` without the two intermediate polynomials.
 
-    def _combine(self, coeff, mono: Monomial | None, other: Polynomial) -> Polynomial:
-        """self + coeff*mono*other; `mono` None stands for 1."""
+        With `start`, only the terms of self from that index on take part:
+        a normal form that walks an index over its terms reduces the suffix
+        without building it as a polynomial first.
+        """
+        return self._combine(-Fraction(coeff), mono, other, start)
+
+    def _combine(
+        self, coeff, mono: Monomial | None, other: Polynomial, start: int = 0
+    ) -> Polynomial:
+        """self.terms[start:] + coeff*mono*other; `mono` None stands for 1."""
         if self.order != other.order:
             raise UsageError("cannot combine polynomials under different orderings")
+        terms = self.terms[start:]
         if coeff == 0:
-            return self
-        return Polynomial._raw(self.order, _merge(self.order, self.terms, other.terms, coeff, mono))
+            return Polynomial._raw(self.order, terms) if start else self
+        return Polynomial._raw(self.order, _merge(self.order, terms, other.terms, coeff, mono))
 
     def __mul__(self, other: Polynomial) -> Polynomial:
         if not isinstance(other, Polynomial):

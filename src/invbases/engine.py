@@ -32,7 +32,7 @@ from .core import (
     mono_one,
     mono_var,
 )
-from .division import Division, inv_divisor, minimal_completion
+from .division import THOMAS, Division, inv_divisor, minimal_completion, thomas_completion
 from .signatures import (
     LMArchive,
     Signature,
@@ -170,6 +170,19 @@ def _check_inputs(F, division: Division, order: Ordering) -> list[Polynomial]:
         if f.is_zero:
             raise UsageError("zero polynomial in the input system")
     return polys
+
+
+def _support(m: Monomial) -> int:
+    """Bitmask of the variables occurring in m: bit i is set when the
+    exponent of variable i is positive.  A divisor's mask lies inside the
+    mask of every monomial it divides."""
+    mask = 0
+    bit = 1
+    for e in m.exps:
+        if e:
+            mask |= bit
+        bit <<= 1
+    return mask
 
 
 class _Engine:
@@ -391,28 +404,43 @@ class _Engine:
         unsafely (the reducer would raise the signature) are deflected: the
         offending combination is queued under its true signature and the
         head is treated as irreducible here.
+
+        The loop walks an index over the terms of the current polynomial:
+        an irreducible term joins the remainder and the index advances; a
+        reduction step merges the suffix from the index on with the
+        multiplied reducer and restarts at index 0 of the result.  The
+        divisor scan passes over a basis head whose degree exceeds the
+        term's, or whose support bitmask is not inside the term's, before
+        trying to divide: neither can divide the term.
         """
         order = self.order
-        part = self._partition
+        allows = self._partition.allows
+        heads = [(q, q.poly.lm, _support(q.poly.lm)) for q in self.T]
         h = p.poly
-        rem = []  # irreducible heads, descending: the normal form's terms
+        terms = h.terms
+        i = 0
+        rem = []  # irreducible terms, descending: the normal form's terms
         cofs = p.cofactors
         at_head = True
         deflected: set[tuple[Signature, Monomial]] = set()
 
-        while not h.is_zero:
-            self._bump_deg(h)
+        self._bump_deg(h)
+        while i < len(terms):
+            tc, tm = terms[i]
+            tdeg = tm.deg
+            tmask = _support(tm)
             candidates = []
-            hlm = h.lm
-            for q in self.T:
-                u = mono_div(hlm, q.poly.lm)
-                if u is None or not part.allows(q.poly.lm, u):
+            for q, qlm, qmask in heads:
+                if qlm.deg > tdeg or qmask & ~tmask:
+                    continue
+                u = mono_div(tm, qlm)
+                if u is None or not allows(qlm, u):
                     continue
                 safe = sig_cmp(order, sig_mul(u, q.sig), p.sig) <= 0
-                candidates.append(((0 if safe else 1, order.key(q.poly.lm), q.uid), q, u))
+                candidates.append(((0 if safe else 1, order.key(qlm), q.uid), q, u))
             if not candidates:
-                rem.append(h.lt)
-                h = h.drop_lt()
+                rem.append(terms[i])
+                i += 1
                 at_head = False
                 continue
             candidates.sort(key=lambda t: t[0])
@@ -426,18 +454,18 @@ class _Engine:
                     verdict = criteria(p, q, self.archive)
                     if verdict is not Verdict.NONE:
                         return Polynomial.zero(order), verdict
+            at_head = False
             chosen_rank, chosen, chosen_u = candidates[0]
-            safe = chosen_rank[0] == 0
-            if not safe:
-                # Every head divisor would raise the signature; the head
+            c = tc / chosen.poly.lc
+            if chosen_rank[0] != 0:
+                # Every head divisor would raise the signature; the term
                 # stays.  Where the division asks for it, queue the
                 # combination the reduction would have formed under the
                 # reducer's shifted signature, where it is a legitimate new
                 # element.
                 if self.deflect:
-                    c = h.lc / chosen.poly.lc
-                    # Every remainder term lies above every term of h.
-                    value = Polynomial._raw(order, tuple(rem) + h.terms).sub_mul_term(
+                    # Every remainder term lies above every unreduced term.
+                    value = Polynomial._raw(order, tuple(rem) + terms[i:]).sub_mul_term(
                         c, chosen_u, chosen.poly
                     )
                     dsig = sig_mul(chosen_u, chosen.sig)
@@ -460,18 +488,18 @@ class _Engine:
                         )
                         if self._push(dsp, creator_sig=p.sig):
                             self.stats.deflections += 1
-                rem.append(h.lt)
-                h = h.drop_lt()
-                at_head = False
+                rem.append(terms[i])
+                i += 1
                 continue
-            c = h.lc / chosen.poly.lc
-            h = h.sub_mul_term(c, chosen_u, chosen.poly)
+            h = h.sub_mul_term(c, chosen_u, chosen.poly, i)
+            terms = h.terms
+            i = 0
+            self._bump_deg(h)
             if cofs is not None:
                 cofs = tuple(
                     a.sub_mul_term(c, chosen_u, b)
                     for a, b in zip(cofs, chosen.cofactors)
                 )
-            at_head = False
 
         p.cofactors = cofs
         return Polynomial._raw(order, tuple(rem)), None
@@ -641,7 +669,14 @@ def nf_full(f: Polynomial, G, division: Division, order: Ordering) -> Polynomial
 class _InvolutiveReducer:
     """Full involutive reduction against a set G: the set is checked,
     partitioned and ranked once, for any number of normal forms, and can
-    grow by `add`."""
+    grow by `add`.
+
+    `nf` reduces each term by the first involutive divisor in rank order
+    (smallest head, then earliest added).  It walks an index over the terms
+    of the current polynomial: an irreducible term joins the remainder and
+    the index advances; a reduction merges the suffix from the index on
+    with the multiplied divisor and restarts at index 0 of the result.
+    """
 
     __slots__ = ("order", "partition", "ranked")
 
@@ -664,21 +699,21 @@ class _InvolutiveReducer:
     def nf(self, f: Polynomial) -> Polynomial:
         allows = self.partition.allows
         h = f
+        terms = h.terms
+        i = 0
         rem = []
-        while not h.is_zero:
-            hit = None
-            hit_u = None
-            hlm = h.lm
+        while i < len(terms):
+            tc, tm = terms[i]
             for g in self.ranked:
-                u = mono_div(hlm, g.lm)
+                u = mono_div(tm, g.lm)
                 if u is not None and allows(g.lm, u):
-                    hit, hit_u = g, u
+                    h = h.sub_mul_term(tc / g.lc, u, g, i)
+                    terms = h.terms
+                    i = 0
                     break
-            if hit is None:
-                rem.append(h.lt)
-                h = h.drop_lt()
             else:
-                h = h.sub_mul_term(h.lc / hit.lc, hit_u, hit)
+                rem.append(terms[i])
+                i += 1
         return Polynomial._raw(self.order, tuple(rem))
 
 
@@ -692,6 +727,10 @@ def min_bas(H, division: Division, order: Ordering) -> list[Polynomial]:
     divisor among the heads kept so far is not enough: removing elements
     enlarges the cones of the remaining ones, so a greedy walk can discard
     heads whose cones are still needed.
+
+    Under Thomas the minimal completion of the divisibility-minimal heads
+    is their box closure (`thomas_completion`), taken directly; the generic
+    step-by-step `minimal_completion` serves the other divisions.
     """
     polys = [h for h in H]
     for h in polys:
@@ -702,7 +741,10 @@ def min_bas(H, division: Division, order: Ordering) -> list[Polynomial]:
         by_lm.setdefault(h.lm, h)
     lms = list(by_lm)
     gens = [m for m in lms if not any(w != m and w.divides(m) for w in lms)]
-    wanted = minimal_completion(division, gens, order)
+    if division.kind == THOMAS:
+        wanted = thomas_completion(gens)
+    else:
+        wanted = minimal_completion(division, gens, order)
     missing = [m for m in wanted if m not in by_lm]
     if missing:
         raise UsageError(

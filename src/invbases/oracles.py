@@ -47,29 +47,34 @@ __all__ = [
 
 
 def buchberger_nf(f: Polynomial, G, order: Ordering) -> Polynomial:
-    """Ordinary full normal form of f modulo G (no involutive restriction)."""
+    """Ordinary full normal form of f modulo G (no involutive restriction).
+
+    Each term is reduced by the first divisor in rank order (smallest head,
+    then earliest in G).  The loop walks an index over the terms of the
+    current polynomial: an irreducible term joins the remainder, and a
+    reduction merges the suffix from the index on, then restarts at 0."""
     polys = [g for g in G]
     for g in polys:
         if g.is_zero:
             raise UsageError("zero polynomial in the reducing set")
     ranked = sorted(range(len(polys)), key=lambda i: (order.key(polys[i].lm), i))
     h = f
+    terms = h.terms
+    i = 0
     rem = []
-    while not h.is_zero:
-        hit = None
-        hit_u = None
-        hlm = h.lm
-        for i in ranked:
-            g = polys[i]
-            u = mono_div(hlm, g.lm)
+    while i < len(terms):
+        tc, tm = terms[i]
+        for j in ranked:
+            g = polys[j]
+            u = mono_div(tm, g.lm)
             if u is not None:
-                hit, hit_u = g, u
+                h = h.sub_mul_term(tc / g.lc, u, g, i)
+                terms = h.terms
+                i = 0
                 break
-        if hit is None:
-            rem.append(h.lt)
-            h = h.drop_lt()
         else:
-            h = h.sub_mul_term(h.lc / hit.lc, hit_u, hit)
+            rem.append(terms[i])
+            i += 1
     return Polynomial._raw(order, tuple(rem))
 
 

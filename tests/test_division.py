@@ -293,6 +293,26 @@ class TestGrownPartitionCompletion:
             minimal_completion(JAN, (X2, Y2), lex(VS), max_steps=1)
 
 
+@st.composite
+def sets_with_orders(draw):
+    """A monomial set in 1-3 variables, with lex or degrevlex over them."""
+    vs = VarSet(("x", "y", "z")[: draw(st.integers(1, 3))])
+    U = draw(monomial_sets(vs.n, max_deg=4, max_size=5))
+    return U, draw(st.sampled_from((lex, degrevlex)))(vs)
+
+
+class TestThomasBoxClosure:
+    """`min_bas` takes the Thomas minimal completion as the box closure;
+    the generic step-by-step completion stays as the reference."""
+
+    @given(sets_with_orders())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_generic_minimal_completion(self, case):
+        U, order = case
+        div = thomas_division(order.vars)
+        assert thomas_completion(U) == minimal_completion(div, tuple(U), order)
+
+
 class TestAxioms:
     def test_honest_divisions_pass_on_random_sets(self):
         rng = random.Random(7)

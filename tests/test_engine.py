@@ -25,7 +25,13 @@ from invbases.core import (
     render_monomial,
     render_polynomial,
 )
-from invbases.division import alex_division, division_by_name, janet, thomas_division
+from invbases.division import (
+    alex_division,
+    division_by_name,
+    janet,
+    minimal_completion,
+    thomas_division,
+)
 from invbases.engine import (
     EngineOptions,
     Stats,
@@ -299,9 +305,31 @@ class TestMinBas:
         with pytest.raises(UsageError):
             min_bas(h, JAN, LEX)
 
+    def test_incomplete_input_is_rejected_under_thomas(self):
+        # The Thomas box of {x^2, y^2} also holds x^2*y, x*y^2 and x^2*y^2.
+        h = [
+            poly(LEX, (1, Monomial((2, 0)))),
+            poly(LEX, (1, Monomial((0, 2)))),
+        ]
+        with pytest.raises(UsageError, match="no element with head"):
+            min_bas(h, thomas_division(VS), LEX)
+
     def test_zero_polynomial_is_rejected(self):
         with pytest.raises(UsageError):
             min_bas([Polynomial.zero(LEX)], JAN, LEX)
+
+    @pytest.mark.parametrize("name", ["cyclic3", "katsura3"])
+    def test_thomas_extraction_equals_the_generic_completion(self, name):
+        # Under Thomas the wanted heads come from the box closure; the
+        # generic completion of the divisibility-minimal heads must agree.
+        sf = load_builtin(name)
+        div = thomas_division(sf.vars)
+        r = inv_comp(sf.polynomials, div, sf.order)
+        heads = {p.lm for p in r.loop_basis}
+        gens = [m for m in heads if not any(w != m and w.divides(m) for w in heads)]
+        wanted = minimal_completion(div, gens, sf.order)
+        assert {p.lm for p in min_bas(r.loop_basis, div, sf.order)} == wanted
+        assert len(wanted) == r.stats.polys_min
 
     def test_greedy_head_walk_would_lose_needed_cones(self):
         # On this system a plain walk that keeps only heads without an
@@ -417,6 +445,52 @@ PINNED_RUNS = {
         (86, 1, 9, 57, 5, 75, 11, 13),
         "x1*x2*x3^3 x1*x2^2 x1*x3^4 x1^2*x2 x1^2*x3 x1^4 x2*x3^4 x2^2*x3^2 "
         "x2^3*x3 x2^4 x3^5",
+    ),
+    # Under Thomas `min_bas` takes the box closure of the minimal heads.
+    ("cyclic4", "thomas"): (
+        (1, 6, 45, 3, 0, 98, 98, 10),
+        "x1 x1*x2 x1*x2*x3 x1*x2*x3*x4 x1*x2*x3*x4^2 x1*x2*x3*x4^3 x1*x2*x3*x4^4 "
+        "x1*x2*x3^2 x1*x2*x3^2*x4 x1*x2*x3^2*x4^2 x1*x2*x3^2*x4^3 x1*x2*x3^2*x4^4 "
+        "x1*x2*x3^3 x1*x2*x3^3*x4 x1*x2*x3^3*x4^2 x1*x2*x3^3*x4^3 x1*x2*x3^3*x4^4 "
+        "x1*x2*x4 x1*x2*x4^2 x1*x2*x4^3 x1*x2*x4^4 x1*x2^2 x1*x2^2*x3 x1*x2^2*x3*x4 "
+        "x1*x2^2*x3*x4^2 x1*x2^2*x3*x4^3 x1*x2^2*x3*x4^4 x1*x2^2*x3^2 x1*x2^2*x3^2*x4 "
+        "x1*x2^2*x3^2*x4^2 x1*x2^2*x3^2*x4^3 x1*x2^2*x3^2*x4^4 x1*x2^2*x3^3 "
+        "x1*x2^2*x3^3*x4 x1*x2^2*x3^3*x4^2 x1*x2^2*x3^3*x4^3 x1*x2^2*x3^3*x4^4 "
+        "x1*x2^2*x4 x1*x2^2*x4^2 x1*x2^2*x4^3 x1*x2^2*x4^4 x1*x3 x1*x3*x4 x1*x3*x4^2 "
+        "x1*x3*x4^3 x1*x3*x4^4 x1*x3^2 x1*x3^2*x4 x1*x3^2*x4^2 x1*x3^2*x4^3 "
+        "x1*x3^2*x4^4 x1*x3^3 x1*x3^3*x4 x1*x3^3*x4^2 x1*x3^3*x4^3 x1*x3^3*x4^4 x1*x4 "
+        "x1*x4^2 x1*x4^3 x1*x4^4 x2*x3*x4^2 x2*x3*x4^3 x2*x3*x4^4 x2*x3^2 x2*x3^2*x4 "
+        "x2*x3^2*x4^2 x2*x3^2*x4^3 x2*x3^2*x4^4 x2*x3^3 x2*x3^3*x4 x2*x3^3*x4^2 "
+        "x2*x3^3*x4^3 x2*x3^3*x4^4 x2*x4^4 x2^2 x2^2*x3 x2^2*x3*x4 x2^2*x3*x4^2 "
+        "x2^2*x3*x4^3 x2^2*x3*x4^4 x2^2*x3^2 x2^2*x3^2*x4 x2^2*x3^2*x4^2 "
+        "x2^2*x3^2*x4^3 x2^2*x3^2*x4^4 x2^2*x3^3 x2^2*x3^3*x4 x2^2*x3^3*x4^2 "
+        "x2^2*x3^3*x4^3 x2^2*x3^3*x4^4 x2^2*x4 x2^2*x4^2 x2^2*x4^3 x2^2*x4^4 "
+        "x3^2*x4^4 x3^3*x4^2 x3^3*x4^3 x3^3*x4^4",
+    ),
+    ("noon3", "thomas"): (
+        (2, 2, 37, 8, 0, 129, 129, 13),
+        "x1*x2*x3^3 x1*x2*x3^4 x1*x2*x3^5 x1*x2^2 x1*x2^2*x3 x1*x2^2*x3^2 "
+        "x1*x2^2*x3^3 x1*x2^2*x3^4 x1*x2^2*x3^5 x1*x2^3 x1*x2^3*x3 x1*x2^3*x3^2 "
+        "x1*x2^3*x3^3 x1*x2^3*x3^4 x1*x2^3*x3^5 x1*x2^4 x1*x2^4*x3 x1*x2^4*x3^2 "
+        "x1*x2^4*x3^3 x1*x2^4*x3^4 x1*x2^4*x3^5 x1*x3^4 x1*x3^5 x1^2*x2 x1^2*x2*x3 "
+        "x1^2*x2*x3^2 x1^2*x2*x3^3 x1^2*x2*x3^4 x1^2*x2*x3^5 x1^2*x2^2 x1^2*x2^2*x3 "
+        "x1^2*x2^2*x3^2 x1^2*x2^2*x3^3 x1^2*x2^2*x3^4 x1^2*x2^2*x3^5 x1^2*x2^3 "
+        "x1^2*x2^3*x3 x1^2*x2^3*x3^2 x1^2*x2^3*x3^3 x1^2*x2^3*x3^4 x1^2*x2^3*x3^5 "
+        "x1^2*x2^4 x1^2*x2^4*x3 x1^2*x2^4*x3^2 x1^2*x2^4*x3^3 x1^2*x2^4*x3^4 "
+        "x1^2*x2^4*x3^5 x1^2*x3 x1^2*x3^2 x1^2*x3^3 x1^2*x3^4 x1^2*x3^5 x1^3*x2 "
+        "x1^3*x2*x3 x1^3*x2*x3^2 x1^3*x2*x3^3 x1^3*x2*x3^4 x1^3*x2*x3^5 x1^3*x2^2 "
+        "x1^3*x2^2*x3 x1^3*x2^2*x3^2 x1^3*x2^2*x3^3 x1^3*x2^2*x3^4 x1^3*x2^2*x3^5 "
+        "x1^3*x2^3 x1^3*x2^3*x3 x1^3*x2^3*x3^2 x1^3*x2^3*x3^3 x1^3*x2^3*x3^4 "
+        "x1^3*x2^3*x3^5 x1^3*x2^4 x1^3*x2^4*x3 x1^3*x2^4*x3^2 x1^3*x2^4*x3^3 "
+        "x1^3*x2^4*x3^4 x1^3*x2^4*x3^5 x1^3*x3 x1^3*x3^2 x1^3*x3^3 x1^3*x3^4 "
+        "x1^3*x3^5 x1^4 x1^4*x2 x1^4*x2*x3 x1^4*x2*x3^2 x1^4*x2*x3^3 x1^4*x2*x3^4 "
+        "x1^4*x2*x3^5 x1^4*x2^2 x1^4*x2^2*x3 x1^4*x2^2*x3^2 x1^4*x2^2*x3^3 "
+        "x1^4*x2^2*x3^4 x1^4*x2^2*x3^5 x1^4*x2^3 x1^4*x2^3*x3 x1^4*x2^3*x3^2 "
+        "x1^4*x2^3*x3^3 x1^4*x2^3*x3^4 x1^4*x2^3*x3^5 x1^4*x2^4 x1^4*x2^4*x3 "
+        "x1^4*x2^4*x3^2 x1^4*x2^4*x3^3 x1^4*x2^4*x3^4 x1^4*x2^4*x3^5 x1^4*x3 "
+        "x1^4*x3^2 x1^4*x3^3 x1^4*x3^4 x1^4*x3^5 x2*x3^4 x2*x3^5 x2^2*x3^2 x2^2*x3^3 "
+        "x2^2*x3^4 x2^2*x3^5 x2^3*x3 x2^3*x3^2 x2^3*x3^3 x2^3*x3^4 x2^3*x3^5 x2^4 "
+        "x2^4*x3 x2^4*x3^2 x2^4*x3^3 x2^4*x3^4 x2^4*x3^5 x3^5",
     ),
 }
 

@@ -1,0 +1,244 @@
+"""The index-walked normal forms against the `drop_lt` loops they replaced.
+
+Each reference below rebuilds the polynomial after every irreducible head
+with `drop_lt`, as the three normal forms once did.  The walked versions
+must return the same remainder, the same verdict and the same deflected
+queue entries on random inputs, under every division.
+"""
+from __future__ import annotations
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from invbases.core import Monomial, Polynomial, VarSet, degrevlex, lex, mono_div
+from invbases.division import division_by_name
+from invbases.engine import EngineOptions, _Engine, _InvolutiveReducer, reg_normal_form
+from invbases.oracles import buchberger_nf
+from invbases.signatures import (
+    LMArchive,
+    Signature,
+    SigPoly,
+    Verdict,
+    criteria,
+    sig_cmp,
+    sig_mul,
+)
+
+from conftest import monomials, polynomials, small_fractions
+
+DIVISIONS = ("janet", "alex", "thomas")
+
+
+def drop_lt_involutive_nf(reducer: _InvolutiveReducer, f: Polynomial) -> Polynomial:
+    allows = reducer.partition.allows
+    h = f
+    rem = []
+    while not h.is_zero:
+        hit = None
+        hit_u = None
+        hlm = h.lm
+        for g in reducer.ranked:
+            u = mono_div(hlm, g.lm)
+            if u is not None and allows(g.lm, u):
+                hit, hit_u = g, u
+                break
+        if hit is None:
+            rem.append(h.lt)
+            h = h.drop_lt()
+        else:
+            h = h.sub_mul_term(h.lc / hit.lc, hit_u, hit)
+    return Polynomial._raw(reducer.order, tuple(rem))
+
+
+def drop_lt_buchberger_nf(f: Polynomial, G, order) -> Polynomial:
+    polys = list(G)
+    ranked = sorted(range(len(polys)), key=lambda i: (order.key(polys[i].lm), i))
+    h = f
+    rem = []
+    while not h.is_zero:
+        hit = None
+        hit_u = None
+        hlm = h.lm
+        for i in ranked:
+            g = polys[i]
+            u = mono_div(hlm, g.lm)
+            if u is not None:
+                hit, hit_u = g, u
+                break
+        if hit is None:
+            rem.append(h.lt)
+            h = h.drop_lt()
+        else:
+            h = h.sub_mul_term(h.lc / hit.lc, hit_u, hit)
+    return Polynomial._raw(order, tuple(rem))
+
+
+def drop_lt_regular_normal_form(engine: _Engine, p: SigPoly):
+    """`_Engine.regular_normal_form` with a full divisor scan per head and a
+    `drop_lt` per irreducible head (no cofactors)."""
+    order = engine.order
+    part = engine._partition
+    h = p.poly
+    rem = []
+    at_head = True
+    deflected = set()
+    while not h.is_zero:
+        engine._bump_deg(h)
+        candidates = []
+        hlm = h.lm
+        for q in engine.T:
+            u = mono_div(hlm, q.poly.lm)
+            if u is None or not part.allows(q.poly.lm, u):
+                continue
+            safe = sig_cmp(order, sig_mul(u, q.sig), p.sig) <= 0
+            candidates.append(((0 if safe else 1, order.key(q.poly.lm), q.uid), q, u))
+        if not candidates:
+            rem.append(h.lt)
+            h = h.drop_lt()
+            at_head = False
+            continue
+        candidates.sort(key=lambda t: t[0])
+        if at_head:
+            for rank, q, _u in candidates:
+                if rank[0] != 0:
+                    break
+                verdict = criteria(p, q, engine.archive)
+                if verdict is not Verdict.NONE:
+                    return Polynomial.zero(order), verdict
+        chosen_rank, chosen, chosen_u = candidates[0]
+        if chosen_rank[0] != 0:
+            if engine.deflect:
+                c = h.lc / chosen.poly.lc
+                value = Polynomial._raw(order, tuple(rem) + h.terms).sub_mul_term(
+                    c, chosen_u, chosen.poly
+                )
+                dsig = sig_mul(chosen_u, chosen.sig)
+                if not value.is_zero and (dsig, value.lm) not in deflected:
+                    deflected.add((dsig, value.lm))
+                    dsp = SigPoly(
+                        dsig,
+                        value.monic(),
+                        value.lm,
+                        engine._new_anc_id(),
+                        set(),
+                        next(engine._uid),
+                    )
+                    if engine._push(dsp, creator_sig=p.sig):
+                        engine.stats.deflections += 1
+            rem.append(h.lt)
+            h = h.drop_lt()
+            at_head = False
+            continue
+        c = h.lc / chosen.poly.lc
+        h = h.sub_mul_term(c, chosen_u, chosen.poly)
+        at_head = False
+    return Polynomial._raw(order, tuple(rem)), None
+
+
+@st.composite
+def reduction_cases(draw, max_reducers: int = 4):
+    """An order over 2-3 variables, nonzero reducers, and a polynomial built
+    from multiples of the reducers plus noise, so that most cases take
+    several reduction steps."""
+    vs = VarSet(("x", "y", "z")[: draw(st.integers(2, 3))])
+    order = draw(st.sampled_from((lex, degrevlex)))(vs)
+    reducers = polynomials(order, vs.n, max_deg=2, max_terms=3)
+    G = draw(st.lists(reducers, min_size=1, max_size=max_reducers))
+    f = draw(polynomials(order, vs.n, max_deg=3, max_terms=4))
+    for _ in range(draw(st.integers(0, 3))):
+        g = draw(st.sampled_from(G))
+        f = f + g.mul_term(draw(small_fractions()), draw(monomials(vs.n, 2)))
+    return order, G, f
+
+
+def sig_strategy(n: int, k: int):
+    return st.builds(Signature, monomials(n, 2), st.integers(1, k))
+
+
+@st.composite
+def signed_cases(draw):
+    """A basis of signature-labelled elements with distinct heads, an
+    optional archive, and an element to reduce against them."""
+    order, G, f = draw(reduction_cases(max_reducers=5))
+    n = order.vars.n
+    basis = []
+    seen = set()
+    for g in G:
+        if g.lm in seen:
+            continue
+        seen.add(g.lm)
+        g = g.monic()
+        basis.append(SigPoly(draw(sig_strategy(n, 3)), g, g.lm, len(basis), set(), len(basis)))
+    archive = None
+    if draw(st.booleans()):
+        archive = LMArchive([[draw(monomials(n, 3))] for _ in range(3)])
+    anc = f.lm if draw(st.booleans()) else draw(monomials(n, 2))
+    p = SigPoly(draw(sig_strategy(n, 3)), f, anc, 99, set(), 99)
+    return order, basis, archive, p
+
+
+def queued(engine: _Engine):
+    out = []
+    sp = engine._pop()
+    while sp is not None:
+        out.append(entry(sp))
+        sp = engine._pop()
+    return out
+
+
+def entry(sp: SigPoly):
+    return (sp.sig, sp.poly.terms, sp.anc_lm, sp.anc_id, sp.uid)
+
+
+class TestInvolutiveReducer:
+    @given(reduction_cases(), st.sampled_from(DIVISIONS))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_drop_lt_loop(self, case, division_name):
+        order, G, f = case
+        reducer = _InvolutiveReducer(G, division_by_name(division_name, order.vars), order)
+        assert reducer.nf(f).terms == drop_lt_involutive_nf(reducer, f).terms
+
+
+class TestBuchbergerNF:
+    @given(reduction_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_drop_lt_loop(self, case):
+        order, G, f = case
+        assert buchberger_nf(f, G, order).terms == drop_lt_buchberger_nf(f, G, order).terms
+
+    def test_every_term_of_a_long_polynomial_is_reduced(self):
+        # x*y - 1 takes each x^k*y to x^(k-1), one merge per term.
+        vs = VarSet(("x", "y"))
+        order = degrevlex(vs)
+        terms = [(1, Monomial((k, 1))) for k in range(1, 5)] + [(1, Monomial((3, 0)))]
+        f = Polynomial(order, terms)
+        g = Polynomial(order, [(1, Monomial((1, 1))), (Fraction(-1), Monomial((0, 0)))])
+        nf = buchberger_nf(f, [g], order)
+        assert nf == drop_lt_buchberger_nf(f, [g], order)
+        assert str(nf) == "2*x^3 + x^2 + x + 1"
+
+
+class TestRegularNormalForm:
+    @given(signed_cases(), st.sampled_from(DIVISIONS))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_drop_lt_loop(self, case, division_name):
+        order, basis, archive, p = case
+        div = division_by_name(division_name, order.vars)
+
+        ref_engine = _Engine(div, order, EngineOptions(), basis, archive)
+        ref_h, ref_verdict = drop_lt_regular_normal_form(ref_engine, p)
+        ref_queue = queued(ref_engine)
+
+        sink: list[SigPoly] = []
+        h, verdict = reg_normal_form(p, basis, div, order, archive, q_sink=sink)
+        assert verdict is ref_verdict
+        assert h.order == order
+        assert h.terms == ref_h.terms
+        assert [entry(sp) for sp in sink] == ref_queue
+
+        # The counters the engine keeps while reducing agree as well.
+        engine = _Engine(div, order, EngineOptions(), basis, archive)
+        engine.regular_normal_form(p)
+        assert engine.stats == ref_engine.stats

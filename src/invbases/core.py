@@ -7,6 +7,7 @@ stored as `fractions.Fraction`, so every value has one canonical form.
 from __future__ import annotations
 
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -268,13 +269,15 @@ class Polynomial:
         return cls._raw(order, ((Fraction(1), mono_one(order.vars.n)),))
 
     def _assert_canonical(self) -> None:
+        n = self.order.vars.n
+        key = self.order.key
         prev = None
         for c, m in self.terms:
             if not isinstance(c, Fraction) or c == 0:
                 raise AssertionError("non-canonical coefficient")
-            if len(m.exps) != self.order.vars.n:
+            if len(m.exps) != n:
                 raise AssertionError("monomial dimension mismatch")
-            k = self.order.key(m)
+            k = key(m)
             if prev is not None and not k < prev:
                 raise AssertionError("terms out of order")
             prev = k
@@ -333,28 +336,18 @@ class Polynomial:
     def __sub__(self, other: Polynomial) -> Polynomial:
         return self._combine(-1, None, other)
 
-    def sub_mul_term(
-        self, coeff, mono: Monomial, other: Polynomial, start: int = 0
-    ) -> Polynomial:
+    def sub_mul_term(self, coeff, mono: Monomial, other: Polynomial) -> Polynomial:
         """self - coeff*mono*other in one merge: the reduction step
-        ``h - g.mul_term(c, u)`` without the two intermediate polynomials.
+        ``h - g.mul_term(c, u)`` without the two intermediate polynomials."""
+        return self._combine(-Fraction(coeff), mono, other)
 
-        With `start`, only the terms of self from that index on take part:
-        a normal form that walks an index over its terms reduces the suffix
-        without building it as a polynomial first.
-        """
-        return self._combine(-Fraction(coeff), mono, other, start)
-
-    def _combine(
-        self, coeff, mono: Monomial | None, other: Polynomial, start: int = 0
-    ) -> Polynomial:
-        """self.terms[start:] + coeff*mono*other; `mono` None stands for 1."""
+    def _combine(self, coeff, mono: Monomial | None, other: Polynomial) -> Polynomial:
+        """self + coeff*mono*other; `mono` None stands for 1."""
         if self.order != other.order:
             raise UsageError("cannot combine polynomials under different orderings")
-        terms = self.terms[start:]
         if coeff == 0:
-            return Polynomial._raw(self.order, terms) if start else self
-        return Polynomial._raw(self.order, _merge(self.order, terms, other.terms, coeff, mono))
+            return self
+        return Polynomial._raw(self.order, _merge(self.order, self.terms, other.terms, coeff, mono))
 
     def __mul__(self, other: Polynomial) -> Polynomial:
         if not isinstance(other, Polynomial):
@@ -470,6 +463,79 @@ def _merge(order: Ordering, a: tuple, b: tuple, coeff, mono: Monomial | None) ->
     out.extend(a[i:])
     out.extend(b[j:])
     return tuple(out)
+
+
+class PendingTerms:
+    """The terms of a polynomial still awaiting reduction, for a normal form.
+
+    A normal form takes the largest pending term with `pop` and either moves
+    it to its remainder or cancels it against the leading term of a multiple
+    c*u*g of a reducer, whose other terms `sub_tail` then folds in.  The
+    terms are kept ascending (largest last) in a list, with a parallel list
+    of their order keys: `pop` takes the last entry, and each folded term
+    finds its place by `bisect` on its key.  No step rebuilds the terms that
+    a reduction leaves alone.
+    """
+
+    __slots__ = ("order", "_key", "_keys", "_terms")
+
+    def __init__(self, p: Polynomial):
+        self.order = p.order
+        # The undimensioned key: a polynomial's terms and the products that
+        # `sub_tail` forms both have the ordering's dimension.
+        key = self._key = p.order._key
+        self._terms = list(reversed(p.terms))
+        self._keys = [key(m) for _, m in self._terms]
+
+    def __bool__(self) -> bool:
+        return bool(self._terms)
+
+    def pop(self) -> tuple[Fraction, Monomial]:
+        """Remove and return the largest pending term."""
+        self._keys.pop()
+        return self._terms.pop()
+
+    def descending(self) -> tuple:
+        """The pending terms, largest first, as a polynomial keeps them."""
+        return tuple(reversed(self._terms))
+
+    def sub_tail(self, coeff, mono: Monomial, g: Polynomial) -> int:
+        """Subtract coeff*mono*(g - lt(g)) from the pending terms.
+
+        This is the reduction step whose leading term coeff*mono*lt(g)
+        cancels the term just popped.  A product term joins the entry of
+        equal monomial, which goes when the sum is zero, or else is
+        inserted.  The products come in descending order (the orderings are
+        compatible with multiplication), so each one is searched for below
+        the place of the one before.  Returns the largest total degree of
+        the product terms, -1 when g has a single term.
+        """
+        if g.order != self.order:
+            raise UsageError("cannot combine polynomials under different orderings")
+        _check_dim(mono, g.lm)
+        c = -Fraction(coeff)
+        ue, ud = mono.exps, mono.deg
+        key, keys, terms = self._key, self._keys, self._terms
+        add = operator.add
+        hi = len(keys)
+        deg = -1
+        for gc, gm in g.terms[1:]:
+            m = _mono(tuple(map(add, gm.exps, ue)), gm.deg + ud)
+            if m.deg > deg:
+                deg = m.deg
+            k = key(m)
+            hi = bisect_left(keys, k, 0, hi)
+            if hi < len(keys) and keys[hi] == k:
+                s = terms[hi][0] + gc * c
+                if s:
+                    terms[hi] = (s, terms[hi][1])
+                else:
+                    del keys[hi]
+                    del terms[hi]
+            else:
+                keys.insert(hi, k)
+                terms.insert(hi, (gc * c, m))
+        return deg
 
 
 def render_monomial(m: Monomial, names: tuple[str, ...]) -> str:

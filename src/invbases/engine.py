@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from .core import (
     Monomial,
     Ordering,
+    PendingTerms,
     Polynomial,
     UsageError,
     mono_div,
@@ -405,28 +406,28 @@ class _Engine:
         offending combination is queued under its true signature and the
         head is treated as irreducible here.
 
-        The loop walks an index over the terms of the current polynomial:
-        an irreducible term joins the remainder and the index advances; a
-        reduction step merges the suffix from the index on with the
-        multiplied reducer and restarts at index 0 of the result.  The
-        divisor scan passes over a basis head whose degree exceeds the
-        term's, or whose support bitmask is not inside the term's, before
-        trying to divide: neither can divide the term.
+        The pending terms live in a `PendingTerms`: the largest one is
+        popped and either joins the remainder or is cancelled by a reduction
+        step, which folds the rest of the multiplied reducer into the
+        pending terms.  Polynomials are built only for the remainder and
+        for a deflected combination (from the remainder, the term and the
+        pending terms).  The divisor scan passes over a basis head whose
+        degree exceeds the term's, or whose support bitmask is not inside
+        the term's, before trying to divide: neither can divide the term.
         """
         order = self.order
         allows = self._partition.allows
         heads = [(q, q.poly.lm, _support(q.poly.lm)) for q in self.T]
-        h = p.poly
-        terms = h.terms
-        i = 0
+        pending = PendingTerms(p.poly)
         rem = []  # irreducible terms, descending: the normal form's terms
         cofs = p.cofactors
         at_head = True
         deflected: set[tuple[Signature, Monomial]] = set()
 
-        self._bump_deg(h)
-        while i < len(terms):
-            tc, tm = terms[i]
+        self._bump_deg(p.poly)
+        while pending:
+            term = pending.pop()
+            tc, tm = term
             tdeg = tm.deg
             tmask = _support(tm)
             candidates = []
@@ -439,8 +440,7 @@ class _Engine:
                 safe = sig_cmp(order, sig_mul(u, q.sig), p.sig) <= 0
                 candidates.append(((0 if safe else 1, order.key(qlm), q.uid), q, u))
             if not candidates:
-                rem.append(terms[i])
-                i += 1
+                rem.append(term)
                 at_head = False
                 continue
             candidates.sort(key=lambda t: t[0])
@@ -464,8 +464,9 @@ class _Engine:
                 # reducer's shifted signature, where it is a legitimate new
                 # element.
                 if self.deflect:
-                    # Every remainder term lies above every unreduced term.
-                    value = Polynomial._raw(order, tuple(rem) + terms[i:]).sub_mul_term(
+                    # Every remainder term lies above every pending term.
+                    current = (*rem, term, *pending.descending())
+                    value = Polynomial._raw(order, current).sub_mul_term(
                         c, chosen_u, chosen.poly
                     )
                     dsig = sig_mul(chosen_u, chosen.sig)
@@ -488,13 +489,11 @@ class _Engine:
                         )
                         if self._push(dsp, creator_sig=p.sig):
                             self.stats.deflections += 1
-                rem.append(terms[i])
-                i += 1
+                rem.append(term)
                 continue
-            h = h.sub_mul_term(c, chosen_u, chosen.poly, i)
-            terms = h.terms
-            i = 0
-            self._bump_deg(h)
+            deg = pending.sub_tail(c, chosen_u, chosen.poly)
+            if deg > self.stats.max_deg:
+                self.stats.max_deg = deg
             if cofs is not None:
                 cofs = tuple(
                     a.sub_mul_term(c, chosen_u, b)
@@ -672,10 +671,10 @@ class _InvolutiveReducer:
     grow by `add`.
 
     `nf` reduces each term by the first involutive divisor in rank order
-    (smallest head, then earliest added).  It walks an index over the terms
-    of the current polynomial: an irreducible term joins the remainder and
-    the index advances; a reduction merges the suffix from the index on
-    with the multiplied divisor and restarts at index 0 of the result.
+    (smallest head, then earliest added).  It pops the largest pending term
+    of a `PendingTerms`: an irreducible term joins the remainder, and a
+    reduction step folds the rest of the multiplied divisor into the
+    pending terms.
     """
 
     __slots__ = ("order", "partition", "ranked")
@@ -698,22 +697,18 @@ class _InvolutiveReducer:
 
     def nf(self, f: Polynomial) -> Polynomial:
         allows = self.partition.allows
-        h = f
-        terms = h.terms
-        i = 0
+        pending = PendingTerms(f)
         rem = []
-        while i < len(terms):
-            tc, tm = terms[i]
+        while pending:
+            term = pending.pop()
+            tc, tm = term
             for g in self.ranked:
                 u = mono_div(tm, g.lm)
                 if u is not None and allows(g.lm, u):
-                    h = h.sub_mul_term(tc / g.lc, u, g, i)
-                    terms = h.terms
-                    i = 0
+                    pending.sub_tail(tc / g.lc, u, g)
                     break
             else:
-                rem.append(terms[i])
-                i += 1
+                rem.append(term)
         return Polynomial._raw(self.order, tuple(rem))
 
 

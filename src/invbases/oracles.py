@@ -27,7 +27,17 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .core import Monomial, Ordering, Polynomial, UsageError, mono_div, mono_lcm, mono_var, spoly
+from .core import (
+    Monomial,
+    Ordering,
+    PendingTerms,
+    Polynomial,
+    UsageError,
+    mono_div,
+    mono_lcm,
+    mono_var,
+    spoly,
+)
 from .division import Division
 
 # `nf_full` is not called here, but stays importable from this module: the
@@ -50,31 +60,28 @@ def buchberger_nf(f: Polynomial, G, order: Ordering) -> Polynomial:
     """Ordinary full normal form of f modulo G (no involutive restriction).
 
     Each term is reduced by the first divisor in rank order (smallest head,
-    then earliest in G).  The loop walks an index over the terms of the
-    current polynomial: an irreducible term joins the remainder, and a
-    reduction merges the suffix from the index on, then restarts at 0."""
+    then earliest in G).  The loop pops the largest pending term of a
+    `PendingTerms`: an irreducible term joins the remainder, and a
+    reduction step folds the rest of the multiplied divisor into the
+    pending terms."""
     polys = [g for g in G]
     for g in polys:
         if g.is_zero:
             raise UsageError("zero polynomial in the reducing set")
     ranked = sorted(range(len(polys)), key=lambda i: (order.key(polys[i].lm), i))
-    h = f
-    terms = h.terms
-    i = 0
+    pending = PendingTerms(f)
     rem = []
-    while i < len(terms):
-        tc, tm = terms[i]
+    while pending:
+        term = pending.pop()
+        tc, tm = term
         for j in ranked:
             g = polys[j]
             u = mono_div(tm, g.lm)
             if u is not None:
-                h = h.sub_mul_term(tc / g.lc, u, g, i)
-                terms = h.terms
-                i = 0
+                pending.sub_tail(tc / g.lc, u, g)
                 break
         else:
-            rem.append(terms[i])
-            i += 1
+            rem.append(term)
     return Polynomial._raw(order, tuple(rem))
 
 

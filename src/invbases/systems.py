@@ -60,7 +60,8 @@ class SystemFile:
     polynomials: tuple[Polynomial, ...]
 
 
-_TOKEN = re.compile(r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*^]))")
+_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_TOKEN = re.compile(r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<name>%s)|(?P<op>[-+*^]))" % _NAME.pattern)
 
 
 def _tokenize(text: str) -> list[tuple[str, str]]:
@@ -102,7 +103,10 @@ def parse_polynomial(text: str, order: Ordering) -> Polynomial:
                 raise ParseError("dangling operator at end of polynomial")
             kind, val = tokens[j]
             if kind == "num":
-                coeff *= Fraction(val)
+                try:
+                    coeff *= Fraction(val)
+                except ZeroDivisionError:
+                    raise ParseError("coefficient %r has a zero denominator" % val) from None
                 j += 1
             elif kind == "name":
                 try:
@@ -183,6 +187,13 @@ def parse_system(
             names = tuple(body.split())
             if not names:
                 raise ParseError("vars: line declares no variables", lineno)
+            for v in names:
+                if not _NAME.fullmatch(v):
+                    raise ParseError(
+                        "invalid variable name %r (a letter or '_', then letters, "
+                        "digits or '_'; names are separated by spaces)" % v,
+                        lineno,
+                    )
             try:
                 vars = VarSet(names)
             except UsageError as exc:

@@ -175,6 +175,23 @@ class TestFailures:
         assert rc == 2
         assert "--use-syzygy-signatures" in captured.err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("vars: x y\np: 3/0*x - y\n", "line 2: coefficient '3/0' has a zero denominator"),
+            ("vars: x, y\np: x\n", "line 1: invalid variable name 'x,'"),
+        ],
+    )
+    def test_malformed_input_file(self, tmp_path, capsys, text, message):
+        path = tmp_path / "bad.sys"
+        path.write_text(text)
+        rc = main(["compute", "--input", str(path)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert message in captured.err
+        assert "Traceback" not in captured.err
+
     def test_no_command(self, capsys):
         rc = main([])
         capsys.readouterr()

@@ -1,18 +1,30 @@
-"""The index-walked normal forms against the `drop_lt` loops they replaced.
+"""The reduction kernel: `PendingTerms` and the three normal forms on it.
 
-Each reference below rebuilds the polynomial after every irreducible head
-with `drop_lt`, as the three normal forms once did.  The walked versions
-must return the same remainder, the same verdict and the same deflected
-queue entries on random inputs, under every division.
+The accumulator is checked on its own and against `Polynomial.sub_mul_term`.
+Each normal-form reference below rebuilds the polynomial after every
+irreducible head with `drop_lt`, as the three normal forms once did.  The
+normal forms must return the same remainder, the same verdict and the same
+deflected queue entries on random inputs, under every division.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from invbases.core import Monomial, Polynomial, VarSet, degrevlex, lex, mono_div
+from invbases.core import (
+    Monomial,
+    PendingTerms,
+    Polynomial,
+    UsageError,
+    VarSet,
+    degrevlex,
+    lex,
+    mono_div,
+    mono_mul,
+)
 from invbases.division import division_by_name
 from invbases.engine import EngineOptions, _Engine, _InvolutiveReducer, reg_normal_form
 from invbases.oracles import buchberger_nf
@@ -190,6 +202,82 @@ def queued(engine: _Engine):
 
 def entry(sp: SigPoly):
     return (sp.sig, sp.poly.terms, sp.anc_lm, sp.anc_id, sp.uid)
+
+
+XY = VarSet(("x", "y"))
+DRL = degrevlex(XY)
+
+
+def poly(*terms):
+    return Polynomial(DRL, [(Fraction(c), Monomial(e)) for c, e in terms])
+
+
+def pending_poly(pending: PendingTerms) -> Polynomial:
+    return Polynomial._raw(pending.order, pending.descending())
+
+
+class TestPendingTerms:
+    def test_pop_takes_the_largest_term(self):
+        pending = PendingTerms(poly((1, (2, 0)), (2, (0, 1)), (3, (0, 0))))
+        popped = []
+        while pending:
+            popped.append(pending.pop())
+        assert popped == list(poly((1, (2, 0)), (2, (0, 1)), (3, (0, 0))).terms)
+
+    def test_a_cancelling_product_term_removes_the_entry(self):
+        pending = PendingTerms(poly((1, (2, 0)), (2, (0, 1))))
+        # tail of 1*1*(x^3 + 2*y) is 2*y, which cancels the pending 2*y
+        pending.sub_tail(1, Monomial((0, 0)), poly((1, (3, 0)), (2, (0, 1))))
+        assert pending.descending() == poly((1, (2, 0))).terms
+
+    def test_an_equal_monomial_merges_its_coefficient(self):
+        pending = PendingTerms(poly((1, (2, 0)), (2, (1, 0))))
+        # tail of 1/2*x*(x^2*y + 1) is x/2, which joins the pending 2*x
+        pending.sub_tail(Fraction(1, 2), Monomial((1, 0)), poly((1, (2, 1)), (1, (0, 0))))
+        assert pending.descending() == poly((1, (2, 0)), (Fraction(3, 2), (1, 0))).terms
+
+    def test_inserts_keep_strict_descending_order(self):
+        pending = PendingTerms(poly((1, (3, 0)), (1, (1, 1)), (1, (0, 0))))
+        g = poly((1, (2, 2)), (1, (2, 1)), (-1, (1, 1)), (1, (0, 2)), (1, (1, 0)), (1, (0, 0)))
+        pending.sub_tail(1, Monomial((0, 0)), g)
+        keys = [DRL.key(m) for _, m in pending.descending()]
+        assert keys == sorted(keys, reverse=True)
+        assert len(set(keys)) == len(keys)
+        assert pending_poly(pending) == poly((1, (3, 0)), (-1, (2, 1)), (2, (1, 1)), (-1, (0, 2)),
+                                             (-1, (1, 0)))
+
+    def test_a_reducer_of_another_ordering_or_dimension_is_rejected(self):
+        pending = PendingTerms(poly((1, (1, 1))))
+        other = Polynomial(lex(XY), [(1, Monomial((1, 0))), (1, Monomial((0, 1)))])
+        with pytest.raises(UsageError):
+            pending.sub_tail(1, Monomial((0, 1)), other)
+        with pytest.raises(UsageError):
+            buchberger_nf(poly((1, (1, 1))), [other], DRL)
+        with pytest.raises(UsageError):
+            pending.sub_tail(1, Monomial((0, 1, 0)), poly((1, (1, 0)), (1, (0, 1))))
+
+    def test_returns_the_largest_product_degree(self):
+        pending = PendingTerms(poly((1, (3, 0))))
+        # The tail y^3 + x^2 + 1 times x: x*y^3 and x are new, x^3 cancels.
+        assert pending.sub_tail(1, Monomial((1, 0)), poly((1, (0, 4)), (1, (2, 0)), (1, (0, 3)),
+                                                          (1, (0, 0)))) == 4
+        assert pending.sub_tail(1, Monomial((1, 0)), poly((1, (0, 4)))) == -1
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_sub_mul_term(self, data):
+        vs = VarSet(("x", "y", "z")[: data.draw(st.integers(2, 3))])
+        order = data.draw(st.sampled_from((lex, degrevlex)))(vs)
+        p = data.draw(polynomials(order, vs.n))
+        g = data.draw(polynomials(order, vs.n, max_terms=5))
+        c = data.draw(small_fractions())
+        u = data.draw(monomials(vs.n, 2))
+        pending = PendingTerms(p)
+        deg = pending.sub_tail(c, u, g)
+        lead = Polynomial._raw(order, (g.lt,))
+        # p - c*u*(g - lt(g)), through the merge of two whole polynomials
+        assert pending_poly(pending) == p.sub_mul_term(c, u, g).sub_mul_term(-c, u, lead)
+        assert deg == max((mono_mul(m, u).deg for _, m in g.terms[1:]), default=-1)
 
 
 class TestInvolutiveReducer:

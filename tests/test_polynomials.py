@@ -182,22 +182,11 @@ class TestArithmetic:
         assert p.mul_term(c, u).sub_mul_term(c, u, p).is_zero
         assert p.sub_mul_term(0, u, g) == p - g.mul_term(0, u) == p
 
-    @given(polynomials(DRL, 2), polynomials(DRL, 2), small_fractions(), monomials(2, 2))
-    def test_sub_mul_term_from_an_index_takes_the_suffix(self, p, g, c, u):
-        for start in range(len(p) + 1):
-            suffix = Polynomial(DRL, p.terms[start:])
-            got = p.sub_mul_term(c, u, g, start)
-            assert got == suffix - g.mul_term(c, u)
-            assert_canonical(got)
-            assert p.sub_mul_term(0, u, g, start) == suffix
-
     def test_sub_mul_term_rejects_mixed_orderings(self):
         with pytest.raises(UsageError):
             poly(LEX, (1, XY)).sub_mul_term(1, X, poly(DRL, (1, Y)))
         with pytest.raises(UsageError):
             poly(LEX, (1, XY)).sub_mul_term(0, X, poly(DRL, (1, Y)))
-        with pytest.raises(UsageError):
-            poly(LEX, (1, XY), (1, Y)).sub_mul_term(1, X, poly(DRL, (1, Y)), 1)
 
     @given(polynomials(DRL, 2, max_deg=2, max_terms=3),
            polynomials(DRL, 2, max_deg=2, max_terms=3))

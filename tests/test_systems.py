@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from invbases.core import UsageError, lex, render_polynomial
 from invbases.systems import (
@@ -60,6 +62,9 @@ class TestParsePolynomial:
             "x^",
             "x^y",
             "x^1/2",
+            "3/0",
+            "1/0*x",
+            "x + 0/0",
         ],
     )
     def test_rejected_forms(self, order, text):
@@ -69,6 +74,11 @@ class TestParsePolynomial:
     def test_parse_error_is_a_usage_error(self, order):
         with pytest.raises(UsageError):
             parse_polynomial("2x", order)
+
+    def test_zero_denominator_names_the_coefficient(self):
+        with pytest.raises(ParseError, match="'1/0'") as exc:
+            parse_system("vars: x y\np: x - 1/0*y")
+        assert exc.value.line == 2
 
 
 class TestParseSystem:
@@ -99,6 +109,8 @@ class TestParseSystem:
             ("vars: x y\nvars: x y\np: x", 2),
             ("vars:\np: x", 1),
             ("vars: x x\np: x", 1),
+            ("vars: x, y\np: x", 1),
+            ("vars: 2x\np: x", 1),
             ("vars: x\norder: fancy\np: x", 2),
             ("vars: x\nq: x", 2),
             ("vars: x\np: x\np: y", 3),
@@ -117,6 +129,13 @@ class TestParseSystem:
     def test_unknown_order_override(self):
         with pytest.raises(ParseError):
             parse_system("vars: x\np: x", order="fancy")
+
+    def test_variable_names_must_be_identifiers(self):
+        # A comma-separated list would declare "x," and report "x" unknown.
+        with pytest.raises(ParseError, match="invalid variable name 'x,'") as exc:
+            parse_system("vars: x, y\np: x")
+        assert exc.value.line == 1
+        assert parse_system("vars: x_1 _y Z9\np: x_1 - _y*Z9").vars.names == ("x_1", "_y", "Z9")
 
 
 class TestRenderSystem:
@@ -232,3 +251,34 @@ class TestLoadSystemFile:
     def test_missing_file(self, tmp_path):
         with pytest.raises(UsageError):
             load_system_file(tmp_path / "absent.sys")
+
+
+def _lines(directive: str, well_formed: str):
+    """`directive` lines whose body is either well formed or a short random
+    text over the characters of the format."""
+    body = st.text(alphabet="xy0123/^*+-, ", max_size=10)
+    return st.one_of(st.just(well_formed), body).map(lambda b: "%s: %s" % (directive, b))
+
+
+# A vars: line, an optional order: line and one or two p: lines, in file order.
+_SYSTEM_TEXTS = st.tuples(
+    _lines("vars", "x y"),
+    st.lists(_lines("order", "lex"), max_size=1),
+    st.lists(_lines("p", "x - 1/2*y"), min_size=1, max_size=2),
+).map(lambda t: "\n".join([t[0], *t[1], *t[2]]))
+
+
+class TestParserFuzz:
+    """Any short text made of directive lines either parses, with every
+    declared variable usable in a polynomial, or raises ParseError; nothing
+    else escapes the parser."""
+
+    @given(_SYSTEM_TEXTS)
+    @settings(max_examples=100, deadline=None)
+    def test_parses_or_raises_parse_error(self, text):
+        try:
+            sf = parse_system(text)
+        except ParseError:
+            return
+        for i, name in enumerate(sf.vars.names):
+            assert parse_polynomial(name, sf.order).lm.exps[i] == 1

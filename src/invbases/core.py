@@ -3,9 +3,12 @@
 Monomials are exponent tuples over a fixed variable set.  Polynomials keep
 their terms sorted in strictly descending monomial order, with coefficients
 stored as `fractions.Fraction`, so every value has one canonical form.
+Only the reduction accumulator `PendingTerms` holds integers: numerators
+over one common denominator, turned back into `Fraction`s as terms leave it.
 """
 from __future__ import annotations
 
+import math
 import operator
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -362,13 +365,19 @@ class Polynomial:
         return Polynomial(self.order, ((c, m) for m, c in acc.items()))
 
     def mul_term(self, coeff, mono: Monomial) -> Polynomial:
-        """Multiply by a single term coeff*mono."""
+        """Multiply by a single term coeff*mono; a unit coefficient only
+        shifts the monomials (every prolongation x*g is one)."""
         c = Fraction(coeff)
-        if c == 0:
+        if c == 0 or not self.terms:
             return Polynomial.zero(self.order)
-        return Polynomial._raw(
-            self.order, tuple((tc * c, mono_mul(tm, mono)) for tc, tm in self.terms)
-        )
+        _check_dim(self.terms[0][1], mono)
+        unit = c == 1
+        ue, ud = mono.exps, mono.deg
+        add = operator.add
+        return Polynomial._raw(self.order, tuple(
+            (tc if unit else tc * c, _mono(tuple(map(add, tm.exps, ue)), tm.deg + ud))
+            for tc, tm in self.terms
+        ))
 
     def scale(self, coeff) -> Polynomial:
         c = Fraction(coeff)
@@ -377,7 +386,8 @@ class Polynomial:
         return Polynomial._raw(self.order, tuple((tc * c, tm) for tc, tm in self.terms))
 
     def monic(self) -> Polynomial:
-        if self.is_zero:
+        # Polynomials are immutable, so a monic one is its own monic form.
+        if self.is_zero or self.lc == 1:
             return self
         return self.scale(1 / self.lc)
 
@@ -471,70 +481,103 @@ class PendingTerms:
     A normal form takes the largest pending term with `pop` and either moves
     it to its remainder or cancels it against the leading term of a multiple
     c*u*g of a reducer, whose other terms `sub_tail` then folds in.  The
-    terms are kept ascending (largest last) in a list, with a parallel list
-    of their order keys: `pop` takes the last entry, and each folded term
-    finds its place by `bisect` on its key.  No step rebuilds the terms that
-    a reduction leaves alone.
+    terms are kept ascending (largest last) in three parallel lists: order
+    keys, integer numerators and monomials, all numerators over one positive
+    integer denominator `den`.  `pop` takes the last entry, and each folded
+    term finds its place by `bisect` on its key, so no step rebuilds the
+    terms that a reduction leaves alone, and a step adds integers, not
+    fractions.  After each step the content gcd(den, numerators) is divided
+    out, so `den` is always the least common denominator of the pending
+    terms.  Terms leave the accumulator as `Fraction` coefficients.
     """
 
-    __slots__ = ("order", "_key", "_keys", "_terms")
+    __slots__ = ("order", "_key", "_keys", "_nums", "_monos", "den")
 
     def __init__(self, p: Polynomial):
         self.order = p.order
         # The undimensioned key: a polynomial's terms and the products that
         # `sub_tail` forms both have the ordering's dimension.
         key = self._key = p.order._key
-        self._terms = list(reversed(p.terms))
-        self._keys = [key(m) for _, m in self._terms]
+        terms = p.terms[::-1]
+        den = self.den = math.lcm(*[c.denominator for c, _ in terms])
+        self._nums = [c.numerator * (den // c.denominator) for c, _ in terms]
+        self._monos = [m for _, m in terms]
+        self._keys = [key(m) for m in self._monos]
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._keys)
 
     def pop(self) -> tuple[Fraction, Monomial]:
         """Remove and return the largest pending term."""
         self._keys.pop()
-        return self._terms.pop()
+        return Fraction(self._nums.pop(), self.den), self._monos.pop()
 
     def descending(self) -> tuple:
         """The pending terms, largest first, as a polynomial keeps them."""
-        return tuple(reversed(self._terms))
+        den = self.den
+        return tuple(zip([Fraction(n, den) for n in reversed(self._nums)], reversed(self._monos)))
 
     def sub_tail(self, coeff, mono: Monomial, g: Polynomial) -> int:
         """Subtract coeff*mono*(g - lt(g)) from the pending terms.
 
         This is the reduction step whose leading term coeff*mono*lt(g)
-        cancels the term just popped.  A product term joins the entry of
-        equal monomial, which goes when the sum is zero, or else is
-        inserted.  The products come in descending order (the orderings are
-        compatible with multiplication), so each one is searched for below
-        the place of the one before.  Returns the largest total degree of
-        the product terms, -1 when g has a single term.
+        cancels the term just popped.  When `den` is not a multiple of the
+        products' common denominator (coeff's denominator times the lcm of
+        the tail's), the numerators are rescaled once to the lcm of the two.
+        A product term then joins the entry of equal monomial, which goes
+        when the sum is zero, or else is inserted.  The products come in
+        descending order (the orderings are compatible with
+        multiplication), so each one is searched for below the place of the
+        one before.  Last the content gcd(den, numerators) is divided out.
+        Returns the largest total degree of the product terms, -1 when g has
+        a single term.
         """
         if g.order != self.order:
             raise UsageError("cannot combine polynomials under different orderings")
         _check_dim(mono, g.lm)
-        c = -Fraction(coeff)
+        c = Fraction(coeff)
+        tail = g.terms[1:]
+        lcm = math.lcm(*[gc.denominator for gc, _ in tail])
+        need = c.denominator * lcm
+        keys, nums, monos = self._keys, self._nums, self._monos
+        den = self.den
+        if den % need:
+            new = math.lcm(den, need)
+            scale = new // den
+            nums[:] = [n * scale for n in nums]
+            den = new
+        # Over den, a product -c*gc has numerator f * gc.numerator * (lcm // gc.denominator).
+        f = -c.numerator * (den // need)
         ue, ud = mono.exps, mono.deg
-        key, keys, terms = self._key, self._keys, self._terms
+        key = self._key
         add = operator.add
         hi = len(keys)
         deg = -1
-        for gc, gm in g.terms[1:]:
+        for gc, gm in tail:
             m = _mono(tuple(map(add, gm.exps, ue)), gm.deg + ud)
             if m.deg > deg:
                 deg = m.deg
+            t = f * gc.numerator * (lcm // gc.denominator)
             k = key(m)
             hi = bisect_left(keys, k, 0, hi)
             if hi < len(keys) and keys[hi] == k:
-                s = terms[hi][0] + gc * c
+                s = nums[hi] + t
                 if s:
-                    terms[hi] = (s, terms[hi][1])
+                    nums[hi] = s
                 else:
                     del keys[hi]
-                    del terms[hi]
+                    del nums[hi]
+                    del monos[hi]
             else:
                 keys.insert(hi, k)
-                terms.insert(hi, (gc * c, m))
+                nums.insert(hi, t)
+                monos.insert(hi, m)
+        if den > 1:
+            content = math.gcd(den, *nums)
+            if content > 1:
+                den //= content
+                nums[:] = [n // content for n in nums]
+        self.den = den
         return deg
 
 

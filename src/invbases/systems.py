@@ -329,7 +329,7 @@ def load_builtin(name: str, order: str | None = None) -> SystemFile:
 def load_system_file(path: str | Path, order: str | None = None) -> SystemFile:
     p = Path(path)
     try:
-        text = p.read_text()
-    except OSError as exc:
+        text = p.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError("cannot read system file %s: %s" % (p, exc)) from None
     return parse_system(text, p.stem, order=order)

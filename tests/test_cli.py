@@ -192,6 +192,17 @@ class TestFailures:
         assert message in captured.err
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("command", ["compute --input", "bench --systems"])
+    def test_input_file_that_is_not_utf8(self, tmp_path, capsys, command):
+        path = tmp_path / "f.sys"
+        path.write_bytes(b"\xff\xfe\x00bad")
+        rc = main(command.split() + [str(path)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert "cannot read system file %s" % path in captured.err
+        assert "Traceback" not in captured.err
+
     def test_no_command(self, capsys):
         rc = main([])
         capsys.readouterr()

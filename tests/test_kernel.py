@@ -1,6 +1,8 @@
 """The reduction kernel: `PendingTerms` and the three normal forms on it.
 
-The accumulator is checked on its own and against `Polynomial.sub_mul_term`.
+The accumulator is checked on its own, against `Polynomial.sub_mul_term`,
+and against `FractionPendingTerms`, the accumulator it replaced (`Fraction`
+coefficients instead of integer numerators over a common denominator).
 Each normal-form reference below rebuilds the polynomial after every
 irreducible head with `drop_lt`, as the three normal forms once did.  The
 normal forms must return the same remainder, the same verdict and the same
@@ -8,6 +10,9 @@ deflected queue entries on random inputs, under every division.
 """
 from __future__ import annotations
 
+import math
+import operator
+from bisect import bisect_left
 from fractions import Fraction
 
 import pytest
@@ -24,6 +29,7 @@ from invbases.core import (
     lex,
     mono_div,
     mono_mul,
+    mono_one,
 )
 from invbases.division import division_by_name
 from invbases.engine import EngineOptions, _Engine, _InvolutiveReducer, reg_normal_form
@@ -41,6 +47,50 @@ from invbases.signatures import (
 from conftest import monomials, polynomials, small_fractions
 
 DIVISIONS = ("janet", "alex", "thomas")
+
+
+class FractionPendingTerms:
+    """The accumulator before integer numerators: `Fraction` coefficients in
+    an ascending list, with a parallel list of order keys."""
+
+    def __init__(self, p: Polynomial):
+        self.order = p.order
+        key = self._key = p.order._key
+        self._terms = list(reversed(p.terms))
+        self._keys = [key(m) for _, m in self._terms]
+
+    def __bool__(self) -> bool:
+        return bool(self._terms)
+
+    def pop(self):
+        self._keys.pop()
+        return self._terms.pop()
+
+    def descending(self) -> tuple:
+        return tuple(reversed(self._terms))
+
+    def sub_tail(self, coeff, mono: Monomial, g: Polynomial) -> int:
+        c = -Fraction(coeff)
+        ue, ud = mono.exps, mono.deg
+        key, keys, terms = self._key, self._keys, self._terms
+        hi = len(keys)
+        deg = -1
+        for gc, gm in g.terms[1:]:
+            m = Monomial(tuple(map(operator.add, gm.exps, ue)))
+            deg = max(deg, m.deg)
+            k = key(m)
+            hi = bisect_left(keys, k, 0, hi)
+            if hi < len(keys) and keys[hi] == k:
+                s = terms[hi][0] + gc * c
+                if s:
+                    terms[hi] = (s, terms[hi][1])
+                else:
+                    del keys[hi]
+                    del terms[hi]
+            else:
+                keys.insert(hi, k)
+                terms.insert(hi, (gc * c, m))
+        return deg
 
 
 def drop_lt_involutive_nf(reducer: _InvolutiveReducer, f: Polynomial) -> Polynomial:
@@ -165,6 +215,34 @@ def reduction_cases(draw, max_reducers: int = 4):
     return order, G, f
 
 
+# Word-sized and larger primes, so that common denominators grow past what a
+# shortcut for small or integer coefficients would cover.
+PRIMES = (2, 3, 5, 1_000_003, 998_244_353, 2**61 - 1)
+
+
+def prime_fractions():
+    """Nonzero rationals whose numerators and denominators are products of
+    up to three of PRIMES, with a small signed factor on the numerator."""
+    products = st.lists(st.sampled_from(PRIMES), max_size=3).map(math.prod)
+    numerators = st.builds(operator.mul, st.sampled_from((-4, -3, -2, -1, 1, 2, 3, 4)), products)
+    return st.builds(Fraction, numerators, products)
+
+
+def unfiltered_monomials(n: int, max_deg: int):
+    """Monomials of degree at most max_deg, drawn as a multiset of variables
+    (no rejection, unlike `monomials`, which a long chain would overuse)."""
+    return st.lists(st.integers(0, n - 1), max_size=max_deg).map(
+        lambda vs: Monomial(tuple(vs.count(i) for i in range(n)))
+    )
+
+
+def prime_polynomials(order, n: int, max_terms: int = 5):
+    """Polynomials with prime_fractions coefficients; zero only when no term
+    survives the merge of equal monomials."""
+    term = st.tuples(prime_fractions(), unfiltered_monomials(n, 3))
+    return st.lists(term, min_size=1, max_size=max_terms).map(lambda ts: Polynomial(order, ts))
+
+
 def sig_strategy(n: int, k: int):
     return st.builds(Signature, monomials(n, 2), st.integers(1, k))
 
@@ -216,6 +294,14 @@ def pending_poly(pending: PendingTerms) -> Polynomial:
     return Polynomial._raw(pending.order, pending.descending())
 
 
+def assert_content_removed(pending: PendingTerms) -> None:
+    """The numerators share no factor with `den`, so `den` is the least
+    common denominator of the pending terms."""
+    assert pending.den > 0
+    assert math.gcd(pending.den, *pending._nums) == 1
+    assert pending.den == math.lcm(*[c.denominator for c, _ in pending.descending()])
+
+
 class TestPendingTerms:
     def test_pop_takes_the_largest_term(self):
         pending = PendingTerms(poly((1, (2, 0)), (2, (0, 1)), (3, (0, 0))))
@@ -262,6 +348,39 @@ class TestPendingTerms:
         assert pending.sub_tail(1, Monomial((1, 0)), poly((1, (0, 4)), (1, (2, 0)), (1, (0, 3)),
                                                           (1, (0, 0)))) == 4
         assert pending.sub_tail(1, Monomial((1, 0)), poly((1, (0, 4)))) == -1
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_fraction_accumulator(self, data):
+        vs = VarSet(("x", "y", "z")[: data.draw(st.integers(2, 3))])
+        order = data.draw(st.sampled_from((lex, degrevlex)))(vs)
+        p = data.draw(prime_polynomials(order, vs.n))
+        pending, ref = PendingTerms(p), FractionPendingTerms(p)
+        assert_content_removed(pending)
+        for _ in range(data.draw(st.integers(1, 8))):
+            for _ in range(data.draw(st.integers(0, 2))):
+                if ref:
+                    assert pending.pop() == ref.pop()
+                    assert pending.descending() == ref.descending()
+            g = data.draw(prime_polynomials(order, vs.n))
+            u = data.draw(unfiltered_monomials(vs.n, 2))
+            c = data.draw(prime_fractions())
+            # About half of the steps cancel a pending term exactly: with a
+            # constant term a in g's tail, c = (pending coefficient) / a at
+            # u = that pending monomial deletes the entry.
+            g = g + Polynomial(order, [(data.draw(prime_fractions()), mono_one(vs.n))])
+            if g.is_zero:
+                continue
+            terms = ref.descending()
+            if terms and len(g) > 1 and g.terms[-1][1].is_one and data.draw(st.booleans()):
+                tc, u = data.draw(st.sampled_from(terms))
+                c = tc / g.terms[-1][0]
+            assert pending.sub_tail(c, u, g) == ref.sub_tail(c, u, g)
+            assert pending.descending() == ref.descending()
+            assert_content_removed(pending)
+        while ref:
+            assert pending.pop() == ref.pop()
+        assert not pending
 
     @given(st.data())
     @settings(max_examples=100, deadline=None)

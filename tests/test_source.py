@@ -27,3 +27,53 @@ def test_no_assert_statements_in_the_package():
 def test_the_scan_finds_asserts():
     source = "def f(x):\n    if x:\n        assert x > 0, 'positive'\n"
     assert assert_statements(source, "sample.py") == ["sample.py:3"]
+
+
+# Private members of `fractions.Fraction`: building or reading a fraction
+# through them skips its normalisation, so the kernel uses the public API.
+FRACTION_INTERNALS = {"_normalize", "_numerator", "_denominator", "_from_coprime_ints"}
+
+
+def fraction_internals(source: str, filename: str) -> list[str]:
+    """`file:line name` of every attribute, name, keyword argument or string
+    constant in the source that is one of FRACTION_INTERNALS."""
+    tree = ast.parse(source, filename=filename)
+    hits = []
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Attribute):
+            name = n.attr
+        elif isinstance(n, ast.Name):
+            name = n.id
+        elif isinstance(n, ast.keyword):
+            name = n.arg
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            name = n.value
+        else:
+            continue
+        if name in FRACTION_INTERNALS:
+            hits.append("%s:%d %s" % (filename, n.lineno, name))
+    return hits
+
+
+def test_no_private_fraction_internals_in_the_package():
+    files = sorted(SRC.glob("*.py"))
+    assert files
+    found = [hit for path in files for hit in fraction_internals(path.read_text(), path.name)]
+    assert found == []
+
+
+def test_the_scan_finds_fraction_internals():
+    source = (
+        "from fractions import Fraction\n"
+        "def f(n, d, c):\n"
+        "    a = Fraction(n, d, _normalize=False)\n"
+        "    b = Fraction._from_coprime_ints(n, d)\n"
+        "    return c._numerator * c._denominator, getattr(c, '_numerator')\n"
+    )
+    assert fraction_internals(source, "sample.py") == [
+        "sample.py:3 _normalize",
+        "sample.py:4 _from_coprime_ints",
+        "sample.py:5 _numerator",
+        "sample.py:5 _denominator",
+        "sample.py:5 _numerator",
+    ]

@@ -130,8 +130,13 @@ def run_one(
 
 
 def run_bench(config: BenchConfig) -> list[BenchRow]:
-    if not config.systems:
-        raise UsageError("benchmark needs at least one system")
+    for what, names in (
+        ("system", config.systems),
+        ("algorithm", config.algorithms),
+        ("division", config.divisions),
+    ):
+        if not names:
+            raise UsageError("benchmark needs at least one %s" % what)
     rng = random.Random(config.seed)
     rows = []
     for name in config.systems:

@@ -507,6 +507,17 @@ class PendingTerms:
     def __bool__(self) -> bool:
         return bool(self._keys)
 
+    def copy(self) -> PendingTerms:
+        """An independent accumulator holding the same pending terms."""
+        other = object.__new__(PendingTerms)
+        other.order = self.order
+        other._key = self._key
+        other._keys = self._keys[:]
+        other._nums = self._nums[:]
+        other._monos = self._monos[:]
+        other.den = self.den
+        return other
+
     def pop(self) -> tuple[Fraction, Monomial]:
         """Remove and return the largest pending term."""
         self._keys.pop()

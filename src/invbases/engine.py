@@ -186,6 +186,10 @@ def _support(m: Monomial) -> int:
     return mask
 
 
+# The fields of a row of `_Engine._head_table`, for invariant messages.
+_HEAD_FIELDS = ("element", "head", "degree", "support mask", "nonmultiplicative mask", "rank")
+
+
 class _Engine:
     """State of one signature-based completion run.
 
@@ -253,8 +257,7 @@ class _Engine:
                 )
             sp = SigPoly(sig, g, g.lm, self._new_anc_id(), set(), next(self._uid), unit)
             if i == k - 1:
-                self.T.append(sp)
-                self._partition.add(g.lm)
+                self._grow(sp)
                 if unit is not None:
                     self.records.append(CofactorRecord(sig, g, unit))
             else:
@@ -280,6 +283,31 @@ class _Engine:
         nonmultiplicative sets of the heads that stay.
         """
         self._partition = self.division.partition([t.poly.lm for t in self.T])
+        self._heads = self._head_table()
+
+    def _grow(self, sp: SigPoly) -> None:
+        """Append sp to the basis: the kept partition grows by `Partition.add`
+        and the head table is rebuilt, because the addition can widen the
+        nonmultiplicative sets of the heads already there."""
+        self.T.append(sp)
+        self._partition.add(sp.poly.lm)
+        self._heads = self._head_table()
+
+    def _head_table(self) -> list[tuple]:
+        """One row per basis element for the divisor scan: the element, its
+        head, the head's degree, support bitmask and nonmultiplicative
+        bitmask (bit i set for variable i) under the kept partition, and the
+        element's rank (order key of the head, uid)."""
+        key = self.order.key
+        nonmult = self._partition.nonmult
+        rows = []
+        for q in self.T:
+            lm = q.poly.lm
+            nm_mask = 0
+            for i in nonmult(lm):
+                nm_mask |= 1 << i
+            rows.append((q, lm, lm.deg, _support(lm), nm_mask, (key(lm), q.uid)))
+        return rows
 
     def _bump_deg(self, poly: Polynomial) -> None:
         if not poly.is_zero and poly.degree > self.stats.max_deg:
@@ -299,30 +327,42 @@ class _Engine:
         away by an already-queued element of the same signature.
 
         At most one element per signature stays queued, the one with the
-        smallest head: elements of equal signature reduce to the same normal
-        form up to redundancy, so only one needs processing.
+        smallest head (`_loses_merge`): elements of equal signature reduce
+        to the same normal form up to redundancy, so only one needs
+        processing.  `_deflect` applies the same rule before building a
+        deflected combination and, when it loses, does this method's
+        accounting without calling it.
         """
         if sp.poly.is_zero:
             return False
         self._bump_deg(sp.poly)
         self._check_cofactors(sp)
-        if (
-            self.options.check_invariants
-            and creator_sig is not None
-            and sig_cmp(self.order, sp.sig, creator_sig) < 0
-        ):
-            raise AssertionError("queued signature below its creator")
+        self._check_creator(sp.sig, creator_sig)
         lm_key = self.order.key(sp.poly.lm)
-        incumbent = self._sig_best.get(sp.sig)
-        if incumbent is not None:
+        if sp.sig in self._sig_best:
             self.stats.sig_merges += 1
-            if lm_key >= self.order.key(incumbent.poly.lm):
+            if self._loses_merge(sp.sig, lm_key):
                 return False
             self.stats.killed_q += 1
         self._sig_best[sp.sig] = sp
         key = (sig_sort_key(self.order, sp.sig), lm_key, next(self._seq))
         heapq.heappush(self._heap, (key, sp))
         return True
+
+    def _loses_merge(self, sig: Signature, lm_key) -> bool:
+        """The same-signature merge rule: an element of signature sig whose
+        head has order key lm_key is dropped when the queued element of sig
+        has a head no larger."""
+        incumbent = self._sig_best.get(sig)
+        return incumbent is not None and lm_key >= self.order.key(incumbent.poly.lm)
+
+    def _check_creator(self, sig: Signature, creator_sig: Signature | None) -> None:
+        if (
+            self.options.check_invariants
+            and creator_sig is not None
+            and sig_cmp(self.order, sig, creator_sig) < 0
+        ):
+            raise AssertionError("queued signature below its creator")
 
     def _pop(self) -> SigPoly | None:
         while self._heap:
@@ -347,7 +387,8 @@ class _Engine:
 
     def _check_partition(self) -> None:
         """The partition kept up by `Partition.add` must equal one built
-        from scratch over the current heads."""
+        from scratch over the current heads, and the kept head table one
+        rebuilt from that partition."""
         kept = self._partition
         fresh = self.division.partition([t.poly.lm for t in self.T])
         if kept.monomials != fresh.monomials:
@@ -358,6 +399,18 @@ class _Engine:
                     "partition keeps nonmultiplicative variables %s for %r, a rebuild gives %s"
                     % (sorted(kept.nonmult(u)), u.exps, sorted(fresh.nonmult(u)))
                 )
+        rebuilt = self._head_table()
+        if len(self._heads) != len(rebuilt):
+            raise AssertionError(
+                "head table has %d rows for %d basis elements" % (len(self._heads), len(rebuilt))
+            )
+        for row, want in zip(self._heads, rebuilt):
+            for name, a, b in zip(_HEAD_FIELDS, row, want):
+                if a != b:
+                    raise AssertionError(
+                        "head table keeps %s %r for %r, a rebuild gives %r"
+                        % (name, a, want[1].exps, b)
+                    )
 
     def _pop_checks(self, p: SigPoly) -> None:
         if not self.options.check_invariants:
@@ -396,6 +449,28 @@ class _Engine:
 
     # -- regular normal form -------------------------------------------
 
+    def _head_divisors(self, m: Monomial) -> list[tuple]:
+        """The basis elements whose heads involutively divide m, as
+        (element, quotient, rank) in basis order.
+
+        The scan walks the kept head table and passes over a head before
+        trying to divide when its degree exceeds m's, when its support is
+        not inside m's, or when m has a variable that is absent from the head
+        and nonmultiplicative for it: the quotient would contain that
+        variable.  `Partition.allows` decides the heads that remain.
+        """
+        deg = m.deg
+        mask = _support(m)
+        allows = self._partition.allows
+        out = []
+        for q, qlm, qdeg, qmask, nm_mask, rank in self._heads:
+            if qdeg > deg or qmask & ~mask or mask & ~qmask & nm_mask:
+                continue
+            u = mono_div(m, qlm)
+            if u is not None and allows(qlm, u):
+                out.append((q, u, rank))
+        return out
+
     def regular_normal_form(self, p: SigPoly):
         """Reduce p by signature-safe involutive head reductions.
 
@@ -403,21 +478,18 @@ class _Engine:
         recognises the first head reduction as unnecessary the normal form
         is zero and the verdict names the criterion.  Heads reducible only
         unsafely (the reducer would raise the signature) are deflected: the
-        offending combination is queued under its true signature and the
-        head is treated as irreducible here.
+        offending combination is queued under its true signature
+        (`_deflect`) and the head is treated as irreducible here.
 
         The pending terms live in a `PendingTerms`: the largest one is
         popped and either joins the remainder or is cancelled by a reduction
         step, which folds the rest of the multiplied reducer into the
-        pending terms.  Polynomials are built only for the remainder and
-        for a deflected combination (from the remainder, the term and the
-        pending terms).  The divisor scan passes over a basis head whose
-        degree exceeds the term's, or whose support bitmask is not inside
-        the term's, before trying to divide: neither can divide the term.
+        pending terms.  A polynomial is built for the remainder, and for a
+        deflected combination only when it is queued.  The divisors of each
+        term come from `_head_divisors`, ranked safe first, then by head and
+        uid.
         """
         order = self.order
-        allows = self._partition.allows
-        heads = [(q, q.poly.lm, _support(q.poly.lm)) for q in self.T]
         pending = PendingTerms(p.poly)
         rem = []  # irreducible terms, descending: the normal form's terms
         cofs = p.cofactors
@@ -428,17 +500,10 @@ class _Engine:
         while pending:
             term = pending.pop()
             tc, tm = term
-            tdeg = tm.deg
-            tmask = _support(tm)
             candidates = []
-            for q, qlm, qmask in heads:
-                if qlm.deg > tdeg or qmask & ~tmask:
-                    continue
-                u = mono_div(tm, qlm)
-                if u is None or not allows(qlm, u):
-                    continue
+            for q, u, rank in self._head_divisors(tm):
                 safe = sig_cmp(order, sig_mul(u, q.sig), p.sig) <= 0
-                candidates.append(((0 if safe else 1, order.key(qlm), q.uid), q, u))
+                candidates.append(((0 if safe else 1, *rank), q, u))
             if not candidates:
                 rem.append(term)
                 at_head = False
@@ -460,35 +525,9 @@ class _Engine:
             if chosen_rank[0] != 0:
                 # Every head divisor would raise the signature; the term
                 # stays.  Where the division asks for it, queue the
-                # combination the reduction would have formed under the
-                # reducer's shifted signature, where it is a legitimate new
-                # element.
+                # combination the reduction would have formed.
                 if self.deflect:
-                    # Every remainder term lies above every pending term.
-                    current = (*rem, term, *pending.descending())
-                    value = Polynomial._raw(order, current).sub_mul_term(
-                        c, chosen_u, chosen.poly
-                    )
-                    dsig = sig_mul(chosen_u, chosen.sig)
-                    if not value.is_zero and (dsig, value.lm) not in deflected:
-                        deflected.add((dsig, value.lm))
-                        dcofs = None
-                        if cofs is not None:
-                            dcofs = tuple(
-                                a.sub_mul_term(c, chosen_u, b).scale(1 / value.lc)
-                                for a, b in zip(cofs, chosen.cofactors)
-                            )
-                        dsp = SigPoly(
-                            dsig,
-                            value.monic(),
-                            value.lm,
-                            self._new_anc_id(),
-                            set(),
-                            next(self._uid),
-                            dcofs,
-                        )
-                        if self._push(dsp, creator_sig=p.sig):
-                            self.stats.deflections += 1
+                    self._deflect(p, c, chosen, chosen_u, rem, pending, cofs, deflected)
                 rem.append(term)
                 continue
             deg = pending.sub_tail(c, chosen_u, chosen.poly)
@@ -502,6 +541,68 @@ class _Engine:
 
         p.cofactors = cofs
         return Polynomial._raw(order, tuple(rem)), None
+
+    def _deflect(self, p, c, chosen, chosen_u, rem, pending, cofs, deflected) -> None:
+        """Queue the combination current - c*chosen_u*chosen.poly of a
+        reduction that would raise the signature, under the reducer's
+        shifted signature, where it is a legitimate new element.  Here
+        current is the remainder `rem`, the popped term c*chosen_u*lt(chosen)
+        and the `pending` terms, with cofactors `cofs`; `deflected` holds
+        the (signature, head) pairs this normal form has already deflected,
+        and a pair seen before is skipped.
+
+        Every remainder term lies above the popped term, so above every
+        pending term and every product term: with a remainder, the
+        combination's head is rem[0] before anything is built.  When that
+        head would lose the same-signature merge (`_loses_merge`), `_push`
+        would drop the combination, and only its accounting is done here:
+        the creator check, the merge count, the two identities the element
+        would have drawn, and the degree bump.  That bump takes the largest
+        degree of c*chosen_u*chosen.poly: its head is the popped term,
+        within `max_deg` already, and a product term above `max_deg` has
+        nothing to cancel against, so it is the degree `_push` would see.
+        Otherwise the combination is built from a copy of the accumulator,
+        since c*chosen_u*lt(chosen) cancels the popped term.  With cofactors
+        it is always built, so that `_push` checks them.
+        """
+        dsig = sig_mul(chosen_u, chosen.sig)
+        if rem:
+            head = rem[0][1]
+            if (dsig, head) in deflected:
+                return
+            if cofs is None and self._loses_merge(dsig, self.order.key(head)):
+                deflected.add((dsig, head))
+                deg = chosen_u.deg + chosen.poly.degree
+                if deg > self.stats.max_deg:
+                    self.stats.max_deg = deg
+                self._check_creator(dsig, p.sig)
+                self.stats.sig_merges += 1
+                self._new_anc_id()
+                next(self._uid)
+                return
+        acc = pending.copy()
+        acc.sub_tail(c, chosen_u, chosen.poly)
+        value = Polynomial._raw(self.order, (*rem, *acc.descending()))
+        if value.is_zero or (dsig, value.lm) in deflected:
+            return
+        deflected.add((dsig, value.lm))
+        dcofs = None
+        if cofs is not None:
+            dcofs = tuple(
+                a.sub_mul_term(c, chosen_u, b).scale(1 / value.lc)
+                for a, b in zip(cofs, chosen.cofactors)
+            )
+        dsp = SigPoly(
+            dsig,
+            value.monic(),
+            value.lm,
+            self._new_anc_id(),
+            set(),
+            next(self._uid),
+            dcofs,
+        )
+        if self._push(dsp, creator_sig=p.sig):
+            self.stats.deflections += 1
 
     # -- main loop -----------------------------------------------------
 
@@ -558,8 +659,7 @@ class _Engine:
         self._bump_deg(hm)
         if self.options.check_invariants and any(t.poly.lm == hm.lm for t in self.T):
             raise AssertionError("inserted a duplicate head into the basis")
-        self.T.append(t_new)
-        self._partition.add(hm.lm)
+        self._grow(t_new)
         if self.options.check_invariants:
             self._check_partition()
         if t_new.cofactors is not None:

@@ -53,10 +53,11 @@ def xy_degrevlex(xy_vars):
 
 
 def monomials(n: int, max_deg: int = 4):
-    """Monomials in n variables with total degree at most max_deg."""
-    return st.tuples(*(st.integers(0, max_deg) for _ in range(n))).filter(
-        lambda e: sum(e) <= max_deg
-    ).map(Monomial)
+    """Monomials in n variables with total degree at most max_deg, drawn as a
+    multiset of at most max_deg variables, so that no draw is rejected."""
+    return st.lists(st.integers(0, n - 1), max_size=max_deg).map(
+        lambda vs: Monomial(tuple(vs.count(i) for i in range(n)))
+    )
 
 
 def monomial_sets(n: int, max_deg: int = 4, min_size: int = 1, max_size: int = 6):

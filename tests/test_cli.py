@@ -161,6 +161,18 @@ class TestFailures:
         assert rc == 2
         assert "error:" in captured.err
 
+    @pytest.mark.parametrize(
+        "flag, what", [("--algorithms", "algorithm"), ("--divisions", "division")]
+    )
+    @pytest.mark.parametrize("value", ["", ","])
+    def test_empty_bench_list(self, flag, what, value, capsys):
+        rc = main(["bench", "--systems", "cyclic3", flag, value])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert "benchmark needs at least one %s" % what in captured.err
+        assert "Traceback" not in captured.err
+
     def test_cofactors_need_the_signature_algorithm(self, capsys):
         rc = main(["compute", "--system", "cyclic2", "--algorithm", "invbas", "--cofactors"])
         captured = capsys.readouterr()

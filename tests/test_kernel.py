@@ -31,7 +31,7 @@ from invbases.core import (
     mono_mul,
     mono_one,
 )
-from invbases.division import division_by_name
+from invbases.division import alex_division, division_by_name
 from invbases.engine import EngineOptions, _Engine, _InvolutiveReducer, reg_normal_form
 from invbases.oracles import buchberger_nf
 from invbases.signatures import (
@@ -44,7 +44,7 @@ from invbases.signatures import (
     sig_mul,
 )
 
-from conftest import monomials, polynomials, small_fractions
+from conftest import monomial_sets, monomials, polynomials, small_fractions
 
 DIVISIONS = ("janet", "alex", "thomas")
 
@@ -228,18 +228,10 @@ def prime_fractions():
     return st.builds(Fraction, numerators, products)
 
 
-def unfiltered_monomials(n: int, max_deg: int):
-    """Monomials of degree at most max_deg, drawn as a multiset of variables
-    (no rejection, unlike `monomials`, which a long chain would overuse)."""
-    return st.lists(st.integers(0, n - 1), max_size=max_deg).map(
-        lambda vs: Monomial(tuple(vs.count(i) for i in range(n)))
-    )
-
-
 def prime_polynomials(order, n: int, max_terms: int = 5):
     """Polynomials with prime_fractions coefficients; zero only when no term
     survives the merge of equal monomials."""
-    term = st.tuples(prime_fractions(), unfiltered_monomials(n, 3))
+    term = st.tuples(prime_fractions(), monomials(n, 3))
     return st.lists(term, min_size=1, max_size=max_terms).map(lambda ts: Polynomial(order, ts))
 
 
@@ -342,6 +334,17 @@ class TestPendingTerms:
         with pytest.raises(UsageError):
             pending.sub_tail(1, Monomial((0, 1, 0)), poly((1, (1, 0)), (1, (0, 1))))
 
+    def test_a_copy_is_independent(self):
+        pending = PendingTerms(poly((1, (2, 0)), (Fraction(1, 3), (1, 1)), (2, (0, 0))))
+        before = pending.descending()
+        twin = pending.copy()
+        y = Monomial((0, 1))
+        twin.sub_tail(Fraction(1, 2), y, poly((1, (1, 0)), (Fraction(2, 3), (0, 1))))
+        assert pending.descending() == before
+        assert pending_poly(twin) == pending_poly(pending).sub_mul_term(
+            Fraction(1, 2), y, poly((Fraction(2, 3), (0, 1)))
+        )
+
     def test_returns_the_largest_product_degree(self):
         pending = PendingTerms(poly((1, (3, 0))))
         # The tail y^3 + x^2 + 1 times x: x*y^3 and x are new, x^3 cancels.
@@ -363,7 +366,7 @@ class TestPendingTerms:
                     assert pending.pop() == ref.pop()
                     assert pending.descending() == ref.descending()
             g = data.draw(prime_polynomials(order, vs.n))
-            u = data.draw(unfiltered_monomials(vs.n, 2))
+            u = data.draw(monomials(vs.n, 2))
             c = data.draw(prime_fractions())
             # About half of the steps cancel a pending term exactly: with a
             # constant term a in g's tail, c = (pending coefficient) / a at
@@ -427,6 +430,40 @@ class TestBuchbergerNF:
         assert str(nf) == "2*x^3 + x^2 + x + 1"
 
 
+@st.composite
+def head_cases(draw):
+    """Distinct heads in 2-3 variables, and terms that are mostly multiples
+    of them, so that many heads divide a term."""
+    vs = VarSet(("x", "y", "z")[: draw(st.integers(2, 3))])
+    heads = sorted(draw(monomial_sets(vs.n, max_deg=3, max_size=6)), key=lambda m: m.exps)
+    multiples = st.builds(mono_mul, st.sampled_from(heads), monomials(vs.n, 3))
+    terms = draw(st.lists(multiples | monomials(vs.n, 5), min_size=1, max_size=8))
+    return vs, heads, terms
+
+
+class TestHeadDivisors:
+    @given(head_cases(), st.sampled_from(DIVISIONS))
+    @settings(max_examples=150, deadline=None)
+    def test_the_mask_passes_over_only_heads_that_do_not_divide(self, case, division_name):
+        vs, heads, terms = case
+        order = degrevlex(vs)
+        one = mono_one(vs.n)
+        basis = [
+            SigPoly(Signature(one, 1), Polynomial(order, [(1, m)]), m, i, set(), i)
+            for i, m in enumerate(heads)
+        ]
+        engine = _Engine(division_by_name(division_name, vs), order, EngineOptions(), basis)
+        part = engine._partition
+        for t in terms:
+            found = [(q.uid, u, rank) for q, u, rank in engine._head_divisors(t)]
+            want = [
+                (q.uid, mono_div(t, q.poly.lm), (order.key(q.poly.lm), q.uid))
+                for q in basis
+                if part.inv_divides(q.poly.lm, t)
+            ]
+            assert found == want
+
+
 class TestRegularNormalForm:
     @given(signed_cases(), st.sampled_from(DIVISIONS))
     @settings(max_examples=150, deadline=None)
@@ -449,3 +486,65 @@ class TestRegularNormalForm:
         engine = _Engine(div, order, EngineOptions(), basis, archive)
         engine.regular_normal_form(p)
         assert engine.stats == ref_engine.stats
+
+    @given(signed_cases(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_drop_lt_loop_over_a_filled_queue(self, case, data):
+        # Elements already queued at the signatures u*sig(q) of the heads'
+        # reductions, so that alex deflections meet the same-signature merge.
+        order, basis, archive, p = case
+        div = division_by_name("alex", order.vars)
+        queued_first = []
+        for q in basis:
+            for _c, m in p.poly:
+                u = mono_div(m, q.poly.lm)
+                if u is not None and data.draw(st.booleans()):
+                    g = data.draw(polynomials(order, order.vars.n, max_deg=3)).monic()
+                    uid = 100 + len(queued_first)
+                    queued_first.append(SigPoly(sig_mul(u, q.sig), g, g.lm, uid, set(), uid))
+        engines = []
+        for _ in range(2):
+            engine = _Engine(div, order, EngineOptions(), basis, archive)
+            for sp in queued_first:
+                engine._push(sp, None)
+            engines.append(engine)
+        ref_h, ref_verdict = drop_lt_regular_normal_form(engines[0], p)
+        h, verdict = engines[1].regular_normal_form(p)
+        assert verdict is ref_verdict
+        assert h.terms == ref_h.terms
+        assert engines[1].stats == engines[0].stats
+        assert queued(engines[1]) == queued(engines[0])
+
+    def test_a_deflection_that_loses_the_merge_is_only_counted(self):
+        # Under lex, q = x + y^5 reduces both terms of p = x^2 + x*y^3 only
+        # unsafely (index 1 lies above index 2).  The first deflection is
+        # queued; the second, at signature y^3*e1, has head x^2 and loses to
+        # the queued element y of that signature, yet its product term y^8
+        # still raises max_deg from 6 to 8.
+        order = lex(XY)
+        div = alex_division(XY)
+
+        def lex_poly(*terms):
+            return Polynomial(order, [(Fraction(c), Monomial(e)) for c, e in terms])
+
+        one = Monomial((0, 0))
+        q = lex_poly((1, (1, 0)), (1, (0, 5)))
+        basis = [SigPoly(Signature(one, 1), q, q.lm, 0, set(), 0)]
+        f = lex_poly((1, (2, 0)), (1, (1, 3)))
+        p = SigPoly(Signature(one, 2), f, f.lm, 1, set(), 1)
+        incumbent = lex_poly((1, (0, 1)))
+        engines = []
+        for _ in range(2):
+            engine = _Engine(div, order, EngineOptions(), basis)
+            engine._push(
+                SigPoly(Signature(Monomial((0, 3)), 1), incumbent, incumbent.lm, 2, set(), 2), None
+            )
+            engines.append(engine)
+        ref_h, ref_verdict = drop_lt_regular_normal_form(engines[0], p)
+        h, verdict = engines[1].regular_normal_form(p)
+        assert (h.terms, verdict) == (ref_h.terms, ref_verdict)
+        s = engines[1].stats
+        assert (s.max_deg, s.deflections, s.sig_merges, s.killed_q) == (8, 1, 1, 0)
+        assert s == engines[0].stats
+        assert queued(engines[1]) == queued(engines[0])
+        assert (next(engines[1]._uid), next(engines[1]._anc_ids)) == (2, 2)

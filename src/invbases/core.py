@@ -85,15 +85,6 @@ class Monomial:
     def __repr__(self) -> str:
         return "Monomial(%r)" % (self.exps,)
 
-    @property
-    def is_one(self) -> bool:
-        return self.deg == 0
-
-    @property
-    def variables(self) -> tuple[int, ...]:
-        """Indices of variables that occur with positive exponent."""
-        return tuple(i for i, e in enumerate(self.exps) if e > 0)
-
     def divides(self, other: Monomial) -> bool:
         _check_dim(self, other)
         return self.deg <= other.deg and all(map(operator.le, self.exps, other.exps))
@@ -144,6 +135,18 @@ def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
     return _mono(e, sum(e))
 
 
+# Order keys pack the exponents as base-2^KEY_BITS digits.  Integer order
+# equals the monomial ordering only while every total degree is below
+# KEY_BOUND; `Ordering.key`, `Ordering.product_key` and `PendingTerms.sub_tail`
+# raise `UsageError` from there on.
+KEY_BITS = 32
+KEY_BOUND = 1 << KEY_BITS
+
+
+def _key_bound_error(deg: int) -> UsageError:
+    return UsageError("total degree %d reaches the order key bound 2^%d" % (deg, KEY_BITS))
+
+
 @dataclass(frozen=True)
 class Ordering:
     """A total monomial ordering of one of the supported kinds.
@@ -161,28 +164,44 @@ class Ordering:
     def __post_init__(self):
         if self.kind not in ORDER_KINDS:
             raise UsageError("unknown ordering kind %r" % (self.kind,))
-        # The formula is picked here, once; `key` only checks the dimension.
-        object.__setattr__(self, "_n", self.vars.n)
-        object.__setattr__(self, "_key", _key_formula(self.kind, self.vars.priority))
-
-    def __reduce__(self):
-        # Rebuild the derived key on unpickling; a local function does not pickle.
-        return (Ordering, (self.kind, self.vars))
+        # The key is linear in the exponents: one weight per variable, by
+        # its place in the priority, plus one for the total degree.
+        n = self.vars.n
+        place = {v: j for j, v in enumerate(self.vars.priority)}
+        if self.kind == DEGREVLEX:
+            weights = [-(KEY_BOUND ** place[i]) for i in range(n)]
+        else:
+            weights = [KEY_BOUND ** (n - 1 - place[i]) for i in range(n)]
+        deg_weight = {LEX: 0, DEGREVLEX: KEY_BOUND ** n, ALEX: -(KEY_BOUND ** n)}[self.kind]
+        object.__setattr__(self, "_n", n)
+        object.__setattr__(self, "_weights", tuple(weights))
+        object.__setattr__(self, "_deg_weight", deg_weight)
 
     @property
     def admissible(self) -> bool:
         return self.kind in (LEX, DEGREVLEX)
 
-    def key(self, m: Monomial):
+    def key(self, m: Monomial) -> int:
         """Sort key; bigger key means greater monomial.
 
-        lex: the exponents in priority order; degrevlex: the total degree,
-        then the negated exponents in reverse priority order; alex: the
-        negated total degree, then the exponents in priority order.
+        With B = KEY_BOUND and e_j the exponent of the variable in place j
+        of the priority (j = 0 most significant): lex is Σ e_j·B^(n−1−j);
+        degrevlex is deg·B^n − Σ e_j·B^j; alex is −deg·B^n plus the lex
+        key.  Keys add: key(u·m) = key(u) + key(m).  Raises `UsageError`
+        for a total degree of B or more, where digits would carry.
         """
         if len(m.exps) != self._n:
             raise UsageError("monomial dimension mismatch: %d vs %d" % (len(m.exps), self._n))
-        return self._key(m)
+        if m.deg >= KEY_BOUND:
+            raise _key_bound_error(m.deg)
+        return m.deg * self._deg_weight + sum(map(operator.mul, m.exps, self._weights))
+
+    def product_key(self, a: Monomial, b: Monomial) -> int:
+        """key(a·b) without building a·b; raises `UsageError` as `key`
+        does for the product."""
+        if a.deg + b.deg >= KEY_BOUND:
+            raise _key_bound_error(a.deg + b.deg)
+        return self.key(a) + self.key(b)
 
     def cmp(self, a: Monomial, b: Monomial) -> int:
         ka, kb = self.key(a), self.key(b)
@@ -191,31 +210,6 @@ class Ordering:
         if ka > kb:
             return GREATER
         return EQUAL
-
-
-def _key_formula(kind: str, pr: tuple[int, ...]):
-    """The sort key of one ordering kind under the variable priority `pr`,
-    as a function of the monomial alone (no dimension check)."""
-    if kind == LEX and pr == tuple(range(len(pr))):
-        return operator.attrgetter("exps")
-    if kind == LEX:
-        def lex_key(m: Monomial):
-            e = m.exps
-            return tuple([e[i] for i in pr])
-        return lex_key
-    if kind == DEGREVLEX:
-        rpr = pr[::-1]
-
-        def degrevlex_key(m: Monomial):
-            e = m.exps
-            return (m.deg, tuple([-e[i] for i in rpr]))
-        return degrevlex_key
-
-    def alex_key(m: Monomial):
-        # smaller total degree wins, then lex
-        e = m.exps
-        return (-m.deg, tuple([e[i] for i in pr]))
-    return alex_key
 
 
 def lex(vars: VarSet) -> Ordering:
@@ -245,13 +239,16 @@ class Polynomial:
 
     `terms` is a tuple of (coefficient, monomial) pairs sorted strictly
     descending under `order`; no zero coefficients, no repeated monomials.
+    The order keys of the terms are taken when a `PendingTerms` first needs
+    them (`key_row`) and kept.
     """
 
-    __slots__ = ("order", "terms")
+    __slots__ = ("order", "terms", "_row")
 
     def __init__(self, order: Ordering, terms: Iterable[tuple[Fraction, Monomial]] = ()):
         self.order = order
         self.terms = _canonical_terms(order, terms)
+        self._row = None
 
     @classmethod
     def _raw(cls, order: Ordering, terms: tuple) -> Polynomial:
@@ -259,6 +256,7 @@ class Polynomial:
         p = object.__new__(cls)
         p.order = order
         p.terms = terms
+        p._row = None
         if __debug__:
             p._assert_canonical()
         return p
@@ -306,6 +304,14 @@ class Polynomial:
         if not self.terms:
             raise UsageError("zero polynomial has no leading term")
         return self.terms[0]
+
+    def key_row(self) -> tuple:
+        """The order keys of the terms, in term order."""
+        row = self._row
+        if row is None:
+            key = self.order.key
+            row = self._row = tuple([key(m) for _, m in self.terms])
+        return row
 
     @property
     def degree(self) -> int:
@@ -391,17 +397,6 @@ class Polynomial:
             return self
         return self.scale(1 / self.lc)
 
-    def drop_lt(self) -> Polynomial:
-        if not self.terms:
-            raise UsageError("zero polynomial has no leading term")
-        return Polynomial._raw(self.order, self.terms[1:])
-
-    def coefficient(self, mono: Monomial) -> Fraction:
-        for c, m in self.terms:
-            if m == mono:
-                return c
-        return Fraction(0)
-
     def __str__(self) -> str:
         return render_polynomial(self)
 
@@ -481,28 +476,29 @@ class PendingTerms:
     A normal form takes the largest pending term with `pop` and either moves
     it to its remainder or cancels it against the leading term of a multiple
     c*u*g of a reducer, whose other terms `sub_tail` then folds in.  The
-    terms are kept ascending (largest last) in three parallel lists: order
-    keys, integer numerators and monomials, all numerators over one positive
-    integer denominator `den`.  `pop` takes the last entry, and each folded
-    term finds its place by `bisect` on its key, so no step rebuilds the
-    terms that a reduction leaves alone, and a step adds integers, not
-    fractions.  After each step the content gcd(den, numerators) is divided
-    out, so `den` is always the least common denominator of the pending
-    terms.  Terms leave the accumulator as `Fraction` coefficients.
+    terms are kept ascending (largest last) in three parallel lists: integer
+    order keys, integer numerators and monomials, all numerators over one
+    positive integer denominator `den`.  A product term's key is key(u) plus
+    the key of g's term (`Polynomial.key_row`), and its monomial is kept as
+    the pair (term monomial, u) until `pop` or `descending` hands it out:
+    equal keys mean equal monomials, so merging and cancelling need none.
+    `pop` takes the last entry, and each folded term finds its place by
+    `bisect` on its key, so no step rebuilds the terms that a reduction
+    leaves alone, and a step adds integers, not fractions.  After each step
+    the content gcd(den, numerators) is divided out, so `den` is always the
+    least common denominator of the pending terms.  Terms leave the
+    accumulator as `Fraction` coefficients.
     """
 
-    __slots__ = ("order", "_key", "_keys", "_nums", "_monos", "den")
+    __slots__ = ("order", "_keys", "_nums", "_monos", "den")
 
     def __init__(self, p: Polynomial):
         self.order = p.order
-        # The undimensioned key: a polynomial's terms and the products that
-        # `sub_tail` forms both have the ordering's dimension.
-        key = self._key = p.order._key
         terms = p.terms[::-1]
         den = self.den = math.lcm(*[c.denominator for c, _ in terms])
         self._nums = [c.numerator * (den // c.denominator) for c, _ in terms]
         self._monos = [m for _, m in terms]
-        self._keys = [key(m) for m in self._monos]
+        self._keys = list(p.key_row()[::-1])
 
     def __bool__(self) -> bool:
         return bool(self._keys)
@@ -511,7 +507,6 @@ class PendingTerms:
         """An independent accumulator holding the same pending terms."""
         other = object.__new__(PendingTerms)
         other.order = self.order
-        other._key = self._key
         other._keys = self._keys[:]
         other._nums = self._nums[:]
         other._monos = self._monos[:]
@@ -521,12 +516,13 @@ class PendingTerms:
     def pop(self) -> tuple[Fraction, Monomial]:
         """Remove and return the largest pending term."""
         self._keys.pop()
-        return Fraction(self._nums.pop(), self.den), self._monos.pop()
+        return Fraction(self._nums.pop(), self.den), _built(self._monos.pop())
 
     def descending(self) -> tuple:
         """The pending terms, largest first, as a polynomial keeps them."""
         den = self.den
-        return tuple(zip([Fraction(n, den) for n in reversed(self._nums)], reversed(self._monos)))
+        return tuple(zip([Fraction(n, den) for n in reversed(self._nums)],
+                         [_built(m) for m in reversed(self._monos)]))
 
     def sub_tail(self, coeff, mono: Monomial, g: Polynomial) -> int:
         """Subtract coeff*mono*(g - lt(g)) from the pending terms.
@@ -535,17 +531,19 @@ class PendingTerms:
         cancels the term just popped.  When `den` is not a multiple of the
         products' common denominator (coeff's denominator times the lcm of
         the tail's), the numerators are rescaled once to the lcm of the two.
-        A product term then joins the entry of equal monomial, which goes
-        when the sum is zero, or else is inserted.  The products come in
+        A product term then joins the entry of equal key, which goes when
+        the sum is zero, or else is inserted.  The products come in
         descending order (the orderings are compatible with
         multiplication), so each one is searched for below the place of the
         one before.  Last the content gcd(den, numerators) is divided out.
         Returns the largest total degree of the product terms, -1 when g has
-        a single term.
+        a single term.  A product of total degree KEY_BOUND or more raises
+        `UsageError` before its key is used, and leaves the accumulator
+        part-way through the step.
         """
         if g.order != self.order:
             raise UsageError("cannot combine polynomials under different orderings")
-        _check_dim(mono, g.lm)
+        ku = self.order.key(mono)
         c = Fraction(coeff)
         tail = g.terms[1:]
         lcm = math.lcm(*[gc.denominator for gc, _ in tail])
@@ -559,17 +557,17 @@ class PendingTerms:
             den = new
         # Over den, a product -c*gc has numerator f * gc.numerator * (lcm // gc.denominator).
         f = -c.numerator * (den // need)
-        ue, ud = mono.exps, mono.deg
-        key = self._key
-        add = operator.add
+        ud = mono.deg
         hi = len(keys)
         deg = -1
-        for gc, gm in tail:
-            m = _mono(tuple(map(add, gm.exps, ue)), gm.deg + ud)
-            if m.deg > deg:
-                deg = m.deg
+        for (gc, gm), kg in zip(tail, g.key_row()[1:]):
+            d = gm.deg + ud
+            if d > deg:
+                if d >= KEY_BOUND:
+                    raise _key_bound_error(d)
+                deg = d
             t = f * gc.numerator * (lcm // gc.denominator)
-            k = key(m)
+            k = ku + kg
             hi = bisect_left(keys, k, 0, hi)
             if hi < len(keys) and keys[hi] == k:
                 s = nums[hi] + t
@@ -582,7 +580,7 @@ class PendingTerms:
             else:
                 keys.insert(hi, k)
                 nums.insert(hi, t)
-                monos.insert(hi, m)
+                monos.insert(hi, (gm, mono))
         if den > 1:
             content = math.gcd(den, *nums)
             if content > 1:
@@ -590,6 +588,15 @@ class PendingTerms:
                 nums[:] = [n // content for n in nums]
         self.den = den
         return deg
+
+
+def _built(m) -> Monomial:
+    """A pending monomial, built from its (term monomial, multiplier) pair
+    when `sub_tail` stored it as one."""
+    if m.__class__ is tuple:
+        a, b = m
+        return _mono(tuple(map(operator.add, a.exps, b.exps)), a.deg + b.deg)
+    return m
 
 
 def render_monomial(m: Monomial, names: tuple[str, ...]) -> str:

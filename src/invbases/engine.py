@@ -29,7 +29,6 @@ from .core import (
     Polynomial,
     UsageError,
     mono_div,
-    mono_mul,
     mono_one,
     mono_var,
 )
@@ -443,7 +442,7 @@ class _Engine:
             u = mono_div(p.sig.mono, t.sig.mono)
             if u is None:
                 continue
-            if self.order.key(mono_mul(u, t.poly.lm)) < key:
+            if self.order.product_key(u, t.poly.lm) < key:
                 return True
         return False
 

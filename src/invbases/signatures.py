@@ -119,11 +119,6 @@ class LMArchive:
         if lm not in col:
             col.append(lm)
 
-    def column(self, index: int) -> tuple[Monomial, ...]:
-        if not 1 <= index <= self.k:
-            raise UsageError("archive position %d out of range" % index)
-        return tuple(self.columns[index - 1])
-
     def divisor_above(self, index: int, m: Monomial) -> Monomial | None:
         """First recorded head at any position later than `index` (hence at a
         smaller module position under the ordering) dividing m."""

@@ -1,5 +1,8 @@
-"""Shared fixtures and hypothesis strategies for the test suite."""
+"""Shared fixtures and hypothesis strategies for the test suite, and a time
+limit per test."""
 from __future__ import annotations
+
+import signal
 
 import pytest
 from hypothesis import strategies as st
@@ -25,6 +28,58 @@ order: degrevlex
 p: x^2 - 2*x*y
 p: x*y - 3*y^2
 """
+
+
+# Neither completion bounds its loop, so a kernel fault that misses a divisor
+# shows as a hang; the limit turns it into a failure.  The slowest test takes
+# a few seconds.  A test stuck inside one native call, such as an operation
+# on a huge integer, never reaches the SIGALRM handler; for that case
+# pyproject.toml sets a later faulthandler timeout that ends the run.
+TEST_TIME_LIMIT_S = 60
+
+
+class TimeLimitExceeded(BaseException):
+    """A test ran past TEST_TIME_LIMIT_S.  Not an `Exception`, so that
+    neither the code under test nor hypothesis takes it for a failure of
+    one example and goes on."""
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_protocol(item, nextitem):
+    """Time setup, call and teardown of each test together, by SIGALRM."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def expire(signum, frame):
+        # Raised inside a finalizer that the garbage collector runs, the
+        # exception is ignored, so fire again until it reaches pytest.
+        signal.alarm(5)
+        raise TimeLimitExceeded(
+            "%s ran past the limit of %d s for its setup, call and teardown; "
+            "stopped in %s (%s:%s)"
+            % (item.nodeid, TEST_TIME_LIMIT_S, frame.f_code.co_name,
+               frame.f_code.co_filename, frame.f_lineno))
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(TEST_TIME_LIMIT_S)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.hookimpl(tryfirst=True)
+def pytest_runtest_makereport(item, call):
+    """Report an overrun by its message alone: the traceback of an
+    interrupted frame may lack line numbers, which pytest cannot format."""
+    if call.excinfo is not None and call.excinfo.errisinstance(TimeLimitExceeded):
+        signal.alarm(0)
+        try:
+            pytest.fail(str(call.excinfo.value), pytrace=False)
+        except pytest.fail.Exception:
+            call.excinfo = pytest.ExceptionInfo.from_current()
 
 
 @pytest.fixture

@@ -1,8 +1,10 @@
 """The reduction kernel: `PendingTerms` and the three normal forms on it.
 
 The accumulator is checked on its own, against `Polynomial.sub_mul_term`,
-and against `FractionPendingTerms`, the accumulator it replaced (`Fraction`
-coefficients instead of integer numerators over a common denominator).
+and against `FractionPendingTerms`, the accumulator it replaced: `Fraction`
+coefficients instead of integer numerators over a common denominator, and
+each product's monomial and key built when it is folded in, not its key
+added from the reducer's key row and its monomial built when it leaves.
 Each normal-form reference below rebuilds the polynomial after every
 irreducible head with `drop_lt`, as the three normal forms once did.  The
 normal forms must return the same remainder, the same verdict and the same
@@ -20,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from invbases.core import (
+    KEY_BOUND,
     Monomial,
     PendingTerms,
     Polynomial,
@@ -50,17 +53,24 @@ DIVISIONS = ("janet", "alex", "thomas")
 
 
 class FractionPendingTerms:
-    """The accumulator before integer numerators: `Fraction` coefficients in
-    an ascending list, with a parallel list of order keys."""
+    """The accumulator before integer numerators and lazy products:
+    `Fraction` coefficients and built monomials in an ascending list, with a
+    parallel list of order keys."""
 
     def __init__(self, p: Polynomial):
         self.order = p.order
-        key = self._key = p.order._key
+        key = self._key = p.order.key
         self._terms = list(reversed(p.terms))
         self._keys = [key(m) for _, m in self._terms]
 
     def __bool__(self) -> bool:
         return bool(self._terms)
+
+    def copy(self) -> FractionPendingTerms:
+        other = object.__new__(FractionPendingTerms)
+        other.order, other._key = self.order, self._key
+        other._terms, other._keys = self._terms[:], self._keys[:]
+        return other
 
     def pop(self):
         self._keys.pop()
@@ -93,6 +103,11 @@ class FractionPendingTerms:
         return deg
 
 
+def drop_lt(h: Polynomial) -> Polynomial:
+    """h without its leading term."""
+    return Polynomial._raw(h.order, h.terms[1:])
+
+
 def drop_lt_involutive_nf(reducer: _InvolutiveReducer, f: Polynomial) -> Polynomial:
     allows = reducer.partition.allows
     h = f
@@ -108,7 +123,7 @@ def drop_lt_involutive_nf(reducer: _InvolutiveReducer, f: Polynomial) -> Polynom
                 break
         if hit is None:
             rem.append(h.lt)
-            h = h.drop_lt()
+            h = drop_lt(h)
         else:
             h = h.sub_mul_term(h.lc / hit.lc, hit_u, hit)
     return Polynomial._raw(reducer.order, tuple(rem))
@@ -131,7 +146,7 @@ def drop_lt_buchberger_nf(f: Polynomial, G, order) -> Polynomial:
                 break
         if hit is None:
             rem.append(h.lt)
-            h = h.drop_lt()
+            h = drop_lt(h)
         else:
             h = h.sub_mul_term(h.lc / hit.lc, hit_u, hit)
     return Polynomial._raw(order, tuple(rem))
@@ -158,7 +173,7 @@ def drop_lt_regular_normal_form(engine: _Engine, p: SigPoly):
             candidates.append(((0 if safe else 1, order.key(q.poly.lm), q.uid), q, u))
         if not candidates:
             rem.append(h.lt)
-            h = h.drop_lt()
+            h = drop_lt(h)
             at_head = False
             continue
         candidates.sort(key=lambda t: t[0])
@@ -190,7 +205,7 @@ def drop_lt_regular_normal_form(engine: _Engine, p: SigPoly):
                     if engine._push(dsp, creator_sig=p.sig):
                         engine.stats.deflections += 1
             rem.append(h.lt)
-            h = h.drop_lt()
+            h = drop_lt(h)
             at_head = False
             continue
         c = h.lc / chosen.poly.lc
@@ -375,7 +390,7 @@ class TestPendingTerms:
             if g.is_zero:
                 continue
             terms = ref.descending()
-            if terms and len(g) > 1 and g.terms[-1][1].is_one and data.draw(st.booleans()):
+            if terms and len(g) > 1 and g.terms[-1][1].deg == 0 and data.draw(st.booleans()):
                 tc, u = data.draw(st.sampled_from(terms))
                 c = tc / g.terms[-1][0]
             assert pending.sub_tail(c, u, g) == ref.sub_tail(c, u, g)
@@ -384,6 +399,48 @@ class TestPendingTerms:
         while ref:
             assert pending.pop() == ref.pop()
         assert not pending
+
+    def test_a_product_at_the_key_bound_is_rejected(self):
+        half = KEY_BOUND // 2
+        pending = PendingTerms(poly((1, (0, 0))))
+        # y^(B/2) * (x^(B/2) + y^(B/2 - 1)) stays below the bound ...
+        g = poly((1, (half, 0)), (1, (0, half - 1)))
+        assert pending.sub_tail(1, Monomial((0, half)), g) == KEY_BOUND - 1
+        # ... and y^(B/2) * (x^(B/2) + y^(B/2)) reaches it.
+        g = poly((1, (half, 0)), (1, (0, half)))
+        with pytest.raises(UsageError, match="order key bound"):
+            pending.sub_tail(1, Monomial((0, half)), g)
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_lazy_products_match_an_eager_accumulator(self, data):
+        """`sub_tail` keeps a product's monomial as a (term, multiplier)
+        pair until `pop` or `descending` builds it; products merge and
+        cancel by key alone.  A step may be undone by its negation, so that
+        products cancel before they are popped, and copies taken part-way
+        must go on holding what the eager reference holds."""
+        vs = VarSet(("x", "y", "z")[: data.draw(st.integers(2, 3))])
+        order = data.draw(st.sampled_from((lex, degrevlex)))(vs)
+        p = data.draw(polynomials(order, vs.n))
+        pending, ref = PendingTerms(p), FractionPendingTerms(p)
+        copies = []
+        for _ in range(data.draw(st.integers(1, 6))):
+            g = data.draw(polynomials(order, vs.n, max_terms=5))
+            u = data.draw(monomials(vs.n, 2))
+            c = data.draw(small_fractions())
+            steps = [c, -c] if data.draw(st.booleans()) else [c]
+            for step in steps:
+                assert pending.sub_tail(step, u, g) == ref.sub_tail(step, u, g)
+            assert g.key_row() is g.key_row()
+            if data.draw(st.booleans()):
+                copies.append((pending.copy(), ref.copy()))
+            if ref and data.draw(st.booleans()):
+                assert pending.pop() == ref.pop()
+        for acc, acc_ref in [(pending, ref), *copies]:
+            assert acc.descending() == acc_ref.descending()
+            while acc_ref:
+                assert acc.pop() == acc_ref.pop()
+            assert not acc
 
     @given(st.data())
     @settings(max_examples=100, deadline=None)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from invbases.core import (
     EQUAL,
     GREATER,
+    KEY_BOUND,
     LESS,
     Monomial,
     UsageError,
@@ -35,11 +36,27 @@ XY = Monomial((1, 1))
 X2 = Monomial((2, 0))
 ONE2 = mono_one(2)
 
+PRIORITIES = ((0, 1, 2), (2, 0, 1), (1, 2, 0))
+
+
+def textbook_key(kind: str, priority: tuple[int, ...], m: Monomial) -> tuple:
+    """The ordering as a tuple comparison, straight from its definition:
+    lex compares exponents in priority order; degrevlex compares the total
+    degree, then the negated exponents in reverse priority order; alex
+    compares the negated total degree, then lex."""
+    e = m.exps
+    lex_part = tuple(e[i] for i in priority)
+    if kind == "lex":
+        return lex_part
+    if kind == "degrevlex":
+        return (m.deg, tuple(-e[i] for i in reversed(priority)))
+    return (-m.deg, lex_part)
+
 
 class TestMonomial:
     def test_degree_is_exponent_sum(self):
         assert Monomial((2, 0, 3)).deg == 5
-        assert ONE2.deg == 0 and ONE2.is_one
+        assert ONE2.deg == 0
 
     def test_rejects_negative_exponents(self):
         with pytest.raises(UsageError):
@@ -53,10 +70,6 @@ class TestMonomial:
         assert Monomial((1, 2)) == Monomial((1, 2))
         assert Monomial((1, 2)) != Monomial((2, 1))
         assert len({Monomial((1, 2)), Monomial((1, 2))}) == 1
-
-    def test_variables_lists_positive_positions(self):
-        assert Monomial((0, 2, 1)).variables == (1, 2)
-        assert mono_one(3).variables == ()
 
     def test_divides(self):
         assert XY.divides(X2Y)
@@ -234,16 +247,41 @@ class TestOrderings:
             assert back == o
             assert back.key(X2Y) == o.key(X2Y)
 
-    @given(monomials(3))
-    def test_key_is_the_textbook_formula(self, m):
-        e = m.exps
-        for priority in ((0, 1, 2), (2, 0, 1), (1, 2, 0)):
+    @given(monomials(3, max_deg=8), monomials(3, max_deg=8))
+    def test_key_orders_as_the_textbook_tuples(self, a, b):
+        for priority in PRIORITIES:
             vs = VarSet(("x", "y", "z"), priority)
-            lex_part = tuple(e[i] for i in priority)
-            revlex_part = tuple(-e[i] for i in reversed(priority))
-            assert lex(vs).key(m) == lex_part
-            assert degrevlex(vs).key(m) == (sum(e), revlex_part)
-            assert alex(vs).key(m) == (-sum(e), lex_part)
+            for kind in ("lex", "degrevlex", "alex"):
+                o = ordering_by_name(kind, vs)
+                ka, kb = o.key(a), o.key(b)
+                ta, tb = textbook_key(kind, priority, a), textbook_key(kind, priority, b)
+                assert isinstance(ka, int)
+                assert (ka < kb) == (ta < tb)
+                assert (ka == kb) == (ta == tb)
+
+    @given(monomials(3, max_deg=8), monomials(3, max_deg=8))
+    def test_keys_add_under_multiplication(self, u, m):
+        for priority in PRIORITIES:
+            vs = VarSet(("x", "y", "z"), priority)
+            for kind in ("lex", "degrevlex", "alex"):
+                o = ordering_by_name(kind, vs)
+                assert o.key(mono_mul(u, m)) == o.key(u) + o.key(m)
+                assert o.product_key(u, m) == o.key(mono_mul(u, m))
+
+    def test_key_rejects_a_degree_at_the_bound(self):
+        for kind in ("lex", "degrevlex", "alex"):
+            o = ordering_by_name(kind, VarSet(("x", "y"), (1, 0)))
+            # Just below the bound the integer order is still the ordering.
+            top = Monomial((KEY_BOUND - 1, 0))
+            below = Monomial((KEY_BOUND - 2, 1))
+            assert (o.key(top) < o.key(below)) == (
+                textbook_key(kind, (1, 0), top) < textbook_key(kind, (1, 0), below))
+            for exps in ((KEY_BOUND, 0), (1, KEY_BOUND - 1)):
+                with pytest.raises(UsageError, match="order key bound"):
+                    o.key(Monomial(exps))
+            # A product reaching the bound, of two factors below it.
+            with pytest.raises(UsageError, match="order key bound"):
+                o.product_key(Monomial((1, 0)), top)
 
     @given(monomials(3), monomials(3))
     def test_cmp_antisymmetry(self, a, b):

@@ -76,7 +76,8 @@ def candidate_sets(draw):
     repeat = draw(st.sampled_from(("none", "scaled", "tail")))
     if repeat != "none":
         p = draw(st.sampled_from(polys))
-        polys.append(p.scale(2) if repeat == "scaled" else p + p.drop_lt().scale(2))
+        tail = Polynomial(p.order, p.terms[1:])
+        polys.append(p.scale(2) if repeat == "scaled" else p + tail.scale(2))
     return order, polys
 
 

@@ -89,19 +89,12 @@ class TestAccessors:
         for attr in ("lm", "lc", "lt"):
             with pytest.raises(UsageError):
                 getattr(z, attr)
-        with pytest.raises(UsageError):
-            z.drop_lt()
         assert z.degree == -1
 
     def test_iteration_and_len(self):
         p = poly(LEX, (1, X2), (1, Y2))
         assert len(p) == 2
         assert [m for _, m in p] == [X2, Y2]
-
-    def test_coefficient_lookup(self):
-        p = poly(LEX, (1, X2), (-2, Y2))
-        assert p.coefficient(Y2) == -2
-        assert p.coefficient(XY) == 0
 
 
 class TestCanonicalCheck:
@@ -147,10 +140,6 @@ class TestArithmetic:
         assert p.mul_term(Fraction(1, 2), X) == poly(LEX, (1, Monomial((2, 1))), (2, Monomial((1, 2))))
         assert p.scale(0).is_zero
         assert p.monic().lc == 1
-
-    def test_drop_lt(self):
-        p = poly(LEX, (1, X2), (1, Y2))
-        assert p.drop_lt() == poly(LEX, (1, Y2))
 
     def test_mixed_orderings_are_rejected(self):
         p = poly(LEX, (1, XY))

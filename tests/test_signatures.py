@@ -107,15 +107,14 @@ class TestLMArchive:
         arch = LMArchive([[X2], [XY]])
         arch.record(1, Y2)
         arch.record(1, Y2)
-        assert arch.column(1) == (X2, Y2)
-        assert arch.column(2) == (XY,)
+        assert arch.columns == [[X2, Y2], [XY]]
 
     def test_position_bounds(self):
         arch = LMArchive([[X2]])
         with pytest.raises(UsageError):
             arch.record(2, XY)
         with pytest.raises(UsageError):
-            arch.column(0)
+            arch.record(0, XY)
 
     def test_divisor_above_scans_later_positions_only(self):
         arch = LMArchive([[X2], [XY]])

@@ -3,8 +3,11 @@
 Monomials are exponent tuples over a fixed variable set.  Polynomials keep
 their terms sorted in strictly descending monomial order, with coefficients
 stored as `fractions.Fraction`, so every value has one canonical form.
-Only the reduction accumulator `PendingTerms` holds integers: numerators
-over one common denominator, turned back into `Fraction`s as terms leave it.
+Terms are combined in two places only.  Every cancelling step (the three
+normal forms and `spoly`) runs in the reduction accumulator `PendingTerms`,
+which holds integers: numerators over one common denominator, turned back
+into `Fraction`s as terms leave it.  All other arithmetic (`+`, `-`, `*`)
+goes through the canonicalising constructor `Polynomial(order, terms)`.
 """
 from __future__ import annotations
 
@@ -340,35 +343,25 @@ class Polynomial:
         return Polynomial._raw(self.order, tuple((-c, m) for c, m in self.terms))
 
     def __add__(self, other: Polynomial) -> Polynomial:
-        return self._combine(1, None, other)
-
-    def __sub__(self, other: Polynomial) -> Polynomial:
-        return self._combine(-1, None, other)
-
-    def sub_mul_term(self, coeff, mono: Monomial, other: Polynomial) -> Polynomial:
-        """self - coeff*mono*other in one merge: the reduction step
-        ``h - g.mul_term(c, u)`` without the two intermediate polynomials."""
-        return self._combine(-Fraction(coeff), mono, other)
-
-    def _combine(self, coeff, mono: Monomial | None, other: Polynomial) -> Polynomial:
-        """self + coeff*mono*other; `mono` None stands for 1."""
+        if not isinstance(other, Polynomial):
+            return NotImplemented
         if self.order != other.order:
             raise UsageError("cannot combine polynomials under different orderings")
-        if coeff == 0:
-            return self
-        return Polynomial._raw(self.order, _merge(self.order, self.terms, other.terms, coeff, mono))
+        return Polynomial(self.order, self.terms + other.terms)
+
+    def __sub__(self, other: Polynomial) -> Polynomial:
+        if not isinstance(other, Polynomial):
+            return NotImplemented
+        return self + -other
 
     def __mul__(self, other: Polynomial) -> Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         if self.order != other.order:
             raise UsageError("cannot combine polynomials under different orderings")
-        acc: dict[Monomial, Fraction] = {}
-        for c1, m1 in self.terms:
-            for c2, m2 in other.terms:
-                m = mono_mul(m1, m2)
-                acc[m] = acc.get(m, Fraction(0)) + c1 * c2
-        return Polynomial(self.order, ((c, m) for m, c in acc.items()))
+        return Polynomial(self.order, [
+            (c1 * c2, mono_mul(m1, m2)) for c1, m1 in self.terms for c2, m2 in other.terms
+        ])
 
     def mul_term(self, coeff, mono: Monomial) -> Polynomial:
         """Multiply by a single term coeff*mono; a unit coefficient only
@@ -405,68 +398,20 @@ class Polynomial:
 
 
 def _canonical_terms(order: Ordering, terms) -> tuple:
+    """Sum the coefficients of equal monomials, drop zeros, sort descending."""
+    n = order.vars.n
     acc: dict[Monomial, Fraction] = {}
     for c, m in terms:
-        c = Fraction(c)
-        if c == 0:
+        if c.__class__ is not Fraction:
+            c = Fraction(c)
+        if not c:
             continue
-        if len(m.exps) != order.vars.n:
-            raise UsageError("monomial dimension mismatch: %d vs %d" % (len(m.exps), order.vars.n))
-        acc[m] = acc.get(m, Fraction(0)) + c
+        if len(m.exps) != n:
+            raise UsageError("monomial dimension mismatch: %d vs %d" % (len(m.exps), n))
+        prev = acc.get(m)
+        acc[m] = c if prev is None else prev + c
     out = [(c, m) for m, c in acc.items() if c != 0]
     out.sort(key=lambda t: order.key(t[1]), reverse=True)
-    return tuple(out)
-
-
-def _merge(order: Ordering, a: tuple, b: tuple, coeff, mono: Monomial | None) -> tuple:
-    """The canonical terms of a + coeff*mono*b, for canonical term tuples a
-    and b, a nonzero coefficient and a monomial (None stands for 1).
-
-    One pass over both tuples: every term's order key is taken once, when
-    the pass reaches the term, and equal keys mean equal monomials.
-    Multiplying by a monomial keeps b's terms in order, because every
-    ordering kind here is compatible with multiplication.
-    """
-    if coeff != 1 or mono is not None:
-        b = [(c * coeff, m if mono is None else mono_mul(m, mono)) for c, m in b]
-    na, nb = len(a), len(b)
-    if not nb:
-        return a
-    if not na:
-        return tuple(b)
-    key = order.key
-    out = []
-    append = out.append
-    i = j = 0
-    ta, tb = a[0], b[0]
-    ka, kb = key(ta[1]), key(tb[1])
-    while True:
-        if ka > kb:
-            append(ta)
-            i += 1
-            if i == na:
-                break
-            ta = a[i]
-            ka = key(ta[1])
-        elif ka < kb:
-            append(tb)
-            j += 1
-            if j == nb:
-                break
-            tb = b[j]
-            kb = key(tb[1])
-        else:
-            c = ta[0] + tb[0]
-            if c != 0:
-                append((c, ta[1]))
-            i += 1
-            j += 1
-            if i == na or j == nb:
-                break
-            ta, tb = a[i], b[j]
-            ka, kb = key(ta[1]), key(tb[1])
-    out.extend(a[i:])
-    out.extend(b[j:])
     return tuple(out)
 
 
@@ -639,4 +584,8 @@ def spoly(f: Polynomial, g: Polynomial) -> Polynomial:
     l = mono_lcm(f.lm, g.lm)
     uf = mono_div(l, f.lm)
     ug = mono_div(l, g.lm)
-    return f.mul_term(1 / f.lc, uf).sub_mul_term(1 / g.lc, ug, g)
+    # One reduction step: the leading terms of the two multiples cancel.
+    pending = PendingTerms(f.mul_term(1 / f.lc, uf))
+    pending.pop()
+    pending.sub_tail(1 / g.lc, ug, g)
+    return Polynomial._raw(f.order, pending.descending())

@@ -534,7 +534,7 @@ class _Engine:
                 self.stats.max_deg = deg
             if cofs is not None:
                 cofs = tuple(
-                    a.sub_mul_term(c, chosen_u, b)
+                    a - b.mul_term(c, chosen_u)
                     for a, b in zip(cofs, chosen.cofactors)
                 )
 
@@ -588,7 +588,7 @@ class _Engine:
         dcofs = None
         if cofs is not None:
             dcofs = tuple(
-                a.sub_mul_term(c, chosen_u, b).scale(1 / value.lc)
+                (a - b.mul_term(c, chosen_u)).scale(1 / value.lc)
                 for a, b in zip(cofs, chosen.cofactors)
             )
         dsp = SigPoly(
@@ -700,13 +700,13 @@ class _Engine:
             u = mono_div(q.poly.lm, t_new.poly.lm)
             if u is None or not part.allows(t_new.poly.lm, u):
                 continue
-            value = q.poly.sub_mul_term(q.poly.lc, u, t_new.poly)
+            value = q.poly - t_new.poly.mul_term(q.poly.lc, u)
             if value.is_zero:
                 continue
             vcofs = None
             if q.cofactors is not None:
                 vcofs = tuple(
-                    a.sub_mul_term(q.poly.lc, u, b).scale(1 / value.lc)
+                    (a - b.mul_term(q.poly.lc, u)).scale(1 / value.lc)
                     for a, b in zip(q.cofactors, t_new.cofactors)
                 )
             sp = SigPoly(

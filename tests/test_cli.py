@@ -1,6 +1,7 @@
 """The command-line interface, driven through main() with captured output."""
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -87,6 +88,34 @@ class TestCompute:
         ])
         assert rc == 0
         assert "order: degrevlex\n" in capsys.readouterr().out
+
+
+# sha256 of the whole stdout of `compute` with these flags.  Counters and
+# heads are pinned in tests/test_engine.py; these pins catch any change to a
+# printed coefficient or cofactor as well.  Change them only with a change
+# that sets out to print different bases.
+PINNED_OUTPUTS = {
+    ("cyclic4", "janet", "invcomp"):
+        "7365b1cd8e26149ad6874b20d81c5df1a46485765286eae3c247ee5be201ecba",
+    ("cyclic4", "janet", "invbas"):
+        "7365b1cd8e26149ad6874b20d81c5df1a46485765286eae3c247ee5be201ecba",
+    ("noon3", "thomas", "invcomp"):
+        "8f25d7a5dc3369bbfc263b822b4159d074e751d5108860b71c9ac36b4db6e90c",
+    ("noon3", "thomas", "invbas"):
+        "ab6241d21d885063a8b224e55c9690526ab259f5aaebf33a044456508e41ff3c",
+    ("katsura3", "alex", "cofactors"):
+        "4983d7787b6c0dcecee1089b5998568c6caf6454dc80320753352b6276b437bf",
+}
+
+
+class TestPinnedOutputs:
+    @pytest.mark.parametrize("name, division_name, mode", sorted(PINNED_OUTPUTS))
+    def test_printed_output(self, name, division_name, mode, capsys):
+        flags = ["--cofactors"] if mode == "cofactors" else ["--algorithm", mode]
+        rc = main(["compute", "--system", name, "--division", division_name, *flags])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == PINNED_OUTPUTS[name, division_name, mode]
 
 
 class TestBench:

@@ -382,6 +382,21 @@ class TestOptionVariants:
         for rec in varied.cofactor_records:
             assert expand_cofactors(rec.cofactors, varied.sorted_input) == rec.poly
 
+    def test_cofactors_on_the_largest_thomas_run(self):
+        # katsura4/Thomas keeps 704 elements with cofactors, each updated by
+        # polynomial subtraction and scaling.  Its Gröbner check and the
+        # invariant checks take over a minute, so only these run.
+        sf = load_builtin("katsura4")
+        div = thomas_division(sf.vars)
+        base = inv_comp(sf.polynomials, div, sf.order)
+        varied = inv_comp(sf.polynomials, div, sf.order, EngineOptions(track_cofactors=True))
+        assert {p.lm for p in varied.basis} == {p.lm for p in base.basis}
+        assert is_involutive(varied.basis, div, sf.order)
+        assert len(varied.cofactor_records) == varied.stats.polys_loop
+        for rec in varied.cofactor_records:
+            assert expand_cofactors(rec.cofactors, varied.sorted_input) == rec.poly
+            assert admissibility_check(rec.cofactors, rec.sig, sf.order)
+
     def test_cofactors_expand_on_a_larger_run(self):
         sf = load_builtin("cyclic4")
         div = janet(sf.vars)

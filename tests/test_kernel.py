@@ -1,14 +1,17 @@
 """The reduction kernel: `PendingTerms` and the three normal forms on it.
 
-The accumulator is checked on its own, against `Polynomial.sub_mul_term`,
+The accumulator is checked on its own, against the difference
+``h - g.mul_term(c, u)`` of two whole polynomials (built by the
+canonicalising constructor, which shares no code with the accumulator),
 and against `FractionPendingTerms`, the accumulator it replaced: `Fraction`
 coefficients instead of integer numerators over a common denominator, and
 each product's monomial and key built when it is folded in, not its key
 added from the reducer's key row and its monomial built when it leaves.
 Each normal-form reference below rebuilds the polynomial after every
-irreducible head with `drop_lt`, as the three normal forms once did.  The
-normal forms must return the same remainder, the same verdict and the same
-deflected queue entries on random inputs, under every division.
+irreducible head with `drop_lt`, as the three normal forms once did, and
+takes each reduction step as that difference.  The normal forms must
+return the same remainder, the same verdict and the same deflected queue
+entries on random inputs, under every division.
 """
 from __future__ import annotations
 
@@ -125,7 +128,7 @@ def drop_lt_involutive_nf(reducer: _InvolutiveReducer, f: Polynomial) -> Polynom
             rem.append(h.lt)
             h = drop_lt(h)
         else:
-            h = h.sub_mul_term(h.lc / hit.lc, hit_u, hit)
+            h = h - hit.mul_term(h.lc / hit.lc, hit_u)
     return Polynomial._raw(reducer.order, tuple(rem))
 
 
@@ -148,7 +151,7 @@ def drop_lt_buchberger_nf(f: Polynomial, G, order) -> Polynomial:
             rem.append(h.lt)
             h = drop_lt(h)
         else:
-            h = h.sub_mul_term(h.lc / hit.lc, hit_u, hit)
+            h = h - hit.mul_term(h.lc / hit.lc, hit_u)
     return Polynomial._raw(order, tuple(rem))
 
 
@@ -188,9 +191,8 @@ def drop_lt_regular_normal_form(engine: _Engine, p: SigPoly):
         if chosen_rank[0] != 0:
             if engine.deflect:
                 c = h.lc / chosen.poly.lc
-                value = Polynomial._raw(order, tuple(rem) + h.terms).sub_mul_term(
-                    c, chosen_u, chosen.poly
-                )
+                current = Polynomial._raw(order, tuple(rem) + h.terms)
+                value = current - chosen.poly.mul_term(c, chosen_u)
                 dsig = sig_mul(chosen_u, chosen.sig)
                 if not value.is_zero and (dsig, value.lm) not in deflected:
                     deflected.add((dsig, value.lm))
@@ -209,7 +211,7 @@ def drop_lt_regular_normal_form(engine: _Engine, p: SigPoly):
             at_head = False
             continue
         c = h.lc / chosen.poly.lc
-        h = h.sub_mul_term(c, chosen_u, chosen.poly)
+        h = h - chosen.poly.mul_term(c, chosen_u)
         at_head = False
     return Polynomial._raw(order, tuple(rem)), None
 
@@ -356,9 +358,9 @@ class TestPendingTerms:
         y = Monomial((0, 1))
         twin.sub_tail(Fraction(1, 2), y, poly((1, (1, 0)), (Fraction(2, 3), (0, 1))))
         assert pending.descending() == before
-        assert pending_poly(twin) == pending_poly(pending).sub_mul_term(
-            Fraction(1, 2), y, poly((Fraction(2, 3), (0, 1)))
-        )
+        assert pending_poly(twin) == pending_poly(pending) - poly(
+            (Fraction(2, 3), (0, 1))
+        ).mul_term(Fraction(1, 2), y)
 
     def test_returns_the_largest_product_degree(self):
         pending = PendingTerms(poly((1, (3, 0))))
@@ -444,7 +446,7 @@ class TestPendingTerms:
 
     @given(st.data())
     @settings(max_examples=100, deadline=None)
-    def test_matches_sub_mul_term(self, data):
+    def test_matches_the_difference_of_whole_polynomials(self, data):
         vs = VarSet(("x", "y", "z")[: data.draw(st.integers(2, 3))])
         order = data.draw(st.sampled_from((lex, degrevlex)))(vs)
         p = data.draw(polynomials(order, vs.n))
@@ -454,8 +456,8 @@ class TestPendingTerms:
         pending = PendingTerms(p)
         deg = pending.sub_tail(c, u, g)
         lead = Polynomial._raw(order, (g.lt,))
-        # p - c*u*(g - lt(g)), through the merge of two whole polynomials
-        assert pending_poly(pending) == p.sub_mul_term(c, u, g).sub_mul_term(-c, u, lead)
+        # p - c*u*(g - lt(g)), through the constructor
+        assert pending_poly(pending) == p - (g - lead).mul_term(c, u)
         assert deg == max((mono_mul(m, u).deg for _, m in g.terms[1:]), default=-1)
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from invbases.core import (
     Monomial,
@@ -13,14 +14,14 @@ from invbases.core import (
     VarSet,
     degrevlex,
     lex,
+    mono_div,
     mono_lcm,
-    mono_mul,
     mono_one,
     render_polynomial,
     spoly,
 )
 
-from conftest import monomials, polynomials, small_fractions
+from conftest import polynomials
 
 VS = VarSet(("x", "y"))
 LEX = lex(VS)
@@ -147,7 +148,26 @@ class TestArithmetic:
         with pytest.raises(UsageError):
             p + q
         with pytest.raises(UsageError):
+            p - q
+        with pytest.raises(UsageError):
             p * q
+        # A zero multiple is still a polynomial of the other ordering.
+        with pytest.raises(UsageError):
+            p - q.mul_term(0, X)
+
+    @pytest.mark.parametrize("other", [1, Fraction(1), None], ids=["int", "Fraction", "None"])
+    def test_other_operands_are_not_implemented(self, other):
+        p = poly(LEX, (1, XY))
+        assert p.__add__(other) is NotImplemented
+        assert p.__sub__(other) is NotImplemented
+        with pytest.raises(TypeError):
+            p + other
+        with pytest.raises(TypeError):
+            p - other
+        with pytest.raises(TypeError):
+            other - p
+        with pytest.raises(TypeError):
+            p * other
 
     @given(polynomials(LEX, 2), polynomials(LEX, 2))
     def test_addition_commutes_and_stays_canonical(self, p, q):
@@ -158,24 +178,6 @@ class TestArithmetic:
     @given(polynomials(LEX, 2), polynomials(LEX, 2))
     def test_addition_then_subtraction_round_trips(self, p, q):
         assert (p + q) - q == p
-
-    @given(polynomials(DRL, 2), polynomials(DRL, 2), small_fractions(), monomials(2, 2))
-    def test_sub_mul_term_equals_the_two_step_form(self, p, g, c, u):
-        expected = p - g.mul_term(c, u)
-        assert p.sub_mul_term(c, u, g) == expected
-        # The constructor's dict accumulation shares no code with the merge.
-        scaled = [(-c * tc, mono_mul(tm, u)) for tc, tm in g.terms]
-        assert expected == Polynomial(DRL, list(p.terms) + scaled)
-        assert_canonical(p.sub_mul_term(c, u, g))
-        # Full cancellation: subtract p from a multiple of itself.
-        assert p.mul_term(c, u).sub_mul_term(c, u, p).is_zero
-        assert p.sub_mul_term(0, u, g) == p - g.mul_term(0, u) == p
-
-    def test_sub_mul_term_rejects_mixed_orderings(self):
-        with pytest.raises(UsageError):
-            poly(LEX, (1, XY)).sub_mul_term(1, X, poly(DRL, (1, Y)))
-        with pytest.raises(UsageError):
-            poly(LEX, (1, XY)).sub_mul_term(0, X, poly(DRL, (1, Y)))
 
     @given(polynomials(DRL, 2, max_deg=2, max_terms=3),
            polynomials(DRL, 2, max_deg=2, max_terms=3))
@@ -220,6 +222,20 @@ class TestSPoly:
     def test_rejects_zero_arguments(self):
         with pytest.raises(UsageError):
             spoly(Polynomial.zero(LEX), poly(LEX, (1, X)))
+
+    @pytest.mark.parametrize("order", [LEX, DRL], ids=["lex", "degrevlex"])
+    @given(data=st.data())
+    def test_equals_the_difference_of_the_two_multiples(self, order, data):
+        # max_terms=1 draws single-term f and g: the step pops f's only
+        # term and folds in g's empty tail.
+        f = data.draw(polynomials(order, 2, max_terms=data.draw(st.integers(1, 4))))
+        g = data.draw(polynomials(order, 2, max_terms=data.draw(st.integers(1, 4))))
+        l = mono_lcm(f.lm, g.lm)
+        s = spoly(f, g)
+        # The subtraction goes through the constructor's dict accumulation,
+        # which shares no code with the reduction accumulator.
+        assert s == f.mul_term(1 / f.lc, mono_div(l, f.lm)) - g.mul_term(1 / g.lc, mono_div(l, g.lm))
+        assert_canonical(s)
 
     @given(polynomials(DRL, 2, max_deg=3, max_terms=3),
            polynomials(DRL, 2, max_deg=3, max_terms=3))

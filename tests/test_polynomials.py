@@ -151,9 +151,15 @@ class TestArithmetic:
             p - q
         with pytest.raises(UsageError):
             p * q
+
+    def test_sub_mul_term_rejects_mixed_orderings(self):
+        # Subtracting a term multiple, p - g.mul_term(c, u), is the step the
+        # engine's cofactor updates take.
+        with pytest.raises(UsageError):
+            poly(LEX, (1, XY)) - poly(DRL, (1, Y)).mul_term(1, X)
         # A zero multiple is still a polynomial of the other ordering.
         with pytest.raises(UsageError):
-            p - q.mul_term(0, X)
+            poly(LEX, (1, XY)) - poly(DRL, (1, Y)).mul_term(0, X)
 
     @pytest.mark.parametrize("other", [1, Fraction(1), None], ids=["int", "Fraction", "None"])
     def test_other_operands_are_not_implemented(self, other):

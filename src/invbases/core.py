@@ -357,11 +357,7 @@ class Polynomial:
     def __mul__(self, other: Polynomial) -> Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        if self.order != other.order:
-            raise UsageError("cannot combine polynomials under different orderings")
-        return Polynomial(self.order, [
-            (c1 * c2, mono_mul(m1, m2)) for c1, m1 in self.terms for c2, m2 in other.terms
-        ])
+        return sum_of_products(self.order, [(self, other)])
 
     def mul_term(self, coeff, mono: Monomial) -> Polynomial:
         """Multiply by a single term coeff*mono; a unit coefficient only
@@ -413,6 +409,17 @@ def _canonical_terms(order: Ordering, terms) -> tuple:
     out = [(c, m) for m, c in acc.items() if c != 0]
     out.sort(key=lambda t: order.key(t[1]), reverse=True)
     return tuple(out)
+
+
+def sum_of_products(order: Ordering, pairs) -> Polynomial:
+    """The sum of a*b over the pairs (a, b), canonicalised once over all
+    product terms instead of once per partial sum."""
+    terms = []
+    for a, b in pairs:
+        if a.order != order or b.order != order:
+            raise UsageError("cannot combine polynomials under different orderings")
+        terms += [(c1 * c2, mono_mul(m1, m2)) for c1, m1 in a.terms for c2, m2 in b.terms]
+    return Polynomial(order, terms)
 
 
 class PendingTerms:

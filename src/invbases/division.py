@@ -122,6 +122,26 @@ def division_by_name(name: str, vars: VarSet) -> Division:
     raise UsageError("unknown division %r (expected one of %s)" % (name, ", ".join(DIVISION_NAMES)))
 
 
+def support(m: Monomial) -> int:
+    """Bitmask of the variables occurring in m: bit i is set when the
+    exponent of variable i is positive.  A divisor's mask lies inside the
+    mask of every monomial it divides."""
+    mask = 0
+    bit = 1
+    for e in m.exps:
+        if e:
+            mask |= bit
+        bit <<= 1
+    return mask
+
+
+def _mask(indices) -> int:
+    mask = 0
+    for i in indices:
+        mask |= 1 << i
+    return mask
+
+
 class Partition:
     """Multiplicative/nonmultiplicative split of a growing set U.
 
@@ -130,6 +150,12 @@ class Partition:
     over v in U, so an addition only widens the existing sets by the pairs
     with the newcomer.  Removing monomials can shrink the sets: build a new
     partition for what remains.
+
+    Each nonmultiplicative set is kept once, as a bitmask (bit i for
+    variable i).  `nm_mask` returns it, `allows` tests a quotient's support
+    against it, `nonmult` and `mult` decode it into sets of variable
+    indices, and the divisor scan of `engine._InvolutiveReducer` reads the
+    masks directly.
     """
 
     __slots__ = ("division", "monomials", "_nm")
@@ -137,60 +163,51 @@ class Partition:
     def __init__(self, division: Division, monomials: tuple[Monomial, ...]):
         self.division = division
         self.monomials = monomials
-        self._nm = {u: division.nm_set(u, monomials) for u in set(monomials)}
+        self._nm = {u: _mask(division.nm_set(u, monomials)) for u in set(monomials)}
 
     def add(self, w: Monomial) -> None:
         """Extend U by w (appended to `monomials`), keeping every split
         equal to that of a partition built from scratch."""
         nm_pair = self.division.nm_pair
         nm = self._nm
-        for u, nm_u in nm.items():
+        for u in nm:
             extra = nm_pair(u, w)
             if extra:
-                nm[u] = nm_u | extra
+                nm[u] |= _mask(extra)
         self.monomials = self.monomials + (w,)
-        nm[w] = self.division.nm_set(w, self.monomials)
+        nm[w] = _mask(self.division.nm_set(w, self.monomials))
 
-    def nonmult(self, u: Monomial) -> frozenset[int]:
+    def nm_mask(self, u: Monomial) -> int:
         try:
             return self._nm[u]
         except KeyError:
             raise UsageError("monomial %r is not in the partitioned set" % (u,)) from None
 
+    def nonmult(self, u: Monomial) -> frozenset[int]:
+        mask = self.nm_mask(u)
+        return frozenset(i for i in range(self.division.vars.n) if mask >> i & 1)
+
     def mult(self, u: Monomial) -> frozenset[int]:
-        nm = self.nonmult(u)
-        return frozenset(i for i in range(self.division.vars.n) if i not in nm)
+        mask = self.nm_mask(u)
+        return frozenset(i for i in range(self.division.vars.n) if not mask >> i & 1)
 
     def allows(self, u: Monomial, quotient: Monomial) -> bool:
         """Whether u involutively divides u*quotient, i.e. the quotient is
         built from multiplicative variables of u only."""
-        nm = self.nonmult(u)
-        return all(quotient.exps[i] == 0 for i in nm)
+        return not support(quotient) & self.nm_mask(u)
 
     def inv_divides(self, u: Monomial, m: Monomial) -> bool:
         q = mono_div(m, u)
         return q is not None and self.allows(u, q)
 
 
-def inv_divisor(
-    partition: Partition, m: Monomial, order: Ordering | None = None
-) -> Monomial | None:
-    """An involutive divisor of m within the partitioned set, or None.
-
-    When several elements qualify, the smallest under `order` wins; with no
-    order (or on ties) the earliest listed one does.
-    """
-    best = None
-    best_key = None
+def inv_divisor(partition: Partition, m: Monomial) -> Monomial | None:
+    """The earliest listed involutive divisor of m within the partitioned
+    set, or None."""
     for u in partition.monomials:
-        if not partition.inv_divides(u, m):
-            continue
-        if order is None:
-            return u if best is None else best
-        k = order.key(u)
-        if best is None or k < best_key:
-            best, best_key = u, k
-    return best
+        if partition.inv_divides(u, m):
+            return u
+    return None
 
 
 def thomas_completion(U) -> frozenset[Monomial]:

@@ -7,9 +7,13 @@ nonmultiplicative prolongation once.  `inv_comp` does the same job
 signature-first: every intermediate carries a module signature, head
 reductions are restricted to signature-safe ones, and redundant reductions
 are skipped via the super-top-reduction test, C1/C2 and a signature
-criterion fed by the heads discovered at later module positions.  Both grow
-their partition with `Partition.add`, pop from a heap and return a minimal
-basis together with counters describing the run.
+criterion fed by the heads discovered at later module positions.  Both pop
+from a heap and return a minimal basis together with counters describing
+the run.
+
+Both find involutive divisors through one index, `_InvolutiveReducer`: a
+row per basis element in rank order over a partition that grows by
+`Partition.add`, searched by one masked scan (`divisors`).
 
 The resulting minimal involutive basis is in particular a Gröbner basis of
 the input ideal, which `oracles` can verify independently.
@@ -31,8 +35,9 @@ from .core import (
     mono_div,
     mono_one,
     mono_var,
+    sum_of_products,
 )
-from .division import THOMAS, Division, inv_divisor, minimal_completion, thomas_completion
+from .division import THOMAS, Division, minimal_completion, support, thomas_completion
 from .signatures import (
     LMArchive,
     Signature,
@@ -148,10 +153,7 @@ class CompletionResult:
 def _expand(cofactors, generators) -> Polynomial:
     if len(cofactors) != len(generators):
         raise AssertionError("cofactor vector length differs from the generator count")
-    acc = Polynomial.zero(generators[0].order)
-    for c, g in zip(cofactors, generators):
-        acc = acc + c * g
-    return acc
+    return sum_of_products(generators[0].order, zip(cofactors, generators))
 
 
 def _check_inputs(F, division: Division, order: Ordering) -> list[Polynomial]:
@@ -170,23 +172,6 @@ def _check_inputs(F, division: Division, order: Ordering) -> list[Polynomial]:
         if f.is_zero:
             raise UsageError("zero polynomial in the input system")
     return polys
-
-
-def _support(m: Monomial) -> int:
-    """Bitmask of the variables occurring in m: bit i is set when the
-    exponent of variable i is positive.  A divisor's mask lies inside the
-    mask of every monomial it divides."""
-    mask = 0
-    bit = 1
-    for e in m.exps:
-        if e:
-            mask |= bit
-        bit <<= 1
-    return mask
-
-
-# The fields of a row of `_Engine._head_table`, for invariant messages.
-_HEAD_FIELDS = ("element", "head", "degree", "support mask", "nonmultiplicative mask", "rank")
 
 
 class _Engine:
@@ -231,7 +216,7 @@ class _Engine:
         self.records: list[CofactorRecord] = []
 
         self.T: list[SigPoly] = list(basis)
-        self._refresh_partition()
+        self._rebuild_index()
 
     def seed(self, F) -> None:
         """Queue the generators of F, checked, made monic and sorted by
@@ -273,40 +258,22 @@ class _Engine:
         """
         return next(self._anc_ids)
 
-    def _refresh_partition(self) -> None:
-        """Rebuild the partition over the current heads, O(|T|^2) pair rules.
+    def _rebuild_index(self) -> None:
+        """Rebuild the divisor index over the basis, O(|T|^2) pair rules.
 
-        Insertions instead grow the kept partition with `Partition.add`, at
-        O(|T|) pair rules; a rebuild is needed only for the starting basis
-        and after `_purge`, because removing heads can shrink the
+        Insertions instead grow the kept index with `_InvolutiveReducer.add`,
+        at O(|T|) pair rules; a rebuild is needed only for the starting
+        basis and after `_purge`, because removing heads can shrink the
         nonmultiplicative sets of the heads that stay.
         """
-        self._partition = self.division.partition([t.poly.lm for t in self.T])
-        self._heads = self._head_table()
+        self._index = _InvolutiveReducer(
+            [t.poly for t in self.T], self.division, self.order, self.T
+        )
 
     def _grow(self, sp: SigPoly) -> None:
-        """Append sp to the basis: the kept partition grows by `Partition.add`
-        and the head table is rebuilt, because the addition can widen the
-        nonmultiplicative sets of the heads already there."""
+        """Append sp to the basis and to the divisor index."""
         self.T.append(sp)
-        self._partition.add(sp.poly.lm)
-        self._heads = self._head_table()
-
-    def _head_table(self) -> list[tuple]:
-        """One row per basis element for the divisor scan: the element, its
-        head, the head's degree, support bitmask and nonmultiplicative
-        bitmask (bit i set for variable i) under the kept partition, and the
-        element's rank (order key of the head, uid)."""
-        key = self.order.key
-        nonmult = self._partition.nonmult
-        rows = []
-        for q in self.T:
-            lm = q.poly.lm
-            nm_mask = 0
-            for i in nonmult(lm):
-                nm_mask |= 1 << i
-            rows.append((q, lm, lm.deg, _support(lm), nm_mask, (key(lm), q.uid)))
-        return rows
+        self._index.add(sp.poly, sp)
 
     def _bump_deg(self, poly: Polynomial) -> None:
         if not poly.is_zero and poly.degree > self.stats.max_deg:
@@ -380,15 +347,14 @@ class _Engine:
         self.T = [t for t in self.T if t.anc_id != anc_id]
         self.stats.purged_t += before - len(self.T)
         if len(self.T) != before:
-            self._refresh_partition()
+            self._rebuild_index()
 
     # -- invariants ----------------------------------------------------
 
     def _check_partition(self) -> None:
         """The partition kept up by `Partition.add` must equal one built
-        from scratch over the current heads, and the kept head table one
-        rebuilt from that partition."""
-        kept = self._partition
+        from scratch over the current heads."""
+        kept = self._index.partition
         fresh = self.division.partition([t.poly.lm for t in self.T])
         if kept.monomials != fresh.monomials:
             raise AssertionError("partition lists the heads differently from the basis")
@@ -398,18 +364,6 @@ class _Engine:
                     "partition keeps nonmultiplicative variables %s for %r, a rebuild gives %s"
                     % (sorted(kept.nonmult(u)), u.exps, sorted(fresh.nonmult(u)))
                 )
-        rebuilt = self._head_table()
-        if len(self._heads) != len(rebuilt):
-            raise AssertionError(
-                "head table has %d rows for %d basis elements" % (len(self._heads), len(rebuilt))
-            )
-        for row, want in zip(self._heads, rebuilt):
-            for name, a, b in zip(_HEAD_FIELDS, row, want):
-                if a != b:
-                    raise AssertionError(
-                        "head table keeps %s %r for %r, a rebuild gives %r"
-                        % (name, a, want[1].exps, b)
-                    )
 
     def _pop_checks(self, p: SigPoly) -> None:
         if not self.options.check_invariants:
@@ -448,28 +402,6 @@ class _Engine:
 
     # -- regular normal form -------------------------------------------
 
-    def _head_divisors(self, m: Monomial) -> list[tuple]:
-        """The basis elements whose heads involutively divide m, as
-        (element, quotient, rank) in basis order.
-
-        The scan walks the kept head table and passes over a head before
-        trying to divide when its degree exceeds m's, when its support is
-        not inside m's, or when m has a variable that is absent from the head
-        and nonmultiplicative for it: the quotient would contain that
-        variable.  `Partition.allows` decides the heads that remain.
-        """
-        deg = m.deg
-        mask = _support(m)
-        allows = self._partition.allows
-        out = []
-        for q, qlm, qdeg, qmask, nm_mask, rank in self._heads:
-            if qdeg > deg or qmask & ~mask or mask & ~qmask & nm_mask:
-                continue
-            u = mono_div(m, qlm)
-            if u is not None and allows(qlm, u):
-                out.append((q, u, rank))
-        return out
-
     def regular_normal_form(self, p: SigPoly):
         """Reduce p by signature-safe involutive head reductions.
 
@@ -485,8 +417,7 @@ class _Engine:
         step, which folds the rest of the multiplied reducer into the
         pending terms.  A polynomial is built for the remainder, and for a
         deflected combination only when it is queued.  The divisors of each
-        term come from `_head_divisors`, ranked safe first, then by head and
-        uid.
+        term come from the divisor index, ranked safe first, then by head.
         """
         order = self.order
         pending = PendingTerms(p.poly)
@@ -500,7 +431,7 @@ class _Engine:
             term = pending.pop()
             tc, tm = term
             candidates = []
-            for q, u, rank in self._head_divisors(tm):
+            for rank, _g, q, u in self._index.divisors(tm):
                 safe = sig_cmp(order, sig_mul(u, q.sig), p.sig) <= 0
                 candidates.append(((0 if safe else 1, *rank), q, u))
             if not candidates:
@@ -585,23 +516,23 @@ class _Engine:
         if value.is_zero or (dsig, value.lm) in deflected:
             return
         deflected.add((dsig, value.lm))
-        dcofs = None
-        if cofs is not None:
-            dcofs = tuple(
-                (a - b.mul_term(c, chosen_u)).scale(1 / value.lc)
-                for a, b in zip(cofs, chosen.cofactors)
-            )
-        dsp = SigPoly(
-            dsig,
-            value.monic(),
-            value.lm,
-            self._new_anc_id(),
-            set(),
-            next(self._uid),
-            dcofs,
-        )
-        if self._push(dsp, creator_sig=p.sig):
+        if self._queue_combination(dsig, value, cofs, c, chosen_u, chosen, p.sig):
             self.stats.deflections += 1
+
+    def _queue_combination(self, sig, value, cofs, c, u, reducer, creator_sig) -> bool:
+        """Queue the nonzero combination value = current - c*u*reducer.poly
+        under sig, made monic, as its own ancestor; `cofs` are the
+        cofactors of current.  Returns what `_push` returns."""
+        vcofs = None
+        if cofs is not None:
+            vcofs = tuple(
+                (a - b.mul_term(c, u)).scale(1 / value.lc)
+                for a, b in zip(cofs, reducer.cofactors)
+            )
+        sp = SigPoly(
+            sig, value.monic(), value.lm, self._new_anc_id(), set(), next(self._uid), vcofs
+        )
+        return self._push(sp, creator_sig)
 
     # -- main loop -----------------------------------------------------
 
@@ -666,7 +597,7 @@ class _Engine:
 
         self._queue_head_reductions(t_new)
 
-        part = self._partition
+        part = self._index.partition
         n = order.vars.n
         for q in self.T:
             fresh = part.nonmult(q.poly.lm) - q.processed
@@ -693,7 +624,7 @@ class _Engine:
         (never for Janet or Thomas).  Such heads stay in place, but the
         reduced combinations are queued under the new element's shifted
         signature so their information is not lost."""
-        part = self._partition
+        part = self._index.partition
         for q in self.T:
             if q is t_new:
                 continue
@@ -701,24 +632,10 @@ class _Engine:
             if u is None or not part.allows(t_new.poly.lm, u):
                 continue
             value = q.poly - t_new.poly.mul_term(q.poly.lc, u)
-            if value.is_zero:
-                continue
-            vcofs = None
-            if q.cofactors is not None:
-                vcofs = tuple(
-                    (a - b.mul_term(q.poly.lc, u)).scale(1 / value.lc)
-                    for a, b in zip(q.cofactors, t_new.cofactors)
+            if not value.is_zero:
+                self._queue_combination(
+                    sig_mul(u, t_new.sig), value, q.cofactors, q.poly.lc, u, t_new, t_new.sig
                 )
-            sp = SigPoly(
-                sig_mul(u, t_new.sig),
-                value.monic(),
-                value.lm,
-                self._new_anc_id(),
-                set(),
-                next(self._uid),
-                vcofs,
-            )
-            self._push(sp, creator_sig=t_new.sig)
 
 
 def inv_comp(
@@ -765,49 +682,85 @@ def nf_full(f: Polynomial, G, division: Division, order: Ordering) -> Polynomial
 
 
 class _InvolutiveReducer:
-    """Full involutive reduction against a set G: the set is checked,
-    partitioned and ranked once, for any number of normal forms, and can
-    grow by `add`.
+    """The involutive divisor index of a set G, and full involutive
+    reduction against it: the set is checked and partitioned once, for any
+    number of searches, and can grow by `add`.
 
-    `nf` reduces each term by the first involutive divisor in rank order
-    (smallest head, then earliest added).  It pops the largest pending term
-    of a `PendingTerms`: an irreducible term joins the remainder, and a
-    reduction step folds the rest of the multiplied divisor into the
-    pending terms.
+    Each element has one row, built when it joins: its rank (order key of
+    the head, then arrival), head, the head's degree and support mask, the
+    polynomial, and an optional item the caller attaches (the engine's
+    `SigPoly`).  The rows stay in rank order.  The nonmultiplicative masks
+    are kept once, in the partition, which widens them as G grows.
+
+    `divisors(m)` is the one involutive-divisor search of the package: the
+    engine's signature-safe normal form, `nf`, `is_involutive` and the
+    C1/C2 lookup of `inv_bas` all go through it.  `nf` reduces each term by
+    the first divisor in rank order (smallest head, then earliest added).
+    It pops the largest pending term of a `PendingTerms`: an irreducible
+    term joins the remainder, and a reduction step folds the rest of the
+    multiplied divisor into the pending terms.
     """
 
-    __slots__ = ("order", "partition", "ranked")
+    __slots__ = ("order", "partition", "rows", "_arrivals")
 
-    def __init__(self, G, division: Division, order: Ordering):
+    def __init__(self, G, division: Division, order: Ordering, items=None):
         polys = [g for g in G]
         for g in polys:
             if g.is_zero:
                 raise UsageError("zero polynomial in the reducing set")
         self.order = order
         self.partition = division.partition([g.lm for g in polys])
-        ranked = sorted(range(len(polys)), key=lambda i: (order.key(polys[i].lm), i))
-        self.ranked = [polys[i] for i in ranked]
+        self.rows: list[tuple] = []
+        self._arrivals = itertools.count()
+        for g, item in zip(polys, items or itertools.repeat(None)):
+            self._file(g, item)
 
-    def add(self, g: Polynomial) -> None:
-        """Extend G by a nonzero g, ranked as a fresh reducer over G + [g]
-        ranks it: after every element of equal head."""
+    def add(self, g: Polynomial, item=None) -> None:
+        """Extend G by a nonzero g, ranked after every element of equal
+        head."""
         self.partition.add(g.lm)
-        bisect.insort(self.ranked, g, key=lambda f: self.order.key(f.lm))
+        self._file(g, item)
+
+    def _file(self, g: Polynomial, item) -> None:
+        lm = g.lm
+        rank = (self.order.key(lm), next(self._arrivals))
+        bisect.insort(self.rows, (rank, lm, lm.deg, support(lm), g, item))
+
+    def divisors(self, m: Monomial):
+        """Yield (rank, polynomial, item, quotient) for every element whose
+        head involutively divides m, in rank order.
+
+        The scan passes over a head before trying to divide when its degree
+        exceeds m's, when its support is not inside m's, or when m has a
+        variable that is absent from the head and nonmultiplicative for it:
+        the quotient would contain that variable.  The quotient's support
+        decides the heads that remain.
+        """
+        deg = m.deg
+        mask = support(m)
+        nm_of = self.partition._nm  # the masks themselves: this loop is hot
+        for rank, head, hdeg, hmask, g, item in self.rows:
+            if hdeg > deg or hmask & ~mask:
+                continue
+            nm = nm_of[head]
+            if mask & ~hmask & nm:
+                continue
+            u = mono_div(m, head)
+            if u is not None and not support(u) & nm:
+                yield rank, g, item, u
 
     def nf(self, f: Polynomial) -> Polynomial:
-        allows = self.partition.allows
         pending = PendingTerms(f)
         rem = []
         while pending:
             term = pending.pop()
             tc, tm = term
-            for g in self.ranked:
-                u = mono_div(tm, g.lm)
-                if u is not None and allows(g.lm, u):
-                    pending.sub_tail(tc / g.lc, u, g)
-                    break
-            else:
+            hit = next(self.divisors(tm), None)
+            if hit is None:
                 rem.append(term)
+            else:
+                _rank, g, _item, u = hit
+                pending.sub_tail(tc / g.lc, u, g)
         return Polynomial._raw(self.order, tuple(rem))
 
 
@@ -874,9 +827,10 @@ def inv_bas(F, division: Division, order: Ordering) -> CompletionResult:
     reducer = _InvolutiveReducer((), division, order)
     while queue:
         p, anc, processed = heapq.heappop(queue)[2]
-        divisor = inv_divisor(reducer.partition, p.lm, order)
-        if divisor is not None:
-            verdict = ancestor_criteria(p.lm, anc, basis[divisor][1])
+        hit = next(reducer.divisors(p.lm), None)
+        if hit is not None:
+            _rank, g, _item, _u = hit
+            verdict = ancestor_criteria(p.lm, anc, basis[g.lm][1])
             if verdict is not Verdict.NONE:
                 stats.note(verdict)
                 continue

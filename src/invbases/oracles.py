@@ -2,11 +2,15 @@
 
 Everything here is plain textbook machinery: Buchberger-style reduction,
 the Buchberger criterion on S-polynomials, and direct re-expansion of
-cofactor combinations.  Apart from the involutive normal form that
-`is_involutive` applies to prolongations, the completion engine shares none
-of this logic (its criteria act on signatures and ancestors during
-completion), so agreement between the two is meaningful evidence of
-correctness.
+cofactor combinations.  `is_involutive` is the one exception: it reduces
+prolongations with the engine's involutive normal form, so it shares the
+engine's masked divisor scan (`_InvolutiveReducer.divisors`) and
+partition.  `is_groebner` and `buchberger_nf` scan the whole set with no
+prefilter and share no logic with the engine, whose criteria act on
+signatures and ancestors during completion; so agreement between them and
+the engine is meaningful evidence of correctness.  The reference loops of
+the tests (`drop_lt_*` in tests/test_kernel.py) and the sympy comparison
+of tests/test_external_oracle.py stay independent of the engine as well.
 
 `is_groebner` reduces the S-polynomial of a pair only when two textbook
 criteria, applied to the heads of the checked set alone, leave it open:
@@ -37,6 +41,7 @@ from .core import (
     mono_lcm,
     mono_var,
     spoly,
+    sum_of_products,
 )
 from .division import Division
 
@@ -144,10 +149,7 @@ def expand_cofactors(cofactors, generators) -> Polynomial:
     gens = list(generators)
     if not gens or len(cofs) != len(gens):
         raise UsageError("cofactor vector length must match the generators")
-    acc = Polynomial.zero(gens[0].order)
-    for c, g in zip(cofs, gens):
-        acc = acc + c * g
-    return acc
+    return sum_of_products(gens[0].order, zip(cofs, gens))
 
 
 def admissibility_check(cofactors, sig: Signature, order: Ordering) -> bool:
@@ -181,7 +183,7 @@ def random_ideal_member(
     if not gens:
         raise UsageError("need at least one generator")
     n = order.vars.n
-    acc = Polynomial.zero(order)
+    pairs = []
     for g in gens:
         terms = []
         for _ in range(rng.randrange(0, max_terms + 1)):
@@ -190,5 +192,5 @@ def random_ideal_member(
             for _ in range(rng.randrange(0, max_deg + 1)):
                 exps[rng.randrange(n)] += 1
             terms.append((coeff, Monomial(tuple(exps))))
-        acc = acc + Polynomial(order, terms) * g
-    return acc
+        pairs.append((Polynomial(order, terms), g))
+    return sum_of_products(order, pairs)

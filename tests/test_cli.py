@@ -105,6 +105,12 @@ PINNED_OUTPUTS = {
         "ab6241d21d885063a8b224e55c9690526ab259f5aaebf33a044456508e41ff3c",
     ("katsura3", "alex", "cofactors"):
         "4983d7787b6c0dcecee1089b5998568c6caf6454dc80320753352b6276b437bf",
+    # Alex reaches the deflection and head-reduction paths of `inv_comp` and
+    # the displacement path of `inv_bas`.
+    ("katsura4", "alex", "invcomp"):
+        "222a64d7612087a3cdf0e39d9823218c91298417bb39dd80c93d4b63718cbc73",
+    ("noon3", "alex", "invbas"):
+        "feba6814b4d075e16bc30363cbcf27ec05b0cde0a3de3abace8ef275f4982d48",
 }
 
 

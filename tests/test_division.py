@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from invbases.core import (
     Monomial,
+    Polynomial,
     UsageError,
     VarSet,
     alex,
@@ -30,6 +31,7 @@ from invbases.division import (
     thomas_completion,
     thomas_division,
 )
+from invbases.engine import _InvolutiveReducer
 
 from conftest import monomial_sets, monomials
 
@@ -155,6 +157,24 @@ class TestPartition:
                 for u in sub:
                     assert div.nm_set(u, sub) <= div.nm_set(u, U)
 
+    @given(
+        st.lists(monomials(3, 3), min_size=1, max_size=7),
+        st.lists(monomials(3, 3), min_size=1, max_size=5),
+        st.sampled_from(("janet", "alex", "thomas")),
+    )
+    @settings(max_examples=60)
+    def test_masks_decode_to_the_nonmultiplicative_sets(self, U, quotients, division_name):
+        # The kept bitmasks against `Division.nm_set` and the definition:
+        # u allows a quotient when no nonmultiplicative variable occurs in it.
+        div = division_by_name(division_name, VarSet(("x", "y", "z")))
+        part = div.partition(U)
+        for u in U:
+            nm = div.nm_set(u, U)
+            assert part.nonmult(u) == nm
+            assert part.mult(u) == frozenset(range(3)) - nm
+            for q in quotients:
+                assert part.allows(u, q) == all(q.exps[i] == 0 for i in nm)
+
     @given(st.lists(monomials(2, 4), min_size=1, max_size=7),
            st.lists(monomials(3, 3), min_size=1, max_size=7))
     @settings(max_examples=40)
@@ -183,13 +203,16 @@ class TestInvDivisor:
     def test_order_breaks_ties_toward_the_smaller_candidate(self):
         # The alex division on this non-autoreduced pair makes every
         # variable multiplicative for both elements, so x^2*y^2 has two
-        # involutive divisors.
+        # involutive divisors.  `inv_divisor` takes the earliest listed one;
+        # the engine's divisor index ranks the smaller head first.
         m = Monomial((2, 2))
         part = ALX.partition((XY, X2Y))
         assert part.inv_divides(XY, m) and part.inv_divides(X2Y, m)
-        assert inv_divisor(part, m, lex(VS)) == XY
         assert inv_divisor(part, m) == XY
         assert inv_divisor(ALX.partition((X2Y, XY)), m) == X2Y
+        G = [Polynomial(lex(VS), [(1, X2Y)]), Polynomial(lex(VS), [(1, XY)])]
+        index = _InvolutiveReducer(G, ALX, lex(VS))
+        assert [g.lm for _rank, g, _item, _u in index.divisors(m)] == [XY, X2Y]
 
     def test_divisor_satisfies_its_contract(self):
         part = THO.partition((X2, XY))

@@ -600,33 +600,23 @@ class TestInvariantChecks:
         engine.seed(sf.polynomials)
         engine._check_partition()
         head = engine.T[0].poly.lm
-        engine._partition._nm[head] = frozenset({0, 1})
-        with pytest.raises(AssertionError, match="nonmultiplicative"):
+        engine._index.partition._nm[head] = 0b11
+        with pytest.raises(
+            AssertionError, match="keeps nonmultiplicative variables \\[0, 1\\] for \\(1, 1\\)"
+        ):
             engine._check_partition()
-        engine._partition = janet(sf.vars).partition([head, Monomial((5, 5))])
-        with pytest.raises(AssertionError, match="lists the heads"):
-            engine._check_partition()
-
-    def test_partition_check_catches_a_stale_head_table(self):
-        sf = parse_system(WORKED_EXAMPLE)
-        engine = _Engine(janet(sf.vars), sf.order, EngineOptions())
-        engine.seed(sf.polynomials)
-        q, lm, deg, support, nm_mask, rank = engine._heads[0]
-        engine._heads[0] = (q, lm, deg, support, nm_mask | 2, rank)
-        with pytest.raises(AssertionError, match="nonmultiplicative mask 2 for \\(1, 1\\)"):
-            engine._check_partition()
-        engine._refresh_partition()
+        engine._rebuild_index()
+        engine._check_partition()
         # Adding the head x^2 makes x nonmultiplicative for x*y under Janet;
-        # a table that only appends the new row keeps x*y's old mask.
-        stale = list(engine._heads)
+        # a mask that misses the widening keeps x*y's old split.
         g = engine.gens[0]
         engine._grow(SigPoly(Signature(Monomial((0, 0)), 1), g, g.lm, 7, set(), 7))
         engine._check_partition()
-        engine._heads = stale + engine._heads[len(stale):]
-        with pytest.raises(AssertionError, match="nonmultiplicative mask 0 for \\(1, 1\\)"):
+        engine._index.partition._nm[head] = 0
+        with pytest.raises(AssertionError, match="variables \\[\\] for \\(1, 1\\)"):
             engine._check_partition()
-        engine._heads = stale
-        with pytest.raises(AssertionError, match="head table has 1 rows for 2"):
+        engine._index.partition = janet(sf.vars).partition([head, Monomial((5, 5))])
+        with pytest.raises(AssertionError, match="lists the heads"):
             engine._check_partition()
 
     def test_checks_raise_under_python_O(self):
@@ -778,7 +768,8 @@ class TestGrownReducer:
         for i in range(start, len(G)):
             grown.add(G[i])
             fresh = _InvolutiveReducer(G[: i + 1], div, order)
-            assert [id(g) for g in grown.ranked] == [id(g) for g in fresh.ranked]
+            assert [row[:4] for row in grown.rows] == [row[:4] for row in fresh.rows]
+            assert [id(row[4]) for row in grown.rows] == [id(row[4]) for row in fresh.rows]
             assert grown.partition.monomials == fresh.partition.monomials
             for u in fresh.partition.monomials:
                 assert grown.partition.nonmult(u) == fresh.partition.nonmult(u)

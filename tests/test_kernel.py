@@ -50,7 +50,7 @@ from invbases.signatures import (
     sig_mul,
 )
 
-from conftest import monomial_sets, monomials, polynomials, small_fractions
+from conftest import monomials, polynomials, small_fractions
 
 DIVISIONS = ("janet", "alex", "thomas")
 
@@ -111,15 +111,20 @@ def drop_lt(h: Polynomial) -> Polynomial:
     return Polynomial._raw(h.order, h.terms[1:])
 
 
-def drop_lt_involutive_nf(reducer: _InvolutiveReducer, f: Polynomial) -> Polynomial:
-    allows = reducer.partition.allows
+def drop_lt_involutive_nf(f: Polynomial, G, division, order) -> Polynomial:
+    """`_InvolutiveReducer.nf` with a full scan of G, ranked here by (head,
+    index), and a `drop_lt` per irreducible head."""
+    polys = list(G)
+    ranked = sorted(range(len(polys)), key=lambda i: (order.key(polys[i].lm), i))
+    allows = division.partition([g.lm for g in polys]).allows
     h = f
     rem = []
     while not h.is_zero:
         hit = None
         hit_u = None
         hlm = h.lm
-        for g in reducer.ranked:
+        for i in ranked:
+            g = polys[i]
             u = mono_div(hlm, g.lm)
             if u is not None and allows(g.lm, u):
                 hit, hit_u = g, u
@@ -129,7 +134,7 @@ def drop_lt_involutive_nf(reducer: _InvolutiveReducer, f: Polynomial) -> Polynom
             h = drop_lt(h)
         else:
             h = h - hit.mul_term(h.lc / hit.lc, hit_u)
-    return Polynomial._raw(reducer.order, tuple(rem))
+    return Polynomial._raw(order, tuple(rem))
 
 
 def drop_lt_buchberger_nf(f: Polynomial, G, order) -> Polynomial:
@@ -159,7 +164,7 @@ def drop_lt_regular_normal_form(engine: _Engine, p: SigPoly):
     """`_Engine.regular_normal_form` with a full divisor scan per head and a
     `drop_lt` per irreducible head (no cofactors)."""
     order = engine.order
-    part = engine._partition
+    part = engine.division.partition([q.poly.lm for q in engine.T])
     h = p.poly
     rem = []
     at_head = True
@@ -466,8 +471,9 @@ class TestInvolutiveReducer:
     @settings(max_examples=100, deadline=None)
     def test_matches_the_drop_lt_loop(self, case, division_name):
         order, G, f = case
-        reducer = _InvolutiveReducer(G, division_by_name(division_name, order.vars), order)
-        assert reducer.nf(f).terms == drop_lt_involutive_nf(reducer, f).terms
+        div = division_by_name(division_name, order.vars)
+        reducer = _InvolutiveReducer(G, div, order)
+        assert reducer.nf(f).terms == drop_lt_involutive_nf(f, G, div, order).terms
 
 
 class TestBuchbergerNF:
@@ -491,34 +497,38 @@ class TestBuchbergerNF:
 
 @st.composite
 def head_cases(draw):
-    """Distinct heads in 2-3 variables, and terms that are mostly multiples
-    of them, so that many heads divide a term."""
+    """Heads in 2-3 variables, repeats allowed, some added after the index
+    is built, and terms that are mostly multiples of them, so that many
+    heads divide a term."""
     vs = VarSet(("x", "y", "z")[: draw(st.integers(2, 3))])
-    heads = sorted(draw(monomial_sets(vs.n, max_deg=3, max_size=6)), key=lambda m: m.exps)
+    heads = draw(st.lists(monomials(vs.n, 3), min_size=1, max_size=7))
+    start = draw(st.integers(0, len(heads)))
     multiples = st.builds(mono_mul, st.sampled_from(heads), monomials(vs.n, 3))
     terms = draw(st.lists(multiples | monomials(vs.n, 5), min_size=1, max_size=8))
-    return vs, heads, terms
+    return vs, heads, start, terms
 
 
 class TestHeadDivisors:
     @given(head_cases(), st.sampled_from(DIVISIONS))
     @settings(max_examples=150, deadline=None)
     def test_the_mask_passes_over_only_heads_that_do_not_divide(self, case, division_name):
-        vs, heads, terms = case
+        # Every involutive divisor, each with its quotient, in the order of
+        # (head, position in the set), against the partition's plain test.
+        vs, heads, start, terms = case
         order = degrevlex(vs)
-        one = mono_one(vs.n)
-        basis = [
-            SigPoly(Signature(one, 1), Polynomial(order, [(1, m)]), m, i, set(), i)
-            for i, m in enumerate(heads)
-        ]
-        engine = _Engine(division_by_name(division_name, vs), order, EngineOptions(), basis)
-        part = engine._partition
+        div = division_by_name(division_name, vs)
+        G = [Polynomial(order, [(1, m)]) for m in heads]
+        index = _InvolutiveReducer(G[:start], div, order, items=range(start))
+        for i in range(start, len(G)):
+            index.add(G[i], i)
+        part = div.partition(heads)
+        ranked = sorted(range(len(G)), key=lambda i: (order.key(heads[i]), i))
         for t in terms:
-            found = [(q.uid, u, rank) for q, u, rank in engine._head_divisors(t)]
+            found = [(item, g, u) for _rank, g, item, u in index.divisors(t)]
             want = [
-                (q.uid, mono_div(t, q.poly.lm), (order.key(q.poly.lm), q.uid))
-                for q in basis
-                if part.inv_divides(q.poly.lm, t)
+                (i, G[i], mono_div(t, heads[i]))
+                for i in ranked
+                if part.inv_divides(heads[i], t)
             ]
             assert found == want
 

@@ -2,11 +2,14 @@
 from __future__ import annotations
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import invbases
+from invbases import cli, core, engine
 
 SRC = Path(invbases.__file__).resolve().parent
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def assert_statements(source: str, filename: str) -> list[str]:
@@ -77,3 +80,29 @@ def test_the_scan_finds_fraction_internals():
         "sample.py:5 _denominator",
         "sample.py:5 _numerator",
     ]
+
+
+def load_tracer_class():
+    spec = importlib.util.spec_from_file_location("perfbench_layers", PERFBENCH / "layers.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.Tracer
+
+
+def test_the_benchmark_tracer_finds_every_name_it_patches(capsys):
+    # perfbench/layers.py wraps package functions by name (`mono_div` in each
+    # module's globals, `nf_full` in `oracles` and `bench`, ...).  A change
+    # that drops one of those names fails here, not only in a traced
+    # benchmark run.
+    originals = (core.Ordering.key, engine.mono_div, cli.main)
+    tracer = load_tracer_class()()
+    try:
+        for kind in ("spans", "counts"):
+            tracer.install(kind)
+            assert cli.main(["compute", "--system", "cyclic3", "--verify"]) == 0
+            tracer.uninstall()
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert (core.Ordering.key, engine.mono_div, cli.main) == originals
+    assert tracer.spans and tracer.counts["core.mono_div"][0] > 0

@@ -242,16 +242,16 @@ class Polynomial:
 
     `terms` is a tuple of (coefficient, monomial) pairs sorted strictly
     descending under `order`; no zero coefficients, no repeated monomials.
-    The order keys of the terms are taken when a `PendingTerms` first needs
-    them (`key_row`) and kept.
+    The order keys of the terms are kept in `_row` (`key_row`) once taken:
+    by the constructor, which sorts by them, by `_raw`'s canonical check
+    under `__debug__`, or else when a `PendingTerms` first needs them.
     """
 
     __slots__ = ("order", "terms", "_row")
 
     def __init__(self, order: Ordering, terms: Iterable[tuple[Fraction, Monomial]] = ()):
         self.order = order
-        self.terms = _canonical_terms(order, terms)
-        self._row = None
+        self.terms, self._row = _canonical_terms(order, terms)
 
     @classmethod
     def _raw(cls, order: Ordering, terms: tuple) -> Polynomial:
@@ -259,9 +259,7 @@ class Polynomial:
         p = object.__new__(cls)
         p.order = order
         p.terms = terms
-        p._row = None
-        if __debug__:
-            p._assert_canonical()
+        p._row = p._assert_canonical() if __debug__ else None
         return p
 
     @classmethod
@@ -272,19 +270,22 @@ class Polynomial:
     def one(cls, order: Ordering) -> Polynomial:
         return cls._raw(order, ((Fraction(1), mono_one(order.vars.n)),))
 
-    def _assert_canonical(self) -> None:
+    def _assert_canonical(self) -> tuple:
+        """Check the canonical form, and return the order keys of the terms
+        that the check takes, for `_raw` to keep as the key row."""
         n = self.order.vars.n
         key = self.order.key
-        prev = None
+        row = []
         for c, m in self.terms:
             if not isinstance(c, Fraction) or c == 0:
                 raise AssertionError("non-canonical coefficient")
             if len(m.exps) != n:
                 raise AssertionError("monomial dimension mismatch")
             k = key(m)
-            if prev is not None and not k < prev:
+            if row and not k < row[-1]:
                 raise AssertionError("terms out of order")
-            prev = k
+            row.append(k)
+        return tuple(row)
 
     @property
     def is_zero(self) -> bool:
@@ -393,8 +394,9 @@ class Polynomial:
         return "<Polynomial %s>" % (render_polynomial(self),)
 
 
-def _canonical_terms(order: Ordering, terms) -> tuple:
-    """Sum the coefficients of equal monomials, drop zeros, sort descending."""
+def _canonical_terms(order: Ordering, terms) -> tuple[tuple, tuple]:
+    """Sum the coefficients of equal monomials, drop zeros, sort descending.
+    Returns the terms and their order keys."""
     n = order.vars.n
     acc: dict[Monomial, Fraction] = {}
     for c, m in terms:
@@ -406,9 +408,11 @@ def _canonical_terms(order: Ordering, terms) -> tuple:
             raise UsageError("monomial dimension mismatch: %d vs %d" % (len(m.exps), n))
         prev = acc.get(m)
         acc[m] = c if prev is None else prev + c
-    out = [(c, m) for m, c in acc.items() if c != 0]
-    out.sort(key=lambda t: order.key(t[1]), reverse=True)
-    return tuple(out)
+    key = order.key
+    # Distinct monomials have distinct keys, so the sort never compares
+    # past the key.
+    keyed = sorted([(key(m), c, m) for m, c in acc.items() if c != 0], reverse=True)
+    return tuple([(c, m) for _, c, m in keyed]), tuple([k for k, _, _ in keyed])
 
 
 def sum_of_products(order: Ordering, pairs) -> Polynomial:

@@ -20,8 +20,6 @@ import random
 from dataclasses import dataclass
 
 from .core import (
-    GREATER,
-    LESS,
     Monomial,
     Ordering,
     UsageError,
@@ -68,33 +66,60 @@ class Division:
             raise AssertionError("order-generated division without a base ordering")
         return JANET if self.base.kind == "lex" else self.base.kind
 
+    def pair_masks(self, u: Monomial, w: Monomial, ku, kw) -> tuple[int, int]:
+        """The pair rule: the nonmultiplicative masks (bit i for variable i)
+        that u and w impose on each other, as (u's from w, w's from u).
+
+        ku and kw are the base-order keys of u and w, ignored under Thomas.
+        Under a generated division only the smaller of the two gains a
+        variable, the first one in priority order where it falls short of
+        the greater, and none at all when the greater divides it (possible
+        only for a non-admissible generator).  Under Thomas each side gains
+        every variable where its exponent is the smaller one.
+        """
+        if self.kind == THOMAS:
+            mu = mw = 0
+            bit = 1
+            for a, b in zip(u.exps, w.exps):
+                if a < b:
+                    mu |= bit
+                elif a > b:
+                    mw |= bit
+                bit <<= 1
+            return mu, mw
+        if ku < kw:
+            return self._deficit(u, w), 0
+        if ku > kw:
+            return 0, self._deficit(w, u)
+        return 0, 0
+
+    def _deficit(self, s: Monomial, g: Monomial) -> int:
+        """The mask the smaller s gains from the greater g: the bit of the
+        first variable in priority order where s falls short of g, or 0
+        when there is none, that is when g divides s."""
+        se, ge = s.exps, g.exps
+        for i in self.vars.priority:
+            if se[i] < ge[i]:
+                return 1 << i
+        return 0
+
+    def _base_key(self, m: Monomial):
+        """The base-order key of m that `pair_masks` compares; None under
+        Thomas, which needs none."""
+        return None if self.base is None else self.base.key(m)
+
     def nm_pair(self, u: Monomial, v: Monomial) -> frozenset[int]:
         """Nonmultiplicative variable indices of u induced by the pair {u, v}."""
-        if u == v:
-            return frozenset()
-        if self.kind == THOMAS:
-            return frozenset(
-                i for i, (a, b) in enumerate(zip(u.exps, v.exps)) if a < b
-            )
-        c = self.base.cmp(u, v)
-        if c == GREATER:
-            return frozenset()
-        if c == LESS and v.divides(u):
-            return frozenset()
-        # Scan positions in priority order; the first strict exponent deficit
-        # of u against v yields the single nonmultiplicative variable.
-        for i in self.vars.priority:
-            if u.exps[i] < v.exps[i]:
-                return frozenset((i,))
-        raise AssertionError("unreachable: u < v with no exponent deficit")
+        mu, _ = self.pair_masks(u, v, self._base_key(u), self._base_key(v))
+        return frozenset(bit_indices(mu))
 
     def nm_set(self, u: Monomial, U) -> frozenset[int]:
         """Nonmultiplicative variables of u relative to the whole set U."""
-        out: set[int] = set()
+        ku = self._base_key(u)
+        mask = 0
         for v in U:
-            if v != u:
-                out |= self.nm_pair(u, v)
-        return frozenset(out)
+            mask |= self.pair_masks(u, v, ku, self._base_key(v))[0]
+        return frozenset(bit_indices(mask))
 
     def partition(self, U) -> Partition:
         return Partition(self, tuple(U))
@@ -135,47 +160,61 @@ def support(m: Monomial) -> int:
     return mask
 
 
-def _mask(indices) -> int:
-    mask = 0
-    for i in indices:
-        mask |= 1 << i
-    return mask
+def bit_indices(mask: int) -> list[int]:
+    """The variable indices whose bits are set in mask, ascending."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 class Partition:
     """Multiplicative/nonmultiplicative split of a growing set U.
 
-    Built for a whole set, then grown one monomial at a time by `add`.
-    Every division here takes nm_set(u, U) as the union of nm_pair(u, v)
-    over v in U, so an addition only widens the existing sets by the pairs
-    with the newcomer.  Removing monomials can shrink the sets: build a new
+    Grown one monomial at a time by `add`, from the start: building a
+    partition for a whole set is adding its monomials in turn.  Every
+    division here takes nm_set(u, U) as the union of nm_pair(u, v) over v
+    in U, so an addition only widens the existing sets by the pairs with
+    the newcomer.  Removing monomials can shrink the sets: build a new
     partition for what remains.
 
     Each nonmultiplicative set is kept once, as a bitmask (bit i for
-    variable i).  `nm_mask` returns it, `allows` tests a quotient's support
-    against it, `nonmult` and `mult` decode it into sets of variable
-    indices, and the divisor scan of `engine._InvolutiveReducer` reads the
-    masks directly.
+    variable i), next to the base-order key of its monomial.  `add(w)`
+    keys w once and makes one pass over the kept monomials: per pair, one
+    key comparison (`Division.pair_masks`; under Thomas one walk over the
+    exponents, and no key) yields both u's gain from w and w's own share,
+    so no key is taken twice and w's set needs no second pass.  A repeat
+    of a kept monomial changes no mask.  `nm_mask` returns a mask,
+    `allows` tests a quotient's support against it, `nonmult` and `mult`
+    decode it into sets of variable indices, and the divisor scan of
+    `engine._InvolutiveReducer` reads the masks directly.
     """
 
-    __slots__ = ("division", "monomials", "_nm")
+    __slots__ = ("division", "monomials", "_nm", "_keys")
 
     def __init__(self, division: Division, monomials: tuple[Monomial, ...]):
         self.division = division
-        self.monomials = monomials
-        self._nm = {u: _mask(division.nm_set(u, monomials)) for u in set(monomials)}
+        self.monomials = ()
+        self._nm: dict[Monomial, int] = {}
+        self._keys: dict[Monomial, int | None] = {}
+        for w in monomials:
+            self.add(w)
 
     def add(self, w: Monomial) -> None:
         """Extend U by w (appended to `monomials`), keeping every split
         equal to that of a partition built from scratch."""
-        nm_pair = self.division.nm_pair
+        self.monomials += (w,)
         nm = self._nm
-        for u in nm:
-            extra = nm_pair(u, w)
-            if extra:
-                nm[u] |= _mask(extra)
-        self.monomials = self.monomials + (w,)
-        nm[w] = _mask(self.division.nm_set(w, self.monomials))
+        if w in nm:
+            return
+        division = self.division
+        pair_masks = division.pair_masks
+        kw = division._base_key(w)
+        mw = 0
+        for u, ku in self._keys.items():
+            gain, share = pair_masks(u, w, ku, kw)
+            if gain:
+                nm[u] |= gain
+            mw |= share
+        nm[w] = mw
+        self._keys[w] = kw
 
     def nm_mask(self, u: Monomial) -> int:
         try:
@@ -184,8 +223,7 @@ class Partition:
             raise UsageError("monomial %r is not in the partitioned set" % (u,)) from None
 
     def nonmult(self, u: Monomial) -> frozenset[int]:
-        mask = self.nm_mask(u)
-        return frozenset(i for i in range(self.division.vars.n) if mask >> i & 1)
+        return frozenset(bit_indices(self.nm_mask(u)))
 
     def mult(self, u: Monomial) -> frozenset[int]:
         mask = self.nm_mask(u)

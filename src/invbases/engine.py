@@ -37,7 +37,7 @@ from .core import (
     mono_var,
     sum_of_products,
 )
-from .division import THOMAS, Division, minimal_completion, support, thomas_completion
+from .division import THOMAS, Division, bit_indices, minimal_completion, support, thomas_completion
 from .signatures import (
     LMArchive,
     Signature,
@@ -239,7 +239,7 @@ class _Engine:
                     Polynomial.one(order) if j == i else Polynomial.zero(order)
                     for j in range(k)
                 )
-            sp = SigPoly(sig, g, g.lm, self._new_anc_id(), set(), next(self._uid), unit)
+            sp = SigPoly(sig, g, g.lm, self._new_anc_id(), 0, next(self._uid), unit)
             if i == k - 1:
                 self._grow(sp)
                 if unit is not None:
@@ -352,17 +352,19 @@ class _Engine:
     # -- invariants ----------------------------------------------------
 
     def _check_partition(self) -> None:
-        """The partition kept up by `Partition.add` must equal one built
-        from scratch over the current heads."""
+        """Every split kept up by `Partition.add` must equal the definition,
+        `Division.nm_set` over the current heads (not a second replay of
+        `add`, which would repeat any fault of its own)."""
         kept = self._index.partition
-        fresh = self.division.partition([t.poly.lm for t in self.T])
-        if kept.monomials != fresh.monomials:
+        heads = tuple(t.poly.lm for t in self.T)
+        if kept.monomials != heads:
             raise AssertionError("partition lists the heads differently from the basis")
-        for u in fresh.monomials:
-            if kept.nonmult(u) != fresh.nonmult(u):
+        for u in heads:
+            want = self.division.nm_set(u, heads)
+            if kept.nonmult(u) != want:
                 raise AssertionError(
-                    "partition keeps nonmultiplicative variables %s for %r, a rebuild gives %s"
-                    % (sorted(kept.nonmult(u)), u.exps, sorted(fresh.nonmult(u)))
+                    "partition keeps nonmultiplicative variables %s for %r, the definition gives %s"
+                    % (sorted(kept.nonmult(u)), u.exps, sorted(want))
                 )
 
     def _pop_checks(self, p: SigPoly) -> None:
@@ -530,7 +532,7 @@ class _Engine:
                 for a, b in zip(cofs, reducer.cofactors)
             )
         sp = SigPoly(
-            sig, value.monic(), value.lm, self._new_anc_id(), set(), next(self._uid), vcofs
+            sig, value.monic(), value.lm, self._new_anc_id(), 0, next(self._uid), vcofs
         )
         return self._push(sp, creator_sig)
 
@@ -579,11 +581,11 @@ class _Engine:
         hm = h.monic()
         if hm.lm == p.poly.lm:
             t_new = SigPoly(
-                p.sig, hm, p.anc_lm, p.anc_id, set(p.processed), next(self._uid), cofs
+                p.sig, hm, p.anc_lm, p.anc_id, p.processed, next(self._uid), cofs
             )
         else:
             t_new = SigPoly(
-                p.sig, hm, hm.lm, self._new_anc_id(), set(), next(self._uid), cofs
+                p.sig, hm, hm.lm, self._new_anc_id(), 0, next(self._uid), cofs
             )
         self._check_cofactors(t_new)
         self._bump_deg(hm)
@@ -600,8 +602,10 @@ class _Engine:
         part = self._index.partition
         n = order.vars.n
         for q in self.T:
-            fresh = part.nonmult(q.poly.lm) - q.processed
-            for i in sorted(fresh):
+            fresh = part.nm_mask(q.poly.lm) & ~q.processed
+            if not fresh:
+                continue
+            for i in bit_indices(fresh):
                 x = mono_var(i, n)
                 pcofs = None
                 if q.cofactors is not None:
@@ -611,7 +615,7 @@ class _Engine:
                     q.poly.mul_term(1, x),
                     q.anc_lm,
                     q.anc_id,
-                    set(),
+                    0,
                     next(self._uid),
                     pcofs,
                 )
@@ -805,10 +809,11 @@ def inv_bas(F, division: Division, order: Ordering) -> CompletionResult:
     """The Gerdt–Blinkov involutive completion, without signatures.
 
     Elements are triples (poly, anc, processed): anc is the head of the
-    element whose prolongations led to poly, processed the variables whose
-    prolongations of poly are queued.  A nonzero normal form h sends the
-    basis elements whose heads lm(h) properly divides back to the queue, and
-    keeps its element's ancestry when its head is unchanged.
+    element whose prolongations led to poly, processed the bitmask of the
+    variables whose prolongations of poly are queued.  A nonzero normal
+    form h sends the basis elements whose heads lm(h) properly divides back
+    to the queue, and keeps its element's ancestry when its head is
+    unchanged.
     """
     start = time.perf_counter()
     polys = _check_inputs(F, division, order)
@@ -816,13 +821,13 @@ def inv_bas(F, division: Division, order: Ordering) -> CompletionResult:
     seq = itertools.count()
     queue: list = []
 
-    def push(poly: Polynomial, anc: Monomial, processed: set[int]) -> None:
+    def push(poly: Polynomial, anc: Monomial, processed: int) -> None:
         stats.max_deg = max(stats.max_deg, poly.degree)
         heapq.heappush(queue, (order.key(poly.lm), next(seq), (poly, anc, processed)))
 
     gens = [f.monic() for f in polys]
     for g in gens:
-        push(g, g.lm, set())
+        push(g, g.lm, 0)
     basis: dict[Monomial, tuple] = {}  # head -> (poly, anc, processed)
     reducer = _InvolutiveReducer((), division, order)
     while queue:
@@ -845,13 +850,15 @@ def inv_bas(F, division: Division, order: Ordering) -> CompletionResult:
             push(*basis.pop(m))
         if displaced:
             reducer = _InvolutiveReducer([t[0] for t in basis.values()], division, order)
-        basis[h.lm] = (h, anc, processed) if h.lm == p.lm else (h, h.lm, set())
+        basis[h.lm] = (h, anc, processed) if h.lm == p.lm else (h, h.lm, 0)
         reducer.add(h)
-        for q, q_anc, q_processed in basis.values():
-            fresh = reducer.partition.nonmult(q.lm) - q_processed
-            for i in sorted(fresh):
-                push(q.mul_term(1, mono_var(i, order.vars.n)), q_anc, set())
-            q_processed |= fresh
+        for m, (q, q_anc, q_processed) in basis.items():
+            fresh = reducer.partition.nm_mask(m) & ~q_processed
+            if not fresh:
+                continue
+            for i in bit_indices(fresh):
+                push(q.mul_term(1, mono_var(i, order.vars.n)), q_anc, 0)
+            basis[m] = (q, q_anc, q_processed | fresh)
 
     loop_basis = [t[0] for t in basis.values()]
     stats.polys_loop = len(loop_basis)

@@ -58,8 +58,8 @@ class SigPoly:
 
     `anc_lm`/`anc_id` name the basis element this one descends from by
     prolongations and tail work; elements whose head changed start a fresh
-    ancestry.  `processed` records variable indices whose prolongation has
-    already been queued.  `cofactors` (optional) expresses the polynomial
+    ancestry.  `processed` is the bitmask (bit i for variable i) of the
+    variables whose prolongation has already been queued.  `cofactors` (optional) expresses the polynomial
     exactly as a combination of the original generators.
     """
 
@@ -71,7 +71,7 @@ class SigPoly:
         poly: Polynomial,
         anc_lm: Monomial,
         anc_id: int,
-        processed: set[int] | None = None,
+        processed: int = 0,
         uid: int = -1,
         cofactors: tuple[Polynomial, ...] | None = None,
     ):
@@ -79,7 +79,7 @@ class SigPoly:
         self.poly = poly
         self.anc_lm = anc_lm
         self.anc_id = anc_id
-        self.processed = set() if processed is None else set(processed)
+        self.processed = processed
         self.uid = uid
         self.cofactors = cofactors
 

@@ -7,7 +7,7 @@ import signal
 import pytest
 from hypothesis import strategies as st
 
-from invbases.core import Monomial, Polynomial, VarSet, degrevlex, lex
+from invbases.core import Monomial, Ordering, Polynomial, VarSet, degrevlex, lex
 from invbases.systems import parse_system
 
 # Two generators in the plane whose completion is tiny enough to check by
@@ -105,6 +105,25 @@ def xy_lex(xy_vars):
 @pytest.fixture
 def xy_degrevlex(xy_vars):
     return degrevlex(xy_vars)
+
+
+class counted_keys:
+    """Count the `Ordering.key` calls made inside a `with` block."""
+
+    def __enter__(self):
+        self.calls = 0
+        real = Ordering.key
+
+        def key(order, m):
+            self.calls += 1
+            return real(order, m)
+
+        self._patch = pytest.MonkeyPatch()
+        self._patch.setattr(Ordering, "key", key)
+        return self
+
+    def __exit__(self, *exc):
+        self._patch.undo()
 
 
 def monomials(n: int, max_deg: int = 4):

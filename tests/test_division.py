@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from invbases.core import (
+    GREATER,
+    LESS,
     Monomial,
     Polynomial,
     UsageError,
@@ -33,7 +35,7 @@ from invbases.division import (
 )
 from invbases.engine import _InvolutiveReducer
 
-from conftest import monomial_sets, monomials
+from conftest import counted_keys, monomial_sets, monomials
 
 VS = VarSet(("x", "y"))
 JAN = janet(VS)
@@ -113,6 +115,120 @@ class TestPairRule:
         assert JAN.nm_set(Y3, U) == frozenset({0})
 
 
+def reference_nm_pair(div, u, v):
+    """The pair rule as it was before the partition kept keys: one
+    `Ordering.cmp` of u and v per call, one direction at a time."""
+    if u == v:
+        return frozenset()
+    if div.kind == "thomas":
+        return frozenset(
+            i for i, (a, b) in enumerate(zip(u.exps, v.exps)) if a < b
+        )
+    c = div.base.cmp(u, v)
+    if c == GREATER:
+        return frozenset()
+    if c == LESS and v.divides(u):
+        return frozenset()
+    for i in div.vars.priority:
+        if u.exps[i] < v.exps[i]:
+            return frozenset((i,))
+    raise AssertionError("unreachable: u < v with no exponent deficit")
+
+
+def reference_nm_set(div, u, U):
+    return frozenset().union(*(reference_nm_pair(div, u, v) for v in U))
+
+
+def mask_of(indices) -> int:
+    return sum(1 << i for i in indices)
+
+
+# Identity priority and two others: under a non-identity priority the
+# first deficit is taken in priority order, not index order.
+PRIORITY_SETS = (
+    VarSet(("x", "y", "z")),
+    VarSet(("x", "y", "z"), priority=(2, 0, 1)),
+    VarSet(("x", "y", "z"), priority=(1, 2, 0)),
+)
+
+
+class TestPairRuleAgainstTheReference:
+    @given(
+        monomials(3, 4),
+        monomials(3, 4),
+        st.sampled_from(("janet", "alex", "thomas")),
+        st.sampled_from(PRIORITY_SETS),
+    )
+    @settings(max_examples=300)
+    def test_both_directions_match(self, u, v, division_name, vs):
+        div = division_by_name(division_name, vs)
+        ref_u, ref_v = reference_nm_pair(div, u, v), reference_nm_pair(div, v, u)
+        assert div.nm_pair(u, v) == ref_u
+        assert div.nm_pair(v, u) == ref_v
+        keys = (None, None) if div.base is None else (div.base.key(u), div.base.key(v))
+        assert div.pair_masks(u, v, *keys) == (mask_of(ref_u), mask_of(ref_v))
+
+    def test_alex_greater_divides_smaller_under_a_priority(self):
+        # Under alex, x*z divides x^2*z and sits above it (lower degree), so
+        # the pair constrains neither: the smaller x^2*z falls short of x*z
+        # in no variable.
+        vs = PRIORITY_SETS[1]
+        div = alex_division(vs)
+        xz, x2z = Monomial((1, 0, 1)), Monomial((2, 0, 1))
+        assert reference_nm_pair(div, x2z, xz) == frozenset()
+        assert div.nm_pair(x2z, xz) == div.nm_pair(xz, x2z) == frozenset()
+        # Not a divisor: the deficit of y^2 against x*z is taken in priority
+        # order (z before x), so y^2 gains z.
+        y2 = Monomial((0, 2, 0))
+        assert div.nm_pair(y2, xz) == reference_nm_pair(div, y2, xz) == frozenset({2})
+
+    @given(
+        st.lists(monomials(3, 3), min_size=1, max_size=6),
+        st.lists(st.integers(0, 5), max_size=4),
+        st.sampled_from(("janet", "alex", "thomas")),
+        st.sampled_from(PRIORITY_SETS),
+    )
+    @settings(max_examples=100)
+    def test_partition_with_repeats_equals_the_definition(self, U, again, division_name, vs):
+        # Monomials listed more than once: each repeat is a no-op for the
+        # masks, and the list keeps it.
+        U = U + [U[i % len(U)] for i in again]
+        div = division_by_name(division_name, vs)
+        part = div.partition(U)
+        assert part.monomials == tuple(U)
+        for u in U:
+            assert part.nonmult(u) == div.nm_set(u, U) == reference_nm_set(div, u, U)
+
+
+class TestKeyCounts:
+    """Each monomial is keyed once when it joins a partition: a pair costs
+    one comparison of kept keys, and Thomas compares no keys at all."""
+
+    @given(
+        monomial_sets(3, max_deg=3, max_size=8),
+        st.sampled_from(("janet", "alex", "thomas")),
+        st.sampled_from(PRIORITY_SETS),
+    )
+    @settings(max_examples=60)
+    def test_a_build_keys_each_distinct_monomial_once(self, U, division_name, vs):
+        div = division_by_name(division_name, vs)
+        listed = sorted(U, key=lambda m: m.exps)
+        with counted_keys() as count:
+            div.partition(listed + listed[:2])
+        assert count.calls == (0 if division_name == "thomas" else len(U))
+
+    @pytest.mark.parametrize("division_name", ["janet", "alex", "thomas"])
+    def test_add_keys_the_newcomer_once(self, division_name):
+        div = division_by_name(division_name, VS)
+        part = div.partition((XY, X2, Y3))
+        with counted_keys() as count:
+            part.add(X2Y)
+        assert count.calls == (0 if division_name == "thomas" else 1)
+        with counted_keys() as count:
+            part.add(X2Y)
+        assert count.calls == 0
+
+
 class TestPartition:
     def test_worked_example_heads(self):
         # Heads certified by the completion of the worked example.
@@ -189,7 +305,9 @@ class TestPartition:
                     fresh = div.partition(seq[:i])
                     assert grown.monomials == fresh.monomials
                     for u in fresh.monomials:
-                        assert grown.nonmult(u) == fresh.nonmult(u)
+                        assert grown.nonmult(u) == fresh.nonmult(u) == reference_nm_set(
+                            div, u, seq[:i]
+                        )
 
 
 class TestInvDivisor:

@@ -26,6 +26,7 @@ from invbases.core import (
     render_polynomial,
 )
 from invbases.division import (
+    Partition,
     alex_division,
     division_by_name,
     janet,
@@ -610,7 +611,7 @@ class TestInvariantChecks:
         # Adding the head x^2 makes x nonmultiplicative for x*y under Janet;
         # a mask that misses the widening keeps x*y's old split.
         g = engine.gens[0]
-        engine._grow(SigPoly(Signature(Monomial((0, 0)), 1), g, g.lm, 7, set(), 7))
+        engine._grow(SigPoly(Signature(Monomial((0, 0)), 1), g, g.lm, 7, 0, 7))
         engine._check_partition()
         engine._index.partition._nm[head] = 0
         with pytest.raises(AssertionError, match="variables \\[\\] for \\(1, 1\\)"):
@@ -618,6 +619,26 @@ class TestInvariantChecks:
         engine._index.partition = janet(sf.vars).partition([head, Monomial((5, 5))])
         with pytest.raises(AssertionError, match="lists the heads"):
             engine._check_partition()
+
+    @pytest.mark.parametrize("division_name", ["janet", "alex", "thomas"])
+    def test_partition_check_catches_an_add_that_drops_the_share(
+        self, division_name, monkeypatch
+    ):
+        # A fresh partition grows by `add` too, so the check must compare
+        # with the definition, not with a second partition built the same way.
+        add = Partition.add
+
+        def add_without_share(part, w):
+            known = w in part._nm
+            add(part, w)
+            if not known:
+                part._nm[w] = 0
+
+        monkeypatch.setattr(Partition, "add", add_without_share)
+        sf = load_builtin("cyclic4", order="degrevlex")
+        div = division_by_name(division_name, sf.vars)
+        with pytest.raises(AssertionError, match="the definition gives"):
+            inv_comp(sf.polynomials, div, sf.order, EngineOptions(check_invariants=True))
 
     def test_checks_raise_under_python_O(self):
         # Run in a child interpreter, because -O strips `assert` statements.

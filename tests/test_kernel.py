@@ -36,6 +36,7 @@ from invbases.core import (
     mono_div,
     mono_mul,
     mono_one,
+    spoly,
 )
 from invbases.division import alex_division, division_by_name
 from invbases.engine import EngineOptions, _Engine, _InvolutiveReducer, reg_normal_form
@@ -50,7 +51,7 @@ from invbases.signatures import (
     sig_mul,
 )
 
-from conftest import monomials, polynomials, small_fractions
+from conftest import counted_keys, monomials, polynomials, small_fractions
 
 DIVISIONS = ("janet", "alex", "thomas")
 
@@ -206,7 +207,7 @@ def drop_lt_regular_normal_form(engine: _Engine, p: SigPoly):
                         value.monic(),
                         value.lm,
                         engine._new_anc_id(),
-                        set(),
+                        0,
                         next(engine._uid),
                     )
                     if engine._push(dsp, creator_sig=p.sig):
@@ -274,12 +275,12 @@ def signed_cases(draw):
             continue
         seen.add(g.lm)
         g = g.monic()
-        basis.append(SigPoly(draw(sig_strategy(n, 3)), g, g.lm, len(basis), set(), len(basis)))
+        basis.append(SigPoly(draw(sig_strategy(n, 3)), g, g.lm, len(basis), 0, len(basis)))
     archive = None
     if draw(st.booleans()):
         archive = LMArchive([[draw(monomials(n, 3))] for _ in range(3)])
     anc = f.lm if draw(st.booleans()) else draw(monomials(n, 2))
-    p = SigPoly(draw(sig_strategy(n, 3)), f, anc, 99, set(), 99)
+    p = SigPoly(draw(sig_strategy(n, 3)), f, anc, 99, 0, 99)
     return order, basis, archive, p
 
 
@@ -466,6 +467,40 @@ class TestPendingTerms:
         assert deg == max((mono_mul(m, u).deg for _, m in g.terms[1:]), default=-1)
 
 
+class TestKeptKeyRows:
+    """Under `__debug__`, `_raw`'s canonical check keys every term, and the
+    polynomial keeps those keys as its row, as the constructor keeps the
+    keys it sorts by: reading `key_row` keys nothing more."""
+
+    @pytest.mark.skipif(not __debug__, reason="the canonical check runs only under __debug__")
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_built_polynomials_carry_their_row(self, data):
+        vs = VarSet(("x", "y", "z")[: data.draw(st.integers(2, 3))])
+        order = data.draw(st.sampled_from((lex, degrevlex)))(vs)
+        f = data.draw(polynomials(order, vs.n))
+        g = data.draw(polynomials(order, vs.n))
+        u = data.draw(monomials(vs.n, 2))
+        c = data.draw(small_fractions())
+        G = data.draw(st.lists(polynomials(order, vs.n, max_terms=3), min_size=1, max_size=3))
+        division = division_by_name(data.draw(st.sampled_from(DIVISIONS)), vs)
+        built = {
+            "mul_term": f.mul_term(c, u),
+            "prolongation": f.mul_term(1, u),
+            "scale": f.scale(c),
+            "neg": -f,
+            "spoly": spoly(f, g),
+            "nf": _InvolutiveReducer(G, division, order).nf(f),
+            "constructor": Polynomial(order, f.terms + g.terms),
+        }
+        for what, p in built.items():
+            want = tuple(order.key(m) for _, m in p.terms)
+            with counted_keys() as count:
+                row = p.key_row()
+            assert row == want, what
+            assert count.calls == 0, what
+
+
 class TestInvolutiveReducer:
     @given(reduction_cases(), st.sampled_from(DIVISIONS))
     @settings(max_examples=100, deadline=None)
@@ -570,7 +605,7 @@ class TestRegularNormalForm:
                 if u is not None and data.draw(st.booleans()):
                     g = data.draw(polynomials(order, order.vars.n, max_deg=3)).monic()
                     uid = 100 + len(queued_first)
-                    queued_first.append(SigPoly(sig_mul(u, q.sig), g, g.lm, uid, set(), uid))
+                    queued_first.append(SigPoly(sig_mul(u, q.sig), g, g.lm, uid, 0, uid))
         engines = []
         for _ in range(2):
             engine = _Engine(div, order, EngineOptions(), basis, archive)
@@ -598,15 +633,15 @@ class TestRegularNormalForm:
 
         one = Monomial((0, 0))
         q = lex_poly((1, (1, 0)), (1, (0, 5)))
-        basis = [SigPoly(Signature(one, 1), q, q.lm, 0, set(), 0)]
+        basis = [SigPoly(Signature(one, 1), q, q.lm, 0, 0, 0)]
         f = lex_poly((1, (2, 0)), (1, (1, 3)))
-        p = SigPoly(Signature(one, 2), f, f.lm, 1, set(), 1)
+        p = SigPoly(Signature(one, 2), f, f.lm, 1, 0, 1)
         incumbent = lex_poly((1, (0, 1)))
         engines = []
         for _ in range(2):
             engine = _Engine(div, order, EngineOptions(), basis)
             engine._push(
-                SigPoly(Signature(Monomial((0, 3)), 1), incumbent, incumbent.lm, 2, set(), 2), None
+                SigPoly(Signature(Monomial((0, 3)), 1), incumbent, incumbent.lm, 2, 0, 2), None
             )
             engines.append(engine)
         ref_h, ref_verdict = drop_lt_regular_normal_form(engines[0], p)

@@ -68,14 +68,21 @@ class Stats:
     """Counters for one completion run.
 
     The first eight are the `--stats` columns (`inv_bas` leaves `f5` and
-    `super` at zero).  The diagnostics count
-    deflected combinations queued (`deflections`), queued elements of equal
-    signature merged (`sig_merges`) and of those the queued ones dropped
-    (`killed_q`), basis elements purged with a redundant generator
-    (`purged_t`), and, only under `check_invariants`, the pops whose
-    signature lies below some basis element's (`global_sig_violations`), at
-    the same module position (`same_index_sig_violations`).  `inv_bas`
-    leaves the diagnostics at zero.
+    `super` at zero).  `max_deg` is the largest total degree seen, and the
+    two algorithms see different things: `inv_comp` counts the queued
+    polynomials and every term a reduction step forms, `inv_bas` only the
+    queued polynomials and the normal forms.  So the column does not
+    compare across algorithms (noon3 under alex: 13 against 6).
+
+    The diagnostics count deflected combinations queued (`deflections`),
+    queued elements of equal signature merged (`sig_merges`) and of those
+    the queued ones dropped (`killed_q`), and, only under
+    `check_invariants`, the pops whose signature lies below some basis
+    element's (`global_sig_violations`), at the same module position
+    (`same_index_sig_violations`).  `purged_t` is always 0, since no basis
+    element is ever removed; it stays only because the benchmark reads it
+    (`perfbench`'s diagnostics, its traced report and `--self-check`).
+    `inv_bas` leaves the diagnostics at zero.
     """
 
     reds: int = 0
@@ -120,7 +127,7 @@ class EngineOptions:
     monic sorted generators and records one `CofactorRecord` per basis
     insertion.  `check_invariants` enables internal assertions and the two
     signature diagnostics on every iteration, among them a comparison of
-    the partition kept up by insertions against one rebuilt from scratch.
+    the partition kept up by insertions against its definition.
     """
 
     track_cofactors: bool = False
@@ -178,8 +185,19 @@ class _Engine:
     """State of one signature-based completion run.
 
     The engine starts from a fixed basis of processed elements (empty for a
-    completion, which `seed` then fills from the input system) and an
-    optional archive of recorded heads.
+    completion) and an optional archive of recorded heads.  An element
+    joins the basis one way only: `_push` queues it, `_pop` hands it out
+    in signature order, and `_insert` files its nonzero normal form.
+    `seed` queues the input system.
+
+    The basis only grows, which is why the loop basis is larger than the
+    minimal one.  Signature-safe reduction cannot displace: elements pop
+    in increasing signature, so a newer element multiplied up to an older
+    head has, as a rule, the larger signature, and reducing the older head
+    by it would raise that head's signature.  Every non-minimal head
+    therefore stays, with all its prolongations, where `inv_bas` would
+    send it back to the queue; `min_bas` extracts the minimal basis at the
+    end.
     """
 
     def __init__(
@@ -204,9 +222,7 @@ class _Engine:
         self.stats = Stats()
         self.gens: list[Polynomial] = []
 
-        self._uid = itertools.count()
         self._seq = itertools.count()
-        self._anc_ids = itertools.count()
         self._heap: list = []
         # The one queued element of each signature; heap slots of elements
         # merged away stay behind and are skipped by `_pop`.
@@ -216,12 +232,16 @@ class _Engine:
         self.records: list[CofactorRecord] = []
 
         self.T: list[SigPoly] = list(basis)
-        self._rebuild_index()
+        # The divisor index over the basis; `_grow` keeps it up as T grows.
+        self._index = _InvolutiveReducer(
+            [t.poly for t in self.T], division, order, self.T
+        )
 
     def seed(self, F) -> None:
         """Queue the generators of F, checked, made monic and sorted by
         decreasing head (stable, so equal heads keep input order); sorted
-        position i is module e_(i+1).  The last one starts the basis."""
+        position i is module e_(i+1).  The last one has the smallest
+        signature, so it pops first and starts the basis."""
         order = self.order
         polys = _check_inputs(F, self.division, order)
         self.gens = sorted(
@@ -239,36 +259,9 @@ class _Engine:
                     Polynomial.one(order) if j == i else Polynomial.zero(order)
                     for j in range(k)
                 )
-            sp = SigPoly(sig, g, g.lm, self._new_anc_id(), 0, next(self._uid), unit)
-            if i == k - 1:
-                self._grow(sp)
-                if unit is not None:
-                    self.records.append(CofactorRecord(sig, g, unit))
-            else:
-                self._push(sp, creator_sig=None)
+            self._push(SigPoly(sig, g, g.lm, cofactors=unit), creator_sig=None)
 
     # -- bookkeeping ---------------------------------------------------
-
-    def _new_anc_id(self) -> int:
-        """Allocate an identity for an element that becomes its own ancestor.
-
-        Identity is per instance, not per value: two equal generators are
-        distinct module elements, and purging the descendants of one must
-        not touch the other.
-        """
-        return next(self._anc_ids)
-
-    def _rebuild_index(self) -> None:
-        """Rebuild the divisor index over the basis, O(|T|^2) pair rules.
-
-        Insertions instead grow the kept index with `_InvolutiveReducer.add`,
-        at O(|T|) pair rules; a rebuild is needed only for the starting
-        basis and after `_purge`, because removing heads can shrink the
-        nonmultiplicative sets of the heads that stay.
-        """
-        self._index = _InvolutiveReducer(
-            [t.poly for t in self.T], self.division, self.order, self.T
-        )
 
     def _grow(self, sp: SigPoly) -> None:
         """Append sp to the basis and to the divisor index."""
@@ -337,17 +330,6 @@ class _Engine:
                 del self._sig_best[sp.sig]
                 return sp
         return None
-
-    def _purge(self, anc_id: int) -> None:
-        """Drop every basis element descending from a generator that was
-        just discovered to reduce to zero at its own head; their heads came
-        from a redundant generator.  Queued descendants stay and fall to the
-        usual criteria when popped."""
-        before = len(self.T)
-        self.T = [t for t in self.T if t.anc_id != anc_id]
-        self.stats.purged_t += before - len(self.T)
-        if len(self.T) != before:
-            self._rebuild_index()
 
     # -- invariants ----------------------------------------------------
 
@@ -488,14 +470,13 @@ class _Engine:
         combination's head is rem[0] before anything is built.  When that
         head would lose the same-signature merge (`_loses_merge`), `_push`
         would drop the combination, and only its accounting is done here:
-        the creator check, the merge count, the two identities the element
-        would have drawn, and the degree bump.  That bump takes the largest
-        degree of c*chosen_u*chosen.poly: its head is the popped term,
-        within `max_deg` already, and a product term above `max_deg` has
-        nothing to cancel against, so it is the degree `_push` would see.
-        Otherwise the combination is built from a copy of the accumulator,
-        since c*chosen_u*lt(chosen) cancels the popped term.  With cofactors
-        it is always built, so that `_push` checks them.
+        the creator check, the merge count and the degree bump.  That bump
+        takes the largest degree of c*chosen_u*chosen.poly: its head is the
+        popped term, within `max_deg` already, and a product term above
+        `max_deg` has nothing to cancel against, so it is the degree `_push`
+        would see.  Otherwise the combination is built from a copy of the
+        accumulator, since c*chosen_u*lt(chosen) cancels the popped term.
+        With cofactors it is always built, so that `_push` checks them.
         """
         dsig = sig_mul(chosen_u, chosen.sig)
         if rem:
@@ -509,8 +490,6 @@ class _Engine:
                     self.stats.max_deg = deg
                 self._check_creator(dsig, p.sig)
                 self.stats.sig_merges += 1
-                self._new_anc_id()
-                next(self._uid)
                 return
         acc = pending.copy()
         acc.sub_tail(c, chosen_u, chosen.poly)
@@ -531,10 +510,7 @@ class _Engine:
                 (a - b.mul_term(c, u)).scale(1 / value.lc)
                 for a, b in zip(cofs, reducer.cofactors)
             )
-        sp = SigPoly(
-            sig, value.monic(), value.lm, self._new_anc_id(), 0, next(self._uid), vcofs
-        )
-        return self._push(sp, creator_sig)
+        return self._push(SigPoly(sig, value.monic(), value.lm, cofactors=vcofs), creator_sig)
 
     # -- main loop -----------------------------------------------------
 
@@ -545,7 +521,6 @@ class _Engine:
             if p is None:
                 break
             self._pop_checks(p)
-            self._bump_deg(p.poly)
             if self.cover and self._covered(p):
                 self.stats.note(Verdict.SUPER)
                 continue
@@ -555,8 +530,6 @@ class _Engine:
                 continue
             if h.is_zero:
                 self.stats.reds += 1
-                if p.poly.lm == p.anc_lm:
-                    self._purge(p.anc_id)
                 continue
             self._insert(p, h)
         self.stats.polys_loop = len(self.T)
@@ -579,16 +552,12 @@ class _Engine:
         if p.cofactors is not None:
             cofs = tuple(c.scale(1 / h.lc) for c in p.cofactors)
         hm = h.monic()
-        if hm.lm == p.poly.lm:
-            t_new = SigPoly(
-                p.sig, hm, p.anc_lm, p.anc_id, p.processed, next(self._uid), cofs
-            )
-        else:
-            t_new = SigPoly(
-                p.sig, hm, hm.lm, self._new_anc_id(), 0, next(self._uid), cofs
-            )
+        # No prolongation of a queued element is queued yet, so the new basis
+        # element starts with none processed.  It keeps p's ancestry when the
+        # head stayed, else starts its own.
+        anc_lm = p.anc_lm if hm.lm == p.poly.lm else hm.lm
+        t_new = SigPoly(p.sig, hm, anc_lm, cofactors=cofs)
         self._check_cofactors(t_new)
-        self._bump_deg(hm)
         if self.options.check_invariants and any(t.poly.lm == hm.lm for t in self.T):
             raise AssertionError("inserted a duplicate head into the basis")
         self._grow(t_new)
@@ -597,7 +566,8 @@ class _Engine:
         if t_new.cofactors is not None:
             self.records.append(CofactorRecord(t_new.sig, t_new.poly, t_new.cofactors))
 
-        self._queue_head_reductions(t_new)
+        if self.deflect:
+            self._queue_head_reductions(t_new)
 
         part = self._index.partition
         n = order.vars.n
@@ -610,24 +580,22 @@ class _Engine:
                 pcofs = None
                 if q.cofactors is not None:
                     pcofs = tuple(c.mul_term(1, x) for c in q.cofactors)
-                sp = SigPoly(
-                    sig_mul(x, q.sig),
-                    q.poly.mul_term(1, x),
-                    q.anc_lm,
-                    q.anc_id,
-                    0,
-                    next(self._uid),
-                    pcofs,
-                )
+                sp = SigPoly(sig_mul(x, q.sig), q.poly.mul_term(1, x), q.anc_lm, cofactors=pcofs)
                 self._push(sp, creator_sig=q.sig)
             q.processed |= fresh
 
     def _queue_head_reductions(self, t_new: SigPoly) -> None:
         """A freshly inserted element can involutively divide heads already
-        in the basis when the division comes from a non-admissible generator
-        (never for Janet or Thomas).  Such heads stay in place, but the
-        reduced combinations are queued under the new element's shifted
-        signature so their information is not lost."""
+        in the basis when the division comes from a non-admissible
+        generator, and `_insert` calls this only then.  Such heads stay in
+        place, but the reduced combinations are queued under the new
+        element's shifted signature so their information is not lost.
+
+        Elsewhere a head h that properly divides a basis head q is
+        nonmultiplicative for a variable of q/h.  Under an admissible
+        generator h is the smaller, so it gains the first variable in which
+        it falls short of q; under Thomas it gains every such variable.
+        """
         part = self._index.partition
         for q in self.T:
             if q is t_new:

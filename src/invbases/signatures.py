@@ -56,31 +56,28 @@ def sig_sort_key(order: Ordering, s: Signature):
 class SigPoly:
     """A polynomial labelled with its signature and reduction ancestry.
 
-    `anc_lm`/`anc_id` name the basis element this one descends from by
-    prolongations and tail work; elements whose head changed start a fresh
-    ancestry.  `processed` is the bitmask (bit i for variable i) of the
-    variables whose prolongation has already been queued.  `cofactors` (optional) expresses the polynomial
-    exactly as a combination of the original generators.
+    `anc_lm` is the head of the basis element this one descends from by
+    prolongations and tail work; an element whose head changed starts a
+    fresh ancestry.  `processed` is the bitmask (bit i for variable i) of
+    the variables whose prolongation has already been queued.  `cofactors`
+    (optional) expresses the polynomial exactly as a combination of the
+    original generators.
     """
 
-    __slots__ = ("sig", "poly", "anc_lm", "anc_id", "processed", "uid", "cofactors")
+    __slots__ = ("sig", "poly", "anc_lm", "processed", "cofactors")
 
     def __init__(
         self,
         sig: Signature,
         poly: Polynomial,
         anc_lm: Monomial,
-        anc_id: int,
         processed: int = 0,
-        uid: int = -1,
         cofactors: tuple[Polynomial, ...] | None = None,
     ):
         self.sig = sig
         self.poly = poly
         self.anc_lm = anc_lm
-        self.anc_id = anc_id
         self.processed = processed
-        self.uid = uid
         self.cofactors = cofactors
 
     def __repr__(self) -> str:

@@ -309,6 +309,25 @@ class TestPartition:
                             div, u, seq[:i]
                         )
 
+    @given(monomial_sets(3, max_deg=4, max_size=6), st.sampled_from(("janet", "thomas")))
+    @settings(max_examples=60)
+    def test_no_proper_divisor_divides_involutively(self, U, division_name):
+        # Why the engine queues head reductions of older basis heads only
+        # under a non-admissible generator: elsewhere a head h properly
+        # dividing q is nonmultiplicative for a variable of q/h.
+        div = division_by_name(division_name, VarSet(("x", "y", "z")))
+        part = div.partition(U)
+        for h in U:
+            for q in U:
+                if h != q and h.divides(q):
+                    assert not part.inv_divides(h, q)
+
+    def test_a_proper_divisor_divides_involutively_under_alex(self):
+        # Under alex x*y ranks above x^2*y, and a greater monomial that
+        # divides the smaller one imposes nothing on it.
+        part = ALX.partition((XY, X2Y))
+        assert part.inv_divides(XY, X2Y)
+
 
 class TestInvDivisor:
     def test_finds_the_involutive_divisor(self):

@@ -225,8 +225,8 @@ class TestRegularNormalForm:
         # The two generators of the worked example as processed elements.
         self.f1 = poly(LEX, (1, Monomial((2, 0))), (Fraction(-3, 2), Monomial((0, 2))))
         self.f2 = poly(LEX, (1, Monomial((1, 1))), (Fraction(3, 2), Monomial((0, 2))))
-        self.t1 = SigPoly(Signature(Monomial((0, 0)), 1), self.f1, self.f1.lm, 1)
-        self.t2 = SigPoly(Signature(Monomial((0, 0)), 2), self.f2, self.f2.lm, 2)
+        self.t1 = SigPoly(Signature(Monomial((0, 0)), 1), self.f1, self.f1.lm)
+        self.t2 = SigPoly(Signature(Monomial((0, 0)), 2), self.f2, self.f2.lm)
 
     def test_safe_head_reduction_hits_super(self):
         # y * f1 reduces at its own signature: a super top-reduction.
@@ -234,7 +234,6 @@ class TestRegularNormalForm:
             Signature(Monomial((0, 1)), 1),
             self.f1.mul_term(1, Monomial((0, 1))),
             self.f1.lm,
-            1,
         )
         _, verdict = reg_normal_form(p, [self.t2, self.t1], JAN, LEX)
         assert verdict is Verdict.SUPER
@@ -246,7 +245,6 @@ class TestRegularNormalForm:
             Signature(Monomial((1, 0)), 2),
             self.f2.mul_term(1, Monomial((1, 0))),
             self.f2.lm,
-            2,
         )
         h, verdict = reg_normal_form(p, [self.t2, self.t1], JAN, LEX)
         assert verdict is None
@@ -257,7 +255,6 @@ class TestRegularNormalForm:
             Signature(Monomial((1, 0)), 2),
             self.f2.mul_term(1, Monomial((1, 0))),
             self.f2.lm,
-            2,
         )
         # The alex division deflects: the unsafe head reduction by f1 is
         # queued under the reducer's shifted signature.
@@ -431,6 +428,16 @@ class TestCountersInStats:
         assert len(r.diagnostics) == 6
         assert set(r.diagnostics.values()) == {0}
 
+    @pytest.mark.parametrize("division_name", ["janet", "thomas"])
+    def test_max_deg_counts_the_first_generator_to_pop(self, division_name):
+        # A one-generator system: its only element pops first and joins the
+        # basis through the queue like any other, so its degree is seen.
+        sf = parse_system("vars: x y z\norder: lex\np: y + z^7\n")
+        div = division_by_name(division_name, sf.vars)
+        comp = inv_comp(sf.polynomials, div, sf.order)
+        assert comp.stats.max_deg == 7
+        assert inv_bas(sf.polynomials, div, sf.order).stats.max_deg == 7
+
 
 # reds c1 c2 f5 super polys_loop polys_min max_deg, the diagnostics
 # deflections sig_merges killed_q purged_t, and the minimal heads, of the
@@ -592,26 +599,30 @@ class TestInvariantChecks:
         sf = load_builtin(name, order="degrevlex")
         div = division_by_name(division_name, sf.vars)
         r = inv_comp(sf.polynomials, div, sf.order, EngineOptions(check_invariants=True))
-        # One check per insertion; only the seed element was not inserted.
-        assert len(calls) == r.stats.polys_loop - 1 + r.diagnostics["purged_t"]
+        # One check per insertion, the first generator's included: every
+        # basis element comes through the queue.
+        assert len(calls) == r.stats.polys_loop
 
     def test_partition_check_catches_a_stale_split(self):
         sf = parse_system(WORKED_EXAMPLE)
         engine = _Engine(janet(sf.vars), sf.order, EngineOptions())
         engine.seed(sf.polynomials)
+        first = engine._pop()
+        engine._insert(first, first.poly)
         engine._check_partition()
         head = engine.T[0].poly.lm
+        kept = engine._index.partition._nm[head]
         engine._index.partition._nm[head] = 0b11
         with pytest.raises(
             AssertionError, match="keeps nonmultiplicative variables \\[0, 1\\] for \\(1, 1\\)"
         ):
             engine._check_partition()
-        engine._rebuild_index()
+        engine._index.partition._nm[head] = kept
         engine._check_partition()
         # Adding the head x^2 makes x nonmultiplicative for x*y under Janet;
         # a mask that misses the widening keeps x*y's old split.
         g = engine.gens[0]
-        engine._grow(SigPoly(Signature(Monomial((0, 0)), 1), g, g.lm, 7, 0, 7))
+        engine._grow(SigPoly(Signature(Monomial((0, 0)), 1), g, g.lm))
         engine._check_partition()
         engine._index.partition._nm[head] = 0
         with pytest.raises(AssertionError, match="variables \\[\\] for \\(1, 1\\)"):
@@ -653,6 +664,8 @@ class TestInvariantChecks:
             opts = EngineOptions(track_cofactors=True)
             engine = _Engine(janet(sf.vars), sf.order, opts)
             engine.seed(sf.polynomials)
+            first = engine._pop()
+            engine._insert(first, first.poly)
             broken = engine.T[0]
             broken.cofactors = tuple(c.scale(2) for c in broken.cofactors)
             print("optimize", sys.flags.optimize, flush=True)

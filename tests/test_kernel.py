@@ -179,7 +179,7 @@ def drop_lt_regular_normal_form(engine: _Engine, p: SigPoly):
             if u is None or not part.allows(q.poly.lm, u):
                 continue
             safe = sig_cmp(order, sig_mul(u, q.sig), p.sig) <= 0
-            candidates.append(((0 if safe else 1, order.key(q.poly.lm), q.uid), q, u))
+            candidates.append(((0 if safe else 1, order.key(q.poly.lm)), q, u))
         if not candidates:
             rem.append(h.lt)
             h = drop_lt(h)
@@ -202,14 +202,7 @@ def drop_lt_regular_normal_form(engine: _Engine, p: SigPoly):
                 dsig = sig_mul(chosen_u, chosen.sig)
                 if not value.is_zero and (dsig, value.lm) not in deflected:
                     deflected.add((dsig, value.lm))
-                    dsp = SigPoly(
-                        dsig,
-                        value.monic(),
-                        value.lm,
-                        engine._new_anc_id(),
-                        0,
-                        next(engine._uid),
-                    )
+                    dsp = SigPoly(dsig, value.monic(), value.lm)
                     if engine._push(dsp, creator_sig=p.sig):
                         engine.stats.deflections += 1
             rem.append(h.lt)
@@ -275,12 +268,12 @@ def signed_cases(draw):
             continue
         seen.add(g.lm)
         g = g.monic()
-        basis.append(SigPoly(draw(sig_strategy(n, 3)), g, g.lm, len(basis), 0, len(basis)))
+        basis.append(SigPoly(draw(sig_strategy(n, 3)), g, g.lm))
     archive = None
     if draw(st.booleans()):
         archive = LMArchive([[draw(monomials(n, 3))] for _ in range(3)])
     anc = f.lm if draw(st.booleans()) else draw(monomials(n, 2))
-    p = SigPoly(draw(sig_strategy(n, 3)), f, anc, 99, 0, 99)
+    p = SigPoly(draw(sig_strategy(n, 3)), f, anc)
     return order, basis, archive, p
 
 
@@ -294,7 +287,7 @@ def queued(engine: _Engine):
 
 
 def entry(sp: SigPoly):
-    return (sp.sig, sp.poly.terms, sp.anc_lm, sp.anc_id, sp.uid)
+    return (sp.sig, sp.poly.terms, sp.anc_lm)
 
 
 XY = VarSet(("x", "y"))
@@ -604,8 +597,7 @@ class TestRegularNormalForm:
                 u = mono_div(m, q.poly.lm)
                 if u is not None and data.draw(st.booleans()):
                     g = data.draw(polynomials(order, order.vars.n, max_deg=3)).monic()
-                    uid = 100 + len(queued_first)
-                    queued_first.append(SigPoly(sig_mul(u, q.sig), g, g.lm, uid, 0, uid))
+                    queued_first.append(SigPoly(sig_mul(u, q.sig), g, g.lm))
         engines = []
         for _ in range(2):
             engine = _Engine(div, order, EngineOptions(), basis, archive)
@@ -633,15 +625,15 @@ class TestRegularNormalForm:
 
         one = Monomial((0, 0))
         q = lex_poly((1, (1, 0)), (1, (0, 5)))
-        basis = [SigPoly(Signature(one, 1), q, q.lm, 0, 0, 0)]
+        basis = [SigPoly(Signature(one, 1), q, q.lm)]
         f = lex_poly((1, (2, 0)), (1, (1, 3)))
-        p = SigPoly(Signature(one, 2), f, f.lm, 1, 0, 1)
+        p = SigPoly(Signature(one, 2), f, f.lm)
         incumbent = lex_poly((1, (0, 1)))
         engines = []
         for _ in range(2):
             engine = _Engine(div, order, EngineOptions(), basis)
             engine._push(
-                SigPoly(Signature(Monomial((0, 3)), 1), incumbent, incumbent.lm, 2, 0, 2), None
+                SigPoly(Signature(Monomial((0, 3)), 1), incumbent, incumbent.lm), None
             )
             engines.append(engine)
         ref_h, ref_verdict = drop_lt_regular_normal_form(engines[0], p)
@@ -651,4 +643,3 @@ class TestRegularNormalForm:
         assert (s.max_deg, s.deflections, s.sig_merges, s.killed_q) == (8, 1, 1, 0)
         assert s == engines[0].stats
         assert queued(engines[1]) == queued(engines[0])
-        assert (next(engines[1]._uid), next(engines[1]._anc_ids)) == (2, 2)

@@ -49,13 +49,8 @@ def poly(*terms):
     return Polynomial(LEX, [(Fraction(c), m) for c, m in terms])
 
 
-def sp(sig_mono, sig_index, p, anc_lm=None, anc_id=0):
-    return SigPoly(
-        Signature(sig_mono, sig_index),
-        p,
-        p.lm if anc_lm is None else anc_lm,
-        anc_id,
-    )
+def sp(sig_mono, sig_index, p, anc_lm=None):
+    return SigPoly(Signature(sig_mono, sig_index), p, p.lm if anc_lm is None else anc_lm)
 
 
 class TestSignature:
@@ -161,7 +156,7 @@ class TestCriteria:
 
     def test_rejects_zero_polynomials(self):
         q = sp(ONE, 1, poly((1, XY)))
-        z = SigPoly(Signature(X, 1), Polynomial.zero(LEX), XY, 0)
+        z = SigPoly(Signature(X, 1), Polynomial.zero(LEX), XY)
         with pytest.raises(UsageError):
             criteria(z, q, None)
 
@@ -203,12 +198,12 @@ class TestSigPoly:
     def test_processed_set_is_copied(self):
         # `processed` is a bitmask of variable indices, a value: widening
         # one element's mask leaves the mask it was built from alone.
-        a = SigPoly(Signature(ONE, 1), poly((1, XY)), XY, 0, processed=0b1)
-        b = SigPoly(Signature(ONE, 1), poly((1, XY)), XY, 0, processed=a.processed)
+        a = SigPoly(Signature(ONE, 1), poly((1, XY)), XY, processed=0b1)
+        b = SigPoly(Signature(ONE, 1), poly((1, XY)), XY, processed=a.processed)
         b.processed |= 0b10
         assert (a.processed, b.processed) == (0b1, 0b11)
-        assert SigPoly(Signature(ONE, 1), poly((1, XY)), XY, 0).processed == 0
+        assert SigPoly(Signature(ONE, 1), poly((1, XY)), XY).processed == 0
 
     def test_repr_mentions_signature_and_head(self):
-        a = SigPoly(Signature(X, 2), poly((1, XY)), XY, 0)
+        a = SigPoly(Signature(X, 2), poly((1, XY)), XY)
         assert "e2" in repr(a)

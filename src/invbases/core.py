@@ -6,7 +6,9 @@ stored as `fractions.Fraction`, so every value has one canonical form.
 Terms are combined in two places only.  Every cancelling step (the three
 normal forms and `spoly`) runs in the reduction accumulator `PendingTerms`,
 which holds integers: numerators over one common denominator, turned back
-into `Fraction`s as terms leave it.  All other arithmetic (`+`, `-`, `*`)
+into `Fraction`s as terms leave it.  A reducer enters it as integers too,
+through its kept tail row (`Polynomial.tail_row`), and a term that gets
+reduced never becomes a `Fraction`.  All other arithmetic (`+`, `-`, `*`)
 goes through the canonicalising constructor `Polynomial(order, terms)`.
 """
 from __future__ import annotations
@@ -140,8 +142,9 @@ def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
 
 # Order keys pack the exponents as base-2^KEY_BITS digits.  Integer order
 # equals the monomial ordering only while every total degree is below
-# KEY_BOUND; `Ordering.key`, `Ordering.product_key` and `PendingTerms.sub_tail`
-# raise `UsageError` from there on.
+# KEY_BOUND; `Ordering.key`, the reduction steps of `PendingTerms`
+# (`sub_tail`, `reduce_top`) and the engine's `_covered` raise `UsageError`
+# from there on.
 KEY_BITS = 32
 KEY_BOUND = 1 << KEY_BITS
 
@@ -199,13 +202,6 @@ class Ordering:
             raise _key_bound_error(m.deg)
         return m.deg * self._deg_weight + sum(map(operator.mul, m.exps, self._weights))
 
-    def product_key(self, a: Monomial, b: Monomial) -> int:
-        """key(a·b) without building a·b; raises `UsageError` as `key`
-        does for the product."""
-        if a.deg + b.deg >= KEY_BOUND:
-            raise _key_bound_error(a.deg + b.deg)
-        return self.key(a) + self.key(b)
-
     def cmp(self, a: Monomial, b: Monomial) -> int:
         ka, kb = self.key(a), self.key(b)
         if ka < kb:
@@ -244,14 +240,18 @@ class Polynomial:
     descending under `order`; no zero coefficients, no repeated monomials.
     The order keys of the terms are kept in `_row` (`key_row`) once taken:
     by the constructor, which sorts by them, by `_raw`'s canonical check
-    under `__debug__`, or else when a `PendingTerms` first needs them.
+    under `__debug__`, or else when a `PendingTerms` first needs them.  The
+    integers a reduction by the polynomial needs are kept in `_tail`
+    (`tail_row`), built on its first use as a reducer.  Neither is ever
+    invalidated: polynomials are immutable.
     """
 
-    __slots__ = ("order", "terms", "_row")
+    __slots__ = ("order", "terms", "_row", "_tail")
 
     def __init__(self, order: Ordering, terms: Iterable[tuple[Fraction, Monomial]] = ()):
         self.order = order
         self.terms, self._row = _canonical_terms(order, terms)
+        self._tail = None
 
     @classmethod
     def _raw(cls, order: Ordering, terms: tuple) -> Polynomial:
@@ -260,6 +260,7 @@ class Polynomial:
         p.order = order
         p.terms = terms
         p._row = p._assert_canonical() if __debug__ else None
+        p._tail = None
         return p
 
     @classmethod
@@ -316,6 +317,31 @@ class Polynomial:
             key = self.order.key
             row = self._row = tuple([key(m) for _, m in self.terms])
         return row
+
+    def tail_row(self) -> tuple:
+        """The integers a reduction by this nonzero polynomial needs:
+        (numerator of lc, denominator of lc, L, numerators, keys, degree).
+        L is the lcm of the tail's denominators, the numerators are those of
+        the tail's coefficients over L, the keys are the tail's order keys,
+        and the degree is the largest total degree in the tail (-1 without
+        a tail)."""
+        row = self._tail
+        if row is None:
+            row = self._tail = self._build_tail_row()
+        return row
+
+    def _build_tail_row(self) -> tuple:
+        lc = self.lc
+        tail = self.terms[1:]
+        lcm = math.lcm(*[c.denominator for c, _ in tail])
+        return (
+            lc.numerator,
+            lc.denominator,
+            lcm,
+            tuple([c.numerator * (lcm // c.denominator) for c, _ in tail]),
+            self.key_row()[1:],
+            max([m.deg for _, m in tail], default=-1),
+        )
 
     @property
     def degree(self) -> int:
@@ -429,21 +455,27 @@ def sum_of_products(order: Ordering, pairs) -> Polynomial:
 class PendingTerms:
     """The terms of a polynomial still awaiting reduction, for a normal form.
 
-    A normal form takes the largest pending term with `pop` and either moves
-    it to its remainder or cancels it against the leading term of a multiple
-    c*u*g of a reducer, whose other terms `sub_tail` then folds in.  The
-    terms are kept ascending (largest last) in three parallel lists: integer
-    order keys, integer numerators and monomials, all numerators over one
-    positive integer denominator `den`.  A product term's key is key(u) plus
-    the key of g's term (`Polynomial.key_row`), and its monomial is kept as
-    the pair (term monomial, u) until `pop` or `descending` hands it out:
-    equal keys mean equal monomials, so merging and cancelling need none.
-    `pop` takes the last entry, and each folded term finds its place by
-    `bisect` on its key, so no step rebuilds the terms that a reduction
-    leaves alone, and a step adds integers, not fractions.  After each step
-    the content gcd(den, numerators) is divided out, so `den` is always the
-    least common denominator of the pending terms.  Terms leave the
-    accumulator as `Fraction` coefficients.
+    A normal form looks at the largest pending term's monomial (`top_mono`)
+    to find a reducer g, then either moves the term to its remainder with
+    `pop` or cancels it with `reduce_top(u, g)` against the leading term of
+    the multiple c*u*g, c = (its coefficient)/lc(g), whose other terms are
+    folded in.  `sub_tail(c, u, g)` folds in the same terms for a caller
+    that already popped the term and holds c.  The terms are kept ascending
+    (largest last) in three parallel lists: integer order keys, integer
+    numerators and monomials, all numerators over one positive integer
+    denominator `den`.  A product term's key is key(u) plus the key of g's
+    term, and its numerator is a multiple of g's tail numerator, both from
+    g's kept integer row (`Polynomial.tail_row`); its monomial is kept as
+    the pair (term monomial, u) until `top_mono`, `pop` or `descending`
+    builds it: equal keys mean equal monomials, so merging and cancelling
+    need none.  Each folded term finds its place by `bisect` on its key, so
+    no step rebuilds the terms that a reduction leaves alone, and a step
+    multiplies and adds integers, not fractions; `reduce_top` takes c from
+    the popped numerator, `den` and lc(g) as integers, so a term that gets
+    reduced never becomes a `Fraction`.  After each step the content
+    gcd(den, numerators) is divided out, so `den` is always the least
+    common denominator of the pending terms.  Terms leave the accumulator
+    (`pop`, `descending`) as `Fraction` coefficients.
     """
 
     __slots__ = ("order", "_keys", "_nums", "_monos", "den")
@@ -469,6 +501,13 @@ class PendingTerms:
         other.den = self.den
         return other
 
+    def top_mono(self) -> Monomial:
+        """The monomial of the largest pending term, which stays pending."""
+        m = self._monos[-1]
+        if m.__class__ is tuple:
+            m = self._monos[-1] = _built(m)
+        return m
+
     def pop(self) -> tuple[Fraction, Monomial]:
         """Remove and return the largest pending term."""
         self._keys.pop()
@@ -480,75 +519,106 @@ class PendingTerms:
         return tuple(zip([Fraction(n, den) for n in reversed(self._nums)],
                          [_built(m) for m in reversed(self._monos)]))
 
+    def reduce_top(self, mono: Monomial, g: Polynomial) -> int:
+        """Remove the largest pending term and subtract c*mono*(g - lt(g)),
+        c = (its coefficient)/lc(g): the reduction step that cancels the
+        term against c*mono*lt(g), for a g whose head times mono is the
+        term's monomial.  c is the popped numerator times lc(g)'s
+        denominator over `den` times lc(g)'s numerator, brought to lowest
+        terms by one gcd.  Returns and raises as `sub_tail` does, before
+        anything is removed."""
+        ku, deg, row = self._product(mono, g)
+        self._keys.pop()
+        self._monos.pop()
+        cn = self._nums.pop() * row[1]
+        cd = self.den * row[0]
+        r = math.gcd(cn, cd)
+        self._fold(cn // r, cd // r, ku, mono, g, row)
+        return deg
+
     def sub_tail(self, coeff, mono: Monomial, g: Polynomial) -> int:
         """Subtract coeff*mono*(g - lt(g)) from the pending terms.
 
         This is the reduction step whose leading term coeff*mono*lt(g)
-        cancels the term just popped.  When `den` is not a multiple of the
-        products' common denominator (coeff's denominator times the lcm of
-        the tail's), the numerators are rescaled once to the lcm of the two.
-        A product term then joins the entry of equal key, which goes when
-        the sum is zero, or else is inserted.  The products come in
-        descending order (the orderings are compatible with
-        multiplication), so each one is searched for below the place of the
-        one before.  Last the content gcd(den, numerators) is divided out.
-        Returns the largest total degree of the product terms, -1 when g has
-        a single term.  A product of total degree KEY_BOUND or more raises
-        `UsageError` before its key is used, and leaves the accumulator
-        part-way through the step.
+        cancels a term the caller has popped.  Returns the largest total
+        degree of the product terms, -1 when g has a single term.  A reducer
+        of another ordering, or a product of total degree KEY_BOUND or more,
+        raises `UsageError` before the pending terms change.
         """
+        ku, deg, row = self._product(mono, g)
+        c = Fraction(coeff)
+        self._fold(c.numerator, c.denominator, ku, mono, g, row)
+        return deg
+
+    def _product(self, mono: Monomial, g: Polynomial) -> tuple:
+        """key(mono), the largest total degree of the product terms of
+        mono*(g - lt(g)) (-1 when g has a single term), and g's tail row;
+        raises `UsageError` where the step may not run."""
         if g.order != self.order:
             raise UsageError("cannot combine polynomials under different orderings")
         ku = self.order.key(mono)
-        c = Fraction(coeff)
-        tail = g.terms[1:]
-        lcm = math.lcm(*[gc.denominator for gc, _ in tail])
-        need = c.denominator * lcm
+        row = g.tail_row()
+        deg = row[5] + mono.deg if row[5] >= 0 else -1
+        if deg >= KEY_BOUND:
+            raise _key_bound_error(deg)
+        return ku, deg, row
+
+    def _fold(self, cn: int, cd: int, ku: int, mono: Monomial, g: Polynomial, row) -> None:
+        """Subtract (cn/cd)*mono*(g - lt(g)), with cn/cd in lowest terms; ku
+        is key(mono) and row is g's tail row.
+
+        When `den` is not a multiple of the products' common denominator
+        need = cd*L, the numerators are rescaled once to the (positive) lcm
+        of the two.  A negative cd needs no sign fix: den // need is exact
+        either way.
+        Over `den`, the product term of g's tail numerator a has numerator
+        f*a, f = -cn*(den // need).  A product term joins the entry of equal
+        key, which goes when the sum is zero, or else is inserted.  The
+        products come in descending order (the orderings are compatible with
+        multiplication), so each one is searched for below the place of the
+        one before.  Last the content gcd(den, numerators) is divided out.
+        """
+        _, _, lcm, tail_nums, tail_keys, _ = row
         keys, nums, monos = self._keys, self._nums, self._monos
         den = self.den
-        if den % need:
-            new = math.lcm(den, need)
-            scale = new // den
-            nums[:] = [n * scale for n in nums]
-            den = new
-        # Over den, a product -c*gc has numerator f * gc.numerator * (lcm // gc.denominator).
-        f = -c.numerator * (den // need)
-        ud = mono.deg
-        hi = len(keys)
-        deg = -1
-        for (gc, gm), kg in zip(tail, g.key_row()[1:]):
-            d = gm.deg + ud
-            if d > deg:
-                if d >= KEY_BOUND:
-                    raise _key_bound_error(d)
-                deg = d
-            t = f * gc.numerator * (lcm // gc.denominator)
-            k = ku + kg
-            hi = bisect_left(keys, k, 0, hi)
-            if hi < len(keys) and keys[hi] == k:
-                s = nums[hi] + t
-                if s:
-                    nums[hi] = s
+        if tail_nums:
+            need = cd * lcm
+            if den % need:
+                new = math.lcm(den, need)
+                scale = new // den
+                nums[:] = [n * scale for n in nums]
+                den = new
+            f = -cn * (den // need)
+            hi = len(keys)
+            terms = iter(g.terms)
+            next(terms)
+            for a, kg, (_, gm) in zip(tail_nums, tail_keys, terms):
+                t = f * a
+                k = ku + kg
+                hi = bisect_left(keys, k, 0, hi)
+                if hi < len(keys) and keys[hi] == k:
+                    s = nums[hi] + t
+                    if s:
+                        nums[hi] = s
+                    else:
+                        del keys[hi]
+                        del nums[hi]
+                        del monos[hi]
                 else:
-                    del keys[hi]
-                    del nums[hi]
-                    del monos[hi]
-            else:
-                keys.insert(hi, k)
-                nums.insert(hi, t)
-                monos.insert(hi, (gm, mono))
+                    keys.insert(hi, k)
+                    nums.insert(hi, t)
+                    monos.insert(hi, (gm, mono))
         if den > 1:
             content = math.gcd(den, *nums)
             if content > 1:
                 den //= content
                 nums[:] = [n // content for n in nums]
         self.den = den
-        return deg
 
 
 def _built(m) -> Monomial:
     """A pending monomial, built from its (term monomial, multiplier) pair
-    when `sub_tail` stored it as one."""
+    when a reduction step stored it as one."""
     if m.__class__ is tuple:
         a, b = m
         return _mono(tuple(map(operator.add, a.exps, b.exps)), a.deg + b.deg)
@@ -597,6 +667,5 @@ def spoly(f: Polynomial, g: Polynomial) -> Polynomial:
     ug = mono_div(l, g.lm)
     # One reduction step: the leading terms of the two multiples cancel.
     pending = PendingTerms(f.mul_term(1 / f.lc, uf))
-    pending.pop()
-    pending.sub_tail(1 / g.lc, ug, g)
+    pending.reduce_top(ug, g)
     return Polynomial._raw(f.order, pending.descending())

@@ -27,11 +27,13 @@ import time
 from dataclasses import dataclass, field
 
 from .core import (
+    KEY_BOUND,
     Monomial,
     Ordering,
     PendingTerms,
     Polynomial,
     UsageError,
+    _key_bound_error,
     mono_div,
     mono_one,
     mono_var,
@@ -380,7 +382,12 @@ class _Engine:
             u = mono_div(p.sig.mono, t.sig.mono)
             if u is None:
                 continue
-            if self.order.product_key(u, t.poly.lm) < key:
+            # key(u*head) from the head's kept key, while the product's
+            # degree stays below the bound where keys add.
+            deg = u.deg + t.poly.lm.deg
+            if deg >= KEY_BOUND:
+                raise _key_bound_error(deg)
+            if self.order.key(u) + t.poly.key_row()[0] < key:
                 return True
         return False
 
@@ -396,12 +403,13 @@ class _Engine:
         offending combination is queued under its true signature
         (`_deflect`) and the head is treated as irreducible here.
 
-        The pending terms live in a `PendingTerms`: the largest one is
-        popped and either joins the remainder or is cancelled by a reduction
-        step, which folds the rest of the multiplied reducer into the
-        pending terms.  A polynomial is built for the remainder, and for a
-        deflected combination only when it is queued.  The divisors of each
-        term come from the divisor index, ranked safe first, then by head.
+        The pending terms live in a `PendingTerms`: the divisors of the
+        largest one come from the divisor index, ranked safe first, then by
+        head, and the term either joins the remainder or is cancelled by a
+        reduction step (`reduce_top`, or `pop` and `sub_tail` when the step
+        also updates cofactors), which folds the rest of the multiplied
+        reducer into the pending terms.  A polynomial is built for the
+        remainder, and for a deflected combination only when it is queued.
         """
         order = self.order
         pending = PendingTerms(p.poly)
@@ -412,14 +420,12 @@ class _Engine:
 
         self._bump_deg(p.poly)
         while pending:
-            term = pending.pop()
-            tc, tm = term
             candidates = []
-            for rank, _g, q, u in self._index.divisors(tm):
+            for rank, _g, q, u in self._index.divisors(pending.top_mono()):
                 safe = sig_cmp(order, sig_mul(u, q.sig), p.sig) <= 0
                 candidates.append(((0 if safe else 1, *rank), q, u))
             if not candidates:
-                rem.append(term)
+                rem.append(pending.pop())
                 at_head = False
                 continue
             candidates.sort(key=lambda t: t[0])
@@ -435,23 +441,27 @@ class _Engine:
                         return Polynomial.zero(order), verdict
             at_head = False
             chosen_rank, chosen, chosen_u = candidates[0]
-            c = tc / chosen.poly.lc
             if chosen_rank[0] != 0:
                 # Every head divisor would raise the signature; the term
                 # stays.  Where the division asks for it, queue the
                 # combination the reduction would have formed.
+                term = pending.pop()
                 if self.deflect:
+                    c = term[0] / chosen.poly.lc
                     self._deflect(p, c, chosen, chosen_u, rem, pending, cofs, deflected)
                 rem.append(term)
                 continue
-            deg = pending.sub_tail(c, chosen_u, chosen.poly)
-            if deg > self.stats.max_deg:
-                self.stats.max_deg = deg
-            if cofs is not None:
+            if cofs is None:
+                deg = pending.reduce_top(chosen_u, chosen.poly)
+            else:
+                c = pending.pop()[0] / chosen.poly.lc
+                deg = pending.sub_tail(c, chosen_u, chosen.poly)
                 cofs = tuple(
                     a - b.mul_term(c, chosen_u)
                     for a, b in zip(cofs, chosen.cofactors)
                 )
+            if deg > self.stats.max_deg:
+                self.stats.max_deg = deg
 
         p.cofactors = cofs
         return Polynomial._raw(order, tuple(rem)), None
@@ -668,9 +678,10 @@ class _InvolutiveReducer:
     engine's signature-safe normal form, `nf`, `is_involutive` and the
     C1/C2 lookup of `inv_bas` all go through it.  `nf` reduces each term by
     the first divisor in rank order (smallest head, then earliest added).
-    It pops the largest pending term of a `PendingTerms`: an irreducible
-    term joins the remainder, and a reduction step folds the rest of the
-    multiplied divisor into the pending terms.
+    It looks at the largest pending term of a `PendingTerms`: an
+    irreducible term is popped into the remainder, and a reduction step
+    (`reduce_top`) cancels it and folds the rest of the multiplied divisor
+    into the pending terms.
     """
 
     __slots__ = ("order", "partition", "rows", "_arrivals")
@@ -725,14 +736,12 @@ class _InvolutiveReducer:
         pending = PendingTerms(f)
         rem = []
         while pending:
-            term = pending.pop()
-            tc, tm = term
-            hit = next(self.divisors(tm), None)
+            hit = next(self.divisors(pending.top_mono()), None)
             if hit is None:
-                rem.append(term)
+                rem.append(pending.pop())
             else:
                 _rank, g, _item, u = hit
-                pending.sub_tail(tc / g.lc, u, g)
+                pending.reduce_top(u, g)
         return Polynomial._raw(self.order, tuple(rem))
 
 

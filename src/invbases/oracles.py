@@ -65,10 +65,10 @@ def buchberger_nf(f: Polynomial, G, order: Ordering) -> Polynomial:
     """Ordinary full normal form of f modulo G (no involutive restriction).
 
     Each term is reduced by the first divisor in rank order (smallest head,
-    then earliest in G).  The loop pops the largest pending term of a
-    `PendingTerms`: an irreducible term joins the remainder, and a
-    reduction step folds the rest of the multiplied divisor into the
-    pending terms."""
+    then earliest in G).  The loop looks at the largest pending term of a
+    `PendingTerms`: an irreducible term is popped into the remainder, and a
+    reduction step (`reduce_top`) cancels it in integers and folds the rest
+    of the multiplied divisor into the pending terms."""
     polys = [g for g in G]
     for g in polys:
         if g.is_zero:
@@ -77,16 +77,15 @@ def buchberger_nf(f: Polynomial, G, order: Ordering) -> Polynomial:
     pending = PendingTerms(f)
     rem = []
     while pending:
-        term = pending.pop()
-        tc, tm = term
+        tm = pending.top_mono()
         for j in ranked:
             g = polys[j]
             u = mono_div(tm, g.lm)
             if u is not None:
-                pending.sub_tail(tc / g.lc, u, g)
+                pending.reduce_top(u, g)
                 break
         else:
-            rem.append(term)
+            rem.append(pending.pop())
     return Polynomial._raw(order, tuple(rem))
 
 

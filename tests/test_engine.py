@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import invbases
 from invbases.core import (
+    KEY_BOUND,
     Monomial,
     Polynomial,
     UsageError,
@@ -267,6 +268,32 @@ class TestRegularNormalForm:
         assert len(sink) == 1
         assert sink[0].sig == Signature(Monomial((0, 1)), 1)
         assert render_polynomial(sink[0].poly) == "x*y^2 + y^3"
+
+
+class TestCovered:
+    """`_Engine._covered` keys u*lm(t) from the head's kept key: the product
+    is compared with p's head, and its degree is checked against the order
+    key bound."""
+
+    def engine_with(self, t_poly):
+        t = SigPoly(Signature(Monomial((0, 0)), 1), t_poly, t_poly.lm)
+        return _Engine(JAN, LEX, EngineOptions(), [t])
+
+    def test_a_smaller_product_head_covers(self):
+        engine = self.engine_with(poly(LEX, (1, Monomial((0, 1))), (1, Monomial((0, 0)))))
+        x2 = poly(LEX, (1, Monomial((2, 0))))
+        # x * y < x^2 at the same index; another index is not compared.
+        assert engine._covered(SigPoly(Signature(Monomial((1, 0)), 1), x2, x2.lm))
+        assert not engine._covered(SigPoly(Signature(Monomial((1, 0)), 2), x2, x2.lm))
+        # x * y lies above the head x.
+        x = poly(LEX, (1, Monomial((1, 0))))
+        assert not engine._covered(SigPoly(Signature(Monomial((1, 0)), 1), x, x.lm))
+
+    def test_a_product_at_the_key_bound_is_rejected(self):
+        engine = self.engine_with(poly(LEX, (1, Monomial((0, KEY_BOUND - 1)))))
+        x = poly(LEX, (1, Monomial((1, 0))))
+        with pytest.raises(UsageError, match="order key bound"):
+            engine._covered(SigPoly(Signature(Monomial((1, 0)), 1), x, x.lm))
 
 
 class TestNormalFormFull:

@@ -7,6 +7,9 @@ and against `FractionPendingTerms`, the accumulator it replaced: `Fraction`
 coefficients instead of integer numerators over a common denominator, and
 each product's monomial and key built when it is folded in, not its key
 added from the reducer's key row and its monomial built when it leaves.
+`reduce_top(u, g)` is checked against the reference's `pop` followed by
+`sub_tail(top / lc(g), u, g)`, the quotient taken in `Fraction`s rather
+than from the reducer's integer tail row.
 Each normal-form reference below rebuilds the polynomial after every
 irreducible head with `drop_lt`, as the three normal forms once did, and
 takes each reduction step as that difference.  The normal forms must
@@ -38,8 +41,8 @@ from invbases.core import (
     mono_one,
     spoly,
 )
-from invbases.division import alex_division, division_by_name
-from invbases.engine import EngineOptions, _Engine, _InvolutiveReducer, reg_normal_form
+from invbases.division import alex_division, division_by_name, janet
+from invbases.engine import EngineOptions, _Engine, _InvolutiveReducer, inv_comp, reg_normal_form
 from invbases.oracles import buchberger_nf
 from invbases.signatures import (
     LMArchive,
@@ -50,6 +53,7 @@ from invbases.signatures import (
     sig_cmp,
     sig_mul,
 )
+from invbases.systems import load_builtin
 
 from conftest import counted_keys, monomials, polynomials, small_fractions
 
@@ -251,6 +255,32 @@ def prime_polynomials(order, n: int, max_terms: int = 5):
     return st.lists(term, min_size=1, max_size=max_terms).map(lambda ts: Polynomial(order, ts))
 
 
+def draw_reducer_of(data, order, tc: Fraction, top: Monomial, below) -> tuple[Polynomial, Monomial]:
+    """A reducer g and multiplier u with u*lm(g) = top, for the pending term
+    tc*top over the pending terms `below` it.  g is non-monic, its
+    leading coefficient negative about half the time, and its tail of
+    prime_fractions is empty, random, or holds a term whose product cancels
+    a pending term exactly."""
+    n = order.vars.n
+    u = Monomial(tuple(data.draw(st.integers(0, e)) for e in top.exps))
+    head = mono_div(top, u)
+    lc = data.draw(prime_fractions())
+    if data.draw(st.booleans()):
+        lc = -abs(lc)
+    kind = data.draw(st.sampled_from(("one term", "random", "cancel")))
+    tail: dict[Monomial, Fraction] = {}
+    if kind != "one term":
+        for c, m in data.draw(st.lists(st.tuples(prime_fractions(), monomials(n, 3)), max_size=4)):
+            if order.key(m) < order.key(head):
+                tail[m] = c
+    targets = [(c, m) for c, m in below if mono_div(m, u) is not None]
+    if kind == "cancel" and targets:
+        c2, m2 = data.draw(st.sampled_from(targets))
+        # (tc / lc) * a * u * (m2 / u) takes c2 * m2 off entirely.
+        tail[mono_div(m2, u)] = c2 * lc / tc
+    return Polynomial(order, [(lc, head), *[(c, m) for m, c in tail.items()]]), u
+
+
 def sig_strategy(n: int, k: int):
     return st.builds(Signature, monomials(n, 2), st.integers(1, k))
 
@@ -412,6 +442,72 @@ class TestPendingTerms:
         with pytest.raises(UsageError, match="order key bound"):
             pending.sub_tail(1, Monomial((0, half)), g)
 
+    def test_reduce_top_at_the_key_bound_is_rejected_before_the_pop(self):
+        order = lex(XY)
+        # y * (x + y^(B-1)): the head x*y is pending, the tail product y^B
+        # reaches the bound.
+        g = Polynomial(order, [(1, Monomial((1, 0))), (1, Monomial((0, KEY_BOUND - 1)))])
+        pending = PendingTerms(Polynomial(order, [(2, Monomial((1, 1))), (1, Monomial((0, 0)))]))
+        before = pending.descending()
+        with pytest.raises(UsageError, match="order key bound"):
+            pending.reduce_top(Monomial((0, 1)), g)
+        assert pending.descending() == before
+
+    def test_reduce_top_rejects_a_reducer_of_another_ordering(self):
+        pending = PendingTerms(poly((1, (1, 1))))
+        other = Polynomial(lex(XY), [(1, Monomial((1, 0))), (1, Monomial((0, 1)))])
+        with pytest.raises(UsageError):
+            pending.reduce_top(Monomial((0, 1)), other)
+        assert pending.descending() == poly((1, (1, 1))).terms
+
+    def test_reduce_top_cancels_the_top_term(self):
+        # 3*x^2 + y reduced by -2*x + 1/2 at x: c = -3/2, and
+        # y - (-3/2)*x*(1/2) = 3/4*x + y.
+        pending = PendingTerms(poly((3, (2, 0)), (1, (0, 1))))
+        assert pending.top_mono() == Monomial((2, 0))
+        assert pending.reduce_top(Monomial((1, 0)), poly((-2, (1, 0)), (Fraction(1, 2), (0, 0)))) == 1
+        assert pending.descending() == poly((Fraction(3, 4), (1, 0)), (1, (0, 1))).terms
+        assert pending.den == 4
+        # A one-term reducer only removes the top term.
+        assert pending.reduce_top(Monomial((0, 0)), poly((5, (1, 0)))) == -1
+        assert pending.descending() == poly((1, (0, 1))).terms
+        assert pending.den == 1
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_reduce_top_matches_pop_and_sub_tail(self, data):
+        """`reduce_top(u, g)` against the reference's `pop` and
+        `sub_tail(top / lc(g), u, g)`, interleaved with plain pops; copies
+        taken part-way must go on holding what the reference holds."""
+        vs = VarSet(("x", "y", "z")[: data.draw(st.integers(2, 3))])
+        order = data.draw(st.sampled_from((lex, degrevlex)))(vs)
+        p = data.draw(prime_polynomials(order, vs.n, max_terms=6))
+        pending, ref = PendingTerms(p), FractionPendingTerms(p)
+        copies = []
+        for _ in range(data.draw(st.integers(1, 8))):
+            if not ref:
+                break
+            terms = ref.descending()
+            tc, top = terms[0]
+            assert pending.top_mono() == top
+            if data.draw(st.integers(0, 3)) == 0:
+                assert pending.pop() == ref.pop()
+                continue
+            g, u = draw_reducer_of(data, order, tc, top, terms[1:])
+            deg = pending.reduce_top(u, g)
+            ref.pop()
+            assert deg == ref.sub_tail(tc / g.lc, u, g)
+            assert pending.descending() == ref.descending()
+            assert_content_removed(pending)
+            if data.draw(st.booleans()):
+                copies.append((pending.copy(), ref.copy()))
+        for acc, acc_ref in [(pending, ref), *copies]:
+            assert acc.descending() == acc_ref.descending()
+            while acc_ref:
+                assert acc.top_mono() == acc_ref.descending()[0][1]
+                assert acc.pop() == acc_ref.pop()
+            assert not acc
+
     @given(st.data())
     @settings(max_examples=100, deadline=None)
     def test_lazy_products_match_an_eager_accumulator(self, data):
@@ -492,6 +588,44 @@ class TestKeptKeyRows:
                 row = p.key_row()
             assert row == want, what
             assert count.calls == 0, what
+
+
+class TestTailRows:
+    """A reducer's integer tail row: built once, on its first use, and
+    holding only integers."""
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_the_row_holds_the_tail_over_its_lcm(self, data):
+        vs = VarSet(("x", "y", "z")[: data.draw(st.integers(2, 3))])
+        order = data.draw(st.sampled_from((lex, degrevlex)))(vs)
+        g = data.draw(prime_polynomials(order, vs.n, max_terms=6).filter(lambda p: not p.is_zero))
+        row = g.tail_row()
+        lc_num, lc_den, lcm, nums, keys, deg = row
+        tail = g.terms[1:]
+        assert (lc_num, lc_den) == (g.lc.numerator, g.lc.denominator)
+        assert lcm == math.lcm(*[c.denominator for c, _ in tail])
+        assert [Fraction(a, lcm) for a in nums] == [c for c, _ in tail]
+        assert keys == g.key_row()[1:]
+        assert deg == max((m.deg for _, m in tail), default=-1)
+        assert all(type(x) is int for x in (lc_num, lc_den, lcm, deg, *nums, *keys))
+        assert g.tail_row() is row
+
+    def test_a_completion_builds_one_row_per_reducer(self, monkeypatch):
+        built = []
+        real = Polynomial._build_tail_row
+
+        def build(g):
+            built.append(g)
+            return real(g)
+
+        monkeypatch.setattr(Polynomial, "_build_tail_row", build)
+        sf = load_builtin("katsura5")
+        result = inv_comp(sf.polynomials, janet(sf.vars), sf.order)
+        assert built
+        assert len({id(g) for g in built}) == len(built)
+        # Every reducer of the signature-safe normal form is a basis element.
+        assert {id(g) for g in built} <= {id(g) for g in result.loop_basis}
 
 
 class TestInvolutiveReducer:

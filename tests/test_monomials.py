@@ -266,7 +266,6 @@ class TestOrderings:
             for kind in ("lex", "degrevlex", "alex"):
                 o = ordering_by_name(kind, vs)
                 assert o.key(mono_mul(u, m)) == o.key(u) + o.key(m)
-                assert o.product_key(u, m) == o.key(mono_mul(u, m))
 
     def test_key_rejects_a_degree_at_the_bound(self):
         for kind in ("lex", "degrevlex", "alex"):
@@ -279,9 +278,6 @@ class TestOrderings:
             for exps in ((KEY_BOUND, 0), (1, KEY_BOUND - 1)):
                 with pytest.raises(UsageError, match="order key bound"):
                     o.key(Monomial(exps))
-            # A product reaching the bound, of two factors below it.
-            with pytest.raises(UsageError, match="order key bound"):
-                o.product_key(Monomial((1, 0)), top)
 
     @given(monomials(3), monomials(3))
     def test_cmp_antisymmetry(self, a, b):

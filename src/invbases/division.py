@@ -24,6 +24,7 @@ from .core import (
     Ordering,
     UsageError,
     VarSet,
+    _mono,
     alex,
     lex,
     mono_div,
@@ -176,24 +177,54 @@ class Partition:
     partition for what remains.
 
     Each nonmultiplicative set is kept once, as a bitmask (bit i for
-    variable i), next to the base-order key of its monomial.  `add(w)`
-    keys w once and makes one pass over the kept monomials: per pair, one
-    key comparison (`Division.pair_masks`; under Thomas one walk over the
-    exponents, and no key) yields both u's gain from w and w's own share,
-    so no key is taken twice and w's set needs no second pass.  A repeat
-    of a kept monomial changes no mask.  `nm_mask` returns a mask,
-    `allows` tests a quotient's support against it, `nonmult` and `mult`
-    decode it into sets of variable indices, and the divisor scan of
-    `engine._InvolutiveReducer` reads the masks directly.
+    variable i).  `nm_mask` returns a mask, `allows` tests a quotient's
+    support against it, `nonmult` and `mult` decode it into sets of
+    variable indices, and the divisor scan of `engine._InvolutiveReducer`
+    reads the masks directly.  A repeat of a kept monomial changes no mask.
+
+    Under a division generated by an ordering, the base-order key of each
+    monomial is kept next to its mask.  `add(w)` keys w once and makes one
+    pass over the kept monomials: per pair, one key comparison
+    (`Division.pair_masks`) yields both u's gain from w and w's own share,
+    so no key is taken twice and w's set needs no second pass.
+
+    Under Janet and Thomas the cones of distinct monomials are disjoint, so
+    a monomial m has at most one involutive divisor in U (`disjoint`), and
+    `divisor(m)` finds it by lookup instead of a scan:
+
+    * Janet (generated by lex): a tree over U, one level per variable in
+      priority order (Gerdt, Blinkov and Yanovich, "Construction of Janet
+      bases I", CASC 2001).  A node at depth k holds the monomials that
+      agree in the first k variables and keeps the largest exponent M of
+      the next one among them; that variable is multiplicative for u
+      exactly when u's exponent is M.  So the walk for m descends along M
+      when m's exponent is at least M, along m's own exponent otherwise,
+      and ends at the divisor or at a missing child.
+    * Thomas: the vector M of coordinatewise maxima of U.  Variable i is
+      multiplicative for u exactly when u_i = M_i, so the one candidate is
+      min(m, M), taken coordinatewise, and one dict access decides it.
+      The masks come from M as well, with no pair compared and no key
+      taken: when w raises M_i, the monomials that stood at the old M_i
+      gain bit i (the others have it already), and w's own mask is
+      {i : w_i < M_i}.
     """
 
-    __slots__ = ("division", "monomials", "_nm", "_keys")
+    __slots__ = ("division", "monomials", "disjoint", "_nm", "_keys", "_tree", "_max", "_at_max")
 
     def __init__(self, division: Division, monomials: tuple[Monomial, ...]):
         self.division = division
         self.monomials = ()
         self._nm: dict[Monomial, int] = {}
-        self._keys: dict[Monomial, int | None] = {}
+        self._keys: dict[Monomial, int] = {}
+        # Janet: the root node [M, {exponent: child}]; the children of the
+        # last level are the monomials themselves.
+        self._tree = [0, {}] if division.name == JANET else None
+        # Thomas: M, and per variable the monomials whose exponent is M_i.
+        self._max = self._at_max = None
+        if division.kind == THOMAS:
+            self._max = [0] * division.vars.n
+            self._at_max = [[] for _ in range(division.vars.n)]
+        self.disjoint = self._tree is not None or self._max is not None
         for w in monomials:
             self.add(w)
 
@@ -203,6 +234,9 @@ class Partition:
         self.monomials += (w,)
         nm = self._nm
         if w in nm:
+            return
+        if self._max is not None:
+            nm[w] = self._raise_max(w)
             return
         division = self.division
         pair_masks = division.pair_masks
@@ -215,6 +249,63 @@ class Partition:
             mw |= share
         nm[w] = mw
         self._keys[w] = kw
+        if self._tree is not None:
+            self._plant(w)
+
+    def _raise_max(self, w: Monomial) -> int:
+        """Thomas: fold w into M, widen the masks of the monomials that
+        stood at a maximum w exceeds, and return w's own mask."""
+        top, at_max, nm = self._max, self._at_max, self._nm
+        mw = 0
+        bit = 1
+        for i, e in enumerate(w.exps):
+            if e < top[i]:
+                mw |= bit
+            elif e == top[i]:
+                at_max[i].append(w)
+            else:
+                for u in at_max[i]:
+                    nm[u] |= bit
+                at_max[i] = [w]
+                top[i] = e
+            bit <<= 1
+        return mw
+
+    def _plant(self, w: Monomial) -> None:
+        """Janet: file the new monomial w in the tree."""
+        e = w.exps
+        node = self._tree
+        last = len(e) - 1
+        for depth, i in enumerate(self.division.vars.priority):
+            d = e[i]
+            if d > node[0]:
+                node[0] = d
+            kids = node[1]
+            child = kids.get(d)
+            if child is None:
+                child = kids[d] = w if depth == last else [0, {}]
+            node = child
+
+    def divisor(self, m: Monomial) -> Monomial | None:
+        """The one monomial of U that involutively divides m, or None.
+        Only for a `disjoint` partition, under Janet or Thomas."""
+        e = m.exps
+        if len(e) != self.division.vars.n:
+            raise UsageError("monomial dimension mismatch: %d vs %d" % (len(e), self.division.vars.n))
+        if self._max is not None:
+            c = tuple(map(min, e, self._max))
+            u = _mono(c, sum(c))
+            return u if u in self._nm else None
+        if self._tree is None:
+            raise UsageError("the %s division has no involutive-divisor lookup" % self.division.name)
+        node = self._tree
+        for i in self.division.vars.priority:
+            top, kids = node
+            d = e[i]
+            node = kids.get(top if d >= top else d)
+            if node is None:
+                return None
+        return node
 
     def nm_mask(self, u: Monomial) -> int:
         try:
@@ -240,8 +331,11 @@ class Partition:
 
 
 def inv_divisor(partition: Partition, m: Monomial) -> Monomial | None:
-    """The earliest listed involutive divisor of m within the partitioned
-    set, or None."""
+    """An involutive divisor of m within the partitioned set, or None: the
+    only one under Janet and Thomas, found by the partition's lookup, and
+    otherwise the earliest listed one."""
+    if partition.disjoint:
+        return partition.divisor(m)
     for u in partition.monomials:
         if partition.inv_divides(u, m):
             return u

@@ -13,7 +13,9 @@ the run.
 
 Both find involutive divisors through one index, `_InvolutiveReducer`: a
 row per basis element in rank order over a partition that grows by
-`Partition.add`, searched by one masked scan (`divisors`).
+`Partition.add`, searched by one method (`divisors`), which asks the
+partition's lookup under Janet and Thomas and scans the masked rows under
+other divisions.
 
 The resulting minimal involutive basis is in particular a Gröbner basis of
 the input ideal, which `oracles` can verify independently.
@@ -35,6 +37,7 @@ from .core import (
     UsageError,
     _key_bound_error,
     mono_div,
+    mono_mul,
     mono_one,
     mono_var,
     sum_of_products,
@@ -129,7 +132,8 @@ class EngineOptions:
     monic sorted generators and records one `CofactorRecord` per basis
     insertion.  `check_invariants` enables internal assertions and the two
     signature diagnostics on every iteration, among them a comparison of
-    the partition kept up by insertions against its definition.
+    the partition kept up by insertions, and of its divisor lookup, against
+    the definition.
     """
 
     track_cofactors: bool = False
@@ -338,11 +342,15 @@ class _Engine:
     def _check_partition(self) -> None:
         """Every split kept up by `Partition.add` must equal the definition,
         `Division.nm_set` over the current heads (not a second replay of
-        `add`, which would repeat any fault of its own)."""
+        `add`, which would repeat any fault of its own).  Where the
+        partition has a divisor lookup, each head must find itself, and
+        the lookup must give head u for u times variable i exactly when i
+        is multiplicative for u by that definition."""
         kept = self._index.partition
         heads = tuple(t.poly.lm for t in self.T)
         if kept.monomials != heads:
             raise AssertionError("partition lists the heads differently from the basis")
+        n = self.order.vars.n
         for u in heads:
             want = self.division.nm_set(u, heads)
             if kept.nonmult(u) != want:
@@ -350,6 +358,17 @@ class _Engine:
                     "partition keeps nonmultiplicative variables %s for %r, the definition gives %s"
                     % (sorted(kept.nonmult(u)), u.exps, sorted(want))
                 )
+            if not kept.disjoint:
+                continue
+            if kept.divisor(u) != u:
+                raise AssertionError("partition lookup does not find the head %r itself" % (u.exps,))
+            for i in range(n):
+                found = kept.divisor(mono_mul(u, mono_var(i, n)))
+                if (found == u) == (i in want):
+                    raise AssertionError(
+                        "partition lookup gives %r for %r times variable %d (nonmultiplicative: %s)"
+                        % (found, u.exps, i, i in want)
+                    )
 
     def _pop_checks(self, p: SigPoly) -> None:
         if not self.options.check_invariants:
@@ -671,20 +690,24 @@ class _InvolutiveReducer:
     Each element has one row, built when it joins: its rank (order key of
     the head, then arrival), head, the head's degree and support mask, the
     polynomial, and an optional item the caller attaches (the engine's
-    `SigPoly`).  The rows stay in rank order.  The nonmultiplicative masks
-    are kept once, in the partition, which widens them as G grows.
+    `SigPoly`).  The rows stay in rank order.  Under Janet and Thomas each
+    head also lists the (rank, polynomial, item) of its own rows in that
+    order.  The nonmultiplicative masks are kept once, in the partition,
+    which widens them as G grows.
 
     `divisors(m)` is the one involutive-divisor search of the package: the
     engine's signature-safe normal form, `nf`, `is_involutive` and the
-    C1/C2 lookup of `inv_bas` all go through it.  `nf` reduces each term by
-    the first divisor in rank order (smallest head, then earliest added).
-    It looks at the largest pending term of a `PendingTerms`: an
-    irreducible term is popped into the remainder, and a reduction step
-    (`reduce_top`) cancels it and folds the rest of the multiplied divisor
-    into the pending terms.
+    C1/C2 lookup of `inv_bas` all go through it.  Under Janet and Thomas it
+    asks the partition's lookup for the one head that can divide m
+    (`Partition.divisor`); under other divisions it scans the rows.  `nf`
+    reduces each term by the first divisor in rank order (smallest head,
+    then earliest added).  It looks at the largest pending term of a
+    `PendingTerms`: an irreducible term is popped into the remainder, and
+    a reduction step (`reduce_top`) cancels it and folds the rest of the
+    multiplied divisor into the pending terms.
     """
 
-    __slots__ = ("order", "partition", "rows", "_arrivals")
+    __slots__ = ("order", "partition", "rows", "_by_head", "_arrivals")
 
     def __init__(self, G, division: Division, order: Ordering, items=None):
         polys = [g for g in G]
@@ -694,6 +717,7 @@ class _InvolutiveReducer:
         self.order = order
         self.partition = division.partition([g.lm for g in polys])
         self.rows: list[tuple] = []
+        self._by_head: dict[Monomial, list[tuple]] = {}
         self._arrivals = itertools.count()
         for g, item in zip(polys, items or itertools.repeat(None)):
             self._file(g, item)
@@ -708,20 +732,32 @@ class _InvolutiveReducer:
         lm = g.lm
         rank = (self.order.key(lm), next(self._arrivals))
         bisect.insort(self.rows, (rank, lm, lm.deg, support(lm), g, item))
+        if self.partition.disjoint:
+            self._by_head.setdefault(lm, []).append((rank, g, item))
 
     def divisors(self, m: Monomial):
         """Yield (rank, polynomial, item, quotient) for every element whose
         head involutively divides m, in rank order.
 
-        The scan passes over a head before trying to divide when its degree
-        exceeds m's, when its support is not inside m's, or when m has a
-        variable that is absent from the head and nonmultiplicative for it:
-        the quotient would contain that variable.  The quotient's support
-        decides the heads that remain.
+        Under Janet and Thomas every such element has the one head that
+        the partition's lookup names.  Otherwise the scan passes over a
+        head before trying to divide when its degree exceeds m's, when its
+        support is not inside m's, or when m has a variable that is absent
+        from the head and nonmultiplicative for it: the quotient would
+        contain that variable.  The quotient's support decides the heads
+        that remain.
         """
+        part = self.partition
+        if part.disjoint:
+            head = part.divisor(m)
+            if head is not None:
+                u = mono_div(m, head)
+                for rank, g, item in self._by_head[head]:
+                    yield rank, g, item, u
+            return
         deg = m.deg
         mask = support(m)
-        nm_of = self.partition._nm  # the masks themselves: this loop is hot
+        nm_of = part._nm  # the masks themselves: this loop is hot
         for rank, head, hdeg, hmask, g, item in self.rows:
             if hdeg > deg or hmask & ~mask:
                 continue

@@ -4,11 +4,13 @@ Everything here is plain textbook machinery: Buchberger-style reduction,
 the Buchberger criterion on S-polynomials, and direct re-expansion of
 cofactor combinations.  `is_involutive` is the one exception: it reduces
 prolongations with the engine's involutive normal form, so it shares the
-engine's masked divisor scan (`_InvolutiveReducer.divisors`) and
-partition.  `is_groebner` and `buchberger_nf` scan the whole set with no
-prefilter and share no logic with the engine, whose criteria act on
-signatures and ancestors during completion; so agreement between them and
-the engine is meaningful evidence of correctness.  The reference loops of
+engine's divisor search (`_InvolutiveReducer.divisors`: the partition's
+lookup under Janet and Thomas, the masked scan under alex) and
+partition.  `buchberger_nf` scans the whole set in rank order behind a
+degree and support-mask check of its own, and it and `is_groebner` share
+no logic with the engine, whose criteria act on signatures and ancestors
+during completion; so agreement between them and the engine is
+meaningful evidence of correctness.  The reference loops of
 the tests (`drop_lt_*` in tests/test_kernel.py) and the sympy comparison
 of tests/test_external_oracle.py stay independent of the engine as well.
 
@@ -43,7 +45,7 @@ from .core import (
     spoly,
     sum_of_products,
 )
-from .division import Division
+from .division import Division, support
 
 # `nf_full` is not called here, but stays importable from this module: the
 # benchmark's count tracer (perfbench/layers.py) wraps it under this name.
@@ -65,21 +67,28 @@ def buchberger_nf(f: Polynomial, G, order: Ordering) -> Polynomial:
     """Ordinary full normal form of f modulo G (no involutive restriction).
 
     Each term is reduced by the first divisor in rank order (smallest head,
-    then earliest in G).  The loop looks at the largest pending term of a
-    `PendingTerms`: an irreducible term is popped into the remainder, and a
-    reduction step (`reduce_top`) cancels it in integers and folds the rest
-    of the multiplied divisor into the pending terms."""
+    then earliest in G).  The heads are listed once per call, in that
+    order, with their degrees and support masks, and a head whose degree
+    exceeds the term's or whose support is not inside the term's is passed
+    over before trying to divide.  The loop looks at the largest pending
+    term of a `PendingTerms`: an irreducible term is popped into the
+    remainder, and a reduction step (`reduce_top`) cancels it in integers
+    and folds the rest of the multiplied divisor into the pending terms."""
     polys = [g for g in G]
     for g in polys:
         if g.is_zero:
             raise UsageError("zero polynomial in the reducing set")
     ranked = sorted(range(len(polys)), key=lambda i: (order.key(polys[i].lm), i))
+    heads = [(polys[i].lm.deg, support(polys[i].lm), polys[i]) for i in ranked]
     pending = PendingTerms(f)
     rem = []
     while pending:
         tm = pending.top_mono()
-        for j in ranked:
-            g = polys[j]
+        deg = tm.deg
+        mask = support(tm)
+        for hdeg, hmask, g in heads:
+            if hdeg > deg or hmask & ~mask:
+                continue
             u = mono_div(tm, g.lm)
             if u is not None:
                 pending.reduce_top(u, g)

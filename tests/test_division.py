@@ -17,6 +17,7 @@ from invbases.core import (
     alex,
     degrevlex,
     lex,
+    mono_div,
     mono_mul,
     mono_one,
     mono_var,
@@ -358,6 +359,56 @@ class TestInvDivisor:
         if u is not None:
             assert u.divides(m)
             assert part.inv_divides(u, m)
+
+
+# Janet under each priority of PRIORITY_SETS, and Thomas: the divisions
+# whose partitions answer `divisor` by lookup.
+LOOKUP_DIVISIONS = tuple(janet(vs) for vs in PRIORITY_SETS) + (thomas_division(PRIORITY_SETS[0]),)
+
+
+class TestDivisorLookup:
+    """`Partition.divisor` against the masked scan it replaces: the heads,
+    in rank order, whose kept mask allows the quotient."""
+
+    @given(
+        st.lists(monomials(3, 3), max_size=8),
+        st.lists(monomials(3, 5), min_size=1, max_size=6),
+        st.sampled_from(LOOKUP_DIVISIONS),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_lookup_equals_the_first_hit_of_the_scan(self, U, queries, div):
+        # Grown from the empty set, which is queried too.  Heads may repeat:
+        # every row of the one divisor, in rank order.
+        order = degrevlex(div.vars)
+        part = div.partition(())
+        index = _InvolutiveReducer((), div, order)
+        assert part.disjoint and index.partition.disjoint
+        for k, w in enumerate([None, *U]):
+            if w is not None:
+                part.add(w)
+                index.add(Polynomial(order, [(1, w)]), k)
+            seen = U[:k]
+            ranked = sorted(range(k), key=lambda i: (order.key(seen[i]), i))
+            for m in queries + [mono_mul(u, q) for u in seen[:3] for q in queries]:
+                hits = [i for i in ranked if part.inv_divides(seen[i], m)]
+                assert len({seen[i] for i in hits}) <= 1
+                assert part.divisor(m) == (seen[hits[0]] if hits else None)
+                assert inv_divisor(part, m) == part.divisor(m)
+                found = [(item, g.lm, u) for _rank, g, item, u in index.divisors(m)]
+                assert found == [(i + 1, seen[i], mono_div(m, seen[i])) for i in hits]
+
+    @pytest.mark.parametrize("div", LOOKUP_DIVISIONS)
+    def test_a_monomial_of_another_dimension_is_rejected(self, div):
+        part = div.partition((Monomial((1, 1, 0)),))
+        for m in (X2Y, Monomial((1, 1, 0, 2))):
+            with pytest.raises(UsageError, match="dimension mismatch"):
+                part.divisor(m)
+
+    def test_alex_has_no_lookup(self):
+        part = ALX.partition((XY, X2Y))
+        assert not part.disjoint
+        with pytest.raises(UsageError, match="no involutive-divisor lookup"):
+            part.divisor(X2Y)
 
 
 class TestThomasCompletion:

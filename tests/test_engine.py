@@ -313,6 +313,15 @@ class TestNormalFormFull:
         with pytest.raises(UsageError):
             nf_full(poly(LEX, (1, Monomial((1, 0)))), [Polynomial.zero(LEX)], JAN, LEX)
 
+    @pytest.mark.parametrize("division_name", ["janet", "thomas", "alex"])
+    def test_a_polynomial_in_other_variables_is_rejected(self, division_name):
+        vs3 = VarSet(("x", "y", "z"))
+        order3 = degrevlex(vs3)
+        G = [poly(order3, (1, Monomial((1, 1, 0))))]
+        f = poly(degrevlex(VS), (1, Monomial((2, 2))))
+        with pytest.raises(UsageError, match="dimension mismatch"):
+            nf_full(f, G, division_by_name(division_name, vs3), order3)
+
 
 class TestMinBas:
     def test_worked_example_extraction(self):
@@ -678,6 +687,32 @@ class TestInvariantChecks:
         with pytest.raises(AssertionError, match="the definition gives"):
             inv_comp(sf.polynomials, div, sf.order, EngineOptions(check_invariants=True))
 
+    @pytest.mark.parametrize("division_name", ["janet", "thomas"])
+    @pytest.mark.parametrize(
+        "lookup, message",
+        [
+            # Finds nothing, so no head finds itself.
+            (lambda part, m: None, "does not find the head"),
+            # Plain divisibility: the first listed head dividing m, which
+            # also answers for a nonmultiplicative prolongation.
+            (
+                lambda part, m: next((u for u in part.monomials if u.divides(m)), None),
+                "partition lookup gives",
+            ),
+        ],
+        ids=["finds-nothing", "ignores-the-masks"],
+    )
+    def test_partition_check_catches_a_wrong_lookup(
+        self, division_name, lookup, message, monkeypatch
+    ):
+        monkeypatch.setattr(Partition, "divisor", lookup)
+        sf = load_builtin("cyclic4", order="degrevlex")
+        engine = _Engine(division_by_name(division_name, sf.vars), sf.order, EngineOptions())
+        for g in sf.polynomials:
+            engine._grow(SigPoly(Signature(Monomial((0,) * 4), 1), g, g.lm))
+        with pytest.raises(AssertionError, match=message):
+            engine._check_partition()
+
     def test_checks_raise_under_python_O(self):
         # Run in a child interpreter, because -O strips `assert` statements.
         script = textwrap.dedent(
@@ -752,6 +787,33 @@ class TestAgainstTheClassicalAlgorithm:
         for r in (rc, rb):
             assert is_involutive(r.basis, div, sf.order)
             assert is_groebner(r.basis, sf.order)
+
+    @pytest.mark.parametrize("division_name", ["janet", "thomas", "alex"])
+    def test_a_displacing_run_rebuilds_its_reducer(self, division_name, monkeypatch):
+        # The second generator enters the basis first, with head x^3*y.  The
+        # first reduces by it to a normal form with head x^3, which properly
+        # divides x^3*y, so `inv_bas` sends that element back to the queue
+        # and builds a new divisor index over what remains.
+        builds = []
+        build = _InvolutiveReducer.__init__
+
+        def counted(reducer, G, *args, **kwargs):
+            builds.append(len(list(G)))
+            build(reducer, G, *args, **kwargs)
+
+        monkeypatch.setattr(_InvolutiveReducer, "__init__", counted)
+        sf = parse_system(
+            "vars: x y\norder: lex\n"
+            "p: -2*x^3*y^2 - 3*x^3 - 2*x^2\n"
+            "p: -x^3*y + 3*x^3 - x^2*y^3\n"
+        )
+        div = division_by_name(division_name, sf.vars)
+        rb = inv_bas(sf.polynomials, div, sf.order)
+        assert len(builds) >= 2
+        rc = inv_comp(sf.polynomials, div, sf.order)
+        assert {p.lm for p in rc.basis} == {p.lm for p in rb.basis}
+        assert is_groebner(rb.basis, sf.order)
+        assert is_involutive(rb.basis, div, sf.order)
 
     def test_thomas_division_on_the_worked_example(self):
         sf = parse_system(WORKED_EXAMPLE)

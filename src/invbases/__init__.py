@@ -55,7 +55,6 @@ from .engine import (
     inv_comp,
     min_bas,
     nf_full,
-    reg_normal_form,
 )
 from .oracles import (
     admissibility_check,

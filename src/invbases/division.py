@@ -173,8 +173,9 @@ class Partition:
     partition for a whole set is adding its monomials in turn.  Every
     division here takes nm_set(u, U) as the union of nm_pair(u, v) over v
     in U, so an addition only widens the existing sets by the pairs with
-    the newcomer.  Removing monomials can shrink the sets: build a new
-    partition for what remains.
+    the newcomer, and `add` reports just that widening, so a caller learns
+    which prolongations are new without reading every mask.  Removing
+    monomials can shrink the sets: build a new partition for what remains.
 
     Each nonmultiplicative set is kept once, as a bitmask (bit i for
     variable i).  `nm_mask` returns a mask, `allows` tests a quotient's
@@ -219,7 +220,8 @@ class Partition:
         # Janet: the root node [M, {exponent: child}]; the children of the
         # last level are the monomials themselves.
         self._tree = [0, {}] if division.name == JANET else None
-        # Thomas: M, and per variable the monomials whose exponent is M_i.
+        # Thomas: M, and per variable the (arrival number, monomial) pairs
+        # whose exponent is M_i.
         self._max = self._at_max = None
         if division.kind == THOMAS:
             self._max = [0] * division.vars.n
@@ -228,48 +230,59 @@ class Partition:
         for w in monomials:
             self.add(w)
 
-    def add(self, w: Monomial) -> None:
+    def add(self, w: Monomial) -> dict[Monomial, int]:
         """Extend U by w (appended to `monomials`), keeping every split
-        equal to that of a partition built from scratch."""
+        equal to that of a partition built from scratch, and report what
+        widened: each kept monomial whose mask grew, mapped to the bits
+        newly set, in arrival order, then w with its whole mask.  A repeat
+        of a kept monomial widens nothing and reports {}."""
         self.monomials += (w,)
         nm = self._nm
         if w in nm:
-            return
+            return {}
         if self._max is not None:
-            nm[w] = self._raise_max(w)
-            return
+            return self._raise_max(w)
         division = self.division
         pair_masks = division.pair_masks
         kw = division._base_key(w)
+        widened = {}
         mw = 0
         for u, ku in self._keys.items():
-            gain, share = pair_masks(u, w, ku, kw)
-            if gain:
+            gain, share = pair_masks(u, w, ku, kw)  # gain: one bit at most
+            if gain and not gain & nm[u]:
                 nm[u] |= gain
+                widened[u] = gain
             mw |= share
-        nm[w] = mw
+        nm[w] = widened[w] = mw
         self._keys[w] = kw
         if self._tree is not None:
             self._plant(w)
+        return widened
 
-    def _raise_max(self, w: Monomial) -> int:
+    def _raise_max(self, w: Monomial) -> dict[Monomial, int]:
         """Thomas: fold w into M, widen the masks of the monomials that
-        stood at a maximum w exceeds, and return w's own mask."""
+        stood at a maximum w exceeds, and report as `add` does, sorted
+        into arrival order by the arrival numbers the lists keep."""
         top, at_max, nm = self._max, self._at_max, self._nm
+        seat = (len(nm), w)  # arrival number: distinct monomials before w
+        gained = {}
         mw = 0
         bit = 1
         for i, e in enumerate(w.exps):
             if e < top[i]:
                 mw |= bit
             elif e == top[i]:
-                at_max[i].append(w)
+                at_max[i].append(seat)
             else:
-                for u in at_max[i]:
-                    nm[u] |= bit
-                at_max[i] = [w]
+                for s in at_max[i]:
+                    nm[s[1]] |= bit
+                    gained[s] = gained.get(s, 0) | bit
+                at_max[i] = [seat]
                 top[i] = e
             bit <<= 1
-        return mw
+        widened = {u: bits for (_, u), bits in sorted(gained.items())}
+        nm[w] = widened[w] = mw
+        return widened
 
     def _plant(self, w: Monomial) -> None:
         """Janet: file the new monomial w in the tree."""

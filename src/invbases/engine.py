@@ -15,7 +15,8 @@ Both find involutive divisors through one index, `_InvolutiveReducer`: a
 row per basis element in rank order over a partition that grows by
 `Partition.add`, searched by one method (`divisors`), which asks the
 partition's lookup under Janet and Thomas and scans the masked rows under
-other divisions.
+other divisions.  An insertion prolongs only what `Partition.add` reports
+as newly nonmultiplicative, for the newcomer and the heads it widened.
 
 The resulting minimal involutive basis is in particular a Gröbner basis of
 the input ideal, which `oracles` can verify independently.
@@ -203,7 +204,8 @@ class _Engine:
     by it would raise that head's signature.  Every non-minimal head
     therefore stays, with all its prolongations, where `inv_bas` would
     send it back to the queue; `min_bas` extracts the minimal basis at the
-    end.
+    end.  As masks only widen, the prolongations due after an insertion
+    are the bits `Partition.add` reports (a given basis counts as done).
     """
 
     def __init__(
@@ -269,10 +271,11 @@ class _Engine:
 
     # -- bookkeeping ---------------------------------------------------
 
-    def _grow(self, sp: SigPoly) -> None:
-        """Append sp to the basis and to the divisor index."""
+    def _grow(self, sp: SigPoly) -> dict[Monomial, int]:
+        """Append sp to the basis and to the divisor index; returns what
+        `Partition.add` reports as widened."""
         self.T.append(sp)
-        self._index.add(sp.poly, sp)
+        return self._index.add(sp.poly, sp)
 
     def _bump_deg(self, poly: Polynomial) -> None:
         if not poly.is_zero and poly.degree > self.stats.max_deg:
@@ -339,20 +342,28 @@ class _Engine:
 
     # -- invariants ----------------------------------------------------
 
-    def _check_partition(self) -> None:
+    def _check_partition(self, widened: dict[Monomial, int] | None = None) -> None:
         """Every split kept up by `Partition.add` must equal the definition,
         `Division.nm_set` over the current heads (not a second replay of
         `add`, which would repeat any fault of its own).  Where the
         partition has a divisor lookup, each head must find itself, and
         the lookup must give head u for u times variable i exactly when i
-        is multiplicative for u by that definition."""
+        is multiplicative for u by that definition.  `widened`, the report
+        of adding the last head, must match the definition before and
+        after that head, entry for entry and in order."""
         kept = self._index.partition
+        division = self.division
         heads = tuple(t.poly.lm for t in self.T)
         if kept.monomials != heads:
             raise AssertionError("partition lists the heads differently from the basis")
         n = self.order.vars.n
+        older, last = heads[:-1], heads[-1]
+        report = {}
         for u in heads:
-            want = self.division.nm_set(u, heads)
+            before = division.nm_set(u, older)
+            want = before | division.nm_pair(u, last)
+            if u == last or want != before:
+                report[u] = sum(1 << i for i in (want if u == last else want - before))
             if kept.nonmult(u) != want:
                 raise AssertionError(
                     "partition keeps nonmultiplicative variables %s for %r, the definition gives %s"
@@ -369,6 +380,10 @@ class _Engine:
                         "partition lookup gives %r for %r times variable %d (nonmultiplicative: %s)"
                         % (found, u.exps, i, i in want)
                     )
+        if widened is not None and list(widened.items()) != list(report.items()):
+            raise AssertionError(
+                "partition reports %r as widened, the definition gives %r" % (widened, report)
+            )
 
     def _pop_checks(self, p: SigPoly) -> None:
         if not self.options.check_invariants:
@@ -575,35 +590,30 @@ class _Engine:
         )
 
     def _insert(self, p: SigPoly, h: Polynomial) -> None:
-        order = self.order
         self.archive.record(p.sig.index, h.lm)
         cofs = None
         if p.cofactors is not None:
             cofs = tuple(c.scale(1 / h.lc) for c in p.cofactors)
         hm = h.monic()
-        # No prolongation of a queued element is queued yet, so the new basis
-        # element starts with none processed.  It keeps p's ancestry when the
-        # head stayed, else starts its own.
+        # Keep p's ancestry when the head stayed, else start its own.
         anc_lm = p.anc_lm if hm.lm == p.poly.lm else hm.lm
         t_new = SigPoly(p.sig, hm, anc_lm, cofactors=cofs)
         self._check_cofactors(t_new)
         if self.options.check_invariants and any(t.poly.lm == hm.lm for t in self.T):
             raise AssertionError("inserted a duplicate head into the basis")
-        self._grow(t_new)
+        widened = self._grow(t_new)
         if self.options.check_invariants:
-            self._check_partition()
+            self._check_partition(widened)
         if t_new.cofactors is not None:
             self.records.append(CofactorRecord(t_new.sig, t_new.poly, t_new.cofactors))
 
         if self.deflect:
             self._queue_head_reductions(t_new)
 
-        part = self._index.partition
-        n = order.vars.n
-        for q in self.T:
-            fresh = part.nm_mask(q.poly.lm) & ~q.processed
-            if not fresh:
-                continue
+        n = self.order.vars.n
+        by_head = self._index._by_head
+        for u, fresh in widened.items():
+            q = by_head[u][0][2]  # the one basis element with head u
             for i in bit_indices(fresh):
                 x = mono_var(i, n)
                 pcofs = None
@@ -611,7 +621,6 @@ class _Engine:
                     pcofs = tuple(c.mul_term(1, x) for c in q.cofactors)
                 sp = SigPoly(sig_mul(x, q.sig), q.poly.mul_term(1, x), q.anc_lm, cofactors=pcofs)
                 self._push(sp, creator_sig=q.sig)
-            q.processed |= fresh
 
     def _queue_head_reductions(self, t_new: SigPoly) -> None:
         """A freshly inserted element can involutively divide heads already
@@ -651,32 +660,6 @@ def inv_comp(
     return engine.run()
 
 
-def reg_normal_form(
-    p: SigPoly,
-    basis,
-    division: Division,
-    order: Ordering,
-    archive: LMArchive | None = None,
-    q_sink: list[SigPoly] | None = None,
-):
-    """Signature-safe involutive normal form of p against a fixed basis.
-
-    Standalone entry point over an explicit basis, reducing as the engine
-    does under this division: where the division deflects (one generated
-    by a non-admissible ordering), the deflected combinations are appended
-    to `q_sink` instead of an internal queue.  Returns (normal form,
-    verdict) as the engine-internal reduction does.
-    """
-    engine = _Engine(division, order, EngineOptions(), basis, archive)
-    h, verdict = engine.regular_normal_form(p)
-    if q_sink is not None:
-        drained = engine._pop()
-        while drained is not None:
-            q_sink.append(drained)
-            drained = engine._pop()
-    return h, verdict
-
-
 def nf_full(f: Polynomial, G, division: Division, order: Ordering) -> Polynomial:
     """Full involutive normal form of f against the polynomials G."""
     return _InvolutiveReducer(G, division, order).nf(f)
@@ -690,10 +673,10 @@ class _InvolutiveReducer:
     Each element has one row, built when it joins: its rank (order key of
     the head, then arrival), head, the head's degree and support mask, the
     polynomial, and an optional item the caller attaches (the engine's
-    `SigPoly`).  The rows stay in rank order.  Under Janet and Thomas each
-    head also lists the (rank, polynomial, item) of its own rows in that
-    order.  The nonmultiplicative masks are kept once, in the partition,
-    which widens them as G grows.
+    `SigPoly`).  The rows stay in rank order.  Each head also lists the
+    (rank, polynomial, item) of its own rows in that order.  The
+    nonmultiplicative masks are kept once, in the partition, which widens
+    them as G grows.
 
     `divisors(m)` is the one involutive-divisor search of the package: the
     engine's signature-safe normal form, `nf`, `is_involutive` and the
@@ -722,18 +705,18 @@ class _InvolutiveReducer:
         for g, item in zip(polys, items or itertools.repeat(None)):
             self._file(g, item)
 
-    def add(self, g: Polynomial, item=None) -> None:
+    def add(self, g: Polynomial, item=None) -> dict[Monomial, int]:
         """Extend G by a nonzero g, ranked after every element of equal
-        head."""
-        self.partition.add(g.lm)
+        head; returns what `Partition.add` reports as widened."""
+        widened = self.partition.add(g.lm)
         self._file(g, item)
+        return widened
 
     def _file(self, g: Polynomial, item) -> None:
         lm = g.lm
         rank = (self.order.key(lm), next(self._arrivals))
         bisect.insort(self.rows, (rank, lm, lm.deg, support(lm), g, item))
-        if self.partition.disjoint:
-            self._by_head.setdefault(lm, []).append((rank, g, item))
+        self._by_head.setdefault(lm, []).append((rank, g, item))
 
     def divisors(self, m: Monomial):
         """Yield (rank, polynomial, item, quotient) for every element whose
@@ -827,6 +810,11 @@ def inv_bas(F, division: Division, order: Ordering) -> CompletionResult:
     form h sends the basis elements whose heads lm(h) properly divides back
     to the queue, and keeps its element's ancestry when its head is
     unchanged.
+
+    Only this loop keeps `processed`, because a displaced element comes
+    back with the prolongations it had queued.  An insertion walks what
+    `Partition.add` reports, minus `processed`: after every iteration
+    `processed` holds each element's mask, and a rebuild only shrinks masks.
     """
     start = time.perf_counter()
     polys = _check_inputs(F, division, order)
@@ -864,9 +852,9 @@ def inv_bas(F, division: Division, order: Ordering) -> CompletionResult:
         if displaced:
             reducer = _InvolutiveReducer([t[0] for t in basis.values()], division, order)
         basis[h.lm] = (h, anc, processed) if h.lm == p.lm else (h, h.lm, 0)
-        reducer.add(h)
-        for m, (q, q_anc, q_processed) in basis.items():
-            fresh = reducer.partition.nm_mask(m) & ~q_processed
+        for m, bits in reducer.add(h).items():
+            q, q_anc, q_processed = basis[m]
+            fresh = bits & ~q_processed
             if not fresh:
                 continue
             for i in bit_indices(fresh):

@@ -58,26 +58,24 @@ class SigPoly:
 
     `anc_lm` is the head of the basis element this one descends from by
     prolongations and tail work; an element whose head changed starts a
-    fresh ancestry.  `processed` is the bitmask (bit i for variable i) of
-    the variables whose prolongation has already been queued.  `cofactors`
-    (optional) expresses the polynomial exactly as a combination of the
-    original generators.
+    fresh ancestry.  `cofactors` (optional) expresses the polynomial
+    exactly as a combination of the original generators.  Which
+    prolongations are due is not kept here: the engine takes them from
+    what the partition reports as widened at each insertion.
     """
 
-    __slots__ = ("sig", "poly", "anc_lm", "processed", "cofactors")
+    __slots__ = ("sig", "poly", "anc_lm", "cofactors")
 
     def __init__(
         self,
         sig: Signature,
         poly: Polynomial,
         anc_lm: Monomial,
-        processed: int = 0,
         cofactors: tuple[Polynomial, ...] | None = None,
     ):
         self.sig = sig
         self.poly = poly
         self.anc_lm = anc_lm
-        self.processed = processed
         self.cofactors = cofactors
 
     def __repr__(self) -> str:

@@ -297,12 +297,22 @@ class TestPartition:
     @settings(max_examples=40)
     def test_adding_one_at_a_time_matches_a_fresh_partition(self, seq2, seq3):
         # Repeats included: the engine never adds a head twice, but a
-        # partition over a list with repeats is still well defined.
+        # partition over a list with repeats is still well defined.  Each
+        # `add` reports the bits it set on the kept monomials, in arrival
+        # order, then the newcomer with its whole mask; a repeat sets none.
         for seq, vs in ((seq2, VS), (seq3, VarSet(("x", "y", "z")))):
             for div in (janet(vs), alex_division(vs), thomas_division(vs)):
-                grown = div.partition(seq[:1])
-                for i, w in enumerate(seq[1:], start=2):
-                    grown.add(w)
+                grown = div.partition(())
+                for i, w in enumerate(seq, start=1):
+                    kept = list(dict.fromkeys(seq[: i - 1]))
+                    before = {u: grown.nm_mask(u) for u in kept}
+                    widened = grown.add(w)
+                    if w in before:
+                        assert widened == {}
+                    else:
+                        gained = [(u, grown.nm_mask(u) & ~before[u]) for u in kept]
+                        want = [(u, bits) for u, bits in gained if bits]
+                        assert list(widened.items()) == want + [(w, grown.nm_mask(w))]
                     fresh = div.partition(seq[:i])
                     assert grown.monomials == fresh.monomials
                     for u in fresh.monomials:

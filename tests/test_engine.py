@@ -43,7 +43,6 @@ from invbases.engine import (
     inv_comp,
     min_bas,
     nf_full,
-    reg_normal_form,
 )
 from invbases.oracles import (
     admissibility_check,
@@ -229,6 +228,18 @@ class TestRegularNormalForm:
         self.t1 = SigPoly(Signature(Monomial((0, 0)), 1), self.f1, self.f1.lm)
         self.t2 = SigPoly(Signature(Monomial((0, 0)), 2), self.f2, self.f2.lm)
 
+    def reduce(self, p, division=JAN):
+        """p's signature-safe normal form against the two generators, its
+        verdict, and what the reduction queued, drained in queue order."""
+        engine = _Engine(division, LEX, EngineOptions(), [self.t2, self.t1])
+        h, verdict = engine.regular_normal_form(p)
+        queued = []
+        sp = engine._pop()
+        while sp is not None:
+            queued.append(sp)
+            sp = engine._pop()
+        return h, verdict, queued
+
     def test_safe_head_reduction_hits_super(self):
         # y * f1 reduces at its own signature: a super top-reduction.
         p = SigPoly(
@@ -236,7 +247,7 @@ class TestRegularNormalForm:
             self.f1.mul_term(1, Monomial((0, 1))),
             self.f1.lm,
         )
-        _, verdict = reg_normal_form(p, [self.t2, self.t1], JAN, LEX)
+        _, verdict, _ = self.reduce(p)
         assert verdict is Verdict.SUPER
 
     def test_unsafe_head_migrates_and_the_tail_reduces(self):
@@ -247,7 +258,7 @@ class TestRegularNormalForm:
             self.f2.mul_term(1, Monomial((1, 0))),
             self.f2.lm,
         )
-        h, verdict = reg_normal_form(p, [self.t2, self.t1], JAN, LEX)
+        h, verdict, _ = self.reduce(p)
         assert verdict is None
         assert render_polynomial(h) == "x^2*y - 9/4*y^3"
 
@@ -259,10 +270,7 @@ class TestRegularNormalForm:
         )
         # The alex division deflects: the unsafe head reduction by f1 is
         # queued under the reducer's shifted signature.
-        sink: list[SigPoly] = []
-        h, verdict = reg_normal_form(
-            p, [self.t2, self.t1], alex_division(VS), LEX, q_sink=sink
-        )
+        h, verdict, sink = self.reduce(p, alex_division(VS))
         assert verdict is None
         assert render_polynomial(h) == "x^2*y - 9/4*y^3"
         assert len(sink) == 1
@@ -627,9 +635,9 @@ class TestInvariantChecks:
         calls = []
         check = _Engine._check_partition
 
-        def counted(engine):
+        def counted(engine, widened):
             calls.append(len(engine.T))
-            check(engine)
+            check(engine, widened)
 
         monkeypatch.setattr(_Engine, "_check_partition", counted)
         sf = load_builtin(name, order="degrevlex")
@@ -677,14 +685,38 @@ class TestInvariantChecks:
 
         def add_without_share(part, w):
             known = w in part._nm
-            add(part, w)
+            widened = add(part, w)
             if not known:
                 part._nm[w] = 0
+            return widened
 
         monkeypatch.setattr(Partition, "add", add_without_share)
         sf = load_builtin("cyclic4", order="degrevlex")
         div = division_by_name(division_name, sf.vars)
         with pytest.raises(AssertionError, match="the definition gives"):
+            inv_comp(sf.polynomials, div, sf.order, EngineOptions(check_invariants=True))
+
+    @pytest.mark.parametrize("division_name", ["janet", "alex", "thomas"])
+    def test_partition_check_catches_a_report_that_drops_a_widened_head(
+        self, division_name, monkeypatch
+    ):
+        # The engine prolongs only what `add` reports, so an older head left
+        # out of the report would silently lose its new prolongations.
+        add = Partition.add
+
+        def add_dropping_one(part, w):
+            widened = add(part, w)
+            older = [u for u in widened if u != w]
+            if older:
+                del widened[older[0]]
+            return widened
+
+        monkeypatch.setattr(Partition, "add", add_dropping_one)
+        # cyclic4 never widens an older head under Janet or alex; noon3 does
+        # under all three divisions.
+        sf = load_builtin("noon3", order="degrevlex")
+        div = division_by_name(division_name, sf.vars)
+        with pytest.raises(AssertionError, match="partition reports .* as widened"):
             inv_comp(sf.polynomials, div, sf.order, EngineOptions(check_invariants=True))
 
     @pytest.mark.parametrize("division_name", ["janet", "thomas"])

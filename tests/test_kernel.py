@@ -42,7 +42,7 @@ from invbases.core import (
     spoly,
 )
 from invbases.division import alex_division, division_by_name, janet
-from invbases.engine import EngineOptions, _Engine, _InvolutiveReducer, inv_comp, reg_normal_form
+from invbases.engine import EngineOptions, _Engine, _InvolutiveReducer, inv_comp
 from invbases.oracles import buchberger_nf
 from invbases.signatures import (
     LMArchive,
@@ -706,17 +706,14 @@ class TestRegularNormalForm:
         ref_h, ref_verdict = drop_lt_regular_normal_form(ref_engine, p)
         ref_queue = queued(ref_engine)
 
-        sink: list[SigPoly] = []
-        h, verdict = reg_normal_form(p, basis, div, order, archive, q_sink=sink)
+        engine = _Engine(div, order, EngineOptions(), basis, archive)
+        h, verdict = engine.regular_normal_form(p)
         assert verdict is ref_verdict
         assert h.order == order
         assert h.terms == ref_h.terms
-        assert [entry(sp) for sp in sink] == ref_queue
-
         # The counters the engine keeps while reducing agree as well.
-        engine = _Engine(div, order, EngineOptions(), basis, archive)
-        engine.regular_normal_form(p)
         assert engine.stats == ref_engine.stats
+        assert queued(engine) == ref_queue
 
     @given(signed_cases(), st.data())
     @settings(max_examples=150, deadline=None)

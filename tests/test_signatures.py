@@ -195,15 +195,6 @@ class TestAncestorCriteria:
 
 
 class TestSigPoly:
-    def test_processed_set_is_copied(self):
-        # `processed` is a bitmask of variable indices, a value: widening
-        # one element's mask leaves the mask it was built from alone.
-        a = SigPoly(Signature(ONE, 1), poly((1, XY)), XY, processed=0b1)
-        b = SigPoly(Signature(ONE, 1), poly((1, XY)), XY, processed=a.processed)
-        b.processed |= 0b10
-        assert (a.processed, b.processed) == (0b1, 0b11)
-        assert SigPoly(Signature(ONE, 1), poly((1, XY)), XY).processed == 0
-
     def test_repr_mentions_signature_and_head(self):
         a = SigPoly(Signature(X, 2), poly((1, XY)), XY)
         assert "e2" in repr(a)

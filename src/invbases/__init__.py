@@ -65,7 +65,6 @@ from .oracles import (
     random_ideal_member,
 )
 from .signatures import (
-    LMArchive,
     Signature,
     SigPoly,
     Verdict,

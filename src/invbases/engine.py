@@ -7,7 +7,7 @@ nonmultiplicative prolongation once.  `inv_comp` does the same job
 signature-first: every intermediate carries a module signature, head
 reductions are restricted to signature-safe ones, and redundant reductions
 are skipped via the super-top-reduction test, C1/C2 and a signature
-criterion fed by the heads discovered at later module positions.  Both pop
+criterion read off the basis elements at later module positions.  Both pop
 from a heap and return a minimal basis together with counters describing
 the run.
 
@@ -45,7 +45,6 @@ from .core import (
 )
 from .division import THOMAS, Division, bit_indices, minimal_completion, support, thomas_completion
 from .signatures import (
-    LMArchive,
     Signature,
     SigPoly,
     Verdict,
@@ -133,8 +132,8 @@ class EngineOptions:
     monic sorted generators and records one `CofactorRecord` per basis
     insertion.  `check_invariants` enables internal assertions and the two
     signature diagnostics on every iteration, among them a comparison of
-    the partition kept up by insertions, and of its divisor lookup, against
-    the definition.
+    the partition kept up by insertions, of its divisor lookup and of the
+    basis filed by position against their definitions.
     """
 
     track_cofactors: bool = False
@@ -191,11 +190,11 @@ def _check_inputs(F, division: Division, order: Ordering) -> list[Polynomial]:
 class _Engine:
     """State of one signature-based completion run.
 
-    The engine starts from a fixed basis of processed elements (empty for a
-    completion) and an optional archive of recorded heads.  An element
-    joins the basis one way only: `_push` queues it, `_pop` hands it out
-    in signature order, and `_insert` files its nonzero normal form.
-    `seed` queues the input system.
+    The basis starts empty.  An element joins it one way only: `_push`
+    queues it, `_pop` hands it out in signature order, and `_insert` files
+    its nonzero normal form with `_grow`: in `T`, in the divisor index and
+    in `by_position` (position -> elements in insertion order), which the
+    signature criterion and the cover check read.  `seed` queues the input.
 
     The basis only grows, which is why the loop basis is larger than the
     minimal one.  Signature-safe reduction cannot displace: elements pop
@@ -205,17 +204,10 @@ class _Engine:
     therefore stays, with all its prolongations, where `inv_bas` would
     send it back to the queue; `min_bas` extracts the minimal basis at the
     end.  As masks only widen, the prolongations due after an insertion
-    are the bits `Partition.add` reports (a given basis counts as done).
+    are the bits `Partition.add` reports (`_grow` itself queues none).
     """
 
-    def __init__(
-        self,
-        division: Division,
-        order: Ordering,
-        options: EngineOptions,
-        basis=(),
-        archive: LMArchive | None = None,
-    ):
+    def __init__(self, division: Division, order: Ordering, options: EngineOptions):
         self.division = division
         self.order = order
         self.options = options
@@ -236,14 +228,11 @@ class _Engine:
         # merged away stay behind and are skipped by `_pop`.
         self._sig_best: dict[Signature, SigPoly] = {}
 
-        self.archive = archive
         self.records: list[CofactorRecord] = []
 
-        self.T: list[SigPoly] = list(basis)
-        # The divisor index over the basis; `_grow` keeps it up as T grows.
-        self._index = _InvolutiveReducer(
-            [t.poly for t in self.T], division, order, self.T
-        )
+        self.T: list[SigPoly] = []
+        self.by_position: dict[int, list[SigPoly]] = {}
+        self._index = _InvolutiveReducer((), division, order)
 
     def seed(self, F) -> None:
         """Queue the generators of F, checked, made monic and sorted by
@@ -258,7 +247,6 @@ class _Engine:
             reverse=True,
         )
         k = len(self.gens)
-        self.archive = LMArchive([[g.lm] for g in self.gens])
         unit = None
         for i, g in enumerate(self.gens):
             sig = Signature(mono_one(order.vars.n), i + 1)
@@ -272,9 +260,10 @@ class _Engine:
     # -- bookkeeping ---------------------------------------------------
 
     def _grow(self, sp: SigPoly) -> dict[Monomial, int]:
-        """Append sp to the basis and to the divisor index; returns what
-        `Partition.add` reports as widened."""
+        """Append sp to the basis, its module position and the divisor
+        index; returns what `Partition.add` reports as widened."""
         self.T.append(sp)
+        self.by_position.setdefault(sp.sig.index, []).append(sp)
         return self._index.add(sp.poly, sp)
 
     def _bump_deg(self, poly: Polynomial) -> None:
@@ -342,6 +331,14 @@ class _Engine:
 
     # -- invariants ----------------------------------------------------
 
+    def _check_positions(self) -> None:
+        """`by_position` must be `T` grouped by module position, in order."""
+        grouped: dict[int, list[SigPoly]] = {}
+        for t in self.T:
+            grouped.setdefault(t.sig.index, []).append(t)
+        if self.by_position != grouped:
+            raise AssertionError("the basis filed by position differs from T grouped by position")
+
     def _check_partition(self, widened: dict[Monomial, int] | None = None) -> None:
         """Every split kept up by `Partition.add` must equal the definition,
         `Division.nm_set` over the current heads (not a second replay of
@@ -391,15 +388,12 @@ class _Engine:
         lms = [t.poly.lm for t in self.T]
         if len(set(lms)) != len(lms):
             raise AssertionError("duplicate heads in the basis")
-        violated = False
-        same_index = False
-        for t in self.T:
-            c = sig_cmp(self.order, p.sig, t.sig)
-            if c < 0:
-                violated = True
-                if t.sig.index == p.sig.index:
-                    same_index = True
-        if violated:
+        # Every basis element at an earlier position has a larger signature.
+        sig = p.sig
+        same_index = any(
+            sig_cmp(self.order, sig, t.sig) < 0 for t in self.by_position.get(sig.index, ())
+        )
+        if same_index or any(at < sig.index for at in self.by_position):
             self.stats.global_sig_violations += 1
         if same_index:
             self.stats.same_index_sig_violations += 1
@@ -410,9 +404,7 @@ class _Engine:
         the signature of p yields a smaller leading monomial, so whatever p
         contributes is already reachable below its head."""
         key = self.order.key(p.poly.lm)
-        for t in self.T:
-            if t.sig.index != p.sig.index:
-                continue
+        for t in self.by_position.get(p.sig.index, ()):
             u = mono_div(p.sig.mono, t.sig.mono)
             if u is None:
                 continue
@@ -470,7 +462,7 @@ class _Engine:
                 for rank, q, _u in candidates:
                     if rank[0] != 0:
                         break
-                    verdict = criteria(p, q, self.archive)
+                    verdict = criteria(p, q, self.by_position)
                     if verdict is not Verdict.NONE:
                         return Polynomial.zero(order), verdict
             at_head = False
@@ -590,7 +582,6 @@ class _Engine:
         )
 
     def _insert(self, p: SigPoly, h: Polynomial) -> None:
-        self.archive.record(p.sig.index, h.lm)
         cofs = None
         if p.cofactors is not None:
             cofs = tuple(c.scale(1 / h.lc) for c in p.cofactors)
@@ -603,6 +594,7 @@ class _Engine:
             raise AssertionError("inserted a duplicate head into the basis")
         widened = self._grow(t_new)
         if self.options.check_invariants:
+            self._check_positions()
             self._check_partition(widened)
         if t_new.cofactors is not None:
             self.records.append(CofactorRecord(t_new.sig, t_new.poly, t_new.cofactors))
@@ -672,9 +664,9 @@ class _InvolutiveReducer:
 
     Each element has one row, built when it joins: its rank (order key of
     the head, then arrival), head, the head's degree and support mask, the
-    polynomial, and an optional item the caller attaches (the engine's
-    `SigPoly`).  The rows stay in rank order.  Each head also lists the
-    (rank, polynomial, item) of its own rows in that order.  The
+    polynomial, and the item `add` attaches (the engine's `SigPoly`; None
+    for the elements of G).  The rows stay in rank order.  Each head also
+    lists the (rank, polynomial, item) of its own rows in that order.  The
     nonmultiplicative masks are kept once, in the partition, which widens
     them as G grows.
 
@@ -692,7 +684,7 @@ class _InvolutiveReducer:
 
     __slots__ = ("order", "partition", "rows", "_by_head", "_arrivals")
 
-    def __init__(self, G, division: Division, order: Ordering, items=None):
+    def __init__(self, G, division: Division, order: Ordering):
         polys = [g for g in G]
         for g in polys:
             if g.is_zero:
@@ -702,8 +694,8 @@ class _InvolutiveReducer:
         self.rows: list[tuple] = []
         self._by_head: dict[Monomial, list[tuple]] = {}
         self._arrivals = itertools.count()
-        for g, item in zip(polys, items or itertools.repeat(None)):
-            self._file(g, item)
+        for g in polys:
+            self._file(g, None)
 
     def add(self, g: Polynomial, item=None) -> dict[Monomial, int]:
         """Extend G by a nonzero g, ranked after every element of equal

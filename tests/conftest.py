@@ -8,6 +8,7 @@ import pytest
 from hypothesis import strategies as st
 
 from invbases.core import Monomial, Ordering, Polynomial, VarSet, degrevlex, lex
+from invbases.engine import EngineOptions, _Engine
 from invbases.systems import parse_system
 
 # Two generators in the plane whose completion is tiny enough to check by
@@ -105,6 +106,15 @@ def xy_lex(xy_vars):
 @pytest.fixture
 def xy_degrevlex(xy_vars):
     return degrevlex(xy_vars)
+
+
+def engine_over(division, order, basis) -> _Engine:
+    """An engine whose basis is the given signature-labelled elements,
+    filed one by one as insertions file them (`_grow`)."""
+    engine = _Engine(division, order, EngineOptions())
+    for t in basis:
+        engine._grow(t)
+    return engine
 
 
 class counted_keys:

@@ -55,7 +55,7 @@ from invbases.oracles import (
 from invbases.signatures import Signature, SigPoly, Verdict
 from invbases.systems import load_builtin, parse_system
 
-from conftest import SECOND_EXAMPLE, WORKED_EXAMPLE
+from conftest import SECOND_EXAMPLE, WORKED_EXAMPLE, engine_over
 
 VS = VarSet(("x", "y"))
 LEX = lex(VS)
@@ -231,7 +231,7 @@ class TestRegularNormalForm:
     def reduce(self, p, division=JAN):
         """p's signature-safe normal form against the two generators, its
         verdict, and what the reduction queued, drained in queue order."""
-        engine = _Engine(division, LEX, EngineOptions(), [self.t2, self.t1])
+        engine = engine_over(division, LEX, [self.t2, self.t1])
         h, verdict = engine.regular_normal_form(p)
         queued = []
         sp = engine._pop()
@@ -285,7 +285,7 @@ class TestCovered:
 
     def engine_with(self, t_poly):
         t = SigPoly(Signature(Monomial((0, 0)), 1), t_poly, t_poly.lm)
-        return _Engine(JAN, LEX, EngineOptions(), [t])
+        return engine_over(JAN, LEX, [t])
 
     def test_a_smaller_product_head_covers(self):
         engine = self.engine_with(poly(LEX, (1, Monomial((0, 1))), (1, Monomial((0, 0)))))
@@ -745,6 +745,22 @@ class TestInvariantChecks:
         with pytest.raises(AssertionError, match=message):
             engine._check_partition()
 
+    @pytest.mark.parametrize("division_name", ["janet", "alex", "thomas"])
+    def test_position_check_catches_a_grow_that_skips_the_filing(
+        self, division_name, monkeypatch
+    ):
+        # The signature criterion and the cover check read the basis by
+        # position alone, so an element missing there would weaken both.
+        def grow_unfiled(engine, sp):
+            engine.T.append(sp)
+            return engine._index.add(sp.poly, sp)
+
+        monkeypatch.setattr(_Engine, "_grow", grow_unfiled)
+        sf = load_builtin("cyclic4", order="degrevlex")
+        div = division_by_name(division_name, sf.vars)
+        with pytest.raises(AssertionError, match="filed by position differs"):
+            inv_comp(sf.polynomials, div, sf.order, EngineOptions(check_invariants=True))
+
     def test_checks_raise_under_python_O(self):
         # Run in a child interpreter, because -O strips `assert` statements.
         script = textwrap.dedent(
@@ -779,6 +795,53 @@ class TestInvariantChecks:
         assert "optimize 1" in proc.stdout
         assert proc.returncode != 0
         assert "AssertionError: cofactor expansion does not reproduce" in proc.stderr
+
+
+class TestSignatureCriterion:
+    @pytest.mark.parametrize(
+        "name, division_name",
+        [
+            ("cyclic5", "janet"),
+            ("katsura5", "janet"),
+            ("katsura4", "alex"),
+            ("noon3", "alex"),
+            ("cyclic4", "thomas"),
+            ("noon3", "thomas"),
+        ],
+    )
+    def test_f5_agrees_with_the_definition_seeded_by_the_inputs(
+        self, name, division_name, monkeypatch
+    ):
+        # The G2V criterion as defined with the input heads: the head of a
+        # sorted generator at a later position than sig(p)'s, or of a basis
+        # element at one, divides sig(p)'s monomial.  Every call whose F5
+        # test is reached (no earlier criterion answered) must agree.
+        engines = []
+        seed = _Engine.seed
+        criteria = invbases.engine.criteria
+        reached = []
+
+        def recording_seed(engine, F):
+            engines.append(engine)
+            seed(engine, F)
+
+        def checked(p, q, *rest):
+            verdict = criteria(p, q, *rest)
+            if verdict in (Verdict.F5, Verdict.NONE):
+                engine = engines[-1]
+                m, i = p.sig.mono, p.sig.index
+                heads = [g.lm for j, g in enumerate(engine.gens, 1) if j > i]
+                heads += [t.poly.lm for t in engine.T if t.sig.index > i]
+                assert (verdict is Verdict.F5) == any(h.divides(m) for h in heads)
+                reached.append(verdict)
+            return verdict
+
+        monkeypatch.setattr(_Engine, "seed", recording_seed)
+        monkeypatch.setattr(invbases.engine, "criteria", checked)
+        sf = load_builtin(name, order="degrevlex")
+        r = inv_comp(sf.polynomials, division_by_name(division_name, sf.vars), sf.order)
+        assert reached.count(Verdict.F5) == r.stats.f5
+        assert Verdict.F5 in reached and Verdict.NONE in reached
 
 
 class TestOrderInsensitivity:

@@ -42,10 +42,9 @@ from invbases.core import (
     spoly,
 )
 from invbases.division import alex_division, division_by_name, janet
-from invbases.engine import EngineOptions, _Engine, _InvolutiveReducer, inv_comp
+from invbases.engine import _Engine, _InvolutiveReducer, inv_comp
 from invbases.oracles import buchberger_nf
 from invbases.signatures import (
-    LMArchive,
     Signature,
     SigPoly,
     Verdict,
@@ -55,7 +54,7 @@ from invbases.signatures import (
 )
 from invbases.systems import load_builtin
 
-from conftest import counted_keys, monomials, polynomials, small_fractions
+from conftest import counted_keys, engine_over, monomials, polynomials, small_fractions
 
 DIVISIONS = ("janet", "alex", "thomas")
 
@@ -194,7 +193,7 @@ def drop_lt_regular_normal_form(engine: _Engine, p: SigPoly):
             for rank, q, _u in candidates:
                 if rank[0] != 0:
                     break
-                verdict = criteria(p, q, engine.archive)
+                verdict = criteria(p, q, engine.by_position)
                 if verdict is not Verdict.NONE:
                     return Polynomial.zero(order), verdict
         chosen_rank, chosen, chosen_u = candidates[0]
@@ -287,8 +286,8 @@ def sig_strategy(n: int, k: int):
 
 @st.composite
 def signed_cases(draw):
-    """A basis of signature-labelled elements with distinct heads, an
-    optional archive, and an element to reduce against them."""
+    """A basis of signature-labelled elements with distinct heads over
+    module positions 1-3, and an element to reduce against them."""
     order, G, f = draw(reduction_cases(max_reducers=5))
     n = order.vars.n
     basis = []
@@ -299,12 +298,9 @@ def signed_cases(draw):
         seen.add(g.lm)
         g = g.monic()
         basis.append(SigPoly(draw(sig_strategy(n, 3)), g, g.lm))
-    archive = None
-    if draw(st.booleans()):
-        archive = LMArchive([[draw(monomials(n, 3))] for _ in range(3)])
     anc = f.lm if draw(st.booleans()) else draw(monomials(n, 2))
     p = SigPoly(draw(sig_strategy(n, 3)), f, anc)
-    return order, basis, archive, p
+    return order, basis, p
 
 
 def queued(engine: _Engine):
@@ -680,7 +676,9 @@ class TestHeadDivisors:
         order = degrevlex(vs)
         div = division_by_name(division_name, vs)
         G = [Polynomial(order, [(1, m)]) for m in heads]
-        index = _InvolutiveReducer(G[:start], div, order, items=range(start))
+        # The elements of G[:start] carry no item, those added later their
+        # position in G.
+        index = _InvolutiveReducer(G[:start], div, order)
         for i in range(start, len(G)):
             index.add(G[i], i)
         part = div.partition(heads)
@@ -688,7 +686,7 @@ class TestHeadDivisors:
         for t in terms:
             found = [(item, g, u) for _rank, g, item, u in index.divisors(t)]
             want = [
-                (i, G[i], mono_div(t, heads[i]))
+                (i if i >= start else None, G[i], mono_div(t, heads[i]))
                 for i in ranked
                 if part.inv_divides(heads[i], t)
             ]
@@ -699,14 +697,14 @@ class TestRegularNormalForm:
     @given(signed_cases(), st.sampled_from(DIVISIONS))
     @settings(max_examples=150, deadline=None)
     def test_matches_the_drop_lt_loop(self, case, division_name):
-        order, basis, archive, p = case
+        order, basis, p = case
         div = division_by_name(division_name, order.vars)
 
-        ref_engine = _Engine(div, order, EngineOptions(), basis, archive)
+        ref_engine = engine_over(div, order, basis)
         ref_h, ref_verdict = drop_lt_regular_normal_form(ref_engine, p)
         ref_queue = queued(ref_engine)
 
-        engine = _Engine(div, order, EngineOptions(), basis, archive)
+        engine = engine_over(div, order, basis)
         h, verdict = engine.regular_normal_form(p)
         assert verdict is ref_verdict
         assert h.order == order
@@ -720,7 +718,7 @@ class TestRegularNormalForm:
     def test_matches_the_drop_lt_loop_over_a_filled_queue(self, case, data):
         # Elements already queued at the signatures u*sig(q) of the heads'
         # reductions, so that alex deflections meet the same-signature merge.
-        order, basis, archive, p = case
+        order, basis, p = case
         div = division_by_name("alex", order.vars)
         queued_first = []
         for q in basis:
@@ -731,7 +729,7 @@ class TestRegularNormalForm:
                     queued_first.append(SigPoly(sig_mul(u, q.sig), g, g.lm))
         engines = []
         for _ in range(2):
-            engine = _Engine(div, order, EngineOptions(), basis, archive)
+            engine = engine_over(div, order, basis)
             for sp in queued_first:
                 engine._push(sp, None)
             engines.append(engine)
@@ -762,7 +760,7 @@ class TestRegularNormalForm:
         incumbent = lex_poly((1, (0, 1)))
         engines = []
         for _ in range(2):
-            engine = _Engine(div, order, EngineOptions(), basis)
+            engine = engine_over(div, order, basis)
             engine._push(
                 SigPoly(Signature(Monomial((0, 3)), 1), incumbent, incumbent.lm), None
             )

@@ -1,4 +1,4 @@
-"""Module signatures, the head archive, and the zero-reduction criteria."""
+"""Module signatures and the zero-reduction criteria."""
 from __future__ import annotations
 
 from fractions import Fraction
@@ -18,7 +18,6 @@ from invbases.core import (
     mono_one,
 )
 from invbases.signatures import (
-    LMArchive,
     Signature,
     SigPoly,
     Verdict,
@@ -51,6 +50,14 @@ def poly(*terms):
 
 def sp(sig_mono, sig_index, p, anc_lm=None):
     return SigPoly(Signature(sig_mono, sig_index), p, p.lm if anc_lm is None else anc_lm)
+
+
+def filed(*basis):
+    """The basis elements by module position, as the engine files them."""
+    by_position = {}
+    for t in basis:
+        by_position.setdefault(t.sig.index, []).append(t)
+    return by_position
 
 
 class TestSignature:
@@ -91,80 +98,61 @@ class TestSigOrder:
         assert (ks == kt) == (c == 0)
 
 
-class TestLMArchive:
-    def test_needs_one_seed_per_position(self):
-        with pytest.raises(UsageError):
-            LMArchive([])
-        with pytest.raises(UsageError):
-            LMArchive([[X2], []])
-
-    def test_record_appends_without_duplicates(self):
-        arch = LMArchive([[X2], [XY]])
-        arch.record(1, Y2)
-        arch.record(1, Y2)
-        assert arch.columns == [[X2, Y2], [XY]]
-
-    def test_position_bounds(self):
-        arch = LMArchive([[X2]])
-        with pytest.raises(UsageError):
-            arch.record(2, XY)
-        with pytest.raises(UsageError):
-            arch.record(0, XY)
-
-    def test_divisor_above_scans_later_positions_only(self):
-        arch = LMArchive([[X2], [XY]])
-        # Position 1 sees position 2's heads; position 2 sees nothing later.
-        assert arch.divisor_above(1, X2Y2) == XY
-        assert arch.divisor_above(2, X2Y2) is None
-        assert arch.divisor_above(1, X2) is None
-
-
 class TestCriteria:
     def test_super_top_reduction(self):
         q = sp(ONE, 1, poly((1, XY), (1, Y2)))
         p = sp(X, 1, poly((1, X2Y), (1, Y2)))
-        assert criteria(p, q, None) == Verdict.SUPER
+        assert criteria(p, q, {}) == Verdict.SUPER
 
     def test_super_takes_precedence(self):
         # The same pair also satisfies the product criterion on ancestors.
         q = sp(ONE, 1, poly((1, XY)), anc_lm=Y)
         p = sp(X, 1, poly((1, X2Y)), anc_lm=X2)
         assert p.anc_lm == X2 and q.anc_lm == Y
-        assert criteria(p, q, None) == Verdict.SUPER
+        assert criteria(p, q, {}) == Verdict.SUPER
 
     def test_product_criterion_on_ancestors(self):
         q = sp(ONE, 2, poly((1, XY)), anc_lm=Y)
         p = sp(Y2, 1, poly((1, X2Y)), anc_lm=X2)
-        assert criteria(p, q, None) == Verdict.C1
+        assert criteria(p, q, {}) == Verdict.C1
 
     def test_chain_criterion_on_ancestors(self):
         q = sp(ONE, 2, poly((1, XY2)), anc_lm=XY)
         p = sp(Y2, 1, poly((1, X2Y2)), anc_lm=X2)
-        assert criteria(p, q, None) == Verdict.C2
+        assert criteria(p, q, {}) == Verdict.C2
 
     def test_signature_criterion_against_the_archive(self):
-        arch = LMArchive([[X2], [Y]])
+        # The basis, filed by position, is the record of heads.
+        basis = filed(sp(ONE, 1, poly((1, X2))), sp(ONE, 2, poly((1, Y))))
         q = sp(ONE, 1, poly((1, XY)))
         p = sp(XY2, 1, poly((1, X2Y)))
-        assert criteria(p, q, arch) == Verdict.F5
+        assert criteria(p, q, basis) == Verdict.F5
+
+    def test_signature_criterion_reads_later_positions_only(self):
+        # The basis head y divides x*y^2, the monomial of p's signature at
+        # e2; it makes the reduction redundant only from a later position.
+        q = sp(ONE, 2, poly((1, XY)))
+        p = sp(XY2, 2, poly((1, X2Y)))
+        for position, verdict in [(3, Verdict.F5), (2, Verdict.NONE), (1, Verdict.NONE)]:
+            assert criteria(p, q, filed(sp(ONE, position, poly((1, Y))))) == verdict
 
     def test_none_without_any_evidence(self):
-        arch = LMArchive([[X2], [Y2]])
+        basis = filed(sp(ONE, 1, poly((1, X2))), sp(ONE, 2, poly((1, Y2))))
         q = sp(ONE, 1, poly((1, XY)))
         p = sp(XY, 1, poly((1, X2Y)))
-        assert criteria(p, q, arch) == Verdict.NONE
+        assert criteria(p, q, basis) == Verdict.NONE
 
     def test_rejects_zero_polynomials(self):
         q = sp(ONE, 1, poly((1, XY)))
         z = SigPoly(Signature(X, 1), Polynomial.zero(LEX), XY)
         with pytest.raises(UsageError):
-            criteria(z, q, None)
+            criteria(z, q, {})
 
     def test_rejects_non_dividing_heads(self):
         q = sp(ONE, 1, poly((1, X2)))
         p = sp(X, 1, poly((1, XY)))
         with pytest.raises(UsageError):
-            criteria(p, q, None)
+            criteria(p, q, {})
 
 
 class TestAncestorCriteria:
@@ -189,7 +177,8 @@ class TestAncestorCriteria:
         for anc_p, anc_q, head in [(X2, Y, X2Y), (X2, XY, X2Y2), (X2, Y2, X2Y2)]:
             q = sp(ONE, 2, poly((1, XY)), anc_lm=anc_q)
             p = sp(Y2, 2, poly((1, head)), anc_lm=anc_p)
-            assert criteria(p, q, LMArchive([[X2], [Y2]])) is ancestor_criteria(
+            basis = filed(sp(ONE, 1, poly((1, X2))), sp(ONE, 2, poly((1, Y2))))
+            assert criteria(p, q, basis) is ancestor_criteria(
                 head, anc_p, anc_q
             )
 

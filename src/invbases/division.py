@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from operator import itemgetter, le
 
 from .core import (
     Monomial,
@@ -166,6 +167,11 @@ def bit_indices(mask: int) -> list[int]:
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
+def _no_exponents(exps: tuple) -> tuple:
+    """The exponents at no bit: the file key of mask 0."""
+    return ()
+
+
 class Partition:
     """Multiplicative/nonmultiplicative split of a growing set U.
 
@@ -179,9 +185,8 @@ class Partition:
 
     Each nonmultiplicative set is kept once, as a bitmask (bit i for
     variable i).  `nm_mask` returns a mask, `allows` tests a quotient's
-    support against it, `nonmult` and `mult` decode it into sets of
-    variable indices, and the divisor scan of `engine._InvolutiveReducer`
-    reads the masks directly.  A repeat of a kept monomial changes no mask.
+    support against it, and `nonmult` and `mult` decode it into sets of
+    variable indices.  A repeat of a kept monomial changes no mask.
 
     Under a division generated by an ordering, the base-order key of each
     monomial is kept next to its mask.  `add(w)` keys w once and makes one
@@ -189,9 +194,10 @@ class Partition:
     (`Division.pair_masks`) yields both u's gain from w and w's own share,
     so no key is taken twice and w's set needs no second pass.
 
-    Under Janet and Thomas the cones of distinct monomials are disjoint, so
-    a monomial m has at most one involutive divisor in U (`disjoint`), and
-    `divisor(m)` finds it by lookup instead of a scan:
+    `divisors(m)` lists every monomial of U that involutively divides m,
+    by lookup instead of a scan.  Under Janet and Thomas the cones of
+    distinct monomials are disjoint, so m has at most one involutive
+    divisor in U (`disjoint`), and `divisor(m)` finds it:
 
     * Janet (generated by lex): a tree over U, one level per variable in
       priority order (Gerdt, Blinkov and Yanovich, "Construction of Janet
@@ -208,9 +214,22 @@ class Partition:
       taken: when w raises M_i, the monomials that stood at the old M_i
       gain bit i (the others have it already), and w's own mask is
       {i : w_i < M_i}.
+
+    Under alex, generated by a non-admissible ordering, cones can nest and
+    m can have several involutive divisors.  That lookup rests on one fact:
+    u involutively divides m exactly when u divides m and u_i = m_i for
+    every variable i nonmultiplicative for u.  So the monomials are filed
+    by mask, and within a mask by their exponents at its bits; `divisors`
+    probes each mask's file once with m's exponents at the same bits and
+    tests divisibility only on the monomials found.  As `add` widens a
+    mask, `_refile` moves the monomial from the file of its old mask to
+    that of the new one; a mask only grows, so that happens at most n
+    times per monomial.
     """
 
-    __slots__ = ("division", "monomials", "disjoint", "_nm", "_keys", "_tree", "_max", "_at_max")
+    __slots__ = (
+        "division", "monomials", "disjoint", "_nm", "_keys", "_tree", "_max", "_at_max", "_files"
+    )
 
     def __init__(self, division: Division, monomials: tuple[Monomial, ...]):
         self.division = division
@@ -227,6 +246,8 @@ class Partition:
             self._max = [0] * division.vars.n
             self._at_max = [[] for _ in range(division.vars.n)]
         self.disjoint = self._tree is not None or self._max is not None
+        # Otherwise: mask -> (its bits' getter, {exponents there: [monomials]}).
+        self._files: dict[int, tuple] | None = None if self.disjoint else {}
         for w in monomials:
             self.add(w)
 
@@ -257,6 +278,8 @@ class Partition:
         self._keys[w] = kw
         if self._tree is not None:
             self._plant(w)
+        else:
+            self._refile(widened, w)
         return widened
 
     def _raise_max(self, w: Monomial) -> dict[Monomial, int]:
@@ -299,18 +322,65 @@ class Partition:
                 child = kids[d] = w if depth == last else [0, {}]
             node = child
 
-    def divisor(self, m: Monomial) -> Monomial | None:
-        """The one monomial of U that involutively divides m, or None.
-        Only for a `disjoint` partition, under Janet or Thomas."""
+    def _refile(self, widened: dict[Monomial, int], w: Monomial) -> None:
+        """alex: file each monomial that `add` reports as widened under its
+        mask, taking an older one out of the file of its old mask (the
+        new one without the bits newly set); w is the newcomer."""
+        files, nm = self._files, self._nm
+        for u, bits in widened.items():
+            mask = nm[u]
+            if u is not w:
+                old = mask ^ bits
+                get, slots = files[old]
+                key = get(u.exps)
+                slots[key].remove(u)
+                if not slots[key]:
+                    del slots[key]
+                    if not slots:
+                        del files[old]
+            entry = files.get(mask)
+            if entry is None:
+                at = bit_indices(mask)
+                entry = files[mask] = (itemgetter(*at) if at else _no_exponents, {})
+            get, slots = entry
+            slots.setdefault(get(u.exps), []).append(u)
+
+    def _exps(self, m: Monomial) -> tuple:
         e = m.exps
         if len(e) != self.division.vars.n:
             raise UsageError("monomial dimension mismatch: %d vs %d" % (len(e), self.division.vars.n))
+        return e
+
+    def divisors(self, m: Monomial) -> list[Monomial]:
+        """Every monomial of U that involutively divides m, in no
+        particular order: one lookup per mask under alex."""
+        if self.disjoint:
+            u = self.divisor(m)
+            return [] if u is None else [u]
+        e = self._exps(m)
+        d = m.deg
+        hits = []
+        for get, slots in self._files.values():
+            slot = slots.get(get(e))
+            if slot is not None:
+                for u in slot:
+                    if u.deg <= d and all(map(le, u.exps, e)):
+                        hits.append(u)
+        return hits
+
+    def divisor(self, m: Monomial) -> Monomial | None:
+        """The one monomial of U that involutively divides m, or None.
+        Only for a `disjoint` partition, under Janet or Thomas."""
+        e = self._exps(m)
         if self._max is not None:
             c = tuple(map(min, e, self._max))
             u = _mono(c, sum(c))
             return u if u in self._nm else None
         if self._tree is None:
-            raise UsageError("the %s division has no involutive-divisor lookup" % self.division.name)
+            raise UsageError(
+                "the %s division can give several involutive divisors: ask `divisors`"
+                % self.division.name
+            )
         node = self._tree
         for i in self.division.vars.priority:
             top, kids = node
@@ -345,14 +415,11 @@ class Partition:
 
 def inv_divisor(partition: Partition, m: Monomial) -> Monomial | None:
     """An involutive divisor of m within the partitioned set, or None: the
-    only one under Janet and Thomas, found by the partition's lookup, and
-    otherwise the earliest listed one."""
+    only one under Janet and Thomas, and otherwise the earliest listed of
+    those the partition's lookup finds."""
     if partition.disjoint:
         return partition.divisor(m)
-    for u in partition.monomials:
-        if partition.inv_divides(u, m):
-            return u
-    return None
+    return min(partition.divisors(m), key=partition.monomials.index, default=None)
 
 
 def thomas_completion(U) -> frozenset[Monomial]:

@@ -11,19 +11,19 @@ criterion read off the basis elements at later module positions.  Both pop
 from a heap and return a minimal basis together with counters describing
 the run.
 
-Both find involutive divisors through one index, `_InvolutiveReducer`: a
-row per basis element in rank order over a partition that grows by
+Both find involutive divisors through one index, `_InvolutiveReducer`: the
+basis elements filed by head over a partition that grows by
 `Partition.add`, searched by one method (`divisors`), which asks the
-partition's lookup under Janet and Thomas and scans the masked rows under
-other divisions.  An insertion prolongs only what `Partition.add` reports
-as newly nonmultiplicative, for the newcomer and the heads it widened.
+partition's lookup for the heads that involutively divide a term: the one
+head under Janet and Thomas, every head, ranked, under alex.  An insertion
+prolongs only what `Partition.add` reports as newly nonmultiplicative, for
+the newcomer and the heads it widened.
 
 The resulting minimal involutive basis is in particular a Gröbner basis of
 the input ideal, which `oracles` can verify independently.
 """
 from __future__ import annotations
 
-import bisect
 import heapq
 import itertools
 import time
@@ -43,7 +43,7 @@ from .core import (
     mono_var,
     sum_of_products,
 )
-from .division import THOMAS, Division, bit_indices, minimal_completion, support, thomas_completion
+from .division import THOMAS, Division, bit_indices, minimal_completion, thomas_completion
 from .signatures import (
     Signature,
     SigPoly,
@@ -193,8 +193,9 @@ class _Engine:
     The basis starts empty.  An element joins it one way only: `_push`
     queues it, `_pop` hands it out in signature order, and `_insert` files
     its nonzero normal form with `_grow`: in `T`, in the divisor index and
-    in `by_position` (position -> elements in insertion order), which the
-    signature criterion and the cover check read.  `seed` queues the input.
+    in `by_position` (position -> (head, element) pairs in insertion
+    order), which the signature criterion and the cover check read.
+    `seed` queues the input.
 
     The basis only grows, which is why the loop basis is larger than the
     minimal one.  Signature-safe reduction cannot displace: elements pop
@@ -231,7 +232,7 @@ class _Engine:
         self.records: list[CofactorRecord] = []
 
         self.T: list[SigPoly] = []
-        self.by_position: dict[int, list[SigPoly]] = {}
+        self.by_position: dict[int, list[tuple[Monomial, SigPoly]]] = {}
         self._index = _InvolutiveReducer((), division, order)
 
     def seed(self, F) -> None:
@@ -263,7 +264,7 @@ class _Engine:
         """Append sp to the basis, its module position and the divisor
         index; returns what `Partition.add` reports as widened."""
         self.T.append(sp)
-        self.by_position.setdefault(sp.sig.index, []).append(sp)
+        self.by_position.setdefault(sp.sig.index, []).append((sp.poly.lm, sp))
         return self._index.add(sp.poly, sp)
 
     def _bump_deg(self, poly: Polynomial) -> None:
@@ -332,22 +333,23 @@ class _Engine:
     # -- invariants ----------------------------------------------------
 
     def _check_positions(self) -> None:
-        """`by_position` must be `T` grouped by module position, in order."""
-        grouped: dict[int, list[SigPoly]] = {}
+        """`by_position` must be `T` grouped by module position, in order,
+        each element with its head."""
+        grouped: dict[int, list[tuple[Monomial, SigPoly]]] = {}
         for t in self.T:
-            grouped.setdefault(t.sig.index, []).append(t)
+            grouped.setdefault(t.sig.index, []).append((t.poly.lm, t))
         if self.by_position != grouped:
             raise AssertionError("the basis filed by position differs from T grouped by position")
 
     def _check_partition(self, widened: dict[Monomial, int] | None = None) -> None:
         """Every split kept up by `Partition.add` must equal the definition,
         `Division.nm_set` over the current heads (not a second replay of
-        `add`, which would repeat any fault of its own).  Where the
-        partition has a divisor lookup, each head must find itself, and
-        the lookup must give head u for u times variable i exactly when i
-        is multiplicative for u by that definition.  `widened`, the report
-        of adding the last head, must match the definition before and
-        after that head, entry for entry and in order."""
+        `add`, which would repeat any fault of its own).  Each head must
+        find itself by the partition's lookup, and the lookup must give
+        head u for u times variable i exactly when i is multiplicative for
+        u by that definition.  `widened`, the report of adding the last
+        head, must match the definition before and after that head, entry
+        for entry and in order."""
         kept = self._index.partition
         division = self.division
         heads = tuple(t.poly.lm for t in self.T)
@@ -366,13 +368,11 @@ class _Engine:
                     "partition keeps nonmultiplicative variables %s for %r, the definition gives %s"
                     % (sorted(kept.nonmult(u)), u.exps, sorted(want))
                 )
-            if not kept.disjoint:
-                continue
-            if kept.divisor(u) != u:
+            if u not in kept.divisors(u):
                 raise AssertionError("partition lookup does not find the head %r itself" % (u.exps,))
             for i in range(n):
-                found = kept.divisor(mono_mul(u, mono_var(i, n)))
-                if (found == u) == (i in want):
+                found = kept.divisors(mono_mul(u, mono_var(i, n)))
+                if (u in found) == (i in want):
                     raise AssertionError(
                         "partition lookup gives %r for %r times variable %d (nonmultiplicative: %s)"
                         % (found, u.exps, i, i in want)
@@ -391,7 +391,7 @@ class _Engine:
         # Every basis element at an earlier position has a larger signature.
         sig = p.sig
         same_index = any(
-            sig_cmp(self.order, sig, t.sig) < 0 for t in self.by_position.get(sig.index, ())
+            sig_cmp(self.order, sig, t.sig) < 0 for _h, t in self.by_position.get(sig.index, ())
         )
         if same_index or any(at < sig.index for at in self.by_position):
             self.stats.global_sig_violations += 1
@@ -404,13 +404,13 @@ class _Engine:
         the signature of p yields a smaller leading monomial, so whatever p
         contributes is already reachable below its head."""
         key = self.order.key(p.poly.lm)
-        for t in self.by_position.get(p.sig.index, ()):
+        for h, t in self.by_position.get(p.sig.index, ()):
             u = mono_div(p.sig.mono, t.sig.mono)
             if u is None:
                 continue
             # key(u*head) from the head's kept key, while the product's
             # degree stays below the bound where keys add.
-            deg = u.deg + t.poly.lm.deg
+            deg = u.deg + h.deg
             if deg >= KEY_BOUND:
                 raise _key_bound_error(deg)
             if self.order.key(u) + t.poly.key_row()[0] < key:
@@ -660,29 +660,27 @@ def nf_full(f: Polynomial, G, division: Division, order: Ordering) -> Polynomial
 class _InvolutiveReducer:
     """The involutive divisor index of a set G, and full involutive
     reduction against it: the set is checked and partitioned once, for any
-    number of searches, and can grow by `add`.
+    number of searches, and can grow by `add`, which also files G.
 
-    Each element has one row, built when it joins: its rank (order key of
-    the head, then arrival), head, the head's degree and support mask, the
-    polynomial, and the item `add` attaches (the engine's `SigPoly`; None
-    for the elements of G).  The rows stay in rank order.  Each head also
-    lists the (rank, polynomial, item) of its own rows in that order.  The
-    nonmultiplicative masks are kept once, in the partition, which widens
-    them as G grows.
+    Each element gets its rank when it joins: the order key of its head,
+    then its arrival.  Each head lists the (rank, polynomial, item) of its
+    elements in rank order, where the item is what `add` attaches (the
+    engine's `SigPoly`; None for the elements of G).  The nonmultiplicative
+    masks are kept once, in the partition, which widens them as G grows.
 
     `divisors(m)` is the one involutive-divisor search of the package: the
     engine's signature-safe normal form, `nf`, `is_involutive` and the
-    C1/C2 lookup of `inv_bas` all go through it.  Under Janet and Thomas it
-    asks the partition's lookup for the one head that can divide m
-    (`Partition.divisor`); under other divisions it scans the rows.  `nf`
-    reduces each term by the first divisor in rank order (smallest head,
-    then earliest added).  It looks at the largest pending term of a
-    `PendingTerms`: an irreducible term is popped into the remainder, and
-    a reduction step (`reduce_top`) cancels it and folds the rest of the
-    multiplied divisor into the pending terms.
+    C1/C2 lookup of `inv_bas` all go through it.  It asks the partition's
+    lookup for the heads that involutively divide m: the one head under
+    Janet and Thomas (`Partition.divisor`), every such head under alex
+    (`Partition.divisors`), ranked.  `nf` reduces each term by the first
+    divisor in rank order (smallest head, then earliest added).  It looks
+    at the largest pending term of a `PendingTerms`: an irreducible term is
+    popped into the remainder, and a reduction step (`reduce_top`) cancels
+    it and folds the rest of the multiplied divisor into the pending terms.
     """
 
-    __slots__ = ("order", "partition", "rows", "_by_head", "_arrivals")
+    __slots__ = ("order", "partition", "_by_head", "_arrivals")
 
     def __init__(self, G, division: Division, order: Ordering):
         polys = [g for g in G]
@@ -690,57 +688,45 @@ class _InvolutiveReducer:
             if g.is_zero:
                 raise UsageError("zero polynomial in the reducing set")
         self.order = order
-        self.partition = division.partition([g.lm for g in polys])
-        self.rows: list[tuple] = []
+        self.partition = division.partition(())
         self._by_head: dict[Monomial, list[tuple]] = {}
         self._arrivals = itertools.count()
         for g in polys:
-            self._file(g, None)
+            self.add(g)
 
     def add(self, g: Polynomial, item=None) -> dict[Monomial, int]:
         """Extend G by a nonzero g, ranked after every element of equal
         head; returns what `Partition.add` reports as widened."""
-        widened = self.partition.add(g.lm)
-        self._file(g, item)
-        return widened
-
-    def _file(self, g: Polynomial, item) -> None:
         lm = g.lm
+        widened = self.partition.add(lm)
         rank = (self.order.key(lm), next(self._arrivals))
-        bisect.insort(self.rows, (rank, lm, lm.deg, support(lm), g, item))
         self._by_head.setdefault(lm, []).append((rank, g, item))
+        return widened
 
     def divisors(self, m: Monomial):
         """Yield (rank, polynomial, item, quotient) for every element whose
         head involutively divides m, in rank order.
 
         Under Janet and Thomas every such element has the one head that
-        the partition's lookup names.  Otherwise the scan passes over a
-        head before trying to divide when its degree exceeds m's, when its
-        support is not inside m's, or when m has a variable that is absent
-        from the head and nonmultiplicative for it: the quotient would
-        contain that variable.  The quotient's support decides the heads
-        that remain.
+        the partition's lookup names.  Under alex the lookup names every
+        such head; the heads are ranked by their first element when there
+        are two or more.
         """
         part = self.partition
+        by_head = self._by_head
         if part.disjoint:
             head = part.divisor(m)
             if head is not None:
                 u = mono_div(m, head)
-                for rank, g, item in self._by_head[head]:
+                for rank, g, item in by_head[head]:
                     yield rank, g, item, u
             return
-        deg = m.deg
-        mask = support(m)
-        nm_of = part._nm  # the masks themselves: this loop is hot
-        for rank, head, hdeg, hmask, g, item in self.rows:
-            if hdeg > deg or hmask & ~mask:
-                continue
-            nm = nm_of[head]
-            if mask & ~hmask & nm:
-                continue
+        heads = part.divisors(m)
+        if len(heads) > 1:
+            heads.sort(key=lambda h: by_head[h][0][0])
+        for head in heads:
             u = mono_div(m, head)
-            if u is not None and not support(u) & nm:
+            for rank, g, item in by_head[head]:
                 yield rank, g, item, u
 
     def nf(self, f: Polynomial) -> Polynomial:

@@ -5,8 +5,8 @@ the Buchberger criterion on S-polynomials, and direct re-expansion of
 cofactor combinations.  `is_involutive` is the one exception: it reduces
 prolongations with the engine's involutive normal form, so it shares the
 engine's divisor search (`_InvolutiveReducer.divisors`: the partition's
-lookup under Janet and Thomas, the masked scan under alex) and
-partition.  `buchberger_nf` scans the whole set in rank order behind a
+lookups, by tree under Janet, by maximum under Thomas, by mask file under
+alex) and partition.  `buchberger_nf` scans the whole set in rank order behind a
 degree and support-mask check of its own, and it and `is_groebner` share
 no logic with the engine, whose criteria act on signatures and ancestors
 during completion; so agreement between them and the engine is

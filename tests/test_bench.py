@@ -64,17 +64,19 @@ class TestVerifyBasis:
         sf = load_builtin("cyclic3")
         div = janet(sf.vars)
         r = inv_comp(sf.polynomials, div, sf.order)
-        calls = []
+        built = []
         partition = Division.partition
 
-        def counted(division, U):
-            calls.append(len(U))
-            return partition(division, U)
+        def kept(division, U):
+            built.append(partition(division, U))
+            return built[-1]
 
-        monkeypatch.setattr(Division, "partition", counted)
+        monkeypatch.setattr(Division, "partition", kept)
         assert verify_basis(r.basis, sf, div, random.Random(1), samples=5)
-        # One for the involutivity check, one for all five random members.
-        assert calls == [len(r.basis)] * 2
+        # One for the involutivity check, one for all five random members,
+        # each grown by `Partition.add` until it holds every head in order.
+        heads = tuple(g.lm for g in r.basis)
+        assert [part.monomials for part in built] == [heads] * 2
 
 
 class TestRowFromStats:

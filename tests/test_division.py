@@ -31,6 +31,7 @@ from invbases.division import (
     inv_divisor,
     janet,
     minimal_completion,
+    support,
     thomas_completion,
     thomas_division,
 )
@@ -371,14 +372,37 @@ class TestInvDivisor:
             assert part.inv_divides(u, m)
 
 
-# Janet under each priority of PRIORITY_SETS, and Thomas: the divisions
-# whose partitions answer `divisor` by lookup.
-LOOKUP_DIVISIONS = tuple(janet(vs) for vs in PRIORITY_SETS) + (thomas_division(PRIORITY_SETS[0]),)
+# Janet under each priority of PRIORITY_SETS, Thomas, and alex under each
+# priority: Janet and Thomas answer `divisor`, every division `divisors`.
+LOOKUP_DIVISIONS = (
+    tuple(janet(vs) for vs in PRIORITY_SETS)
+    + (thomas_division(PRIORITY_SETS[0]),)
+    + tuple(alex_division(vs) for vs in PRIORITY_SETS)
+)
+
+
+def masked_scan(part, rows, m):
+    """The row scan the lookups replaced: (item, head, quotient) for every
+    (rank, head, item) row, in rank order, whose head's kept mask allows
+    the quotient.  A head is passed over before dividing when its degree
+    exceeds m's, when its support is not inside m's, or when m has a
+    variable absent from the head and nonmultiplicative for it."""
+    mask = support(m)
+    for _rank, head, item in rows:
+        hmask = support(head)
+        if head.deg > m.deg or hmask & ~mask:
+            continue
+        nm = part.nm_mask(head)
+        if mask & ~hmask & nm:
+            continue
+        u = mono_div(m, head)
+        if u is not None and not support(u) & nm:
+            yield item, head, u
 
 
 class TestDivisorLookup:
-    """`Partition.divisor` against the masked scan it replaces: the heads,
-    in rank order, whose kept mask allows the quotient."""
+    """`Partition.divisors` and `divisor` against the masked scan they
+    replace: the heads, in rank order, whose kept mask allows the quotient."""
 
     @given(
         st.lists(monomials(3, 3), max_size=8),
@@ -388,37 +412,56 @@ class TestDivisorLookup:
     @settings(max_examples=200, deadline=None)
     def test_lookup_equals_the_first_hit_of_the_scan(self, U, queries, div):
         # Grown from the empty set, which is queried too.  Heads may repeat:
-        # every row of the one divisor, in rank order.
+        # every row of every divisor, in rank order, under Janet and Thomas
+        # those of the one divisor.
         order = degrevlex(div.vars)
         part = div.partition(())
         index = _InvolutiveReducer((), div, order)
-        assert part.disjoint and index.partition.disjoint
+        assert part.disjoint == (div.name != "alex") == index.partition.disjoint
+        rows = []
         for k, w in enumerate([None, *U]):
             if w is not None:
                 part.add(w)
                 index.add(Polynomial(order, [(1, w)]), k)
+                rows.append(((order.key(w), k), w, k))
+                rows.sort()
             seen = U[:k]
-            ranked = sorted(range(k), key=lambda i: (order.key(seen[i]), i))
             for m in queries + [mono_mul(u, q) for u in seen[:3] for q in queries]:
-                hits = [i for i in ranked if part.inv_divides(seen[i], m)]
-                assert len({seen[i] for i in hits}) <= 1
-                assert part.divisor(m) == (seen[hits[0]] if hits else None)
-                assert inv_divisor(part, m) == part.divisor(m)
+                hits = list(masked_scan(part, rows, m))
+                heads = list(dict.fromkeys(head for _item, head, _u in hits))
+                assert sorted(part.divisors(m), key=order.key) == heads
+                earliest = next((u for u in part.monomials if u in heads), None)
+                assert inv_divisor(part, m) == earliest
+                if part.disjoint:
+                    assert len(heads) <= 1
+                    assert part.divisor(m) == earliest
                 found = [(item, g.lm, u) for _rank, g, item, u in index.divisors(m)]
-                assert found == [(i + 1, seen[i], mono_div(m, seen[i])) for i in hits]
+                assert found == hits
 
     @pytest.mark.parametrize("div", LOOKUP_DIVISIONS)
     def test_a_monomial_of_another_dimension_is_rejected(self, div):
         part = div.partition((Monomial((1, 1, 0)),))
+        lookups = (part.divisors, part.divisor) if part.disjoint else (part.divisors,)
         for m in (X2Y, Monomial((1, 1, 0, 2))):
-            with pytest.raises(UsageError, match="dimension mismatch"):
-                part.divisor(m)
+            for lookup in lookups:
+                with pytest.raises(UsageError, match="dimension mismatch"):
+                    lookup(m)
 
-    def test_alex_has_no_lookup(self):
+    def test_alex_lookup_finds_nested_divisors(self):
+        # Under alex x*y ranks above x^2*y and imposes nothing on it, so
+        # x^2*y^2 lies in both cones, and `divisor`, which names one, refuses.
         part = ALX.partition((XY, X2Y))
         assert not part.disjoint
-        with pytest.raises(UsageError, match="no involutive-divisor lookup"):
-            part.divisor(X2Y)
+        m = Monomial((2, 2))
+        assert sorted(part.divisors(m), key=lambda u: u.exps) == [XY, X2Y]
+        with pytest.raises(UsageError, match="several involutive divisors"):
+            part.divisor(m)
+        # y^2 makes y nonmultiplicative for x^2*y, which moves to the file of
+        # its new mask: still a divisor of x^3*y, no longer of x^2*y^2.
+        assert part.add(Y2) == {X2Y: 0b10, Y2: 0b01}
+        assert part.divisors(m) == [XY]
+        assert sorted(part.divisors(Monomial((3, 1))), key=lambda u: u.exps) == [XY, X2Y]
+        assert part.divisors(Y) == []
 
 
 class TestThomasCompletion:

@@ -23,6 +23,7 @@ from invbases.core import (
     alex,
     degrevlex,
     lex,
+    mono_mul,
     render_monomial,
     render_polynomial,
 )
@@ -745,6 +746,28 @@ class TestInvariantChecks:
         with pytest.raises(AssertionError, match=message):
             engine._check_partition()
 
+    def test_partition_check_catches_a_refile_that_skips_a_widened_head(self, monkeypatch):
+        # Under alex the lookup files each head by its mask, so a head left
+        # in the file of its old mask is still found for the prolongation by
+        # the variable it has just lost.
+        refile = Partition._refile
+
+        def refile_skipping_one(part, widened, w):
+            older = [u for u in widened if u != w]
+            if older:
+                widened = {u: bits for u, bits in widened.items() if u != older[0]}
+            refile(part, widened, w)
+
+        monkeypatch.setattr(Partition, "_refile", refile_skipping_one)
+        sf = load_builtin("noon3", order="degrevlex")
+        with pytest.raises(AssertionError, match="partition lookup gives"):
+            inv_comp(
+                sf.polynomials,
+                alex_division(sf.vars),
+                sf.order,
+                EngineOptions(check_invariants=True),
+            )
+
     @pytest.mark.parametrize("division_name", ["janet", "alex", "thomas"])
     def test_position_check_catches_a_grow_that_skips_the_filing(
         self, division_name, monkeypatch
@@ -963,6 +986,18 @@ class TestRandomSystems:
             assert is_involutive(r.basis, div, order)
 
 
+def filed(reducer):
+    """Each head's elements as the reducer files them: rank, identity, item."""
+    return {
+        head: [(rank, id(g), item) for rank, g, item in rows]
+        for head, rows in reducer._by_head.items()
+    }
+
+
+def answers(reducer, m):
+    return [(rank, id(g), item, u) for rank, g, item, u in reducer.divisors(m)]
+
+
 class TestGrownReducer:
     @given(
         st.lists(
@@ -986,8 +1021,10 @@ class TestGrownReducer:
         for i in range(start, len(G)):
             grown.add(G[i])
             fresh = _InvolutiveReducer(G[: i + 1], div, order)
-            assert [row[:4] for row in grown.rows] == [row[:4] for row in fresh.rows]
-            assert [id(row[4]) for row in grown.rows] == [id(row[4]) for row in fresh.rows]
+            assert filed(grown) == filed(fresh)
             assert grown.partition.monomials == fresh.partition.monomials
             for u in fresh.partition.monomials:
                 assert grown.partition.nonmult(u) == fresh.partition.nonmult(u)
+                for q in ((0, 0), (1, 0), (0, 1), (1, 1)):
+                    m = mono_mul(u, Monomial(q))
+                    assert answers(grown, m) == answers(fresh, m)

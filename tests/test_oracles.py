@@ -210,17 +210,20 @@ class TestIsInvolutive:
             is_involutive([], janet(VS), LEX)
 
     def test_builds_one_partition(self, monkeypatch):
-        calls = []
+        # One partition per check, grown by `Partition.add` until it holds
+        # every head of the basis, in order.
+        built = []
         partition = Division.partition
 
-        def counted(division, U):
-            calls.append(len(U))
-            return partition(division, U)
+        def kept(division, U):
+            built.append(partition(division, U))
+            return built[-1]
 
         sf, basis = janet_basis("katsura4")
-        monkeypatch.setattr(Division, "partition", counted)
+        monkeypatch.setattr(Division, "partition", kept)
         assert is_involutive(basis, janet(sf.vars), sf.order)
-        assert calls == [len(basis)]
+        assert len(built) == 1
+        assert built[0].monomials == tuple(g.lm for g in basis)
 
 
 class TestExpandCofactors:

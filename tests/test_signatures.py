@@ -56,7 +56,7 @@ def filed(*basis):
     """The basis elements by module position, as the engine files them."""
     by_position = {}
     for t in basis:
-        by_position.setdefault(t.sig.index, []).append(t)
+        by_position.setdefault(t.sig.index, []).append((t.poly.lm, t))
     return by_position
 
 

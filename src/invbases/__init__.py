@@ -62,7 +62,6 @@ from .oracles import (
     expand_cofactors,
     is_groebner,
     is_involutive,
-    random_ideal_member,
 )
 from .signatures import (
     Signature,

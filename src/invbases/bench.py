@@ -2,21 +2,12 @@
 from __future__ import annotations
 
 import json
-import random
 from dataclasses import dataclass, field
 
 from .core import UsageError
 from .division import division_by_name
-# `nf_full` is not called here, but stays importable from this module: the
-# benchmark's count tracer (perfbench/layers.py) wraps it under this name.
-from .engine import (  # noqa: F401
-    Stats,
-    _InvolutiveReducer,
-    inv_bas,
-    inv_comp,
-    nf_full,
-)
-from .oracles import buchberger_nf, is_groebner, is_involutive, random_ideal_member
+from .engine import Stats, inv_bas, inv_comp, nf_full
+from .oracles import buchberger_nf, is_groebner, is_involutive
 from .systems import SystemFile, load_builtin, load_system_file
 
 # The columns copied from `Stats` under the same name.
@@ -68,8 +59,6 @@ class BenchConfig:
     divisions: list[str] = field(default_factory=lambda: ["janet"])
     order: str | None = None
     verify: bool = False
-    verify_samples: int = 10
-    seed: int = 0
 
 
 def resolve_system(name: str, order: str | None = None) -> SystemFile:
@@ -79,30 +68,29 @@ def resolve_system(name: str, order: str | None = None) -> SystemFile:
     return load_builtin(name, order=order)
 
 
-def verify_basis(
-    basis,
-    system: SystemFile,
-    division,
-    rng: random.Random | None = None,
-    samples: int = 0,
-) -> bool:
-    """Independent validation of a completed basis: Gröbner property,
-    involutivity, and (optionally) normal-form agreement on random ideal
-    members."""
+def verify_basis(basis, system: SystemFile, division, rng=None, samples: int = 0) -> bool:
+    """Independent validation of a completed basis G of the system's inputs F.
+
+    True proves three things, checked in this order: G is a Gröbner basis
+    (`is_groebner`), G is involutive for the division (`is_involutive`),
+    and ⟨F⟩ ⊆ ⟨G⟩: every input has normal form zero modulo G, both
+    involutive (`nf_full`) and classical (`buchberger_nf`).  Once G is
+    Gröbner, f lies in ⟨G⟩ exactly when its normal form is zero, so one
+    reduction per input decides the inclusion.  ⟨G⟩ ⊆ ⟨F⟩ is not checked:
+    a basis of a larger ideal, such as [1], passes.
+
+    `rng` and `samples` are ignored.  They remain so that callers written
+    for the random ideal members this check once sampled still run
+    (perfbench/record_refs.py passes both)."""
     order = system.order
     if not is_groebner(basis, order):
         return False
     if not is_involutive(basis, division, order):
         return False
-    if rng is not None:
-        reducer = _InvolutiveReducer(basis, division, order)
-        for _ in range(samples):
-            member = random_ideal_member(rng, system.polynomials, order)
-            if not reducer.nf(member).is_zero:
-                return False
-            if not buchberger_nf(member, basis, order).is_zero:
-                return False
-    return True
+    return all(
+        nf_full(f, basis, division, order).is_zero and buchberger_nf(f, basis, order).is_zero
+        for f in system.polynomials
+    )
 
 
 def run_one(
@@ -110,8 +98,6 @@ def run_one(
     algorithm: str,
     division_name: str,
     verify: bool = False,
-    rng: random.Random | None = None,
-    verify_samples: int = 0,
 ) -> tuple[BenchRow, list]:
     division = division_by_name(division_name, system.vars)
     if algorithm == "invcomp":
@@ -124,7 +110,7 @@ def run_one(
         )
     verified: bool | None = None
     if verify:
-        verified = verify_basis(result.basis, system, division, rng, verify_samples)
+        verified = verify_basis(result.basis, system, division)
     row = BenchRow.from_stats(system.name, algorithm, division_name, result.stats, verified)
     return row, result.basis
 
@@ -137,20 +123,12 @@ def run_bench(config: BenchConfig) -> list[BenchRow]:
     ):
         if not names:
             raise UsageError("benchmark needs at least one %s" % what)
-    rng = random.Random(config.seed)
     rows = []
     for name in config.systems:
         system = resolve_system(name, config.order)
         for algorithm in config.algorithms:
             for division_name in config.divisions:
-                row, _ = run_one(
-                    system,
-                    algorithm,
-                    division_name,
-                    verify=config.verify,
-                    rng=rng,
-                    verify_samples=config.verify_samples,
-                )
+                row, _ = run_one(system, algorithm, division_name, verify=config.verify)
                 rows.append(row)
     return rows
 

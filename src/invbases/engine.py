@@ -782,17 +782,25 @@ def min_bas(H, division: Division, order: Ordering) -> list[Polynomial]:
 def inv_bas(F, division: Division, order: Ordering) -> CompletionResult:
     """The Gerdt–Blinkov involutive completion, without signatures.
 
-    Elements are triples (poly, anc, processed): anc is the head of the
-    element whose prolongations led to poly, processed the bitmask of the
-    variables whose prolongations of poly are queued.  A nonzero normal
-    form h sends the basis elements whose heads lm(h) properly divides back
-    to the queue, and keeps its element's ancestry when its head is
-    unchanged.
+    Queued elements are (poly, anc, processed, key): anc is the head of
+    the element whose prolongations led to poly, processed the bitmask of
+    the variables whose prolongations of poly are queued, and key the
+    (head, variable) of the element poly prolongs, None for the others.  A
+    nonzero normal form h sends the basis elements whose heads lm(h)
+    properly divides back to the queue, and keeps its element's ancestry
+    when its head is unchanged.
 
-    Only this loop keeps `processed`, because a displaced element comes
-    back with the prolongations it had queued.  An insertion walks what
-    `Partition.add` reports, minus `processed`: after every iteration
-    `processed` holds each element's mask, and a rebuild only shrinks masks.
+    Each basis element has had the prolongations of all its
+    nonmultiplicative variables queued, so only a queued element carries
+    `processed`: a displaced element leaves with its mask and, if its head
+    comes back unchanged, prolongs only the bits of its new mask that it
+    had not.  An insertion prolongs each bit `Partition.add` reports,
+    unless that prolongation is still queued.  That includes a bit the
+    rebuild after a displacement cleared and a later insertion sets again:
+    the prolongation popped in between may have been reduced by its own
+    element, through the then multiplicative variable, which proves
+    nothing.  (Skipping such bits lost x^2*y*z^2 from the Janet basis of
+    x^2*y^2*z + 1, x^2*z^2 + x*y*z + 1 under lex.)
     """
     start = time.perf_counter()
     polys = _check_inputs(F, division, order)
@@ -800,17 +808,19 @@ def inv_bas(F, division: Division, order: Ordering) -> CompletionResult:
     seq = itertools.count()
     queue: list = []
 
-    def push(poly: Polynomial, anc: Monomial, processed: int) -> None:
+    def push(poly: Polynomial, anc: Monomial, processed: int, key=None) -> None:
         stats.max_deg = max(stats.max_deg, poly.degree)
-        heapq.heappush(queue, (order.key(poly.lm), next(seq), (poly, anc, processed)))
+        heapq.heappush(queue, (order.key(poly.lm), next(seq), (poly, anc, processed, key)))
 
     gens = [f.monic() for f in polys]
     for g in gens:
         push(g, g.lm, 0)
-    basis: dict[Monomial, tuple] = {}  # head -> (poly, anc, processed)
+    basis: dict[Monomial, tuple] = {}  # head -> (poly, anc)
     reducer = _InvolutiveReducer((), division, order)
+    pending: set[tuple[Monomial, int]] = set()  # the keys of the queued prolongations
     while queue:
-        p, anc, processed = heapq.heappop(queue)[2]
+        p, anc, processed, key = heapq.heappop(queue)[2]
+        pending.discard(key)
         hit = next(reducer.divisors(p.lm), None)
         if hit is not None:
             _rank, g, _item, _u = hit
@@ -826,18 +836,20 @@ def inv_bas(F, division: Division, order: Ordering) -> CompletionResult:
         h = h.monic()
         displaced = [m for m in basis if m != h.lm and h.lm.divides(m)]
         for m in displaced:
-            push(*basis.pop(m))
+            push(*basis.pop(m), reducer.partition.nm_mask(m))
         if displaced:
             reducer = _InvolutiveReducer([t[0] for t in basis.values()], division, order)
-        basis[h.lm] = (h, anc, processed) if h.lm == p.lm else (h, h.lm, 0)
+        if h.lm != p.lm:
+            anc, processed = h.lm, 0
+        basis[h.lm] = (h, anc)
         for m, bits in reducer.add(h).items():
-            q, q_anc, q_processed = basis[m]
-            fresh = bits & ~q_processed
-            if not fresh:
-                continue
-            for i in bit_indices(fresh):
-                push(q.mul_term(1, mono_var(i, order.vars.n)), q_anc, 0)
-            basis[m] = (q, q_anc, q_processed | fresh)
+            if m == h.lm:
+                bits &= ~processed
+            q, q_anc = basis[m]
+            for i in bit_indices(bits):
+                if (m, i) not in pending:
+                    pending.add((m, i))
+                    push(q.mul_term(1, mono_var(i, order.vars.n)), q_anc, 0, (m, i))
 
     loop_basis = [t[0] for t in basis.values()]
     stats.polys_loop = len(loop_basis)

@@ -10,7 +10,11 @@ alex) and partition.  `buchberger_nf` scans the whole set in rank order behind a
 degree and support-mask check of its own, and it and `is_groebner` share
 no logic with the engine, whose criteria act on signatures and ancestors
 during completion; so agreement between them and the engine is
-meaningful evidence of correctness.  The reference loops of
+meaningful evidence of correctness.  `bench.verify_basis` combines them:
+`is_groebner`, `is_involutive`, and a zero normal form of each input
+generator, which proves that the inputs lie in the ideal of a Gröbner
+basis.  Nothing here checks the converse inclusion, so a basis of a
+larger ideal, such as [1], passes.  The reference loops of
 the tests (`drop_lt_*` in tests/test_kernel.py) and the sympy comparison
 of tests/test_external_oracle.py stay independent of the engine as well.
 
@@ -30,11 +34,7 @@ order and without a record of processed pairs.
 """
 from __future__ import annotations
 
-import random
-from fractions import Fraction
-
 from .core import (
-    Monomial,
     Ordering,
     PendingTerms,
     Polynomial,
@@ -59,7 +59,6 @@ __all__ = [
     "expand_cofactors",
     "is_groebner",
     "is_involutive",
-    "random_ideal_member",
 ]
 
 
@@ -176,29 +175,3 @@ def admissibility_check(cofactors, sig: Signature, order: Ordering) -> bool:
     if best is None:
         raise UsageError("admissibility check needs a nonzero cofactor vector")
     return best == sig
-
-
-def random_ideal_member(
-    rng: random.Random,
-    generators,
-    order: Ordering,
-    max_terms: int = 3,
-    max_deg: int = 2,
-) -> Polynomial:
-    """A random element sum(h_i * f_i) of the ideal of the generators, with
-    short random multipliers h_i of bounded degree."""
-    gens = list(generators)
-    if not gens:
-        raise UsageError("need at least one generator")
-    n = order.vars.n
-    pairs = []
-    for g in gens:
-        terms = []
-        for _ in range(rng.randrange(0, max_terms + 1)):
-            coeff = Fraction(rng.randrange(-6, 7), rng.randrange(1, 4))
-            exps = [0] * n
-            for _ in range(rng.randrange(0, max_deg + 1)):
-                exps[rng.randrange(n)] += 1
-            terms.append((coeff, Monomial(tuple(exps))))
-        pairs.append((Polynomial(order, terms), g))
-    return sum_of_products(order, pairs)

@@ -1,13 +1,24 @@
-"""Shared fixtures and hypothesis strategies for the test suite, and a time
-limit per test."""
+"""Shared fixtures and hypothesis strategies for the test suite, a sampler
+of random ideal members, and a time limit per test."""
 from __future__ import annotations
 
+import random
 import signal
+from fractions import Fraction
 
 import pytest
 from hypothesis import strategies as st
 
-from invbases.core import Monomial, Ordering, Polynomial, VarSet, degrevlex, lex
+from invbases.core import (
+    Monomial,
+    Ordering,
+    Polynomial,
+    UsageError,
+    VarSet,
+    degrevlex,
+    lex,
+    sum_of_products,
+)
 from invbases.engine import EngineOptions, _Engine
 from invbases.systems import parse_system
 
@@ -160,3 +171,29 @@ def polynomials(order, n: int, max_deg: int = 3, max_terms: int = 4):
         .map(lambda ts: Polynomial(order, ts))
         .filter(lambda p: not p.is_zero)
     )
+
+
+def random_ideal_member(
+    rng: random.Random,
+    generators,
+    order: Ordering,
+    max_terms: int = 3,
+    max_deg: int = 2,
+) -> Polynomial:
+    """A random element sum(h_i * f_i) of the ideal of the generators, with
+    short random multipliers h_i of bounded degree."""
+    gens = list(generators)
+    if not gens:
+        raise UsageError("need at least one generator")
+    n = order.vars.n
+    pairs = []
+    for g in gens:
+        terms = []
+        for _ in range(rng.randrange(0, max_terms + 1)):
+            coeff = Fraction(rng.randrange(-6, 7), rng.randrange(1, 4))
+            exps = [0] * n
+            for _ in range(rng.randrange(0, max_deg + 1)):
+                exps[rng.randrange(n)] += 1
+            terms.append((coeff, Monomial(tuple(exps))))
+        pairs.append((Polynomial(order, terms), g))
+    return sum_of_products(order, pairs)

@@ -39,11 +39,10 @@ from invbases.oracles import (
     expand_cofactors,
     is_groebner,
     is_involutive,
-    random_ideal_member,
 )
 from invbases.systems import SystemFile, gen_cyclic, gen_katsura, parse_polynomial, parse_system
 
-from conftest import SECOND_EXAMPLE, WORKED_EXAMPLE
+from conftest import SECOND_EXAMPLE, WORKED_EXAMPLE, random_ideal_member
 
 DEBUG_OPTS = EngineOptions(check_invariants=True)
 

@@ -16,8 +16,8 @@ from invbases.bench import (
     run_one,
     verify_basis,
 )
-from invbases.core import UsageError
-from invbases.division import Division, janet
+from invbases.core import Polynomial, UsageError
+from invbases.division import division_by_name, janet
 from invbases.engine import Stats, inv_comp
 from invbases.systems import load_builtin
 
@@ -54,29 +54,38 @@ class TestVerifyBasis:
         sf = load_builtin("cyclic3")
         div = janet(sf.vars)
         r = inv_comp(sf.polynomials, div, sf.order)
-        assert verify_basis(r.basis, sf, div, random.Random(1), samples=5)
+        assert verify_basis(r.basis, sf, div)
 
     def test_rejects_the_raw_input(self):
         sf = load_builtin("cyclic3")
         assert not verify_basis(sf.polynomials, sf, janet(sf.vars))
 
-    def test_random_members_share_one_partition(self, monkeypatch):
+    @pytest.mark.parametrize("division_name", ("janet", "thomas", "alex"))
+    @pytest.mark.parametrize("name", ("cyclic3", "katsura3", "noon3"))
+    def test_rejects_the_basis_of_a_smaller_ideal(self, name, division_name):
+        # The minimal basis of all inputs but the last is Gröbner and
+        # involutive, but the last input does not reduce to zero modulo it.
+        sf = load_builtin(name)
+        div = division_by_name(division_name, sf.vars)
+        smaller = inv_comp(sf.polynomials[:-1], div, sf.order).basis
+        assert not verify_basis(smaller, sf, div)
+        full = inv_comp(sf.polynomials, div, sf.order).basis
+        assert verify_basis(full, sf, div)
+
+    @pytest.mark.xfail(strict=True, reason="⟨G⟩ ⊆ ⟨F⟩ is unchecked (ROADMAP item 2c)")
+    def test_rejects_the_basis_of_a_larger_ideal(self):
+        sf = load_builtin("cyclic3")
+        assert not verify_basis([Polynomial.one(sf.order)], sf, janet(sf.vars))
+
+    def test_legacy_sampling_arguments_are_ignored(self):
+        # perfbench/record_refs.py still passes an RNG and a sample count.
         sf = load_builtin("cyclic3")
         div = janet(sf.vars)
-        r = inv_comp(sf.polynomials, div, sf.order)
-        built = []
-        partition = Division.partition
-
-        def kept(division, U):
-            built.append(partition(division, U))
-            return built[-1]
-
-        monkeypatch.setattr(Division, "partition", kept)
-        assert verify_basis(r.basis, sf, div, random.Random(1), samples=5)
-        # One for the involutivity check, one for all five random members,
-        # each grown by `Partition.add` until it holds every head in order.
-        heads = tuple(g.lm for g in r.basis)
-        assert [part.monomials for part in built] == [heads] * 2
+        for F in (sf.polynomials, sf.polynomials[:-1]):
+            basis = inv_comp(F, div, sf.order).basis
+            assert verify_basis(basis, sf, div, random.Random(0), samples=10) == (
+                verify_basis(basis, sf, div)
+            )
 
 
 class TestRowFromStats:
@@ -97,8 +106,7 @@ class TestRowFromStats:
 class TestRunOne:
     def test_row_mirrors_the_stats(self):
         sf = load_builtin("cyclic3")
-        row, basis = run_one(sf, "invcomp", "janet", verify=True,
-                             rng=random.Random(0), verify_samples=3)
+        row, basis = run_one(sf, "invcomp", "janet", verify=True)
         assert (row.system, row.algorithm, row.division) == ("cyclic3", "invcomp", "janet")
         assert (row.reds, row.c1, row.c2, row.f5, row.super) == (0, 3, 1, 0, 0)
         assert (row.polys_loop, row.polys_min, row.max_deg) == (4, 4, 5)
@@ -137,7 +145,7 @@ class TestRunBench:
         ]
 
     def test_verified_grid(self):
-        config = BenchConfig(systems=["katsura2"], verify=True, verify_samples=2)
+        config = BenchConfig(systems=["katsura2"], verify=True)
         rows = run_bench(config)
         assert [r.verified for r in rows] == [True]
 

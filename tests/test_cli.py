@@ -89,6 +89,21 @@ class TestCompute:
         assert rc == 0
         assert "order: degrevlex\n" in capsys.readouterr().out
 
+    def test_seed_is_ignored(self, capsys):
+        outs = []
+        for seed in ("0", "7"):
+            rc = main(["compute", "--system", "cyclic3", "--verify", "--stats", "json",
+                       "--seed", seed])
+            out = capsys.readouterr().out
+            assert rc == 0
+            start = out.index("[")
+            payload = json.loads(out[start:])
+            for row in payload:
+                row["time_ms"] = None
+            outs.append((out[:start], payload))
+        assert outs[0] == outs[1]
+        assert outs[0][1][0]["verified"] is True
+
 
 # sha256 of the whole stdout of `compute` with these flags.  Counters and
 # heads are pinned in tests/test_engine.py; these pins catch any change to a
@@ -159,6 +174,20 @@ class TestBench:
         assert rc == 0
         payload = json.loads(out)
         assert [row["system"] for row in payload] == ["cyclic2", "cyclic3"]
+
+    def test_verified_does_not_depend_on_the_system_order(self, capsys):
+        verdicts = []
+        for systems in ("cyclic2,katsura2,noon3", "noon3,katsura2,cyclic2"):
+            rc = main(["bench", "--systems", systems, "--algorithms", "invcomp,invbas",
+                       "--divisions", "janet,alex", "--verify", "--stats", "json"])
+            assert rc == 0
+            payload = json.loads(capsys.readouterr().out)
+            verdicts.append({
+                (row["system"], row["algorithm"], row["division"]): row["verified"]
+                for row in payload
+            })
+        assert verdicts[0] == verdicts[1]
+        assert len(verdicts[0]) == 12 and all(v is True for v in verdicts[0].values())
 
     def test_file_path_as_system(self, worked_file, capsys):
         rc = main(["bench", "--systems", worked_file])

@@ -28,12 +28,11 @@ from invbases.oracles import (
     expand_cofactors,
     is_groebner,
     is_involutive,
-    random_ideal_member,
 )
 from invbases.signatures import Signature
 from invbases.systems import load_builtin, parse_polynomial, parse_system
 
-from conftest import WORKED_EXAMPLE, polynomials
+from conftest import WORKED_EXAMPLE, polynomials, random_ideal_member
 
 VS = VarSet(("x", "y"))
 LEX = lex(VS)

@@ -4,12 +4,15 @@ Monomials are exponent tuples over a fixed variable set.  Polynomials keep
 their terms sorted in strictly descending monomial order, with coefficients
 stored as `fractions.Fraction`, so every value has one canonical form.
 Terms are combined in two places only.  Every cancelling step (the three
-normal forms and `spoly`) runs in the reduction accumulator `PendingTerms`,
-which holds integers: numerators over one common denominator, turned back
-into `Fraction`s as terms leave it.  A reducer enters it as integers too,
-through its kept tail row (`Polynomial.tail_row`), and a term that gets
-reduced never becomes a `Fraction`.  All other arithmetic (`+`, `-`, `*`)
-goes through the canonicalising constructor `Polynomial(order, terms)`.
+normal forms, the engine's head reductions under alex, and `spoly`) runs
+in the reduction accumulator `PendingTerms`, which holds integers:
+numerators over one common denominator, turned back into `Fraction`s as
+terms leave it.  A reducer enters it as integers too, through its kept
+tail row (`Polynomial.tail_row`), and a term that gets reduced never
+becomes a `Fraction`.  A prolongation x*g enters it as a product,
+`PendingTerms(g, x)`, from g's kept key row, and is never built as a
+`Polynomial`.  All other arithmetic (`+`, `-`, `*`) goes through the
+canonicalising constructor `Polynomial(order, terms)`.
 """
 from __future__ import annotations
 
@@ -143,8 +146,8 @@ def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
 # Order keys pack the exponents as base-2^KEY_BITS digits.  Integer order
 # equals the monomial ordering only while every total degree is below
 # KEY_BOUND; `Ordering.key`, the reduction steps of `PendingTerms`
-# (`sub_tail`, `reduce_top`) and the engine's `_covered` raise `UsageError`
-# from there on.
+# (`sub_tail`, `reduce_top`), its seeding with a prolongation and the
+# engine's `_covered` raise `UsageError` from there on.
 KEY_BITS = 32
 KEY_BOUND = 1 << KEY_BITS
 
@@ -240,7 +243,9 @@ class Polynomial:
     descending under `order`; no zero coefficients, no repeated monomials.
     The order keys of the terms are kept in `_row` (`key_row`) once taken:
     by the constructor, which sorts by them, by `_raw`'s canonical check
-    under `__debug__`, or else when a `PendingTerms` first needs them.  The
+    under `__debug__`, or else when a `PendingTerms` first needs them,
+    also to seed the terms of a prolongation mono*p, whose keys are
+    key(mono) plus p's row.  The
     integers a reduction by the polynomial needs are kept in `_tail`
     (`tail_row`), built on its first use as a reducer.  Neither is ever
     invalidated: polynomials are immutable.
@@ -476,23 +481,43 @@ class PendingTerms:
     gcd(den, numerators) is divided out, so `den` is always the least
     common denominator of the pending terms.  Terms leave the accumulator
     (`pop`, `descending`) as `Fraction` coefficients.
+
+    `PendingTerms(p, mono)` holds the terms of mono*p, a prolongation,
+    the same way: each key is key(mono) plus the kept key of p's term, and
+    each monomial is kept as the pair (p's monomial, mono), so terms of the
+    product that are never read are never built.  A product of total
+    degree KEY_BOUND or more raises `UsageError` before anything is held.
     """
 
     __slots__ = ("order", "_keys", "_nums", "_monos", "den")
 
-    def __init__(self, p: Polynomial):
+    def __init__(self, p: Polynomial, mono: Monomial | None = None):
         self.order = p.order
         terms = p.terms[::-1]
+        row = p.key_row()[::-1]
+        if mono is None:
+            keys = list(row)
+            monos = [m for _, m in terms]
+        else:
+            ku = p.order.key(mono)
+            deg = p.degree + mono.deg
+            if deg >= KEY_BOUND:
+                raise _key_bound_error(deg)
+            keys = [ku + k for k in row]
+            monos = [(m, mono) for _, m in terms]
         den = self.den = math.lcm(*[c.denominator for c, _ in terms])
         self._nums = [c.numerator * (den // c.denominator) for c, _ in terms]
-        self._monos = [m for _, m in terms]
-        self._keys = list(p.key_row()[::-1])
+        self._monos = monos
+        self._keys = keys
 
     def __bool__(self) -> bool:
         return bool(self._keys)
 
     def copy(self) -> PendingTerms:
-        """An independent accumulator holding the same pending terms."""
+        """An independent accumulator holding the same pending terms.  The
+        pending monomials are built first, so that the two share them
+        rather than each building its own."""
+        self._monos = [_built(m) for m in self._monos]
         other = object.__new__(PendingTerms)
         other.order = self.order
         other._keys = self._keys[:]

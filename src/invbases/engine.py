@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import operator
 import time
 from dataclasses import dataclass, field
 
@@ -133,7 +134,8 @@ class EngineOptions:
     insertion.  `check_invariants` enables internal assertions and the two
     signature diagnostics on every iteration, among them a comparison of
     the partition kept up by insertions, of its divisor lookup and of the
-    basis filed by position against their definitions.
+    basis filed by position against their definitions, and of each
+    prolongation seeded into a normal form against the built product.
     """
 
     track_cofactors: bool = False
@@ -264,18 +266,23 @@ class _Engine:
         """Append sp to the basis, its module position and the divisor
         index; returns what `Partition.add` reports as widened."""
         self.T.append(sp)
-        self.by_position.setdefault(sp.sig.index, []).append((sp.poly.lm, sp))
+        self.by_position.setdefault(sp.sig.index, []).append((sp.lm, sp))
         return self._index.add(sp.poly, sp)
 
-    def _bump_deg(self, poly: Polynomial) -> None:
-        if not poly.is_zero and poly.degree > self.stats.max_deg:
-            self.stats.max_deg = poly.degree
+    def _bump_deg(self, sp: SigPoly) -> None:
+        """Raise `max_deg` to the total degree of sp's polynomial: for a
+        queued prolongation x*g, the degree of g plus 1."""
+        deg = sp.poly.degree
+        if sp.mono is not None:
+            deg += sp.mono.deg
+        if deg > self.stats.max_deg:
+            self.stats.max_deg = deg
 
     def _check_cofactors(self, sp: SigPoly) -> None:
         if self.options.track_cofactors:
             if sp.cofactors is None:
                 raise AssertionError("cofactor tracking lost a vector")
-            if _expand(sp.cofactors, self.gens) != sp.poly:
+            if _expand(sp.cofactors, self.gens) != sp.value():
                 raise AssertionError("cofactor expansion does not reproduce the polynomial")
 
     # -- queue ---------------------------------------------------------
@@ -291,12 +298,12 @@ class _Engine:
         deflected combination and, when it loses, does this method's
         accounting without calling it.
         """
-        if sp.poly.is_zero:
+        if sp.lm is None:
             return False
-        self._bump_deg(sp.poly)
+        self._bump_deg(sp)
         self._check_cofactors(sp)
         self._check_creator(sp.sig, creator_sig)
-        lm_key = self.order.key(sp.poly.lm)
+        lm_key = self.order.key(sp.lm)
         if sp.sig in self._sig_best:
             self.stats.sig_merges += 1
             if self._loses_merge(sp.sig, lm_key):
@@ -312,7 +319,7 @@ class _Engine:
         head has order key lm_key is dropped when the queued element of sig
         has a head no larger."""
         incumbent = self._sig_best.get(sig)
-        return incumbent is not None and lm_key >= self.order.key(incumbent.poly.lm)
+        return incumbent is not None and lm_key >= self.order.key(incumbent.lm)
 
     def _check_creator(self, sig: Signature, creator_sig: Signature | None) -> None:
         if (
@@ -403,7 +410,7 @@ class _Engine:
         a head strictly smaller than p's own: multiplying that element up to
         the signature of p yields a smaller leading monomial, so whatever p
         contributes is already reachable below its head."""
-        key = self.order.key(p.poly.lm)
+        key = self.order.key(p.lm)
         for h, t in self.by_position.get(p.sig.index, ()):
             u = mono_div(p.sig.mono, t.sig.mono)
             if u is None:
@@ -434,17 +441,27 @@ class _Engine:
         head, and the term either joins the remainder or is cancelled by a
         reduction step (`reduce_top`, or `pop` and `sub_tail` when the step
         also updates cofactors), which folds the rest of the multiplied
-        reducer into the pending terms.  A polynomial is built for the
-        remainder, and for a deflected combination only when it is queued.
+        reducer into the pending terms.  A queued prolongation x*g seeds the
+        accumulator as the product, `PendingTerms(g, x)`, so a head killed
+        by a criterion costs no product terms.  A polynomial is built for
+        the remainder, and for a deflected combination only when it is
+        queued.  Under `check_invariants` the prolongation is built too, and
+        its terms must be the seeded ones.
         """
         order = self.order
-        pending = PendingTerms(p.poly)
+        pending = PendingTerms(p.poly, p.mono)
+        if (
+            self.options.check_invariants
+            and p.mono is not None
+            and pending.descending() != p.value().terms
+        ):
+            raise AssertionError("the seeded accumulator differs from the built prolongation")
         rem = []  # irreducible terms, descending: the normal form's terms
         cofs = p.cofactors
         at_head = True
         deflected: set[tuple[Signature, Monomial]] = set()
 
-        self._bump_deg(p.poly)
+        self._bump_deg(p)
         while pending:
             candidates = []
             for rank, _g, q, u in self._index.divisors(pending.top_mono()):
@@ -587,10 +604,10 @@ class _Engine:
             cofs = tuple(c.scale(1 / h.lc) for c in p.cofactors)
         hm = h.monic()
         # Keep p's ancestry when the head stayed, else start its own.
-        anc_lm = p.anc_lm if hm.lm == p.poly.lm else hm.lm
+        anc_lm = p.anc_lm if hm.lm == p.lm else hm.lm
         t_new = SigPoly(p.sig, hm, anc_lm, cofactors=cofs)
         self._check_cofactors(t_new)
-        if self.options.check_invariants and any(t.poly.lm == hm.lm for t in self.T):
+        if self.options.check_invariants and any(t.lm == hm.lm for t in self.T):
             raise AssertionError("inserted a duplicate head into the basis")
         widened = self._grow(t_new)
         if self.options.check_invariants:
@@ -611,7 +628,7 @@ class _Engine:
                 pcofs = None
                 if q.cofactors is not None:
                     pcofs = tuple(c.mul_term(1, x) for c in q.cofactors)
-                sp = SigPoly(sig_mul(x, q.sig), q.poly.mul_term(1, x), q.anc_lm, cofactors=pcofs)
+                sp = SigPoly(sig_mul(x, q.sig), q.poly, q.anc_lm, cofactors=pcofs, mono=x)
                 self._push(sp, creator_sig=q.sig)
 
     def _queue_head_reductions(self, t_new: SigPoly) -> None:
@@ -630,10 +647,13 @@ class _Engine:
         for q in self.T:
             if q is t_new:
                 continue
-            u = mono_div(q.poly.lm, t_new.poly.lm)
-            if u is None or not part.allows(t_new.poly.lm, u):
+            u = mono_div(q.lm, t_new.lm)
+            if u is None or not part.allows(t_new.lm, u):
                 continue
-            value = q.poly - t_new.poly.mul_term(q.poly.lc, u)
+            # q - lc(q)*u*t_new, both monic: one reduction step.
+            pending = PendingTerms(q.poly)
+            pending.reduce_top(u, t_new.poly)
+            value = Polynomial._raw(self.order, pending.descending())
             if not value.is_zero:
                 self._queue_combination(
                     sig_mul(u, t_new.sig), value, q.cofactors, q.poly.lc, u, t_new, t_new.sig
@@ -729,8 +749,10 @@ class _InvolutiveReducer:
             for rank, g, item in by_head[head]:
                 yield rank, g, item, u
 
-    def nf(self, f: Polynomial) -> Polynomial:
-        pending = PendingTerms(f)
+    def nf(self, f: Polynomial, mono: Monomial | None = None) -> Polynomial:
+        """The involutive normal form of f, or of the product mono*f,
+        which enters the accumulator unbuilt."""
+        pending = PendingTerms(f, mono)
         rem = []
         while pending:
             hit = next(self.divisors(pending.top_mono()), None)
@@ -782,13 +804,16 @@ def min_bas(H, division: Division, order: Ordering) -> list[Polynomial]:
 def inv_bas(F, division: Division, order: Ordering) -> CompletionResult:
     """The Gerdt–Blinkov involutive completion, without signatures.
 
-    Queued elements are (poly, anc, processed, key): anc is the head of
-    the element whose prolongations led to poly, processed the bitmask of
-    the variables whose prolongations of poly are queued, and key the
-    (head, variable) of the element poly prolongs, None for the others.  A
-    nonzero normal form h sends the basis elements whose heads lm(h)
-    properly divides back to the queue, and keeps its element's ancestry
-    when its head is unchanged.
+    Queued elements are (poly, x, head, anc, processed, key).  The queued
+    polynomial is poly, or for a prolongation the product x*poly, kept
+    unbuilt until its normal form seeds the accumulator with it; head is
+    its leading monomial.  anc is the head of the element whose
+    prolongations led to it, processed the bitmask of the variables whose
+    prolongations of it are queued, and key the (head, variable) of the
+    element a prolongation prolongs, None for the others.  A nonzero
+    normal form h sends the basis elements whose heads lm(h) properly
+    divides back to the queue, and keeps its element's ancestry when its
+    head is unchanged.
 
     Each basis element has had the prolongations of all its
     nonmultiplicative variables queued, so only a queued element carries
@@ -807,10 +832,18 @@ def inv_bas(F, division: Division, order: Ordering) -> CompletionResult:
     stats = Stats()
     seq = itertools.count()
     queue: list = []
+    n = order.vars.n
 
     def push(poly: Polynomial, anc: Monomial, processed: int, key=None) -> None:
-        stats.max_deg = max(stats.max_deg, poly.degree)
-        heapq.heappush(queue, (order.key(poly.lm), next(seq), (poly, anc, processed, key)))
+        """Queue poly, or for a prolongation key = (head, i) the product of
+        poly by variable i."""
+        if key is None:
+            x, head, deg = None, poly.lm, poly.degree
+        else:
+            x = mono_var(key[1], n)
+            head, deg = mono_mul(poly.lm, x), poly.degree + 1
+        stats.max_deg = max(stats.max_deg, deg)
+        heapq.heappush(queue, (order.key(head), next(seq), (poly, x, head, anc, processed, key)))
 
     gens = [f.monic() for f in polys]
     for g in gens:
@@ -819,37 +852,41 @@ def inv_bas(F, division: Division, order: Ordering) -> CompletionResult:
     reducer = _InvolutiveReducer((), division, order)
     pending: set[tuple[Monomial, int]] = set()  # the keys of the queued prolongations
     while queue:
-        p, anc, processed, key = heapq.heappop(queue)[2]
+        p, x, p_lm, anc, processed, key = heapq.heappop(queue)[2]
         pending.discard(key)
-        hit = next(reducer.divisors(p.lm), None)
+        hit = next(reducer.divisors(p_lm), None)
         if hit is not None:
             _rank, g, _item, _u = hit
-            verdict = ancestor_criteria(p.lm, anc, basis[g.lm][1])
+            verdict = ancestor_criteria(p_lm, anc, basis[g.lm][1])
             if verdict is not Verdict.NONE:
                 stats.note(verdict)
                 continue
-        h = reducer.nf(p)
+        h = reducer.nf(p, x)
         if h.is_zero:
             stats.reds += 1
             continue
         stats.max_deg = max(stats.max_deg, h.degree)
         h = h.monic()
-        displaced = [m for m in basis if m != h.lm and h.lm.divides(m)]
+        # The heads lm(h) properly divides: larger degree, exponents no
+        # smaller.
+        hm = h.lm
+        he, hd = hm.exps, hm.deg
+        displaced = [m for m in basis if m.deg > hd and all(map(operator.le, he, m.exps))]
         for m in displaced:
             push(*basis.pop(m), reducer.partition.nm_mask(m))
         if displaced:
             reducer = _InvolutiveReducer([t[0] for t in basis.values()], division, order)
-        if h.lm != p.lm:
-            anc, processed = h.lm, 0
-        basis[h.lm] = (h, anc)
+        if hm != p_lm:
+            anc, processed = hm, 0
+        basis[hm] = (h, anc)
         for m, bits in reducer.add(h).items():
-            if m == h.lm:
+            if m == hm:
                 bits &= ~processed
             q, q_anc = basis[m]
             for i in bit_indices(bits):
                 if (m, i) not in pending:
                     pending.add((m, i))
-                    push(q.mul_term(1, mono_var(i, order.vars.n)), q_anc, 0, (m, i))
+                    push(q, q_anc, 0, (m, i))
 
     loop_basis = [t[0] for t in basis.values()]
     stats.polys_loop = len(loop_basis)

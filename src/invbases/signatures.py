@@ -71,15 +71,20 @@ def sig_sort_key(order: Ordering, s: Signature):
 class SigPoly:
     """A polynomial labelled with its signature and reduction ancestry.
 
-    `anc_lm` is the head of the basis element this one descends from by
-    prolongations and tail work; an element whose head changed starts a
-    fresh ancestry.  `cofactors` (optional) expresses the polynomial
-    exactly as a combination of the original generators.  Which
-    prolongations are due is not kept here: the engine takes them from
-    what the partition reports as widened at each insertion.
+    The labelled polynomial is `poly`, or, for a queued prolongation, the
+    product mono*poly, kept unbuilt: `mono` is the multiplier (None for
+    any other element) and `poly` the basis element it prolongs.  `lm` is
+    the head of the labelled polynomial (None when it is zero), taken
+    once here; `value()` builds the polynomial itself.  `anc_lm` is the
+    head of the basis element this one descends from by prolongations and
+    tail work; an element whose head changed starts a fresh ancestry.
+    `cofactors` (optional) expresses the labelled polynomial exactly as a
+    combination of the original generators.  Which prolongations are due
+    is not kept here: the engine takes them from what the partition
+    reports as widened at each insertion.
     """
 
-    __slots__ = ("sig", "poly", "anc_lm", "cofactors")
+    __slots__ = ("sig", "poly", "mono", "lm", "anc_lm", "cofactors")
 
     def __init__(
         self,
@@ -87,17 +92,27 @@ class SigPoly:
         poly: Polynomial,
         anc_lm: Monomial,
         cofactors: tuple[Polynomial, ...] | None = None,
+        mono: Monomial | None = None,
     ):
         self.sig = sig
         self.poly = poly
+        self.mono = mono
+        if poly.is_zero:
+            self.lm = None
+        else:
+            self.lm = poly.lm if mono is None else mono_mul(poly.lm, mono)
         self.anc_lm = anc_lm
         self.cofactors = cofactors
+
+    def value(self) -> Polynomial:
+        """The labelled polynomial, built."""
+        return self.poly if self.mono is None else self.poly.mul_term(1, self.mono)
 
     def __repr__(self) -> str:
         return "<SigPoly sig=(%s, e%d) lm=%s>" % (
             self.sig.mono.exps,
             self.sig.index,
-            "0" if self.poly.is_zero else str(self.poly.lm.exps),
+            "0" if self.lm is None else str(self.lm.exps),
         )
 
 
@@ -134,16 +149,16 @@ def criteria(
     `by_position` (position -> (head, element) pairs, as `_Engine` files
     them), has a head dividing the monomial of p's signature.
     """
-    if p.poly.is_zero or q.poly.is_zero:
+    if p.lm is None or q.lm is None:
         raise UsageError("criteria need nonzero polynomials")
-    u = mono_div(p.poly.lm, q.poly.lm)
+    u = mono_div(p.lm, q.lm)
     if u is None:
         raise UsageError("criteria expect the head of q to divide the head of p")
 
     if sig_mul(u, q.sig) == p.sig:
         return Verdict.SUPER
 
-    verdict = ancestor_criteria(p.poly.lm, p.anc_lm, q.anc_lm)
+    verdict = ancestor_criteria(p.lm, p.anc_lm, q.anc_lm)
     if verdict is not Verdict.NONE:
         return verdict
 

@@ -9,7 +9,9 @@ each product's monomial and key built when it is folded in, not its key
 added from the reducer's key row and its monomial built when it leaves.
 `reduce_top(u, g)` is checked against the reference's `pop` followed by
 `sub_tail(top / lc(g), u, g)`, the quotient taken in `Fraction`s rather
-than from the reducer's integer tail row.
+than from the reducer's integer tail row.  A prolongation seeded as a
+product, `PendingTerms(g, u)`, is checked against the accumulator of the
+product built by `mul_term`.
 Each normal-form reference below rebuilds the polynomial after every
 irreducible head with `drop_lt`, as the three normal forms once did, and
 takes each reduction step as that difference.  The normal forms must
@@ -39,11 +41,13 @@ from invbases.core import (
     mono_div,
     mono_mul,
     mono_one,
+    mono_var,
     spoly,
 )
+from invbases import engine as engine_module
 from invbases.division import alex_division, division_by_name, janet
-from invbases.engine import _Engine, _InvolutiveReducer, inv_comp
-from invbases.oracles import buchberger_nf
+from invbases.engine import EngineOptions, _Engine, _InvolutiveReducer, inv_bas, inv_comp
+from invbases.oracles import buchberger_nf, expand_cofactors, is_involutive
 from invbases.signatures import (
     Signature,
     SigPoly,
@@ -166,15 +170,16 @@ def drop_lt_buchberger_nf(f: Polynomial, G, order) -> Polynomial:
 
 def drop_lt_regular_normal_form(engine: _Engine, p: SigPoly):
     """`_Engine.regular_normal_form` with a full divisor scan per head and a
-    `drop_lt` per irreducible head (no cofactors)."""
+    `drop_lt` per irreducible head (no cofactors); a queued prolongation
+    starts from its product, built."""
     order = engine.order
     part = engine.division.partition([q.poly.lm for q in engine.T])
-    h = p.poly
+    h = p.poly if p.mono is None else p.poly.mul_term(1, p.mono)
     rem = []
     at_head = True
     deflected = set()
     while not h.is_zero:
-        engine._bump_deg(h)
+        engine.stats.max_deg = max(engine.stats.max_deg, h.degree)
         candidates = []
         hlm = h.lm
         for q in engine.T:
@@ -287,7 +292,8 @@ def sig_strategy(n: int, k: int):
 @st.composite
 def signed_cases(draw):
     """A basis of signature-labelled elements with distinct heads over
-    module positions 1-3, and an element to reduce against them."""
+    module positions 1-3, and an element to reduce against them: about
+    half the time a queued prolongation, a variable times f, unbuilt."""
     order, G, f = draw(reduction_cases(max_reducers=5))
     n = order.vars.n
     basis = []
@@ -299,7 +305,8 @@ def signed_cases(draw):
         g = g.monic()
         basis.append(SigPoly(draw(sig_strategy(n, 3)), g, g.lm))
     anc = f.lm if draw(st.booleans()) else draw(monomials(n, 2))
-    p = SigPoly(draw(sig_strategy(n, 3)), f, anc)
+    x = draw(st.none() | st.integers(0, n - 1).map(lambda i: mono_var(i, n)))
+    p = SigPoly(draw(sig_strategy(n, 3)), f, anc, mono=x)
     return order, basis, p
 
 
@@ -550,6 +557,80 @@ class TestPendingTerms:
         # p - c*u*(g - lt(g)), through the constructor
         assert pending_poly(pending) == p - (g - lead).mul_term(c, u)
         assert deg == max((mono_mul(m, u).deg for _, m in g.terms[1:]), default=-1)
+
+
+class TestSeededProducts:
+    """A prolongation enters the accumulator as a product: `PendingTerms(g,
+    u)` must hold what `PendingTerms(g.mul_term(1, u))` holds, and no
+    default completion or involutivity check builds x*g."""
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_built_product(self, data):
+        vs = VarSet(("x", "y", "z")[: data.draw(st.integers(2, 3))])
+        order = data.draw(st.sampled_from((lex, degrevlex)))(vs)
+        g = data.draw(prime_polynomials(order, vs.n))
+        u = data.draw(monomials(vs.n, 3))
+        seeded, built = PendingTerms(g, u), PendingTerms(g.mul_term(1, u))
+        assert seeded._keys == built._keys
+        assert seeded._nums == built._nums
+        assert seeded.den == built.den
+        assert seeded.descending() == built.descending()
+        while built:
+            assert seeded.top_mono() == built.top_mono()
+            assert seeded.pop() == built.pop()
+        assert not seeded
+
+    def test_a_product_at_the_key_bound_is_rejected(self):
+        order = lex(XY)
+        # Under lex the tail y^(B-2) of g = x + y^(B-2) has the largest
+        # degree: times y it stays below the bound, times y^2 it reaches
+        # it, while the head x*y^2 stays far below.
+        g = Polynomial(order, [(1, Monomial((1, 0))), (1, Monomial((0, KEY_BOUND - 2)))])
+        assert PendingTerms(g, Monomial((0, 1))).top_mono() == Monomial((1, 1))
+        with pytest.raises(UsageError, match="order key bound"):
+            PendingTerms(g, Monomial((0, 2)))
+
+    def test_a_copy_shares_the_built_monomials(self):
+        # A deflection copies the accumulator of a seeded prolongation: the
+        # two must hold the same monomials, not one build each.
+        y = Monomial((0, 1))
+        g = poly((1, (2, 0)), (1, (1, 1)), (1, (0, 0)))
+        pending = PendingTerms(g, y)
+        twin = pending.copy()
+        assert [id(m) for _, m in twin.descending()] == [id(m) for _, m in pending.descending()]
+        assert twin.descending() == g.mul_term(1, y).terms
+
+    def test_check_invariants_catches_a_corrupt_seeded_accumulator(self, monkeypatch):
+        class Corrupt(PendingTerms):
+            def __init__(self, p, mono=None):
+                super().__init__(p, mono)
+                if mono is not None:
+                    self._nums[0] *= 2
+
+        monkeypatch.setattr(engine_module, "PendingTerms", Corrupt)
+        sf = load_builtin("cyclic4", order="degrevlex")
+        with pytest.raises(AssertionError, match="seeded accumulator differs"):
+            inv_comp(sf.polynomials, janet(sf.vars), sf.order, EngineOptions(check_invariants=True))
+
+    @pytest.mark.parametrize("division_name", DIVISIONS)
+    def test_completions_never_build_a_prolongation(self, division_name, monkeypatch):
+        sf = load_builtin("cyclic4", order="degrevlex")
+        div = division_by_name(division_name, sf.vars)
+        tracked = inv_comp(sf.polynomials, div, sf.order, EngineOptions(track_cofactors=True))
+        assert tracked.cofactor_records
+        for rec in tracked.cofactor_records:
+            assert expand_cofactors(rec.cofactors, tracked.sorted_input) == rec.poly
+
+        def refuse(*args):
+            raise AssertionError("Polynomial.mul_term called")
+
+        monkeypatch.setattr(Polynomial, "mul_term", refuse)
+        comp = inv_comp(sf.polynomials, div, sf.order)
+        bas = inv_bas(sf.polynomials, div, sf.order)
+        assert comp.basis == tracked.basis
+        assert is_involutive(comp.basis, div, sf.order)
+        assert is_involutive(bas.basis, div, sf.order)
 
 
 class TestKeptKeyRows:

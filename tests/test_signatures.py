@@ -187,3 +187,14 @@ class TestSigPoly:
     def test_repr_mentions_signature_and_head(self):
         a = SigPoly(Signature(X, 2), poly((1, XY)), XY)
         assert "e2" in repr(a)
+
+    def test_a_prolongation_keeps_its_product_unbuilt(self):
+        # x*(x*y + 2*y): the head x^2*y is taken once, the product is built
+        # only on request, and the criteria read the product's head.
+        g = poly((1, XY), (2, Y))
+        a = SigPoly(Signature(X, 1), g, XY, mono=X)
+        assert a.poly is g
+        assert a.lm == X2Y
+        assert a.value() == g.mul_term(1, X)
+        assert "(2, 1)" in repr(a)
+        assert criteria(a, sp(ONE, 1, g), {}) is Verdict.SUPER

@@ -6,13 +6,15 @@ stored as `fractions.Fraction`, so every value has one canonical form.
 Terms are combined in two places only.  Every cancelling step (the three
 normal forms, the engine's head reductions under alex, and `spoly`) runs
 in the reduction accumulator `PendingTerms`, which holds integers:
-numerators over one common denominator, turned back into `Fraction`s as
-terms leave it.  A reducer enters it as integers too, through its kept
-tail row (`Polynomial.tail_row`), and a term that gets reduced never
-becomes a `Fraction`.  A prolongation x*g enters it as a product,
-`PendingTerms(g, x)`, from g's kept key row, and is never built as a
-`Polynomial`.  All other arithmetic (`+`, `-`, `*`) goes through the
-canonicalising constructor `Polynomial(order, terms)`.
+numerators over one common denominator.  A reducer enters it as integers
+too, through its kept tail row (`Polynomial.tail_row`), and a term that
+gets reduced never becomes a `Fraction`.  A prolongation x*g enters it as
+a product, `PendingTerms(g, x)`, from g's kept key and tail rows, and is
+never built as a `Polynomial`.  Terms leave it as `Fraction`s, or as
+(numerator, denominator, monomial) triples from which `monic_polynomial`
+builds a monic polynomial in one pass.  All other arithmetic (`+`, `-`,
+`*`) goes through the canonicalising constructor `Polynomial(order,
+terms)`.
 """
 from __future__ import annotations
 
@@ -247,16 +249,18 @@ class Polynomial:
     also to seed the terms of a prolongation mono*p, whose keys are
     key(mono) plus p's row.  The
     integers a reduction by the polynomial needs are kept in `_tail`
-    (`tail_row`), built on its first use as a reducer.  Neither is ever
+    (`tail_row`), built on its first use as a reducer, and its largest
+    total degree in `_deg` (`degree`), on its first read.  None is ever
     invalidated: polynomials are immutable.
     """
 
-    __slots__ = ("order", "terms", "_row", "_tail")
+    __slots__ = ("order", "terms", "_row", "_tail", "_deg")
 
     def __init__(self, order: Ordering, terms: Iterable[tuple[Fraction, Monomial]] = ()):
         self.order = order
         self.terms, self._row = _canonical_terms(order, terms)
         self._tail = None
+        self._deg = None
 
     @classmethod
     def _raw(cls, order: Ordering, terms: tuple) -> Polynomial:
@@ -266,6 +270,7 @@ class Polynomial:
         p.terms = terms
         p._row = p._assert_canonical() if __debug__ else None
         p._tail = None
+        p._deg = None
         return p
 
     @classmethod
@@ -351,9 +356,10 @@ class Polynomial:
     @property
     def degree(self) -> int:
         """Largest total degree of any term; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(m.deg for _, m in self.terms)
+        deg = self._deg
+        if deg is None:
+            deg = self._deg = max([m.deg for _, m in self.terms], default=-1)
+        return deg
 
     def __iter__(self) -> Iterator[tuple[Fraction, Monomial]]:
         return iter(self.terms)
@@ -480,13 +486,17 @@ class PendingTerms:
     reduced never becomes a `Fraction`.  After each step the content
     gcd(den, numerators) is divided out, so `den` is always the least
     common denominator of the pending terms.  Terms leave the accumulator
-    (`pop`, `descending`) as `Fraction` coefficients.
+    with `Fraction` coefficients (`pop`, `descending`), or unbuilt as
+    (numerator, `den`, monomial) triples (`pop_raw`, `descending_raw`),
+    for `monic_polynomial` to build the monic polynomial once.
 
     `PendingTerms(p, mono)` holds the terms of mono*p, a prolongation,
-    the same way: each key is key(mono) plus the kept key of p's term, and
-    each monomial is kept as the pair (p's monomial, mono), so terms of the
-    product that are never read are never built.  A product of total
-    degree KEY_BOUND or more raises `UsageError` before anything is held.
+    the same way, from p's kept rows: each key is key(mono) plus the key of
+    p's term, and each numerator comes from p's tail row (a prolonged p is
+    a reducer too), so no denominator is read again.  Each monomial is kept
+    as the pair (p's monomial, mono), so terms of the product that are
+    never read are never built.  A product of total degree KEY_BOUND or
+    more raises `UsageError` before anything is held.
     """
 
     __slots__ = ("order", "_keys", "_nums", "_monos", "den")
@@ -496,19 +506,22 @@ class PendingTerms:
         terms = p.terms[::-1]
         row = p.key_row()[::-1]
         if mono is None:
-            keys = list(row)
-            monos = [m for _, m in terms]
-        else:
-            ku = p.order.key(mono)
-            deg = p.degree + mono.deg
-            if deg >= KEY_BOUND:
-                raise _key_bound_error(deg)
-            keys = [ku + k for k in row]
-            monos = [(m, mono) for _, m in terms]
-        den = self.den = math.lcm(*[c.denominator for c, _ in terms])
-        self._nums = [c.numerator * (den // c.denominator) for c, _ in terms]
-        self._monos = monos
-        self._keys = keys
+            self._keys = list(row)
+            self._monos = [m for _, m in terms]
+            den = self.den = math.lcm(*[c.denominator for c, _ in terms])
+            self._nums = [c.numerator * (den // c.denominator) for c, _ in terms]
+            return
+        deg = p.degree + mono.deg
+        if deg >= KEY_BOUND:
+            raise _key_bound_error(deg)
+        ku = p.order.key(mono)
+        self._keys = [ku + k for k in row]
+        self._monos = [(m, mono) for _, m in terms]
+        lc_num, lc_den, lcm, tail_nums, _, _ = p.tail_row()
+        den = self.den = math.lcm(lc_den, lcm)
+        scale = den // lcm
+        nums = self._nums = [a * scale for a in reversed(tail_nums)]
+        nums.append(lc_num * (den // lc_den))
 
     def __bool__(self) -> bool:
         return bool(self._keys)
@@ -538,11 +551,22 @@ class PendingTerms:
         self._keys.pop()
         return Fraction(self._nums.pop(), self.den), _built(self._monos.pop())
 
+    def pop_raw(self) -> tuple[int, int, Monomial]:
+        """Remove the largest pending term and return it unbuilt, as
+        (numerator, `den`, monomial)."""
+        self._keys.pop()
+        return self._nums.pop(), self.den, _built(self._monos.pop())
+
     def descending(self) -> tuple:
         """The pending terms, largest first, as a polynomial keeps them."""
         den = self.den
         return tuple(zip([Fraction(n, den) for n in reversed(self._nums)],
                          [_built(m) for m in reversed(self._monos)]))
+
+    def descending_raw(self) -> list:
+        """The pending terms, largest first, as `pop_raw` returns them."""
+        den = self.den
+        return [(n, den, _built(m)) for n, m in zip(reversed(self._nums), reversed(self._monos))]
 
     def reduce_top(self, mono: Monomial, g: Polynomial) -> int:
         """Remove the largest pending term and subtract c*mono*(g - lt(g)),
@@ -639,6 +663,16 @@ class PendingTerms:
                 den //= content
                 nums[:] = [n // content for n in nums]
         self.den = den
+
+
+def monic_polynomial(order: Ordering, raw) -> tuple[Polynomial, Fraction]:
+    """The monic polynomial of the nonempty descending terms `raw`, given
+    as (numerator, denominator, monomial) triples, and the factor 1/lc it
+    scaled them by: each coefficient n/d becomes n*d0/(d*n0), where n0/d0
+    is the first one, in one `Fraction` per term."""
+    n0, d0, _ = raw[0]
+    terms = tuple([(Fraction(n * d0, d * n0), m) for n, d, m in raw])
+    return Polynomial._raw(order, terms), Fraction(d0, n0)
 
 
 def _built(m) -> Monomial:

@@ -38,6 +38,7 @@ from .core import (
     Polynomial,
     UsageError,
     _key_bound_error,
+    monic_polynomial,
     mono_div,
     mono_mul,
     mono_one,
@@ -53,7 +54,6 @@ from .signatures import (
     criteria,
     sig_cmp,
     sig_mul,
-    sig_sort_key,
 )
 
 
@@ -265,18 +265,29 @@ class _Engine:
     def _grow(self, sp: SigPoly) -> dict[Monomial, int]:
         """Append sp to the basis, its module position and the divisor
         index; returns what `Partition.add` reports as widened."""
+        self._sig_key(sp)
         self.T.append(sp)
         self.by_position.setdefault(sp.sig.index, []).append((sp.lm, sp))
         return self._index.add(sp.poly, sp)
 
-    def _bump_deg(self, sp: SigPoly) -> None:
-        """Raise `max_deg` to the total degree of sp's polynomial: for a
-        queued prolongation x*g, the degree of g plus 1."""
+    def _sig_key(self, sp: SigPoly) -> int:
+        """The order key of sp's signature monomial, taken once: when sp
+        is queued, or else when it is filed or reduced without having been
+        queued."""
+        key = sp.sig_key
+        if key is None:
+            key = sp.sig_key = self.order.key(sp.sig.mono)
+        return key
+
+    def _bump_deg(self, sp: SigPoly) -> int:
+        """Raise `max_deg` to the total degree of sp's polynomial, and
+        return it: for a queued prolongation x*g, the degree of g plus 1."""
         deg = sp.poly.degree
         if sp.mono is not None:
             deg += sp.mono.deg
         if deg > self.stats.max_deg:
             self.stats.max_deg = deg
+        return deg
 
     def _check_cofactors(self, sp: SigPoly) -> None:
         if self.options.track_cofactors:
@@ -310,7 +321,8 @@ class _Engine:
                 return False
             self.stats.killed_q += 1
         self._sig_best[sp.sig] = sp
-        key = (sig_sort_key(self.order, sp.sig), lm_key, next(self._seq))
+        # Ascending heap order is increasing signature (`sig_cmp`).
+        key = (-sp.sig.index, self._sig_key(sp), lm_key, next(self._seq))
         heapq.heappush(self._heap, (key, sp))
         return True
 
@@ -429,85 +441,112 @@ class _Engine:
     def regular_normal_form(self, p: SigPoly):
         """Reduce p by signature-safe involutive head reductions.
 
-        Returns (normal form, verdict): when one of the redundancy criteria
-        recognises the first head reduction as unnecessary the normal form
-        is zero and the verdict names the criterion.  Heads reducible only
-        unsafely (the reducer would raise the signature) are deflected: the
-        offending combination is queued under its true signature
-        (`_deflect`) and the head is treated as irreducible here.
+        Returns (normal form, verdict).  The normal form is monic (or
+        zero), and under `track_cofactors` p's cofactors are left scaled to
+        match it.  When one of the redundancy criteria recognises the first
+        head reduction as unnecessary the normal form is zero and the
+        verdict names the criterion.  Heads reducible only unsafely (the
+        reducer would raise the signature) are deflected: the offending
+        combination is queued under its true signature (`_deflect`) and the
+        head is treated as irreducible here.
 
-        The pending terms live in a `PendingTerms`: the divisors of the
-        largest one come from the divisor index, ranked safe first, then by
-        head, and the term either joins the remainder or is cancelled by a
-        reduction step (`reduce_top`, or `pop` and `sub_tail` when the step
-        also updates cofactors), which folds the rest of the multiplied
-        reducer into the pending terms.  A queued prolongation x*g seeds the
-        accumulator as the product, `PendingTerms(g, x)`, so a head killed
-        by a criterion costs no product terms.  A polynomial is built for
-        the remainder, and for a deflected combination only when it is
-        queued.  Under `check_invariants` the prolongation is built too, and
-        its terms must be the seeded ones.
+        The criteria are read from p's head and signature alone, before
+        anything is seeded, so a head they discard costs no pending terms;
+        only the degree check of seeding a prolongation runs, and raises,
+        before them.  The pending terms then live in a `PendingTerms`: the
+        divisors of the largest one come from the divisor index, the
+        signature-safe ones first (`_ranked_divisors`), and the term either
+        joins the remainder or is cancelled by a reduction step
+        (`reduce_top`, or `pop` and `sub_tail` when the step also updates
+        cofactors), which folds the rest of the multiplied reducer into the
+        pending terms.  A queued prolongation x*g seeds the accumulator as
+        the product, `PendingTerms(g, x)`.  Irreducible terms are kept as
+        the accumulator's integer triples, and the monic remainder is built
+        from them once (`monic_polynomial`); a deflected combination is
+        built only when it is queued.  Under `check_invariants` every
+        prolongation is also seeded and built, and the two must hold the
+        same terms, whether or not a criterion discards its head.
         """
         order = self.order
-        pending = PendingTerms(p.poly, p.mono)
+        deg = self._bump_deg(p)
+        if deg >= KEY_BOUND:
+            raise _key_bound_error(deg)
         if (
             self.options.check_invariants
             and p.mono is not None
-            and pending.descending() != p.value().terms
+            and PendingTerms(p.poly, p.mono).descending() != p.value().terms
         ):
             raise AssertionError("the seeded accumulator differs from the built prolongation")
-        rem = []  # irreducible terms, descending: the normal form's terms
-        cofs = p.cofactors
-        at_head = True
-        deflected: set[tuple[Signature, Monomial]] = set()
+        self._sig_key(p)
+        safe, unsafe = self._ranked_divisors(p, p.lm)
+        # The head certified by sig(p) is redundant as soon as a
+        # signature-safe involutive head divisor triggers one of the
+        # criteria.
+        for q, _u in safe:
+            verdict = criteria(p, q, self.by_position)
+            if verdict is not Verdict.NONE:
+                return Polynomial.zero(order), verdict
 
-        self._bump_deg(p)
-        while pending:
-            candidates = []
-            for rank, _g, q, u in self._index.divisors(pending.top_mono()):
-                safe = sig_cmp(order, sig_mul(u, q.sig), p.sig) <= 0
-                candidates.append(((0 if safe else 1, *rank), q, u))
-            if not candidates:
-                rem.append(pending.pop())
-                at_head = False
-                continue
-            candidates.sort(key=lambda t: t[0])
-            if at_head:
-                # The head certified by sig(p) is redundant as soon as a
-                # signature-safe involutive head divisor triggers one of
-                # the criteria.
-                for rank, q, _u in candidates:
-                    if rank[0] != 0:
-                        break
-                    verdict = criteria(p, q, self.by_position)
-                    if verdict is not Verdict.NONE:
-                        return Polynomial.zero(order), verdict
-            at_head = False
-            chosen_rank, chosen, chosen_u = candidates[0]
-            if chosen_rank[0] != 0:
-                # Every head divisor would raise the signature; the term
-                # stays.  Where the division asks for it, queue the
-                # combination the reduction would have formed.
-                term = pending.pop()
-                if self.deflect:
-                    c = term[0] / chosen.poly.lc
+        pending = PendingTerms(p.poly, p.mono)
+        rem = []  # irreducible terms, descending, as (numerator, den, monomial)
+        cofs = p.cofactors
+        deflected: set[tuple[Signature, Monomial]] = set()
+        while True:
+            if safe:
+                chosen, chosen_u = safe[0]
+                if cofs is None:
+                    deg = pending.reduce_top(chosen_u, chosen.poly)
+                else:
+                    c = pending.pop()[0] / chosen.poly.lc
+                    deg = pending.sub_tail(c, chosen_u, chosen.poly)
+                    cofs = tuple(
+                        a - b.mul_term(c, chosen_u)
+                        for a, b in zip(cofs, chosen.cofactors)
+                    )
+                if deg > self.stats.max_deg:
+                    self.stats.max_deg = deg
+            else:
+                term = pending.pop_raw()
+                if unsafe and self.deflect:
+                    # Every head divisor would raise the signature; the
+                    # term stays.  The division asks for the combination
+                    # the reduction would have formed to be queued.
+                    chosen, chosen_u = unsafe[0]
+                    c = term[0] / (chosen.poly.lc * term[1])
                     self._deflect(p, c, chosen, chosen_u, rem, pending, cofs, deflected)
                 rem.append(term)
-                continue
-            if cofs is None:
-                deg = pending.reduce_top(chosen_u, chosen.poly)
-            else:
-                c = pending.pop()[0] / chosen.poly.lc
-                deg = pending.sub_tail(c, chosen_u, chosen.poly)
-                cofs = tuple(
-                    a - b.mul_term(c, chosen_u)
-                    for a, b in zip(cofs, chosen.cofactors)
-                )
-            if deg > self.stats.max_deg:
-                self.stats.max_deg = deg
+            if not pending:
+                break
+            safe, unsafe = self._ranked_divisors(p, pending.top_mono())
 
+        h = Polynomial.zero(order)
+        if rem:
+            h, factor = monic_polynomial(order, rem)
+            if cofs is not None:
+                cofs = tuple(a.scale(factor) for a in cofs)
         p.cofactors = cofs
-        return Polynomial._raw(order, tuple(rem)), None
+        return h, None
+
+    def _ranked_divisors(self, p: SigPoly, m: Monomial) -> tuple[list, list]:
+        """The (q, u) of every basis element q whose head involutively
+        divides m, u the quotient, in rank order: those that are
+        signature-safe for p (u*sig(q) <= sig(p)) and the others.  Compared
+        in integers: q lies at a later position, or at p's with key(u) plus
+        q's kept signature key at most p's."""
+        safe, unsafe = [], []
+        index, bound = p.sig.index, p.sig_key
+        key = self.order.key
+        for _rank, _g, q, u in self._index.divisors(m):
+            at = q.sig.index
+            if at == index:
+                deg = u.deg + q.sig.mono.deg
+                if deg >= KEY_BOUND:
+                    raise _key_bound_error(deg)
+                ok = key(u) + q.sig_key <= bound
+            else:
+                ok = at > index
+            (safe if ok else unsafe).append((q, u))
+        return safe, unsafe
 
     def _deflect(self, p, c, chosen, chosen_u, rem, pending, cofs, deflected) -> None:
         """Queue the combination current - c*chosen_u*chosen.poly of a
@@ -520,20 +559,21 @@ class _Engine:
 
         Every remainder term lies above the popped term, so above every
         pending term and every product term: with a remainder, the
-        combination's head is rem[0] before anything is built.  When that
+        combination's head is rem[0]'s before anything is built.  When that
         head would lose the same-signature merge (`_loses_merge`), `_push`
         would drop the combination, and only its accounting is done here:
         the creator check, the merge count and the degree bump.  That bump
         takes the largest degree of c*chosen_u*chosen.poly: its head is the
         popped term, within `max_deg` already, and a product term above
         `max_deg` has nothing to cancel against, so it is the degree `_push`
-        would see.  Otherwise the combination is built from a copy of the
-        accumulator, since c*chosen_u*lt(chosen) cancels the popped term.
-        With cofactors it is always built, so that `_push` checks them.
+        would see.  Otherwise the combination's terms are taken from a copy
+        of the accumulator, since c*chosen_u*lt(chosen) cancels the popped
+        term, and it is built only when it is no repeat.  With cofactors it
+        is always taken, so that `_push` checks them.
         """
         dsig = sig_mul(chosen_u, chosen.sig)
         if rem:
-            head = rem[0][1]
+            head = rem[0][2]
             if (dsig, head) in deflected:
                 return
             if cofs is None and self._loses_merge(dsig, self.order.key(head)):
@@ -546,24 +586,26 @@ class _Engine:
                 return
         acc = pending.copy()
         acc.sub_tail(c, chosen_u, chosen.poly)
-        value = Polynomial._raw(self.order, (*rem, *acc.descending()))
-        if value.is_zero or (dsig, value.lm) in deflected:
+        raw = [*rem, *acc.descending_raw()]
+        if not raw or (dsig, raw[0][2]) in deflected:
             return
-        deflected.add((dsig, value.lm))
-        if self._queue_combination(dsig, value, cofs, c, chosen_u, chosen, p.sig):
+        deflected.add((dsig, raw[0][2]))
+        if self._queue_combination(dsig, raw, cofs, c, chosen_u, chosen, p.sig):
             self.stats.deflections += 1
 
-    def _queue_combination(self, sig, value, cofs, c, u, reducer, creator_sig) -> bool:
-        """Queue the nonzero combination value = current - c*u*reducer.poly
-        under sig, made monic, as its own ancestor; `cofs` are the
-        cofactors of current.  Returns what `_push` returns."""
+    def _queue_combination(self, sig, raw, cofs, c, u, reducer, creator_sig) -> bool:
+        """Queue the nonzero combination current - c*u*reducer.poly, whose
+        terms are the triples `raw`, under sig, made monic, as its own
+        ancestor; `cofs` are the cofactors of current.  Returns what
+        `_push` returns."""
+        value, factor = monic_polynomial(self.order, raw)
         vcofs = None
         if cofs is not None:
             vcofs = tuple(
-                (a - b.mul_term(c, u)).scale(1 / value.lc)
+                (a - b.mul_term(c, u)).scale(factor)
                 for a, b in zip(cofs, reducer.cofactors)
             )
-        return self._push(SigPoly(sig, value.monic(), value.lm, cofactors=vcofs), creator_sig)
+        return self._push(SigPoly(sig, value, value.lm, cofactors=vcofs), creator_sig)
 
     # -- main loop -----------------------------------------------------
 
@@ -599,15 +641,14 @@ class _Engine:
         )
 
     def _insert(self, p: SigPoly, h: Polynomial) -> None:
-        cofs = None
-        if p.cofactors is not None:
-            cofs = tuple(c.scale(1 / h.lc) for c in p.cofactors)
-        hm = h.monic()
+        """File p's monic normal form h, with the cofactors
+        `regular_normal_form` left on p, and queue its prolongations."""
         # Keep p's ancestry when the head stayed, else start its own.
-        anc_lm = p.anc_lm if hm.lm == p.lm else hm.lm
-        t_new = SigPoly(p.sig, hm, anc_lm, cofactors=cofs)
+        anc_lm = p.anc_lm if h.lm == p.lm else h.lm
+        t_new = SigPoly(p.sig, h, anc_lm, cofactors=p.cofactors)
+        t_new.sig_key = p.sig_key
         self._check_cofactors(t_new)
-        if self.options.check_invariants and any(t.lm == hm.lm for t in self.T):
+        if self.options.check_invariants and any(t.lm == h.lm for t in self.T):
             raise AssertionError("inserted a duplicate head into the basis")
         widened = self._grow(t_new)
         if self.options.check_invariants:
@@ -653,10 +694,10 @@ class _Engine:
             # q - lc(q)*u*t_new, both monic: one reduction step.
             pending = PendingTerms(q.poly)
             pending.reduce_top(u, t_new.poly)
-            value = Polynomial._raw(self.order, pending.descending())
-            if not value.is_zero:
+            if pending:
                 self._queue_combination(
-                    sig_mul(u, t_new.sig), value, q.cofactors, q.poly.lc, u, t_new, t_new.sig
+                    sig_mul(u, t_new.sig), pending.descending_raw(), q.cofactors,
+                    q.poly.lc, u, t_new, t_new.sig
                 )
 
 
@@ -786,8 +827,13 @@ def min_bas(H, division: Division, order: Ordering) -> list[Polynomial]:
     by_lm: dict[Monomial, Polynomial] = {}
     for h in polys:
         by_lm.setdefault(h.lm, h)
-    lms = list(by_lm)
-    gens = [m for m in lms if not any(w != m and w.divides(m) for w in lms)]
+    # The divisibility-minimal heads: no other head divides them, that is
+    # none of smaller degree with exponents no larger.
+    heads = [(m, m.exps, m.deg) for m in by_lm]
+    gens = [
+        m for m, me, md in heads
+        if not any(wd < md and all(map(operator.le, we, me)) for _w, we, wd in heads)
+    ]
     if division.kind == THOMAS:
         wanted = thomas_completion(gens)
     else:

@@ -75,7 +75,9 @@ class SigPoly:
     product mono*poly, kept unbuilt: `mono` is the multiplier (None for
     any other element) and `poly` the basis element it prolongs.  `lm` is
     the head of the labelled polynomial (None when it is zero), taken
-    once here; `value()` builds the polynomial itself.  `anc_lm` is the
+    once here; `value()` builds the polynomial itself.  `sig_key` is the
+    order key of the signature's monomial, None until the engine takes it
+    (once, when it queues the element).  `anc_lm` is the
     head of the basis element this one descends from by prolongations and
     tail work; an element whose head changed starts a fresh ancestry.
     `cofactors` (optional) expresses the labelled polynomial exactly as a
@@ -84,7 +86,7 @@ class SigPoly:
     reports as widened at each insertion.
     """
 
-    __slots__ = ("sig", "poly", "mono", "lm", "anc_lm", "cofactors")
+    __slots__ = ("sig", "poly", "mono", "lm", "sig_key", "anc_lm", "cofactors")
 
     def __init__(
         self,
@@ -101,6 +103,7 @@ class SigPoly:
             self.lm = None
         else:
             self.lm = poly.lm if mono is None else mono_mul(poly.lm, mono)
+        self.sig_key = None
         self.anc_lm = anc_lm
         self.cofactors = cofactors
 

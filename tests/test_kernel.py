@@ -38,6 +38,7 @@ from invbases.core import (
     VarSet,
     degrevlex,
     lex,
+    monic_polynomial,
     mono_div,
     mono_mul,
     mono_one,
@@ -513,6 +514,37 @@ class TestPendingTerms:
 
     @given(st.data())
     @settings(max_examples=100, deadline=None)
+    def test_raw_terms_build_the_monic_form(self, data):
+        """Terms taken unbuilt (`pop_raw`, `descending_raw`) between
+        reduction steps carry the `den` of their moment; `monic_polynomial`
+        builds from them the monic form of what `pop` and `descending`
+        give, and returns the factor 1/lc it scaled by."""
+        vs = VarSet(("x", "y", "z")[: data.draw(st.integers(2, 3))])
+        order = data.draw(st.sampled_from((lex, degrevlex)))(vs)
+        p = data.draw(prime_polynomials(order, vs.n, max_terms=6).filter(lambda f: not f.is_zero))
+        pending, twin = PendingTerms(p), PendingTerms(p)
+        raw, terms = [], []
+        for _ in range(data.draw(st.integers(0, 6))):
+            if not pending:
+                break
+            if data.draw(st.booleans()):
+                raw.append(pending.pop_raw())
+                terms.append(twin.pop())
+            else:
+                current = twin.descending()
+                g, u = draw_reducer_of(data, order, *current[0], current[1:])
+                pending.reduce_top(u, g)
+                twin.reduce_top(u, g)
+        raw += pending.descending_raw()
+        terms += twin.descending()
+        assert [(Fraction(n, d), m) for n, d, m in raw] == terms
+        if terms:
+            h, factor = monic_polynomial(order, raw)
+            assert h == Polynomial._raw(order, tuple(terms)).monic()
+            assert factor == 1 / terms[0][0]
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
     def test_lazy_products_match_an_eager_accumulator(self, data):
         """`sub_tail` keeps a product's monomial as a (term, multiplier)
         pair until `pop` or `descending` builds it; products merge and
@@ -789,7 +821,7 @@ class TestRegularNormalForm:
         h, verdict = engine.regular_normal_form(p)
         assert verdict is ref_verdict
         assert h.order == order
-        assert h.terms == ref_h.terms
+        assert h.terms == ref_h.monic().terms
         # The counters the engine keeps while reducing agree as well.
         assert engine.stats == ref_engine.stats
         assert queued(engine) == ref_queue
@@ -817,7 +849,7 @@ class TestRegularNormalForm:
         ref_h, ref_verdict = drop_lt_regular_normal_form(engines[0], p)
         h, verdict = engines[1].regular_normal_form(p)
         assert verdict is ref_verdict
-        assert h.terms == ref_h.terms
+        assert h.terms == ref_h.monic().terms
         assert engines[1].stats == engines[0].stats
         assert queued(engines[1]) == queued(engines[0])
 
@@ -853,3 +885,58 @@ class TestRegularNormalForm:
         assert (s.max_deg, s.deflections, s.sig_merges, s.killed_q) == (8, 1, 1, 0)
         assert s == engines[0].stats
         assert queued(engines[1]) == queued(engines[0])
+
+    def test_only_a_head_past_the_criteria_is_seeded(self, monkeypatch):
+        # The criteria read p's head and signature alone, so an accumulator
+        # is seeded only for the normal forms that get past them: those
+        # that reduce to zero and those inserted.
+        seeded = []
+        real = PendingTerms.__init__
+
+        def init(pending, p, mono=None):
+            seeded.append(mono)
+            real(pending, p, mono)
+
+        monkeypatch.setattr(PendingTerms, "__init__", init)
+        sf = load_builtin("katsura5")
+        r = inv_comp(sf.polynomials, janet(sf.vars), sf.order)
+        assert r.stats.criteria_total > 0
+        assert len(seeded) == r.stats.reds + r.stats.polys_loop
+
+    def test_a_product_at_the_key_bound_raises_before_the_criteria(self):
+        # g = x + y^(B-2) under lex.  The prolongation y*g stays below the
+        # key bound, and g itself discards its head: it reproduces the
+        # signature y*e1 (super-top-reduction).  y^2*g would be discarded
+        # the same way, but its tail y^B reaches the bound, so it raises.
+        order = lex(XY)
+        g = Polynomial(order, [(1, Monomial((1, 0))), (1, Monomial((0, KEY_BOUND - 2)))])
+        q = SigPoly(Signature(Monomial((0, 0)), 1), g, g.lm)
+        y, y2 = Monomial((0, 1)), Monomial((0, 2))
+        p = SigPoly(sig_mul(y, q.sig), g, g.lm, mono=y)
+        h, verdict = engine_over(janet(XY), order, [q]).regular_normal_form(p)
+        assert (h.is_zero, verdict) == (True, Verdict.SUPER)
+        p = SigPoly(sig_mul(y2, q.sig), g, g.lm, mono=y2)
+        with pytest.raises(UsageError, match="order key bound"):
+            engine_over(janet(XY), order, [q]).regular_normal_form(p)
+
+    @pytest.mark.parametrize("division_name", DIVISIONS)
+    def test_the_cofactors_left_expand_to_the_monic_result(self, division_name):
+        sf = load_builtin("cyclic4", order="degrevlex")
+        div = division_by_name(division_name, sf.vars)
+        engine = _Engine(div, sf.order, EngineOptions(track_cofactors=True))
+        engine.seed(sf.polynomials)
+        real = engine.regular_normal_form
+        reduced_heads = []
+
+        def checked(p):
+            h, verdict = real(p)
+            if not h.is_zero:
+                assert h.lc == 1
+                assert expand_cofactors(p.cofactors, engine.gens) == h
+                reduced_heads.append(h.lm != p.lm)
+            return h, verdict
+
+        engine.regular_normal_form = checked
+        engine.run()
+        # A reduced head leaves a remainder that had to be scaled.
+        assert any(reduced_heads)

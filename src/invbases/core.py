@@ -4,17 +4,17 @@ Monomials are exponent tuples over a fixed variable set.  Polynomials keep
 their terms sorted in strictly descending monomial order, with coefficients
 stored as `fractions.Fraction`, so every value has one canonical form.
 Terms are combined in two places only.  Every cancelling step (the three
-normal forms, the engine's head reductions under alex, and `spoly`) runs
-in the reduction accumulator `PendingTerms`, which holds integers:
-numerators over one common denominator.  A reducer enters it as integers
-too, through its kept tail row (`Polynomial.tail_row`), and a term that
-gets reduced never becomes a `Fraction`.  A prolongation x*g enters it as
-a product, `PendingTerms(g, x)`, from g's kept key and tail rows, and is
-never built as a `Polynomial`.  Terms leave it as `Fraction`s, or as
-(numerator, denominator, monomial) triples from which `monic_polynomial`
-builds a monic polynomial in one pass.  All other arithmetic (`+`, `-`,
-`*`) goes through the canonicalising constructor `Polynomial(order,
-terms)`.
+normal forms, the engine's deflections and head reductions under alex, and
+`spoly`) is one call of `PendingTerms.reduce_top`, in the reduction
+accumulator, which holds integers: numerators over one common denominator.
+A reducer enters it as integers too, through its kept tail row
+(`Polynomial.tail_row`), and a term that gets reduced never becomes a
+`Fraction`.  A prolongation x*g enters it as a product, `PendingTerms(g,
+x)`, from g's kept key and tail rows, and is never built as a
+`Polynomial`.  Terms leave it as `Fraction`s, or as (numerator,
+denominator, monomial) triples from which `monic_polynomial` builds a
+monic polynomial in one pass.  All other arithmetic (`+`, `-`, `*`) goes
+through the canonicalising constructor `Polynomial(order, terms)`.
 """
 from __future__ import annotations
 
@@ -147,9 +147,9 @@ def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
 
 # Order keys pack the exponents as base-2^KEY_BITS digits.  Integer order
 # equals the monomial ordering only while every total degree is below
-# KEY_BOUND; `Ordering.key`, the reduction steps of `PendingTerms`
-# (`sub_tail`, `reduce_top`), its seeding with a prolongation and the
-# engine's `_covered` raise `UsageError` from there on.
+# KEY_BOUND; `Ordering.key`, the reduction step of `PendingTerms`
+# (`reduce_top`), its seeding with a prolongation and the engine's
+# `_covered` raise `UsageError` from there on.
 KEY_BITS = 32
 KEY_BOUND = 1 << KEY_BITS
 
@@ -470,11 +470,11 @@ class PendingTerms:
     to find a reducer g, then either moves the term to its remainder with
     `pop` or cancels it with `reduce_top(u, g)` against the leading term of
     the multiple c*u*g, c = (its coefficient)/lc(g), whose other terms are
-    folded in.  `sub_tail(c, u, g)` folds in the same terms for a caller
-    that already popped the term and holds c.  The terms are kept ascending
-    (largest last) in three parallel lists: integer order keys, integer
-    numerators and monomials, all numerators over one positive integer
-    denominator `den`.  A product term's key is key(u) plus the key of g's
+    folded in; `reduce_top` is the one reduction step, and a caller that
+    also needs c (to update cofactors) reads the coefficient first with
+    `top_coeff`.  The terms are kept ascending (largest last) in three
+    parallel lists: integer order keys, integer numerators and monomials,
+    all numerators over one positive integer denominator `den`.  A product term's key is key(u) plus the key of g's
     term, and its numerator is a multiple of g's tail numerator, both from
     g's kept integer row (`Polynomial.tail_row`); its monomial is kept as
     the pair (term monomial, u) until `top_mono`, `pop` or `descending`
@@ -568,68 +568,50 @@ class PendingTerms:
         den = self.den
         return [(n, den, _built(m)) for n, m in zip(reversed(self._nums), reversed(self._monos))]
 
+    def top_coeff(self) -> Fraction:
+        """The coefficient of the largest pending term."""
+        return Fraction(self._nums[-1], self.den)
+
     def reduce_top(self, mono: Monomial, g: Polynomial) -> int:
         """Remove the largest pending term and subtract c*mono*(g - lt(g)),
         c = (its coefficient)/lc(g): the reduction step that cancels the
         term against c*mono*lt(g), for a g whose head times mono is the
-        term's monomial.  c is the popped numerator times lc(g)'s
-        denominator over `den` times lc(g)'s numerator, brought to lowest
-        terms by one gcd.  Returns and raises as `sub_tail` does, before
-        anything is removed."""
-        ku, deg, row = self._product(mono, g)
-        self._keys.pop()
-        self._monos.pop()
-        cn = self._nums.pop() * row[1]
-        cd = self.den * row[0]
-        r = math.gcd(cn, cd)
-        self._fold(cn // r, cd // r, ku, mono, g, row)
-        return deg
+        term's monomial.
 
-    def sub_tail(self, coeff, mono: Monomial, g: Polynomial) -> int:
-        """Subtract coeff*mono*(g - lt(g)) from the pending terms.
+        Returns the largest total degree of the product terms, -1 when g
+        has a single term.  A reducer of another ordering, or a product of
+        total degree KEY_BOUND or more, raises `UsageError` before anything
+        is removed.
 
-        This is the reduction step whose leading term coeff*mono*lt(g)
-        cancels a term the caller has popped.  Returns the largest total
-        degree of the product terms, -1 when g has a single term.  A reducer
-        of another ordering, or a product of total degree KEY_BOUND or more,
-        raises `UsageError` before the pending terms change.
-        """
-        ku, deg, row = self._product(mono, g)
-        c = Fraction(coeff)
-        self._fold(c.numerator, c.denominator, ku, mono, g, row)
-        return deg
-
-    def _product(self, mono: Monomial, g: Polynomial) -> tuple:
-        """key(mono), the largest total degree of the product terms of
-        mono*(g - lt(g)) (-1 when g has a single term), and g's tail row;
-        raises `UsageError` where the step may not run."""
-        if g.order != self.order:
-            raise UsageError("cannot combine polynomials under different orderings")
-        ku = self.order.key(mono)
-        row = g.tail_row()
-        deg = row[5] + mono.deg if row[5] >= 0 else -1
-        if deg >= KEY_BOUND:
-            raise _key_bound_error(deg)
-        return ku, deg, row
-
-    def _fold(self, cn: int, cd: int, ku: int, mono: Monomial, g: Polynomial, row) -> None:
-        """Subtract (cn/cd)*mono*(g - lt(g)), with cn/cd in lowest terms; ku
-        is key(mono) and row is g's tail row.
-
-        When `den` is not a multiple of the products' common denominator
-        need = cd*L, the numerators are rescaled once to the (positive) lcm
-        of the two.  A negative cd needs no sign fix: den // need is exact
-        either way.
-        Over `den`, the product term of g's tail numerator a has numerator
-        f*a, f = -cn*(den // need).  A product term joins the entry of equal
-        key, which goes when the sum is zero, or else is inserted.  The
-        products come in descending order (the orderings are compatible with
+        c = cn/cd in lowest terms: cn is the popped numerator times lc(g)'s
+        denominator and cd is `den` times lc(g)'s numerator, over their
+        gcd.  When `den` is not a multiple of the products' common
+        denominator need = cd*L (L from g's tail row), the numerators are
+        rescaled once to the (positive) lcm of the two; a negative cd needs
+        no sign fix, since den // need is exact either way.  Over `den`, the
+        product term of g's tail numerator a has numerator f*a, f =
+        -cn*(den // need).  A product term joins the entry of equal key,
+        which goes when the sum is zero, or else is inserted.  The products
+        come in descending order (the orderings are compatible with
         multiplication), so each one is searched for below the place of the
         one before.  Last the content gcd(den, numerators) is divided out.
         """
-        _, _, lcm, tail_nums, tail_keys, _ = row
+        if g.order != self.order:
+            raise UsageError("cannot combine polynomials under different orderings")
+        ku = self.order.key(mono)
+        lc_num, lc_den, lcm, tail_nums, tail_keys, tail_deg = g.tail_row()
+        deg = tail_deg + mono.deg if tail_deg >= 0 else -1
+        if deg >= KEY_BOUND:
+            raise _key_bound_error(deg)
         keys, nums, monos = self._keys, self._nums, self._monos
+        keys.pop()
+        monos.pop()
         den = self.den
+        cn = nums.pop() * lc_den
+        cd = den * lc_num
+        r = math.gcd(cn, cd)
+        cn //= r
+        cd //= r
         if tail_nums:
             need = cd * lcm
             if den % need:
@@ -638,14 +620,14 @@ class PendingTerms:
                 nums[:] = [n * scale for n in nums]
                 den = new
             f = -cn * (den // need)
-            hi = len(keys)
+            size = hi = len(keys)
             terms = iter(g.terms)
             next(terms)
             for a, kg, (_, gm) in zip(tail_nums, tail_keys, terms):
                 t = f * a
                 k = ku + kg
                 hi = bisect_left(keys, k, 0, hi)
-                if hi < len(keys) and keys[hi] == k:
+                if hi < size and keys[hi] == k:
                     s = nums[hi] + t
                     if s:
                         nums[hi] = s
@@ -653,16 +635,19 @@ class PendingTerms:
                         del keys[hi]
                         del nums[hi]
                         del monos[hi]
+                        size -= 1
                 else:
                     keys.insert(hi, k)
                     nums.insert(hi, t)
                     monos.insert(hi, (gm, mono))
+                    size += 1
         if den > 1:
             content = math.gcd(den, *nums)
             if content > 1:
                 den //= content
                 nums[:] = [n // content for n in nums]
         self.den = den
+        return deg
 
 
 def monic_polynomial(order: Ordering, raw) -> tuple[Polynomial, Fraction]:

@@ -196,8 +196,7 @@ class Partition:
 
     `divisors(m)` lists every monomial of U that involutively divides m,
     by lookup instead of a scan.  Under Janet and Thomas the cones of
-    distinct monomials are disjoint, so m has at most one involutive
-    divisor in U (`disjoint`), and `divisor(m)` finds it:
+    distinct monomials are disjoint, so the list holds at most one:
 
     * Janet (generated by lex): a tree over U, one level per variable in
       priority order (Gerdt, Blinkov and Yanovich, "Construction of Janet
@@ -227,9 +226,7 @@ class Partition:
     times per monomial.
     """
 
-    __slots__ = (
-        "division", "monomials", "disjoint", "_nm", "_keys", "_tree", "_max", "_at_max", "_files"
-    )
+    __slots__ = ("division", "monomials", "_nm", "_keys", "_tree", "_max", "_at_max", "_files")
 
     def __init__(self, division: Division, monomials: tuple[Monomial, ...]):
         self.division = division
@@ -245,9 +242,10 @@ class Partition:
         if division.kind == THOMAS:
             self._max = [0] * division.vars.n
             self._at_max = [[] for _ in range(division.vars.n)]
-        self.disjoint = self._tree is not None or self._max is not None
-        # Otherwise: mask -> (its bits' getter, {exponents there: [monomials]}).
-        self._files: dict[int, tuple] | None = None if self.disjoint else {}
+        # alex: mask -> (its bits' getter, {exponents there: [monomials]}).
+        self._files: dict[int, tuple] | None = (
+            {} if self._tree is None and self._max is None else None
+        )
         for w in monomials:
             self.add(w)
 
@@ -353,11 +351,22 @@ class Partition:
 
     def divisors(self, m: Monomial) -> list[Monomial]:
         """Every monomial of U that involutively divides m, in no
-        particular order: one lookup per mask under alex."""
-        if self.disjoint:
-            u = self.divisor(m)
-            return [] if u is None else [u]
+        particular order: at most one under Janet (a walk down the tree)
+        and Thomas (min(m, M)), and one lookup per mask under alex."""
         e = self._exps(m)
+        if self._max is not None:
+            c = tuple(map(min, e, self._max))
+            u = _mono(c, sum(c))
+            return [u] if u in self._nm else []
+        if self._tree is not None:
+            node = self._tree
+            for i in self.division.vars.priority:
+                top, kids = node
+                d = e[i]
+                node = kids.get(top if d >= top else d)
+                if node is None:
+                    return []
+            return [node]
         d = m.deg
         hits = []
         for get, slots in self._files.values():
@@ -367,28 +376,6 @@ class Partition:
                     if u.deg <= d and all(map(le, u.exps, e)):
                         hits.append(u)
         return hits
-
-    def divisor(self, m: Monomial) -> Monomial | None:
-        """The one monomial of U that involutively divides m, or None.
-        Only for a `disjoint` partition, under Janet or Thomas."""
-        e = self._exps(m)
-        if self._max is not None:
-            c = tuple(map(min, e, self._max))
-            u = _mono(c, sum(c))
-            return u if u in self._nm else None
-        if self._tree is None:
-            raise UsageError(
-                "the %s division can give several involutive divisors: ask `divisors`"
-                % self.division.name
-            )
-        node = self._tree
-        for i in self.division.vars.priority:
-            top, kids = node
-            d = e[i]
-            node = kids.get(top if d >= top else d)
-            if node is None:
-                return None
-        return node
 
     def nm_mask(self, u: Monomial) -> int:
         try:
@@ -415,10 +402,8 @@ class Partition:
 
 def inv_divisor(partition: Partition, m: Monomial) -> Monomial | None:
     """An involutive divisor of m within the partitioned set, or None: the
-    only one under Janet and Thomas, and otherwise the earliest listed of
-    those the partition's lookup finds."""
-    if partition.disjoint:
-        return partition.divisor(m)
+    earliest listed of those `Partition.divisors` finds, which is the only
+    one under Janet and Thomas."""
     return min(partition.divisors(m), key=partition.monomials.index, default=None)
 
 
@@ -457,7 +442,7 @@ def minimal_completion(
         for u in current:
             for i in part.nonmult(u):
                 m = mono_mul(u, mono_var(i, division.vars.n))
-                if inv_divisor(part, m) is not None:
+                if part.divisors(m):
                     continue
                 k = order.key(m)
                 if candidate is None or k < candidate_key:

@@ -14,8 +14,10 @@ the run.
 Both find involutive divisors through one index, `_InvolutiveReducer`: the
 basis elements filed by head over a partition that grows by
 `Partition.add`, searched by one method (`divisors`), which asks the
-partition's lookup for the heads that involutively divide a term: the one
-head under Janet and Thomas, every head, ranked, under alex.  An insertion
+partition's lookup (`Partition.divisors`) for the heads that involutively
+divide a term: the one head under Janet and Thomas, every head, smallest
+first, under alex.  Every normal form then cancels the term with one
+reduction step, `PendingTerms.reduce_top`.  An insertion
 prolongs only what `Partition.add` reports as newly nonmultiplicative, for
 the newcomer and the heads it widened.
 
@@ -265,19 +267,9 @@ class _Engine:
     def _grow(self, sp: SigPoly) -> dict[Monomial, int]:
         """Append sp to the basis, its module position and the divisor
         index; returns what `Partition.add` reports as widened."""
-        self._sig_key(sp)
         self.T.append(sp)
         self.by_position.setdefault(sp.sig.index, []).append((sp.lm, sp))
         return self._index.add(sp.poly, sp)
-
-    def _sig_key(self, sp: SigPoly) -> int:
-        """The order key of sp's signature monomial, taken once: when sp
-        is queued, or else when it is filed or reduced without having been
-        queued."""
-        key = sp.sig_key
-        if key is None:
-            key = sp.sig_key = self.order.key(sp.sig.mono)
-        return key
 
     def _bump_deg(self, sp: SigPoly) -> int:
         """Raise `max_deg` to the total degree of sp's polynomial, and
@@ -314,15 +306,14 @@ class _Engine:
         self._bump_deg(sp)
         self._check_cofactors(sp)
         self._check_creator(sp.sig, creator_sig)
-        lm_key = self.order.key(sp.lm)
         if sp.sig in self._sig_best:
             self.stats.sig_merges += 1
-            if self._loses_merge(sp.sig, lm_key):
+            if self._loses_merge(sp.sig, sp.lm_key):
                 return False
             self.stats.killed_q += 1
         self._sig_best[sp.sig] = sp
         # Ascending heap order is increasing signature (`sig_cmp`).
-        key = (-sp.sig.index, self._sig_key(sp), lm_key, next(self._seq))
+        key = (-sp.sig.index, sp.sig_key, sp.lm_key, next(self._seq))
         heapq.heappush(self._heap, (key, sp))
         return True
 
@@ -331,7 +322,7 @@ class _Engine:
         head has order key lm_key is dropped when the queued element of sig
         has a head no larger."""
         incumbent = self._sig_best.get(sig)
-        return incumbent is not None and lm_key >= self.order.key(incumbent.lm)
+        return incumbent is not None and lm_key >= incumbent.lm_key
 
     def _check_creator(self, sig: Signature, creator_sig: Signature | None) -> None:
         if (
@@ -422,7 +413,7 @@ class _Engine:
         a head strictly smaller than p's own: multiplying that element up to
         the signature of p yields a smaller leading monomial, so whatever p
         contributes is already reachable below its head."""
-        key = self.order.key(p.lm)
+        key = p.lm_key
         for h, t in self.by_position.get(p.sig.index, ()):
             u = mono_div(p.sig.mono, t.sig.mono)
             if u is None:
@@ -456,16 +447,17 @@ class _Engine:
         before them.  The pending terms then live in a `PendingTerms`: the
         divisors of the largest one come from the divisor index, the
         signature-safe ones first (`_ranked_divisors`), and the term either
-        joins the remainder or is cancelled by a reduction step
-        (`reduce_top`, or `pop` and `sub_tail` when the step also updates
-        cofactors), which folds the rest of the multiplied reducer into the
-        pending terms.  A queued prolongation x*g seeds the accumulator as
-        the product, `PendingTerms(g, x)`.  Irreducible terms are kept as
-        the accumulator's integer triples, and the monic remainder is built
-        from them once (`monic_polynomial`); a deflected combination is
-        built only when it is queued.  Under `check_invariants` every
-        prolongation is also seeded and built, and the two must hold the
-        same terms, whether or not a criterion discards its head.
+        joins the remainder or is cancelled by the reduction step
+        (`reduce_top`), which folds the rest of the multiplied reducer into
+        the pending terms.  Under `track_cofactors` the step's multiplier
+        c = (top coefficient)/lc is read first (`top_coeff`), for the
+        cofactors.  A queued prolongation x*g seeds the accumulator as the
+        product, `PendingTerms(g, x)`.  Irreducible terms are kept as the
+        accumulator's integer triples, and the monic remainder is built from
+        them once (`monic_polynomial`); a deflected combination is built
+        only when it is queued.  Under `check_invariants` every prolongation
+        is also seeded and built, and the two must hold the same terms,
+        whether or not a criterion discards its head.
         """
         order = self.order
         deg = self._bump_deg(p)
@@ -477,7 +469,6 @@ class _Engine:
             and PendingTerms(p.poly, p.mono).descending() != p.value().terms
         ):
             raise AssertionError("the seeded accumulator differs from the built prolongation")
-        self._sig_key(p)
         safe, unsafe = self._ranked_divisors(p, p.lm)
         # The head certified by sig(p) is redundant as soon as a
         # signature-safe involutive head divisor triggers one of the
@@ -494,27 +485,22 @@ class _Engine:
         while True:
             if safe:
                 chosen, chosen_u = safe[0]
-                if cofs is None:
-                    deg = pending.reduce_top(chosen_u, chosen.poly)
-                else:
-                    c = pending.pop()[0] / chosen.poly.lc
-                    deg = pending.sub_tail(c, chosen_u, chosen.poly)
+                if cofs is not None:
+                    c = pending.top_coeff() / chosen.poly.lc
                     cofs = tuple(
                         a - b.mul_term(c, chosen_u)
                         for a, b in zip(cofs, chosen.cofactors)
                     )
+                deg = pending.reduce_top(chosen_u, chosen.poly)
                 if deg > self.stats.max_deg:
                     self.stats.max_deg = deg
             else:
-                term = pending.pop_raw()
                 if unsafe and self.deflect:
                     # Every head divisor would raise the signature; the
                     # term stays.  The division asks for the combination
                     # the reduction would have formed to be queued.
-                    chosen, chosen_u = unsafe[0]
-                    c = term[0] / (chosen.poly.lc * term[1])
-                    self._deflect(p, c, chosen, chosen_u, rem, pending, cofs, deflected)
-                rem.append(term)
+                    self._deflect(p, *unsafe[0], rem, pending, cofs, deflected)
+                rem.append(pending.pop_raw())
             if not pending:
                 break
             safe, unsafe = self._ranked_divisors(p, pending.top_mono())
@@ -529,14 +515,15 @@ class _Engine:
 
     def _ranked_divisors(self, p: SigPoly, m: Monomial) -> tuple[list, list]:
         """The (q, u) of every basis element q whose head involutively
-        divides m, u the quotient, in rank order: those that are
-        signature-safe for p (u*sig(q) <= sig(p)) and the others.  Compared
-        in integers: q lies at a later position, or at p's with key(u) plus
-        q's kept signature key at most p's."""
+        divides m, u the quotient, in the order `divisors` yields them
+        (smallest head first): those that are signature-safe for p
+        (u*sig(q) <= sig(p)) and the others.  Compared in integers: q lies
+        at a later position, or at p's with key(u) plus q's kept signature
+        key at most p's."""
         safe, unsafe = [], []
         index, bound = p.sig.index, p.sig_key
         key = self.order.key
-        for _rank, _g, q, u in self._index.divisors(m):
+        for _g, q, u in self._index.divisors(m):
             at = q.sig.index
             if at == index:
                 deg = u.deg + q.sig.mono.deg
@@ -548,28 +535,29 @@ class _Engine:
             (safe if ok else unsafe).append((q, u))
         return safe, unsafe
 
-    def _deflect(self, p, c, chosen, chosen_u, rem, pending, cofs, deflected) -> None:
+    def _deflect(self, p, chosen, chosen_u, rem, pending, cofs, deflected) -> None:
         """Queue the combination current - c*chosen_u*chosen.poly of a
         reduction that would raise the signature, under the reducer's
         shifted signature, where it is a legitimate new element.  Here
-        current is the remainder `rem`, the popped term c*chosen_u*lt(chosen)
-        and the `pending` terms, with cofactors `cofs`; `deflected` holds
-        the (signature, head) pairs this normal form has already deflected,
-        and a pair seen before is skipped.
+        current is the remainder `rem` and the `pending` terms, with
+        cofactors `cofs`, and c*chosen_u*lt(chosen) cancels the largest
+        pending term, which the caller moves to the remainder afterwards;
+        `deflected` holds the (signature, head) pairs this normal form has
+        already deflected, and a pair seen before is skipped.
 
-        Every remainder term lies above the popped term, so above every
-        pending term and every product term: with a remainder, the
+        Every remainder term lies above the largest pending term, so above
+        every pending term and every product term: with a remainder, the
         combination's head is rem[0]'s before anything is built.  When that
         head would lose the same-signature merge (`_loses_merge`), `_push`
         would drop the combination, and only its accounting is done here:
         the creator check, the merge count and the degree bump.  That bump
         takes the largest degree of c*chosen_u*chosen.poly: its head is the
-        popped term, within `max_deg` already, and a product term above
-        `max_deg` has nothing to cancel against, so it is the degree `_push`
-        would see.  Otherwise the combination's terms are taken from a copy
-        of the accumulator, since c*chosen_u*lt(chosen) cancels the popped
-        term, and it is built only when it is no repeat.  With cofactors it
-        is always taken, so that `_push` checks them.
+        largest pending term, within `max_deg` already, and a product term
+        above `max_deg` has nothing to cancel against, so it is the degree
+        `_push` would see.  Otherwise the reduction step (`reduce_top`) is
+        taken on a copy of the accumulator, and the combination is built
+        only when it is no repeat.  With cofactors it is always taken, so
+        that `_push` checks them, and c is read first (`top_coeff`).
         """
         dsig = sig_mul(chosen_u, chosen.sig)
         if rem:
@@ -585,7 +573,8 @@ class _Engine:
                 self.stats.sig_merges += 1
                 return
         acc = pending.copy()
-        acc.sub_tail(c, chosen_u, chosen.poly)
+        c = None if cofs is None else acc.top_coeff() / chosen.poly.lc
+        acc.reduce_top(chosen_u, chosen.poly)
         raw = [*rem, *acc.descending_raw()]
         if not raw or (dsig, raw[0][2]) in deflected:
             return
@@ -646,7 +635,6 @@ class _Engine:
         # Keep p's ancestry when the head stayed, else start its own.
         anc_lm = p.anc_lm if h.lm == p.lm else h.lm
         t_new = SigPoly(p.sig, h, anc_lm, cofactors=p.cofactors)
-        t_new.sig_key = p.sig_key
         self._check_cofactors(t_new)
         if self.options.check_invariants and any(t.lm == h.lm for t in self.T):
             raise AssertionError("inserted a duplicate head into the basis")
@@ -663,7 +651,7 @@ class _Engine:
         n = self.order.vars.n
         by_head = self._index._by_head
         for u, fresh in widened.items():
-            q = by_head[u][0][2]  # the one basis element with head u
+            q = by_head[u][0][1]  # the one basis element with head u
             for i in bit_indices(fresh):
                 x = mono_var(i, n)
                 pcofs = None
@@ -723,25 +711,24 @@ class _InvolutiveReducer:
     reduction against it: the set is checked and partitioned once, for any
     number of searches, and can grow by `add`, which also files G.
 
-    Each element gets its rank when it joins: the order key of its head,
-    then its arrival.  Each head lists the (rank, polynomial, item) of its
-    elements in rank order, where the item is what `add` attaches (the
+    Each head lists the (polynomial, item) pairs of its elements in the
+    order they were added, where the item is what `add` attaches (the
     engine's `SigPoly`; None for the elements of G).  The nonmultiplicative
     masks are kept once, in the partition, which widens them as G grows.
 
     `divisors(m)` is the one involutive-divisor search of the package: the
     engine's signature-safe normal form, `nf`, `is_involutive` and the
     C1/C2 lookup of `inv_bas` all go through it.  It asks the partition's
-    lookup for the heads that involutively divide m: the one head under
-    Janet and Thomas (`Partition.divisor`), every such head under alex
-    (`Partition.divisors`), ranked.  `nf` reduces each term by the first
-    divisor in rank order (smallest head, then earliest added).  It looks
-    at the largest pending term of a `PendingTerms`: an irreducible term is
-    popped into the remainder, and a reduction step (`reduce_top`) cancels
-    it and folds the rest of the multiplied divisor into the pending terms.
+    lookup (`Partition.divisors`) for the heads that involutively divide m:
+    the one head under Janet and Thomas, every such head under alex,
+    smallest first.  `nf` reduces each term by the first divisor it yields
+    (smallest head, then earliest added).  It looks at the largest pending
+    term of a `PendingTerms`: an irreducible term is popped into the
+    remainder, and the reduction step (`reduce_top`) cancels it and folds
+    the rest of the multiplied divisor into the pending terms.
     """
 
-    __slots__ = ("order", "partition", "_by_head", "_arrivals")
+    __slots__ = ("order", "partition", "_by_head")
 
     def __init__(self, G, division: Division, order: Ordering):
         polys = [g for g in G]
@@ -751,44 +738,31 @@ class _InvolutiveReducer:
         self.order = order
         self.partition = division.partition(())
         self._by_head: dict[Monomial, list[tuple]] = {}
-        self._arrivals = itertools.count()
         for g in polys:
             self.add(g)
 
     def add(self, g: Polynomial, item=None) -> dict[Monomial, int]:
-        """Extend G by a nonzero g, ranked after every element of equal
+        """Extend G by a nonzero g, listed after every element of equal
         head; returns what `Partition.add` reports as widened."""
         lm = g.lm
         widened = self.partition.add(lm)
-        rank = (self.order.key(lm), next(self._arrivals))
-        self._by_head.setdefault(lm, []).append((rank, g, item))
+        self._by_head.setdefault(lm, []).append((g, item))
         return widened
 
     def divisors(self, m: Monomial):
-        """Yield (rank, polynomial, item, quotient) for every element whose
-        head involutively divides m, in rank order.
-
-        Under Janet and Thomas every such element has the one head that
-        the partition's lookup names.  Under alex the lookup names every
-        such head; the heads are ranked by their first element when there
-        are two or more.
-        """
-        part = self.partition
+        """Yield (polynomial, item, quotient) for every element whose head
+        involutively divides m: the heads the partition's lookup names,
+        smallest first (by the kept key of the first element's head; under
+        Janet and Thomas there is one at most), and each head's elements
+        in the order they were added."""
         by_head = self._by_head
-        if part.disjoint:
-            head = part.divisor(m)
-            if head is not None:
-                u = mono_div(m, head)
-                for rank, g, item in by_head[head]:
-                    yield rank, g, item, u
-            return
-        heads = part.divisors(m)
+        heads = self.partition.divisors(m)
         if len(heads) > 1:
-            heads.sort(key=lambda h: by_head[h][0][0])
+            heads.sort(key=lambda h: by_head[h][0][0].key_row()[0])
         for head in heads:
             u = mono_div(m, head)
-            for rank, g, item in by_head[head]:
-                yield rank, g, item, u
+            for g, item in by_head[head]:
+                yield g, item, u
 
     def nf(self, f: Polynomial, mono: Monomial | None = None) -> Polynomial:
         """The involutive normal form of f, or of the product mono*f,
@@ -800,7 +774,7 @@ class _InvolutiveReducer:
             if hit is None:
                 rem.append(pending.pop())
             else:
-                _rank, g, _item, u = hit
+                g, _item, u = hit
                 pending.reduce_top(u, g)
         return Polynomial._raw(self.order, tuple(rem))
 
@@ -902,7 +876,7 @@ def inv_bas(F, division: Division, order: Ordering) -> CompletionResult:
         pending.discard(key)
         hit = next(reducer.divisors(p_lm), None)
         if hit is not None:
-            _rank, g, _item, _u = hit
+            g, _item, _u = hit
             verdict = ancestor_criteria(p_lm, anc, basis[g.lm][1])
             if verdict is not Verdict.NONE:
                 stats.note(verdict)

@@ -4,17 +4,17 @@ Everything here is plain textbook machinery: Buchberger-style reduction,
 the Buchberger criterion on S-polynomials, and direct re-expansion of
 cofactor combinations.  `is_involutive` is the one exception: it reduces
 prolongations with the engine's involutive normal form, so it shares the
-engine's divisor search (`_InvolutiveReducer.divisors`: the partition's
-lookups, by tree under Janet, by maximum under Thomas, by mask file under
-alex) and partition.  `buchberger_nf` scans the whole set in rank order behind a
-degree and support-mask check of its own, and it and `is_groebner` share
-no logic with the engine, whose criteria act on signatures and ancestors
-during completion; so agreement between them and the engine is
-meaningful evidence of correctness.  `bench.verify_basis` combines them:
-`is_groebner`, `is_involutive`, and a zero normal form of each input
-generator, which proves that the inputs lie in the ideal of a Gröbner
-basis.  Nothing here checks the converse inclusion, so a basis of a
-larger ideal, such as [1], passes.  The reference loops of
+engine's divisor search (`_InvolutiveReducer.divisors` over
+`Partition.divisors`: by tree under Janet, by maximum under Thomas, by
+mask file under alex) and partition.  `buchberger_nf` scans the whole set
+in rank order behind a degree and support-mask check of its own, and it
+and `is_groebner` share no logic with the engine, whose criteria act on
+signatures and ancestors during completion; so agreement between them and
+the engine is meaningful evidence of correctness.  `bench.verify_basis`
+combines them: `is_groebner`, `is_involutive`, and a zero normal form of
+each input generator, which proves that the inputs lie in the ideal of a
+Gröbner basis.  Nothing here checks the converse inclusion, so a basis of
+a larger ideal, such as [1], passes.  The reference loops of
 the tests (`drop_lt_*` in tests/test_kernel.py) and the sympy comparison
 of tests/test_external_oracle.py stay independent of the engine as well.
 

@@ -75,18 +75,19 @@ class SigPoly:
     product mono*poly, kept unbuilt: `mono` is the multiplier (None for
     any other element) and `poly` the basis element it prolongs.  `lm` is
     the head of the labelled polynomial (None when it is zero), taken
-    once here; `value()` builds the polynomial itself.  `sig_key` is the
-    order key of the signature's monomial, None until the engine takes it
-    (once, when it queues the element).  `anc_lm` is the
-    head of the basis element this one descends from by prolongations and
-    tail work; an element whose head changed starts a fresh ancestry.
+    once here; `value()` builds the polynomial itself.  The order keys the
+    engine compares are taken here too, under `poly.order`: `sig_key` of
+    the signature's monomial and `lm_key` of the head (None with it).
+    `anc_lm` is the head of the basis element this one descends from by
+    prolongations and tail work; an element whose head changed starts a
+    fresh ancestry.
     `cofactors` (optional) expresses the labelled polynomial exactly as a
     combination of the original generators.  Which prolongations are due
     is not kept here: the engine takes them from what the partition
     reports as widened at each insertion.
     """
 
-    __slots__ = ("sig", "poly", "mono", "lm", "sig_key", "anc_lm", "cofactors")
+    __slots__ = ("sig", "poly", "mono", "lm", "sig_key", "lm_key", "anc_lm", "cofactors")
 
     def __init__(
         self,
@@ -99,11 +100,13 @@ class SigPoly:
         self.sig = sig
         self.poly = poly
         self.mono = mono
+        key = poly.order.key
         if poly.is_zero:
-            self.lm = None
+            self.lm = self.lm_key = None
         else:
             self.lm = poly.lm if mono is None else mono_mul(poly.lm, mono)
-        self.sig_key = None
+            self.lm_key = key(self.lm)
+        self.sig_key = key(sig.mono)
         self.anc_lm = anc_lm
         self.cofactors = cofactors
 

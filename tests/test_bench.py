@@ -1,8 +1,10 @@
 """The benchmark harness: grid runs, verification, and table formatting."""
 from __future__ import annotations
 
+import importlib.util
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -176,3 +178,40 @@ class TestFormatStats:
     def test_unknown_format(self):
         with pytest.raises(UsageError):
             format_stats([], "csv")
+
+
+def load_bench_grid():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "bench_grid.py"
+    spec = importlib.util.spec_from_file_location("bench_grid", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestBenchGridCompare:
+    """`scripts/bench_grid.py --compare` checks the counters and, where both
+    files carry one, the digest of the printed basis."""
+
+    def write(self, path, **extra):
+        row = make_row().as_dict()
+        row.update(extra)
+        path.write_text(json.dumps({"rows": [row]}))
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "old, new, code",
+        [
+            ({}, {}, 0),
+            ({}, {"basis_sha256": "a"}, 0),
+            ({"basis_sha256": "a"}, {"basis_sha256": "a", "time_ms": 9.0}, 0),
+            ({"basis_sha256": "a"}, {"basis_sha256": "b"}, 1),
+            ({"basis_sha256": "a"}, {"basis_sha256": "a", "reds": 7}, 1),
+        ],
+        ids=["no-digests", "one-digest", "same-digest", "other-digest", "other-counter"],
+    )
+    def test_exit_code(self, tmp_path, capsys, old, new, code):
+        grid = load_bench_grid()
+        argv = ["--compare", self.write(tmp_path / "old.json", **old),
+                self.write(tmp_path / "new.json", **new)]
+        assert grid.main(argv) == code
+        assert ("DIFFER" in capsys.readouterr().out) == (code == 1)

@@ -353,7 +353,7 @@ class TestInvDivisor:
         # The alex division on this non-autoreduced pair makes every
         # variable multiplicative for both elements, so x^2*y^2 has two
         # involutive divisors.  `inv_divisor` takes the earliest listed one;
-        # the engine's divisor index ranks the smaller head first.
+        # the engine's divisor index yields the smaller head first.
         m = Monomial((2, 2))
         part = ALX.partition((XY, X2Y))
         assert part.inv_divides(XY, m) and part.inv_divides(X2Y, m)
@@ -361,7 +361,7 @@ class TestInvDivisor:
         assert inv_divisor(ALX.partition((X2Y, XY)), m) == X2Y
         G = [Polynomial(lex(VS), [(1, X2Y)]), Polynomial(lex(VS), [(1, XY)])]
         index = _InvolutiveReducer(G, ALX, lex(VS))
-        assert [g.lm for _rank, g, _item, _u in index.divisors(m)] == [XY, X2Y]
+        assert [g.lm for g, _item, _u in index.divisors(m)] == [XY, X2Y]
 
     def test_divisor_satisfies_its_contract(self):
         part = THO.partition((X2, XY))
@@ -373,7 +373,7 @@ class TestInvDivisor:
 
 
 # Janet under each priority of PRIORITY_SETS, Thomas, and alex under each
-# priority: Janet and Thomas answer `divisor`, every division `divisors`.
+# priority.
 LOOKUP_DIVISIONS = (
     tuple(janet(vs) for vs in PRIORITY_SETS)
     + (thomas_division(PRIORITY_SETS[0]),)
@@ -383,10 +383,11 @@ LOOKUP_DIVISIONS = (
 
 def masked_scan(part, rows, m):
     """The row scan the lookups replaced: (item, head, quotient) for every
-    (rank, head, item) row, in rank order, whose head's kept mask allows
-    the quotient.  A head is passed over before dividing when its degree
-    exceeds m's, when its support is not inside m's, or when m has a
-    variable absent from the head and nonmultiplicative for it."""
+    (rank, head, item) row, in rank order (head key, then arrival), whose
+    head's kept mask allows the quotient.  A head is passed over before
+    dividing when its degree exceeds m's, when its support is not inside
+    m's, or when m has a variable absent from the head and
+    nonmultiplicative for it."""
     mask = support(m)
     for _rank, head, item in rows:
         hmask = support(head)
@@ -401,8 +402,9 @@ def masked_scan(part, rows, m):
 
 
 class TestDivisorLookup:
-    """`Partition.divisors` and `divisor` against the masked scan they
-    replace: the heads, in rank order, whose kept mask allows the quotient."""
+    """`Partition.divisors` against the masked scan it replaces, under
+    every division: the heads, in rank order, whose kept mask allows the
+    quotient."""
 
     @given(
         st.lists(monomials(3, 3), max_size=8),
@@ -417,7 +419,6 @@ class TestDivisorLookup:
         order = degrevlex(div.vars)
         part = div.partition(())
         index = _InvolutiveReducer((), div, order)
-        assert part.disjoint == (div.name != "alex") == index.partition.disjoint
         rows = []
         for k, w in enumerate([None, *U]):
             if w is not None:
@@ -432,30 +433,24 @@ class TestDivisorLookup:
                 assert sorted(part.divisors(m), key=order.key) == heads
                 earliest = next((u for u in part.monomials if u in heads), None)
                 assert inv_divisor(part, m) == earliest
-                if part.disjoint:
+                if div.name != "alex":
                     assert len(heads) <= 1
-                    assert part.divisor(m) == earliest
-                found = [(item, g.lm, u) for _rank, g, item, u in index.divisors(m)]
+                found = [(item, g.lm, u) for g, item, u in index.divisors(m)]
                 assert found == hits
 
     @pytest.mark.parametrize("div", LOOKUP_DIVISIONS)
     def test_a_monomial_of_another_dimension_is_rejected(self, div):
         part = div.partition((Monomial((1, 1, 0)),))
-        lookups = (part.divisors, part.divisor) if part.disjoint else (part.divisors,)
         for m in (X2Y, Monomial((1, 1, 0, 2))):
-            for lookup in lookups:
-                with pytest.raises(UsageError, match="dimension mismatch"):
-                    lookup(m)
+            with pytest.raises(UsageError, match="dimension mismatch"):
+                part.divisors(m)
 
     def test_alex_lookup_finds_nested_divisors(self):
         # Under alex x*y ranks above x^2*y and imposes nothing on it, so
-        # x^2*y^2 lies in both cones, and `divisor`, which names one, refuses.
+        # x^2*y^2 lies in both cones, and the lookup finds both.
         part = ALX.partition((XY, X2Y))
-        assert not part.disjoint
         m = Monomial((2, 2))
         assert sorted(part.divisors(m), key=lambda u: u.exps) == [XY, X2Y]
-        with pytest.raises(UsageError, match="several involutive divisors"):
-            part.divisor(m)
         # y^2 makes y nonmultiplicative for x^2*y, which moves to the file of
         # its new mask: still a divisor of x^3*y, no longer of x^2*y^2.
         assert part.add(Y2) == {X2Y: 0b10, Y2: 0b01}

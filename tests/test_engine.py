@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import invbases
+from invbases.bench import verify_basis
 from invbases.core import (
     KEY_BOUND,
     Monomial,
@@ -418,6 +419,13 @@ class TestOptionVariants:
         base = inv_comp(sf.polynomials, div, sf.order)
         varied = inv_comp(sf.polynomials, div, sf.order, DEBUG)
         assert {p.lm for p in varied.basis} == {p.lm for p in base.basis}
+        # Only the debug run counts violations; everything else is the same.
+        check_only = {"elapsed_ms", "global_sig_violations", "same_index_sig_violations"}
+        for name in vars(base.stats).keys() - check_only:
+            assert getattr(varied.stats, name) == getattr(base.stats, name), name
+        for name in base.diagnostics.keys() - check_only:
+            assert varied.diagnostics[name] == base.diagnostics[name], name
+        assert varied.loop_basis == base.loop_basis
         assert is_groebner(varied.basis, sf.order)
         assert is_involutive(varied.basis, div, sf.order)
         assert varied.cofactor_records
@@ -719,16 +727,16 @@ class TestInvariantChecks:
         with pytest.raises(AssertionError, match="partition reports .* as widened"):
             inv_comp(sf.polynomials, div, sf.order, EngineOptions(check_invariants=True))
 
-    @pytest.mark.parametrize("division_name", ["janet", "thomas"])
+    @pytest.mark.parametrize("division_name", ["janet", "thomas", "alex"])
     @pytest.mark.parametrize(
         "lookup, message",
         [
             # Finds nothing, so no head finds itself.
-            (lambda part, m: None, "does not find the head"),
-            # Plain divisibility: the first listed head dividing m, which
-            # also answers for a nonmultiplicative prolongation.
+            (lambda part, m: [], "does not find the head"),
+            # Plain divisibility: every listed head dividing m, which also
+            # answers for a nonmultiplicative prolongation.
             (
-                lambda part, m: next((u for u in part.monomials if u.divides(m)), None),
+                lambda part, m: [u for u in part.monomials if u.divides(m)],
                 "partition lookup gives",
             ),
         ],
@@ -737,11 +745,14 @@ class TestInvariantChecks:
     def test_partition_check_catches_a_wrong_lookup(
         self, division_name, lookup, message, monkeypatch
     ):
-        monkeypatch.setattr(Partition, "divisor", lookup)
-        sf = load_builtin("cyclic4", order="degrevlex")
+        monkeypatch.setattr(Partition, "divisors", lookup)
+        # Under alex each head of cyclic4 divides the next, so every
+        # variable is multiplicative for each and plain divisibility is
+        # right; noon3's heads give masks under every division.
+        sf = load_builtin("noon3", order="degrevlex")
         engine = _Engine(division_by_name(division_name, sf.vars), sf.order, EngineOptions())
         for g in sf.polynomials:
-            engine._grow(SigPoly(Signature(Monomial((0,) * 4), 1), g, g.lm))
+            engine._grow(SigPoly(Signature(Monomial((0,) * sf.vars.n), 1), g, g.lm))
         with pytest.raises(AssertionError, match=message):
             engine._check_partition()
 
@@ -1005,16 +1016,51 @@ class TestRandomSystems:
             assert is_involutive(r.basis, div, order)
 
 
+# A system on which `inv_bas` under alex loses a prolongation (ROADMAP item
+# 7): z*(x^5*z^3) reduces to zero through x^4*z^3 times x*z, a later head
+# makes x nonmultiplicative for x^4*z^3, and nothing queues the
+# prolongation again, so `min_bas` finds no head x^5*z^4.
+ALEX_LOST_PROLONGATION = """
+vars: x y z
+order: degrevlex
+p: x^2*y^3*z^3 + 2*x*z^3
+p: -x^3*y*z^3 + x^3*y
+p: -2*x^3*y^2*z^2 + 2*y^3*z^3 + 2*y^3*z
+"""
+
+
+class TestAlexLostProlongation:
+    def test_inv_comp_verifies(self):
+        sf = parse_system(ALEX_LOST_PROLONGATION, name="alex-lost-prolongation")
+        div = alex_division(sf.vars)
+        r = inv_comp(sf.polynomials, div, sf.order)
+        assert verify_basis(r.basis, sf, div)
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=UsageError,
+        reason="inv_bas under alex never queues z*(x^5*z^3) again, and min_bas "
+        "finds no head x^5*z^4",
+    )
+    def test_inv_bas_matches_the_verified_heads(self):
+        sf = parse_system(ALEX_LOST_PROLONGATION, name="alex-lost-prolongation")
+        div = alex_division(sf.vars)
+        rc = inv_comp(sf.polynomials, div, sf.order)
+        assert verify_basis(rc.basis, sf, div)
+        rb = inv_bas(sf.polynomials, div, sf.order)
+        assert [p.lm for p in rb.basis] == [p.lm for p in rc.basis]
+
+
 def filed(reducer):
-    """Each head's elements as the reducer files them: rank, identity, item."""
+    """Each head's elements as the reducer files them: identity, item."""
     return {
-        head: [(rank, id(g), item) for rank, g, item in rows]
+        head: [(id(g), item) for g, item in rows]
         for head, rows in reducer._by_head.items()
     }
 
 
 def answers(reducer, m):
-    return [(rank, id(g), item, u) for rank, g, item, u in reducer.divisors(m)]
+    return [(id(g), item, u) for g, item, u in reducer.divisors(m)]
 
 
 class TestGrownReducer:
@@ -1031,7 +1077,7 @@ class TestGrownReducer:
     def test_added_elements_rank_and_split_as_in_a_fresh_reducer(
         self, terms, start, division_name
     ):
-        # Heads may repeat: equal heads rank in the order they were added.
+        # Heads may repeat: equal heads are listed in the order they were added.
         order = degrevlex(VS)
         div = division_by_name(division_name, VS)
         G = [poly(order, (c, Monomial((a, b)))) for a, b, c in terms]

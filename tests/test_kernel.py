@@ -353,21 +353,22 @@ class TestPendingTerms:
         assert popped == list(poly((1, (2, 0)), (2, (0, 1)), (3, (0, 0))).terms)
 
     def test_a_cancelling_product_term_removes_the_entry(self):
-        pending = PendingTerms(poly((1, (2, 0)), (2, (0, 1))))
-        # tail of 1*1*(x^3 + 2*y) is 2*y, which cancels the pending 2*y
-        pending.sub_tail(1, Monomial((0, 0)), poly((1, (3, 0)), (2, (0, 1))))
+        pending = PendingTerms(poly((1, (3, 0)), (1, (2, 0)), (2, (0, 1))))
+        # x^3 against 1*1*(x^3 + 2*y): the tail 2*y cancels the pending 2*y
+        pending.reduce_top(Monomial((0, 0)), poly((1, (3, 0)), (2, (0, 1))))
         assert pending.descending() == poly((1, (2, 0))).terms
 
     def test_an_equal_monomial_merges_its_coefficient(self):
-        pending = PendingTerms(poly((1, (2, 0)), (2, (1, 0))))
-        # tail of 1/2*x*(x^2*y + 1) is x/2, which joins the pending 2*x
-        pending.sub_tail(Fraction(1, 2), Monomial((1, 0)), poly((1, (2, 1)), (1, (0, 0))))
+        pending = PendingTerms(poly((Fraction(1, 2), (3, 1)), (1, (2, 0)), (2, (1, 0))))
+        # 1/2*x^3*y against 1/2*x*(x^2*y + 1): the tail x/2 joins the
+        # pending 2*x
+        pending.reduce_top(Monomial((1, 0)), poly((1, (2, 1)), (1, (0, 0))))
         assert pending.descending() == poly((1, (2, 0)), (Fraction(3, 2), (1, 0))).terms
 
     def test_inserts_keep_strict_descending_order(self):
-        pending = PendingTerms(poly((1, (3, 0)), (1, (1, 1)), (1, (0, 0))))
+        pending = PendingTerms(poly((1, (2, 2)), (1, (3, 0)), (1, (1, 1)), (1, (0, 0))))
         g = poly((1, (2, 2)), (1, (2, 1)), (-1, (1, 1)), (1, (0, 2)), (1, (1, 0)), (1, (0, 0)))
-        pending.sub_tail(1, Monomial((0, 0)), g)
+        pending.reduce_top(Monomial((0, 0)), g)
         keys = [DRL.key(m) for _, m in pending.descending()]
         assert keys == sorted(keys, reverse=True)
         assert len(set(keys)) == len(keys)
@@ -378,57 +379,60 @@ class TestPendingTerms:
         pending = PendingTerms(poly((1, (1, 1))))
         other = Polynomial(lex(XY), [(1, Monomial((1, 0))), (1, Monomial((0, 1)))])
         with pytest.raises(UsageError):
-            pending.sub_tail(1, Monomial((0, 1)), other)
+            pending.reduce_top(Monomial((0, 1)), other)
         with pytest.raises(UsageError):
             buchberger_nf(poly((1, (1, 1))), [other], DRL)
         with pytest.raises(UsageError):
-            pending.sub_tail(1, Monomial((0, 1, 0)), poly((1, (1, 0)), (1, (0, 1))))
+            pending.reduce_top(Monomial((0, 1, 0)), poly((1, (1, 0)), (1, (0, 1))))
+        assert pending.descending() == poly((1, (1, 1))).terms
 
     def test_a_copy_is_independent(self):
-        pending = PendingTerms(poly((1, (2, 0)), (Fraction(1, 3), (1, 1)), (2, (0, 0))))
+        pending = PendingTerms(
+            poly((Fraction(1, 2), (1, 2)), (1, (2, 0)), (Fraction(1, 3), (1, 1)), (2, (0, 0)))
+        )
         before = pending.descending()
         twin = pending.copy()
-        y = Monomial((0, 1))
-        twin.sub_tail(Fraction(1, 2), y, poly((1, (1, 0)), (Fraction(2, 3), (0, 1))))
+        y2 = Monomial((0, 2))
+        g = poly((1, (1, 0)), (Fraction(2, 3), (0, 1)))
+        assert twin.top_coeff() == Fraction(1, 2)
+        twin.reduce_top(y2, g)
         assert pending.descending() == before
-        assert pending_poly(twin) == pending_poly(pending) - poly(
-            (Fraction(2, 3), (0, 1))
-        ).mul_term(Fraction(1, 2), y)
+        assert pending_poly(twin) == pending_poly(pending) - g.mul_term(Fraction(1, 2), y2)
 
     def test_returns_the_largest_product_degree(self):
-        pending = PendingTerms(poly((1, (3, 0))))
-        # The tail y^3 + x^2 + 1 times x: x*y^3 and x are new, x^3 cancels.
-        assert pending.sub_tail(1, Monomial((1, 0)), poly((1, (0, 4)), (1, (2, 0)), (1, (0, 3)),
-                                                          (1, (0, 0)))) == 4
-        assert pending.sub_tail(1, Monomial((1, 0)), poly((1, (0, 4)))) == -1
+        pending = PendingTerms(poly((1, (1, 4)), (1, (3, 0))))
+        # x*y^4 against x*(y^4 + x^2 + y^3 + 1): x*y^3 and x are new, x^3
+        # cancels.
+        assert pending.reduce_top(Monomial((1, 0)), poly((1, (0, 4)), (1, (2, 0)), (1, (0, 3)),
+                                                         (1, (0, 0)))) == 4
+        assert pending_poly(pending) == poly((-1, (1, 3)), (-1, (1, 0)))
+        pending = PendingTerms(poly((1, (1, 4))))
+        assert pending.reduce_top(Monomial((1, 0)), poly((1, (0, 4)))) == -1
+        assert not pending
 
     @given(st.data())
     @settings(max_examples=100, deadline=None)
     def test_matches_the_fraction_accumulator(self, data):
+        """Long runs of reduction steps, each after up to two plain pops,
+        against the reference's `pop` and `sub_tail`."""
         vs = VarSet(("x", "y", "z")[: data.draw(st.integers(2, 3))])
         order = data.draw(st.sampled_from((lex, degrevlex)))(vs)
         p = data.draw(prime_polynomials(order, vs.n))
         pending, ref = PendingTerms(p), FractionPendingTerms(p)
         assert_content_removed(pending)
-        for _ in range(data.draw(st.integers(1, 8))):
+        for _ in range(data.draw(st.integers(1, 12))):
             for _ in range(data.draw(st.integers(0, 2))):
                 if ref:
                     assert pending.pop() == ref.pop()
                     assert pending.descending() == ref.descending()
-            g = data.draw(prime_polynomials(order, vs.n))
-            u = data.draw(monomials(vs.n, 2))
-            c = data.draw(prime_fractions())
-            # About half of the steps cancel a pending term exactly: with a
-            # constant term a in g's tail, c = (pending coefficient) / a at
-            # u = that pending monomial deletes the entry.
-            g = g + Polynomial(order, [(data.draw(prime_fractions()), mono_one(vs.n))])
-            if g.is_zero:
-                continue
+            if not ref:
+                break
             terms = ref.descending()
-            if terms and len(g) > 1 and g.terms[-1][1].deg == 0 and data.draw(st.booleans()):
-                tc, u = data.draw(st.sampled_from(terms))
-                c = tc / g.terms[-1][0]
-            assert pending.sub_tail(c, u, g) == ref.sub_tail(c, u, g)
+            tc, top = terms[0]
+            assert pending.top_coeff() == tc
+            g, u = draw_reducer_of(data, order, tc, top, terms[1:])
+            ref.pop()
+            assert pending.reduce_top(u, g) == ref.sub_tail(tc / g.lc, u, g)
             assert pending.descending() == ref.descending()
             assert_content_removed(pending)
         while ref:
@@ -436,15 +440,16 @@ class TestPendingTerms:
         assert not pending
 
     def test_a_product_at_the_key_bound_is_rejected(self):
-        half = KEY_BOUND // 2
-        pending = PendingTerms(poly((1, (0, 0))))
-        # y^(B/2) * (x^(B/2) + y^(B/2 - 1)) stays below the bound ...
-        g = poly((1, (half, 0)), (1, (0, half - 1)))
-        assert pending.sub_tail(1, Monomial((0, half)), g) == KEY_BOUND - 1
-        # ... and y^(B/2) * (x^(B/2) + y^(B/2)) reaches it.
-        g = poly((1, (half, 0)), (1, (0, half)))
+        order = lex(XY)
+        # Under lex y^k * (x + y^(B-2)) has the head x*y^k, far below the
+        # bound, and the tail y^(B-2+k): at k = 1 it stays below ...
+        g = Polynomial(order, [(1, Monomial((1, 0))), (1, Monomial((0, KEY_BOUND - 2)))])
+        pending = PendingTerms(Polynomial(order, [(1, Monomial((1, 1)))]))
+        assert pending.reduce_top(Monomial((0, 1)), g) == KEY_BOUND - 1
+        # ... and at k = 2 it reaches it.
+        pending = PendingTerms(Polynomial(order, [(1, Monomial((1, 2)))]))
         with pytest.raises(UsageError, match="order key bound"):
-            pending.sub_tail(1, Monomial((0, half)), g)
+            pending.reduce_top(Monomial((0, 2)), g)
 
     def test_reduce_top_at_the_key_bound_is_rejected_before_the_pop(self):
         order = lex(XY)
@@ -546,23 +551,24 @@ class TestPendingTerms:
     @given(st.data())
     @settings(max_examples=100, deadline=None)
     def test_lazy_products_match_an_eager_accumulator(self, data):
-        """`sub_tail` keeps a product's monomial as a (term, multiplier)
-        pair until `pop` or `descending` builds it; products merge and
-        cancel by key alone.  A step may be undone by its negation, so that
-        products cancel before they are popped, and copies taken part-way
-        must go on holding what the eager reference holds."""
+        """`reduce_top` keeps a product's monomial as a (term, multiplier)
+        pair until `top_mono`, `pop` or `descending` builds it; products
+        merge and cancel by key alone, also against an earlier step's
+        products still unbuilt.  Copies taken part-way must go on holding
+        what the eager reference holds."""
         vs = VarSet(("x", "y", "z")[: data.draw(st.integers(2, 3))])
         order = data.draw(st.sampled_from((lex, degrevlex)))(vs)
         p = data.draw(polynomials(order, vs.n))
         pending, ref = PendingTerms(p), FractionPendingTerms(p)
         copies = []
         for _ in range(data.draw(st.integers(1, 6))):
-            g = data.draw(polynomials(order, vs.n, max_terms=5))
-            u = data.draw(monomials(vs.n, 2))
-            c = data.draw(small_fractions())
-            steps = [c, -c] if data.draw(st.booleans()) else [c]
-            for step in steps:
-                assert pending.sub_tail(step, u, g) == ref.sub_tail(step, u, g)
+            if not ref:
+                break
+            terms = ref.descending()
+            tc, top = terms[0]
+            g, u = draw_reducer_of(data, order, tc, top, terms[1:])
+            ref.pop()
+            assert pending.reduce_top(u, g) == ref.sub_tail(tc / g.lc, u, g)
             assert g.key_row() is g.key_row()
             if data.draw(st.booleans()):
                 copies.append((pending.copy(), ref.copy()))
@@ -577,17 +583,22 @@ class TestPendingTerms:
     @given(st.data())
     @settings(max_examples=100, deadline=None)
     def test_matches_the_difference_of_whole_polynomials(self, data):
+        """f = c*u*g + p, p's terms all below u*lm(g): one step by g at u
+        leaves f - (lc(f)/lc(g))*u*g, that is p."""
         vs = VarSet(("x", "y", "z")[: data.draw(st.integers(2, 3))])
         order = data.draw(st.sampled_from((lex, degrevlex)))(vs)
-        p = data.draw(polynomials(order, vs.n))
         g = data.draw(polynomials(order, vs.n, max_terms=5))
         c = data.draw(small_fractions())
         u = data.draw(monomials(vs.n, 2))
-        pending = PendingTerms(p)
-        deg = pending.sub_tail(c, u, g)
-        lead = Polynomial._raw(order, (g.lt,))
-        # p - c*u*(g - lt(g)), through the constructor
-        assert pending_poly(pending) == p - (g - lead).mul_term(c, u)
+        top = order.key(mono_mul(u, g.lm))
+        p = data.draw(polynomials(order, vs.n))
+        p = Polynomial(order, [(a, m) for a, m in p.terms if order.key(m) < top])
+        f = g.mul_term(c, u) + p
+        pending = PendingTerms(f)
+        assert pending.top_coeff() == f.lc == c * g.lc
+        deg = pending.reduce_top(u, g)
+        # f - (lc(f)/lc(g))*u*g, through the constructor
+        assert pending_poly(pending) == f - g.mul_term(f.lc / g.lc, u) == p
         assert deg == max((mono_mul(m, u).deg for _, m in g.terms[1:]), default=-1)
 
 
@@ -797,7 +808,7 @@ class TestHeadDivisors:
         part = div.partition(heads)
         ranked = sorted(range(len(G)), key=lambda i: (order.key(heads[i]), i))
         for t in terms:
-            found = [(item, g, u) for _rank, g, item, u in index.divisors(t)]
+            found = [(item, g, u) for g, item, u in index.divisors(t)]
             want = [
                 (i if i >= start else None, G[i], mono_div(t, heads[i]))
                 for i in ranked

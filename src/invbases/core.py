@@ -11,10 +11,12 @@ A reducer enters it as integers too, through its kept tail row
 (`Polynomial.tail_row`), and a term that gets reduced never becomes a
 `Fraction`.  A prolongation x*g enters it as a product, `PendingTerms(g,
 x)`, from g's kept key and tail rows, and is never built as a
-`Polynomial`.  Terms leave it as `Fraction`s, or as (numerator,
-denominator, monomial) triples from which `monic_polynomial` builds a
-monic polynomial in one pass.  All other arithmetic (`+`, `-`, `*`) goes
-through the canonicalising constructor `Polynomial(order, terms)`.
+`Polynomial`.  Terms leave it as `Fraction`s, or as raw (numerator,
+denominator, monomial, key) terms, from which `monic_polynomial` builds a
+monic polynomial in one pass and `PendingTerms.from_raw` seeds another
+accumulator: the engine's queued combinations go from one to the other
+unbuilt.  All other arithmetic (`+`, `-`, `*`) goes through the
+canonicalising constructor `Polynomial(order, terms)`.
 """
 from __future__ import annotations
 
@@ -486,9 +488,13 @@ class PendingTerms:
     reduced never becomes a `Fraction`.  After each step the content
     gcd(den, numerators) is divided out, so `den` is always the least
     common denominator of the pending terms.  Terms leave the accumulator
-    with `Fraction` coefficients (`pop`, `descending`), or unbuilt as
-    (numerator, `den`, monomial) triples (`pop_raw`, `descending_raw`),
-    for `monic_polynomial` to build the monic polynomial once.
+    with `Fraction` coefficients (`pop`, `descending`), or unbuilt as raw
+    (numerator, `den`, monomial, key) terms (`pop_raw`, `descending_raw`),
+    for `monic_polynomial` to build the monic polynomial once, or for
+    `from_raw` to seed a new accumulator with, as the engine seeds the
+    normal form of a queued combination: raw terms taken at different
+    moments may carry different `den`s, and `from_raw` brings them to
+    their least common denominator without a `Fraction` or a key.
 
     `PendingTerms(p, mono)` holds the terms of mono*p, a prolongation,
     the same way, from p's kept rows: each key is key(mono) plus the key of
@@ -523,6 +529,29 @@ class PendingTerms:
         nums = self._nums = [a * scale for a in reversed(tail_nums)]
         nums.append(lc_num * (den // lc_den))
 
+    @classmethod
+    def from_raw(cls, order: Ordering, raw) -> PendingTerms:
+        """An accumulator holding the nonempty descending raw terms `raw`,
+        (numerator, denominator, monomial, key) as `pop_raw` and
+        `descending_raw` give them, whose denominators may differ: `den` is
+        their lcm with the content divided out, and the keys are the terms'
+        own, so no term is keyed and no `Fraction` is made."""
+        nums, dens, monos, keys = zip(*reversed(raw))
+        den = math.lcm(*dens)
+        nums = [n * (den // d) for n, d in zip(nums, dens)]
+        if den > 1:
+            content = math.gcd(den, *nums)
+            if content > 1:
+                den //= content
+                nums = [n // content for n in nums]
+        pending = object.__new__(cls)
+        pending.order = order
+        pending._keys = list(keys)
+        pending._nums = nums
+        pending._monos = list(monos)
+        pending.den = den
+        return pending
+
     def __bool__(self) -> bool:
         return bool(self._keys)
 
@@ -551,11 +580,10 @@ class PendingTerms:
         self._keys.pop()
         return Fraction(self._nums.pop(), self.den), _built(self._monos.pop())
 
-    def pop_raw(self) -> tuple[int, int, Monomial]:
+    def pop_raw(self) -> tuple[int, int, Monomial, int]:
         """Remove the largest pending term and return it unbuilt, as
-        (numerator, `den`, monomial)."""
-        self._keys.pop()
-        return self._nums.pop(), self.den, _built(self._monos.pop())
+        (numerator, `den`, monomial, key)."""
+        return self._nums.pop(), self.den, _built(self._monos.pop()), self._keys.pop()
 
     def descending(self) -> tuple:
         """The pending terms, largest first, as a polynomial keeps them."""
@@ -566,7 +594,10 @@ class PendingTerms:
     def descending_raw(self) -> list:
         """The pending terms, largest first, as `pop_raw` returns them."""
         den = self.den
-        return [(n, den, _built(m)) for n, m in zip(reversed(self._nums), reversed(self._monos))]
+        return [
+            (n, den, _built(m), k)
+            for n, m, k in zip(reversed(self._nums), reversed(self._monos), reversed(self._keys))
+        ]
 
     def top_coeff(self) -> Fraction:
         """The coefficient of the largest pending term."""
@@ -651,12 +682,12 @@ class PendingTerms:
 
 
 def monic_polynomial(order: Ordering, raw) -> tuple[Polynomial, Fraction]:
-    """The monic polynomial of the nonempty descending terms `raw`, given
-    as (numerator, denominator, monomial) triples, and the factor 1/lc it
-    scaled them by: each coefficient n/d becomes n*d0/(d*n0), where n0/d0
-    is the first one, in one `Fraction` per term."""
-    n0, d0, _ = raw[0]
-    terms = tuple([(Fraction(n * d0, d * n0), m) for n, d, m in raw])
+    """The monic polynomial of the nonempty descending raw terms `raw`,
+    (numerator, denominator, monomial, key) as `pop_raw` gives them, and
+    the factor 1/lc it scaled them by: each coefficient n/d becomes
+    n*d0/(d*n0), where n0/d0 is the first one, in one `Fraction` per term."""
+    n0, d0, _, _ = raw[0]
+    terms = tuple([(Fraction(n * d0, d * n0), m) for n, d, m, _ in raw])
     return Polynomial._raw(order, terms), Fraction(d0, n0)
 
 

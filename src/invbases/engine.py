@@ -273,10 +273,8 @@ class _Engine:
 
     def _bump_deg(self, sp: SigPoly) -> int:
         """Raise `max_deg` to the total degree of sp's polynomial, and
-        return it: for a queued prolongation x*g, the degree of g plus 1."""
-        deg = sp.poly.degree
-        if sp.mono is not None:
-            deg += sp.mono.deg
+        return it."""
+        deg = sp.deg
         if deg > self.stats.max_deg:
             self.stats.max_deg = deg
         return deg
@@ -451,24 +449,33 @@ class _Engine:
         (`reduce_top`), which folds the rest of the multiplied reducer into
         the pending terms.  Under `track_cofactors` the step's multiplier
         c = (top coefficient)/lc is read first (`top_coeff`), for the
-        cofactors.  A queued prolongation x*g seeds the accumulator as the
-        product, `PendingTerms(g, x)`.  Irreducible terms are kept as the
-        accumulator's integer triples, and the monic remainder is built from
-        them once (`monic_polynomial`); a deflected combination is built
-        only when it is queued.  Under `check_invariants` every prolongation
-        is also seeded and built, and the two must hold the same terms,
-        whether or not a criterion discards its head.
+        cofactors.  p seeds the accumulator in its own form (`SigPoly.pending`):
+        a queued prolongation x*g as the product, `PendingTerms(g, x)`, and
+        a queued combination from the raw terms that formed it
+        (`PendingTerms.from_raw`), not made monic, with its cofactors
+        unscaled.  Irreducible terms are kept as the accumulator's raw
+        terms, and the monic remainder is built from them once
+        (`monic_polynomial`), with the factor that scales the cofactors;
+        a deflected combination is queued as raw terms, never built.  Under
+        `check_invariants` every popped prolongation and combination is
+        also built (`SigPoly.value`), and its seeded accumulator must hold
+        the built terms, whether or not a criterion discards its head.
         """
         order = self.order
         deg = self._bump_deg(p)
         if deg >= KEY_BOUND:
             raise _key_bound_error(deg)
+        # `value` builds a prolongation, or a combination under `_raw`'s
+        # canonical check; the constructor's accumulator of the built
+        # terms keys them afresh.
         if (
             self.options.check_invariants
-            and p.mono is not None
-            and PendingTerms(p.poly, p.mono).descending() != p.value().terms
+            and p.pending().descending_raw() != PendingTerms(p.value()).descending_raw()
         ):
-            raise AssertionError("the seeded accumulator differs from the built prolongation")
+            raise AssertionError(
+                "the seeded accumulator differs from the built "
+                + ("combination" if p.raw is not None else "prolongation")
+            )
         safe, unsafe = self._ranked_divisors(p, p.lm)
         # The head certified by sig(p) is redundant as soon as a
         # signature-safe involutive head divisor triggers one of the
@@ -478,8 +485,8 @@ class _Engine:
             if verdict is not Verdict.NONE:
                 return Polynomial.zero(order), verdict
 
-        pending = PendingTerms(p.poly, p.mono)
-        rem = []  # irreducible terms, descending, as (numerator, den, monomial)
+        pending = p.pending()
+        rem = []  # irreducible terms, descending, as `pop_raw` gives them
         cofs = p.cofactors
         deflected: set[tuple[Signature, Monomial]] = set()
         while True:
@@ -547,7 +554,8 @@ class _Engine:
 
         Every remainder term lies above the largest pending term, so above
         every pending term and every product term: with a remainder, the
-        combination's head is rem[0]'s before anything is built.  When that
+        combination's head is rem[0]'s, with the key that raw term carries,
+        before the step is taken.  When that
         head would lose the same-signature merge (`_loses_merge`), `_push`
         would drop the combination, and only its accounting is done here:
         the creator check, the merge count and the degree bump.  That bump
@@ -555,16 +563,17 @@ class _Engine:
         largest pending term, within `max_deg` already, and a product term
         above `max_deg` has nothing to cancel against, so it is the degree
         `_push` would see.  Otherwise the reduction step (`reduce_top`) is
-        taken on a copy of the accumulator, and the combination is built
-        only when it is no repeat.  With cofactors it is always taken, so
-        that `_push` checks them, and c is read first (`top_coeff`).
+        taken on a copy of the accumulator, and the combination, the raw
+        terms of `rem` and of the copy, is queued unbuilt when it is no
+        repeat.  With cofactors it is always taken, so that `_push` checks
+        them, and c is read first (`top_coeff`).
         """
         dsig = sig_mul(chosen_u, chosen.sig)
         if rem:
-            head = rem[0][2]
+            _, _, head, head_key = rem[0]
             if (dsig, head) in deflected:
                 return
-            if cofs is None and self._loses_merge(dsig, self.order.key(head)):
+            if cofs is None and self._loses_merge(dsig, head_key):
                 deflected.add((dsig, head))
                 deg = chosen_u.deg + chosen.poly.degree
                 if deg > self.stats.max_deg:
@@ -584,17 +593,13 @@ class _Engine:
 
     def _queue_combination(self, sig, raw, cofs, c, u, reducer, creator_sig) -> bool:
         """Queue the nonzero combination current - c*u*reducer.poly, whose
-        terms are the triples `raw`, under sig, made monic, as its own
-        ancestor; `cofs` are the cofactors of current.  Returns what
-        `_push` returns."""
-        value, factor = monic_polynomial(self.order, raw)
+        terms are the raw terms `raw`, under sig, unbuilt and not made
+        monic (`SigPoly.combination`), as its own ancestor; `cofs` are the
+        cofactors of current.  Returns what `_push` returns."""
         vcofs = None
         if cofs is not None:
-            vcofs = tuple(
-                (a - b.mul_term(c, u)).scale(factor)
-                for a, b in zip(cofs, reducer.cofactors)
-            )
-        return self._push(SigPoly(sig, value, value.lm, cofactors=vcofs), creator_sig)
+            vcofs = tuple(a - b.mul_term(c, u) for a, b in zip(cofs, reducer.cofactors))
+        return self._push(SigPoly.combination(sig, self.order, raw, vcofs), creator_sig)
 
     # -- main loop -----------------------------------------------------
 
@@ -673,14 +678,18 @@ class _Engine:
         it falls short of q; under Thomas it gains every such variable.
         """
         part = self._index.partition
+        h = t_new.lm
+        he, hd = h.exps, h.deg
         for q in self.T:
-            if q is t_new:
+            # The other heads h divides: degree and exponents no smaller.
+            m = q.lm
+            if m.deg < hd or q is t_new or not all(map(operator.le, he, m.exps)):
                 continue
-            u = mono_div(q.lm, t_new.lm)
-            if u is None or not part.allows(t_new.lm, u):
+            u = mono_div(m, h)
+            if not part.allows(h, u):
                 continue
             # q - lc(q)*u*t_new, both monic: one reduction step.
-            pending = PendingTerms(q.poly)
+            pending = q.pending()
             pending.reduce_top(u, t_new.poly)
             if pending:
                 self._queue_combination(

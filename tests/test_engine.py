@@ -276,7 +276,7 @@ class TestRegularNormalForm:
         assert render_polynomial(h) == "x^2*y - 9/4*y^3"
         assert len(sink) == 1
         assert sink[0].sig == Signature(Monomial((0, 1)), 1)
-        assert render_polynomial(sink[0].poly) == "x*y^2 + y^3"
+        assert render_polynomial(sink[0].value().monic()) == "x*y^2 + y^3"
 
 
 class TestCovered:

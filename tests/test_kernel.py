@@ -11,7 +11,8 @@ added from the reducer's key row and its monomial built when it leaves.
 `sub_tail(top / lc(g), u, g)`, the quotient taken in `Fraction`s rather
 than from the reducer's integer tail row.  A prolongation seeded as a
 product, `PendingTerms(g, u)`, is checked against the accumulator of the
-product built by `mul_term`.
+product built by `mul_term`, and one seeded from raw terms,
+`PendingTerms.from_raw`, against the accumulator of the same terms built.
 Each normal-form reference below rebuilds the polynomial after every
 irreducible head with `drop_lt`, as the three normal forms once did, and
 takes each reduction step as that difference.  The normal forms must
@@ -46,6 +47,7 @@ from invbases.core import (
     spoly,
 )
 from invbases import engine as engine_module
+from invbases import signatures as signatures_module
 from invbases.division import alex_division, division_by_name, janet
 from invbases.engine import EngineOptions, _Engine, _InvolutiveReducer, inv_bas, inv_comp
 from invbases.oracles import buchberger_nf, expand_cofactors, is_involutive
@@ -321,7 +323,7 @@ def queued(engine: _Engine):
 
 
 def entry(sp: SigPoly):
-    return (sp.sig, sp.poly.terms, sp.anc_lm)
+    return (sp.sig, sp.value().monic().terms, sp.anc_lm)
 
 
 XY = VarSet(("x", "y"))
@@ -542,11 +544,54 @@ class TestPendingTerms:
                 twin.reduce_top(u, g)
         raw += pending.descending_raw()
         terms += twin.descending()
-        assert [(Fraction(n, d), m) for n, d, m in raw] == terms
+        assert [(Fraction(n, d), m) for n, d, m, _ in raw] == terms
         if terms:
             h, factor = monic_polynomial(order, raw)
             assert h == Polynomial._raw(order, tuple(terms)).monic()
             assert factor == 1 / terms[0][0]
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_raw_terms_seed_the_accumulator_they_came_from(self, data):
+        """`PendingTerms.from_raw` over terms taken unbuilt (`pop_raw`,
+        `descending_raw`) between reduction steps, whose `den`s differ,
+        holds what the constructor's accumulator of the same terms holds:
+        keys, numerators, the least common denominator and every pop.  With
+        no term popped it is the accumulator the terms came from."""
+        vs = VarSet(("x", "y", "z")[: data.draw(st.integers(2, 3))])
+        order = data.draw(st.sampled_from((lex, degrevlex)))(vs)
+        p = data.draw(prime_polynomials(order, vs.n, max_terms=6).filter(lambda f: not f.is_zero))
+        pending, twin = PendingTerms(p), PendingTerms(p)
+        raw, terms = [], []
+        for _ in range(data.draw(st.integers(0, 6))):
+            if not pending:
+                break
+            if data.draw(st.booleans()):
+                raw.append(pending.pop_raw())
+                terms.append(twin.pop())
+            else:
+                current = twin.descending()
+                g, u = draw_reducer_of(data, order, *current[0], current[1:])
+                pending.reduce_top(u, g)
+                twin.reduce_top(u, g)
+        popped = bool(raw)
+        raw += pending.descending_raw()
+        terms += twin.descending()
+        if not raw:
+            return
+        seeded = PendingTerms.from_raw(order, raw)
+        built = PendingTerms(Polynomial._raw(order, tuple(terms)))
+        assert_content_removed(seeded)
+        sources = [built] if popped else [built, pending]
+        for other in sources:
+            assert seeded._keys == other._keys
+            assert seeded._nums == other._nums
+            assert seeded.den == other.den
+            assert seeded.descending() == other.descending() == tuple(terms)
+        while built:
+            assert seeded.top_mono() == built.top_mono()
+            assert seeded.pop() == built.pop()
+        assert not seeded
 
     @given(st.data())
     @settings(max_examples=100, deadline=None)
@@ -651,7 +696,7 @@ class TestSeededProducts:
                 if mono is not None:
                     self._nums[0] *= 2
 
-        monkeypatch.setattr(engine_module, "PendingTerms", Corrupt)
+        monkeypatch.setattr(signatures_module, "PendingTerms", Corrupt)
         sf = load_builtin("cyclic4", order="degrevlex")
         with pytest.raises(AssertionError, match="seeded accumulator differs"):
             inv_comp(sf.polynomials, janet(sf.vars), sf.order, EngineOptions(check_invariants=True))
@@ -951,3 +996,40 @@ class TestRegularNormalForm:
         engine.run()
         # A reduced head leaves a remainder that had to be scaled.
         assert any(reduced_heads)
+
+
+class TestQueuedCombinations:
+    """A deflected or head-reduced combination is queued as the raw terms
+    that formed it (`SigPoly.combination`) and enters the accumulator that
+    reduces it through `PendingTerms.from_raw`: it is built only under
+    `check_invariants`, and made monic only as a normal form."""
+
+    @pytest.mark.parametrize("name", ["noon3", "katsura4"])
+    def test_only_an_inserted_normal_form_is_made_monic(self, name, monkeypatch):
+        calls = []
+        real = engine_module.monic_polynomial
+
+        def counted(order, raw):
+            calls.append(len(raw))
+            return real(order, raw)
+
+        monkeypatch.setattr(engine_module, "monic_polynomial", counted)
+        sf = load_builtin(name)
+        r = inv_comp(sf.polynomials, alex_division(sf.vars), sf.order)
+        assert r.stats.deflections > 0
+        assert len(calls) == r.stats.polys_loop
+
+    def test_check_invariants_catches_a_corrupt_raw_term(self, monkeypatch):
+        # The last raw term of every queued combination carries a key one
+        # off its monomial's; the built combination keys its terms afresh.
+        real = SigPoly.combination.__func__
+
+        def corrupt(cls, sig, order, raw, cofactors=None):
+            n, d, m, k = raw[-1]
+            return real(cls, sig, order, [*raw[:-1], (n, d, m, k + 1)], cofactors)
+
+        monkeypatch.setattr(SigPoly, "combination", classmethod(corrupt))
+        sf = load_builtin("noon3")
+        with pytest.raises(AssertionError, match="the seeded accumulator differs from the built combination"):
+            inv_comp(sf.polynomials, alex_division(sf.vars), sf.order,
+                     EngineOptions(check_invariants=True))

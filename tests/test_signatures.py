@@ -198,3 +198,29 @@ class TestSigPoly:
         assert a.value() == g.mul_term(1, X)
         assert "(2, 1)" in repr(a)
         assert criteria(a, sp(ONE, 1, g), {}) is Verdict.SUPER
+
+    def test_a_combination_keeps_its_raw_terms(self):
+        # 2/3*x*y^2 - 1/2*y^2 + 5*y as accumulator terms over two
+        # denominators: the head and its key come from the first term, the
+        # combination is its own ancestor, and it is built as formed, not
+        # made monic.
+        raw = [(2, 3, XY2, LEX.key(XY2)), (-3, 6, Y2, LEX.key(Y2)), (30, 6, Y, LEX.key(Y))]
+        a = SigPoly.combination(Signature(Y, 1), LEX, raw)
+        want = poly((Fraction(2, 3), XY2), (Fraction(-1, 2), Y2), (5, Y))
+        assert (a.poly, a.mono, a.raw) == (None, None, raw)
+        assert (a.lm, a.lm_key, a.anc_lm, a.sig_key) == (XY2, LEX.key(XY2), XY2, LEX.key(Y))
+        assert a.deg == 3
+        assert a.value() == want
+        assert a.pending().descending() == want.terms
+        assert a.pending().den == 6
+
+    def test_every_form_seeds_and_keeps_its_degree(self):
+        g = poly((1, XY), (2, Y))
+        for a, built in [
+            (SigPoly(Signature(ONE, 1), g, XY), g),
+            (SigPoly(Signature(X, 1), g, XY, mono=X), g.mul_term(1, X)),
+        ]:
+            assert a.pending().descending() == built.terms
+            assert a.deg == built.degree
+        zero = SigPoly(Signature(ONE, 1), Polynomial.zero(LEX), ONE)
+        assert (zero.lm, zero.deg, bool(zero.pending())) == (None, -1, False)

@@ -410,18 +410,22 @@ class _Engine:
         """True when a processed element certifies, at p's exact signature,
         a head strictly smaller than p's own: multiplying that element up to
         the signature of p yields a smaller leading monomial, so whatever p
-        contributes is already reachable below its head."""
-        key = p.lm_key
+        contributes is already reachable below its head.
+
+        Keys add, so with u = sig(p)/sig(t), key(u) = p.sig_key - t.sig_key,
+        and key(u*lm t) < key(lm p) compares the kept keys alone, while the
+        product's degree stays below the bound where keys add: neither u
+        nor a key is made."""
+        se, sd = p.sig.mono.exps, p.sig.mono.deg
+        bound = p.lm_key - p.sig_key
         for h, t in self.by_position.get(p.sig.index, ()):
-            u = mono_div(p.sig.mono, t.sig.mono)
-            if u is None:
+            tm = t.sig.mono
+            if tm.deg > sd or not all(map(operator.le, tm.exps, se)):
                 continue
-            # key(u*head) from the head's kept key, while the product's
-            # degree stays below the bound where keys add.
-            deg = u.deg + h.deg
+            deg = sd - tm.deg + h.deg
             if deg >= KEY_BOUND:
                 raise _key_bound_error(deg)
-            if self.order.key(u) + t.poly.key_row()[0] < key:
+            if t.lm_key - t.sig_key < bound:
                 return True
         return False
 

@@ -89,6 +89,15 @@ class TestCompute:
         assert rc == 0
         assert "order: degrevlex\n" in capsys.readouterr().out
 
+    def test_a_large_thomas_basis_verifies(self, capsys):
+        # katsura4/Thomas keeps 416 elements over far fewer minimal heads;
+        # the Gröbner check reduces pairs of the minimal ones only.
+        rc = main(["compute", "--system", "katsura4", "--division", "thomas",
+                   "--verify", "--stats", "json"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert json.loads(out[out.index("["):])[0]["verified"] is True
+
     def test_seed_is_ignored(self, capsys):
         outs = []
         for seed in ("0", "7"):

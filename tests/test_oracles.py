@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from invbases import core, oracles
 from invbases.core import (
     Monomial,
     Polynomial,
@@ -19,7 +20,7 @@ from invbases.core import (
     render_polynomial,
     spoly,
 )
-from invbases.division import Division, janet
+from invbases.division import Division, janet, thomas_division
 from invbases.engine import inv_comp
 from invbases.oracles import (
     _open_pairs,
@@ -139,6 +140,39 @@ class TestIsGroebner:
     def test_zero_element_is_rejected(self):
         with pytest.raises(UsageError):
             is_groebner([poly("x"), Polynomial.zero(LEX)], LEX)
+
+    def test_an_element_outside_the_minimal_heads_ideal(self):
+        # G′ = {x} is Gröbner, but x*y + 1 leaves ⟨x⟩: the ideal holds 1.
+        assert not is_groebner([poly("x"), poly("x*y + 1")], LEX)
+
+    def test_repeated_heads(self):
+        # G′ keeps the first element of a repeated head; the other one must
+        # reduce to zero modulo it.
+        assert not is_groebner([poly("x + 1"), poly("x")], LEX)
+        assert is_groebner([poly("x"), poly("x")], LEX)
+        assert is_groebner([poly("x + 1"), poly("2*x + 2")], LEX)
+
+    def test_builds_no_s_polynomial(self, monkeypatch):
+        # Pairs are reduced unbuilt: no S-polynomial and no product term.
+        def refuse(*args):
+            raise AssertionError("built a product")
+
+        sf, basis = janet_basis("cyclic5")
+        monkeypatch.setattr(core, "spoly", refuse)
+        monkeypatch.setattr(oracles, "spoly", refuse)
+        monkeypatch.setattr(Polynomial, "mul_term", refuse)
+        assert is_groebner(basis, sf.order)
+
+    def test_a_changed_element_of_a_thomas_basis_is_rejected(self):
+        # noon3/Thomas keeps 129 elements over 11 minimal heads.  Adding 1 to
+        # an element of a non-minimal head leaves the minimal ones Gröbner,
+        # but that element now reduces to 1 modulo them.
+        sf = load_builtin("noon3", order="degrevlex")
+        basis = inv_comp(sf.polynomials, thomas_division(sf.vars), sf.order).basis
+        assert is_groebner(basis, sf.order)
+        k = max(range(len(basis)), key=lambda i: basis[i].lm.deg)
+        changed = basis[:k] + [basis[k] + Polynomial.one(sf.order)] + basis[k + 1:]
+        assert not is_groebner(changed, sf.order)
 
 
 class TestGroebnerCriteria:

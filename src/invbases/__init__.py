@@ -22,7 +22,6 @@ from .core import (
     alex,
     degrevlex,
     lex,
-    mono_cmp,
     mono_div,
     mono_lcm,
     mono_mul,
@@ -40,7 +39,6 @@ from .division import (
     alex_division,
     axioms_check,
     division_by_name,
-    inv_divisor,
     janet,
     minimal_completion,
     thomas_completion,
@@ -70,7 +68,6 @@ from .signatures import (
     criteria,
     sig_cmp,
     sig_mul,
-    sig_sort_key,
 )
 from .systems import (
     ParseError,

@@ -1,27 +1,30 @@
 """Exact monomial and polynomial arithmetic over the rationals.
 
-Monomials are exponent tuples over a fixed variable set.  Polynomials keep
-their terms sorted in strictly descending monomial order, with coefficients
-stored as `fractions.Fraction`, so every value has one canonical form.
+Monomials are exponent tuples over a fixed variable set.  A polynomial and
+the reduction accumulator (`PendingTerms`) keep terms in one form: order
+keys, monomials and integer numerators, all over one positive denominator
+`den` that shares no factor with them, so every value has one canonical
+form.  A polynomial keeps its terms descending, the accumulator ascending.
+Seeding an accumulator with a polynomial copies its integers, the
+reduction step reads the reducer's own numerators, and the accumulator
+builds a polynomial of its terms (`PendingTerms.polynomial`), so nothing
+converts between two forms.  `Fraction` appears only at the edges: the public constructor
+`Polynomial(order, terms)`, which the parser and the cofactor sums go
+through, the accessors `lc`, `lt`, `terms` and iteration, the
+accumulator's `top_coeff` (for cofactors), and `render_polynomial`.
+
 Terms are combined in two places only.  Every cancelling step (the three
 normal forms, the engine's deflections and head reductions under alex, and
-`spoly`) is one call of `PendingTerms.reduce_top`, in the reduction
-accumulator, which holds integers: numerators over one common denominator.
-A reducer enters it as integers too, through its kept tail row
-(`Polynomial.tail_row`), and a term that gets reduced never becomes a
-`Fraction`.  A prolongation x*g enters it as a product, `PendingTerms(g,
-x)`, from g's kept key and tail rows, and is never built as a
-`Polynomial`.  Terms leave it as `Fraction`s, or as raw (numerator,
-denominator, monomial, key) terms, from which `monic_polynomial` builds a
-monic polynomial in one pass and `PendingTerms.from_raw` seeds another
-accumulator: the engine's queued combinations go from one to the other
-unbuilt.  All other arithmetic (`+`, `-`, `*`) goes through the
-canonicalising constructor `Polynomial(order, terms)`.
+`spoly`) is one call of `PendingTerms.reduce_top`.  A prolongation x*g
+enters the accumulator as a product, `PendingTerms(g, x)`, and is never
+built.  All other sums (`+`, `-`, `*`) go through the canonicalising
+constructor.
 """
 from __future__ import annotations
 
 import math
 import operator
+import struct
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -177,18 +180,25 @@ class Ordering:
     def __post_init__(self):
         if self.kind not in ORDER_KINDS:
             raise UsageError("unknown ordering kind %r" % (self.kind,))
-        # The key is linear in the exponents: one weight per variable, by
-        # its place in the priority, plus one for the total degree.
+        # `key` packs the exponents, in priority order, as the 32-bit
+        # (KEY_BITS) digits of one integer: most significant first for lex
+        # and alex, least significant first for degrevlex, which subtracts
+        # them; the total degree has a weight of its own.
         n = self.vars.n
-        place = {v: j for j, v in enumerate(self.vars.priority)}
-        if self.kind == DEGREVLEX:
-            weights = [-(KEY_BOUND ** place[i]) for i in range(n)]
-        else:
-            weights = [KEY_BOUND ** (n - 1 - place[i]) for i in range(n)]
+        pr = self.vars.priority
+        big = self.kind != DEGREVLEX
         deg_weight = {LEX: 0, DEGREVLEX: KEY_BOUND ** n, ALEX: -(KEY_BOUND ** n)}[self.kind]
         object.__setattr__(self, "_n", n)
-        object.__setattr__(self, "_weights", tuple(weights))
+        perm = None if pr == tuple(range(n)) else operator.itemgetter(*pr)
+        object.__setattr__(self, "_perm", perm)
+        object.__setattr__(self, "_pack", struct.Struct("%s%dI" % (">" if big else "<", n)).pack)
+        object.__setattr__(self, "_byteorder", "big" if big else "little")
+        object.__setattr__(self, "_sign", 1 if big else -1)
         object.__setattr__(self, "_deg_weight", deg_weight)
+
+    def __reduce__(self):
+        # The packing function is rebuilt, not pickled.
+        return Ordering, (self.kind, self.vars)
 
     @property
     def admissible(self) -> bool:
@@ -203,11 +213,15 @@ class Ordering:
         key.  Keys add: key(u·m) = key(u) + key(m).  Raises `UsageError`
         for a total degree of B or more, where digits would carry.
         """
-        if len(m.exps) != self._n:
-            raise UsageError("monomial dimension mismatch: %d vs %d" % (len(m.exps), self._n))
+        exps = m.exps
+        if len(exps) != self._n:
+            raise UsageError("monomial dimension mismatch: %d vs %d" % (len(exps), self._n))
         if m.deg >= KEY_BOUND:
             raise _key_bound_error(m.deg)
-        return m.deg * self._deg_weight + sum(map(operator.mul, m.exps, self._weights))
+        if self._perm is not None:
+            exps = self._perm(exps)
+        digits = int.from_bytes(self._pack(*exps), self._byteorder)
+        return m.deg * self._deg_weight + self._sign * digits
 
     def cmp(self, a: Monomial, b: Monomial) -> int:
         ka, kb = self.key(a), self.key(b)
@@ -234,153 +248,161 @@ def ordering_by_name(kind: str, vars: VarSet) -> Ordering:
     return Ordering(kind, vars)
 
 
-def mono_cmp(order: Ordering, a: Monomial, b: Monomial) -> int:
-    """Compare two monomials under `order`; returns LESS, EQUAL or GREATER."""
-    _check_dim(a, b)
-    return order.cmp(a, b)
-
-
 class Polynomial:
-    """Sparse polynomial with Fraction coefficients and canonical term order.
+    """Sparse polynomial over the rationals, in one canonical form.
 
-    `terms` is a tuple of (coefficient, monomial) pairs sorted strictly
-    descending under `order`; no zero coefficients, no repeated monomials.
-    The order keys of the terms are kept in `_row` (`key_row`) once taken:
-    by the constructor, which sorts by them, by `_raw`'s canonical check
-    under `__debug__`, or else when a `PendingTerms` first needs them,
-    also to seed the terms of a prolongation mono*p, whose keys are
-    key(mono) plus p's row.  The
-    integers a reduction by the polynomial needs are kept in `_tail`
-    (`tail_row`), built on its first use as a reducer, and its largest
-    total degree in `_deg` (`degree`), on its first read.  None is ever
-    invalidated: polynomials are immutable.
+    The terms are kept strictly descending under `order`, in three parallel
+    tuples: their order keys (`key_row`), their monomials and their integer
+    numerators, all over one positive integer denominator `den`.  No
+    numerator is zero, no monomial repeats, and gcd(den, numerators) = 1,
+    so every value has exactly one form.  The public constructor takes
+    (coefficient, monomial) pairs and keeps the keys it sorts by; the
+    arithmetic below and `PendingTerms.polynomial` build the form
+    directly, through `_raw`, whose check under `__debug__` keys every
+    term.  `lc`, `lt`,
+    `terms` and iteration give `Fraction` coefficients.  The largest total
+    degree of the tail is kept in `_tail_deg` on its first read
+    (`tail_degree`), for the reduction step; polynomials are immutable, so
+    it is never invalidated.
     """
 
-    __slots__ = ("order", "terms", "_row", "_tail", "_deg")
+    __slots__ = ("order", "_keys", "_monos", "_nums", "den", "_tail_deg")
 
     def __init__(self, order: Ordering, terms: Iterable[tuple[Fraction, Monomial]] = ()):
+        """Sum the coefficients of equal monomials, drop zeros, and sort
+        descending by order key."""
+        n = order.vars.n
+        acc: dict[Monomial, Fraction] = {}
+        for c, m in terms:
+            if c.__class__ is not Fraction:
+                c = Fraction(c)
+            if not c:
+                continue
+            if len(m.exps) != n:
+                raise UsageError("monomial dimension mismatch: %d vs %d" % (len(m.exps), n))
+            prev = acc.get(m)
+            acc[m] = c if prev is None else prev + c
+        key = order.key
+        # Distinct monomials have distinct keys, so the sort never compares
+        # past the key.
+        keyed = sorted([(key(m), c, m) for m, c in acc.items() if c], reverse=True)
+        den = math.lcm(*[c.denominator for _, c, _ in keyed])
         self.order = order
-        self.terms, self._row = _canonical_terms(order, terms)
-        self._tail = None
-        self._deg = None
+        self._keys = tuple([k for k, _, _ in keyed])
+        self._monos = tuple([m for _, _, m in keyed])
+        self._nums = tuple([c.numerator * (den // c.denominator) for _, c, _ in keyed])
+        self.den = den
+        self._tail_deg = None
 
     @classmethod
-    def _raw(cls, order: Ordering, terms: tuple) -> Polynomial:
-        """Internal constructor for terms already in canonical form."""
+    def _raw(cls, order: Ordering, keys: tuple, monos: tuple, nums: tuple, den: int) -> Polynomial:
+        """Internal constructor for parts already in the canonical form."""
         p = object.__new__(cls)
         p.order = order
-        p.terms = terms
-        p._row = p._assert_canonical() if __debug__ else None
-        p._tail = None
-        p._deg = None
+        p._keys = keys
+        p._monos = monos
+        p._nums = nums
+        p.den = den
+        p._tail_deg = None
+        if __debug__:
+            p._check_canonical()
         return p
 
     @classmethod
     def zero(cls, order: Ordering) -> Polynomial:
-        return cls._raw(order, ())
+        return cls._raw(order, (), (), (), 1)
 
     @classmethod
     def one(cls, order: Ordering) -> Polynomial:
-        return cls._raw(order, ((Fraction(1), mono_one(order.vars.n)),))
+        return cls(order, ((1, mono_one(order.vars.n)),))
 
-    def _assert_canonical(self) -> tuple:
-        """Check the canonical form, and return the order keys of the terms
-        that the check takes, for `_raw` to keep as the key row."""
-        n = self.order.vars.n
-        key = self.order.key
-        row = []
-        for c, m in self.terms:
-            if not isinstance(c, Fraction) or c == 0:
-                raise AssertionError("non-canonical coefficient")
-            if len(m.exps) != n:
-                raise AssertionError("monomial dimension mismatch")
-            k = key(m)
-            if row and not k < row[-1]:
-                raise AssertionError("terms out of order")
-            row.append(k)
-        return tuple(row)
+    def _check_canonical(self) -> None:
+        """Raise `AssertionError` unless the parts are in the canonical form
+        and each kept key is the order key of its monomial."""
+        keys, monos, nums, den = self._keys, self._monos, self._nums, self.den
+        if not len(keys) == len(monos) == len(nums):
+            raise AssertionError("parts of different lengths")
+        if den.__class__ is not int or den <= 0:
+            raise AssertionError("non-canonical denominator")
+        if 0 in nums or not {*map(type, nums)} <= {int}:
+            raise AssertionError("non-canonical coefficient")
+        if math.gcd(den, *nums) != 1:
+            raise AssertionError("the denominator shares a factor with the numerators")
+        try:
+            fresh = tuple(map(self.order.key, monos))
+        except UsageError as exc:  # a wrong dimension, or a degree past the key bound
+            raise AssertionError(str(exc)) from None
+        if fresh != keys:
+            raise AssertionError("a kept key differs from its monomial's")
+        if not all(map(operator.gt, keys, keys[1:])):
+            raise AssertionError("terms out of order")
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._nums
 
     @property
     def lm(self) -> Monomial:
-        if not self.terms:
+        if not self._monos:
             raise UsageError("zero polynomial has no leading monomial")
-        return self.terms[0][1]
+        return self._monos[0]
 
     @property
     def lc(self) -> Fraction:
-        if not self.terms:
+        if not self._nums:
             raise UsageError("zero polynomial has no leading coefficient")
-        return self.terms[0][0]
+        return Fraction(self._nums[0], self.den)
 
     @property
     def lt(self) -> tuple[Fraction, Monomial]:
-        if not self.terms:
-            raise UsageError("zero polynomial has no leading term")
-        return self.terms[0]
+        return self.lc, self.lm
+
+    @property
+    def terms(self) -> tuple[tuple[Fraction, Monomial], ...]:
+        """The (coefficient, monomial) pairs, descending."""
+        den = self.den
+        return tuple(zip([Fraction(c, den) for c in self._nums], self._monos))
 
     def key_row(self) -> tuple:
         """The order keys of the terms, in term order."""
-        row = self._row
-        if row is None:
-            key = self.order.key
-            row = self._row = tuple([key(m) for _, m in self.terms])
-        return row
+        return self._keys
 
-    def tail_row(self) -> tuple:
-        """The integers a reduction by this nonzero polynomial needs:
-        (numerator of lc, denominator of lc, L, numerators, keys, degree).
-        L is the lcm of the tail's denominators, the numerators are those of
-        the tail's coefficients over L, the keys are the tail's order keys,
-        and the degree is the largest total degree in the tail (-1 without
-        a tail)."""
-        row = self._tail
-        if row is None:
-            row = self._tail = self._build_tail_row()
-        return row
-
-    def _build_tail_row(self) -> tuple:
-        lc = self.lc
-        tail = self.terms[1:]
-        lcm = math.lcm(*[c.denominator for c, _ in tail])
-        return (
-            lc.numerator,
-            lc.denominator,
-            lcm,
-            tuple([c.numerator * (lcm // c.denominator) for c, _ in tail]),
-            self.key_row()[1:],
-            max([m.deg for _, m in tail], default=-1),
-        )
+    def tail_degree(self) -> int:
+        """Largest total degree of a term after the first; -1 without one."""
+        deg = self._tail_deg
+        if deg is None:
+            deg = self._tail_deg = max([m.deg for m in self._monos[1:]], default=-1)
+        return deg
 
     @property
     def degree(self) -> int:
         """Largest total degree of any term; -1 for the zero polynomial."""
-        deg = self._deg
-        if deg is None:
-            deg = self._deg = max([m.deg for _, m in self.terms], default=-1)
-        return deg
+        if not self._monos:
+            return -1
+        return max(self._monos[0].deg, self.tail_degree())
 
     def __iter__(self) -> Iterator[tuple[Fraction, Monomial]]:
         return iter(self.terms)
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return len(self._nums)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Polynomial)
             and self.order == other.order
-            and self.terms == other.terms
+            and self.den == other.den
+            and self._nums == other._nums
+            and self._monos == other._monos
         )
 
     def __hash__(self) -> int:
-        return hash(self.terms)
+        return hash((self.den, self._nums, self._keys))
 
     def __neg__(self) -> Polynomial:
-        return Polynomial._raw(self.order, tuple((-c, m) for c, m in self.terms))
+        return Polynomial._raw(
+            self.order, self._keys, self._monos, tuple([-c for c in self._nums]), self.den
+        )
 
     def __add__(self, other: Polynomial) -> Polynomial:
         if not isinstance(other, Polynomial):
@@ -399,30 +421,47 @@ class Polynomial:
             return NotImplemented
         return sum_of_products(self.order, [(self, other)])
 
+    def _scaled(self, c: Fraction) -> tuple[tuple, int]:
+        """The numerators and denominator of c times this polynomial, for a
+        nonzero c, with the content divided out."""
+        if c == 1:
+            return self._nums, self.den
+        den = self.den * c.denominator
+        nums = [a * c.numerator for a in self._nums]
+        content = math.gcd(den, *nums)
+        return tuple([a // content for a in nums]), den // content
+
     def mul_term(self, coeff, mono: Monomial) -> Polynomial:
-        """Multiply by a single term coeff*mono; a unit coefficient only
-        shifts the monomials (every prolongation x*g is one)."""
+        """Multiply by a single term coeff*mono.  Keys add, so the product's
+        keys are key(mono) plus the kept ones; a unit coefficient keeps the
+        numerators (every prolongation x*g is one).  A product of total
+        degree KEY_BOUND or more raises `UsageError`."""
         c = Fraction(coeff)
-        if c == 0 or not self.terms:
+        if c == 0 or not self._nums:
             return Polynomial.zero(self.order)
-        _check_dim(self.terms[0][1], mono)
-        unit = c == 1
+        _check_dim(self._monos[0], mono)
+        deg = self.degree + mono.deg
+        if deg >= KEY_BOUND:
+            raise _key_bound_error(deg)
+        ku = self.order.key(mono)
         ue, ud = mono.exps, mono.deg
         add = operator.add
-        return Polynomial._raw(self.order, tuple(
-            (tc if unit else tc * c, _mono(tuple(map(add, tm.exps, ue)), tm.deg + ud))
-            for tc, tm in self.terms
-        ))
+        return Polynomial._raw(
+            self.order,
+            tuple([ku + k for k in self._keys]),
+            tuple([_mono(tuple(map(add, m.exps, ue)), m.deg + ud) for m in self._monos]),
+            *self._scaled(c),
+        )
 
     def scale(self, coeff) -> Polynomial:
         c = Fraction(coeff)
         if c == 0:
             return Polynomial.zero(self.order)
-        return Polynomial._raw(self.order, tuple((tc * c, tm) for tc, tm in self.terms))
+        return Polynomial._raw(self.order, self._keys, self._monos, *self._scaled(c))
 
     def monic(self) -> Polynomial:
         # Polynomials are immutable, so a monic one is its own monic form.
-        if self.is_zero or self.lc == 1:
+        if self.is_zero or self._nums[0] == self.den:
             return self
         return self.scale(1 / self.lc)
 
@@ -431,27 +470,6 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return "<Polynomial %s>" % (render_polynomial(self),)
-
-
-def _canonical_terms(order: Ordering, terms) -> tuple[tuple, tuple]:
-    """Sum the coefficients of equal monomials, drop zeros, sort descending.
-    Returns the terms and their order keys."""
-    n = order.vars.n
-    acc: dict[Monomial, Fraction] = {}
-    for c, m in terms:
-        if c.__class__ is not Fraction:
-            c = Fraction(c)
-        if not c:
-            continue
-        if len(m.exps) != n:
-            raise UsageError("monomial dimension mismatch: %d vs %d" % (len(m.exps), n))
-        prev = acc.get(m)
-        acc[m] = c if prev is None else prev + c
-    key = order.key
-    # Distinct monomials have distinct keys, so the sort never compares
-    # past the key.
-    keyed = sorted([(key(m), c, m) for m, c in acc.items() if c != 0], reverse=True)
-    return tuple([(c, m) for _, c, m in keyed]), tuple([k for k, _, _ in keyed])
 
 
 def sum_of_products(order: Ordering, pairs) -> Polynomial:
@@ -474,83 +492,50 @@ class PendingTerms:
     the multiple c*u*g, c = (its coefficient)/lc(g), whose other terms are
     folded in; `reduce_top` is the one reduction step, and a caller that
     also needs c (to update cofactors) reads the coefficient first with
-    `top_coeff`.  The terms are kept ascending (largest last) in three
-    parallel lists: integer order keys, integer numerators and monomials,
-    all numerators over one positive integer denominator `den`.  A product term's key is key(u) plus the key of g's
-    term, and its numerator is a multiple of g's tail numerator, both from
-    g's kept integer row (`Polynomial.tail_row`); its monomial is kept as
-    the pair (term monomial, u) until `top_mono`, `pop` or `descending`
-    builds it: equal keys mean equal monomials, so merging and cancelling
-    need none.  Each folded term finds its place by `bisect` on its key, so
-    no step rebuilds the terms that a reduction leaves alone, and a step
-    multiplies and adds integers, not fractions; `reduce_top` takes c from
-    the popped numerator, `den` and lc(g) as integers, so a term that gets
-    reduced never becomes a `Fraction`.  After each step the content
-    gcd(den, numerators) is divided out, so `den` is always the least
-    common denominator of the pending terms.  Terms leave the accumulator
-    with `Fraction` coefficients (`pop`, `descending`), or unbuilt as raw
-    (numerator, `den`, monomial, key) terms (`pop_raw`, `descending_raw`),
-    for `monic_polynomial` to build the monic polynomial once, or for
-    `from_raw` to seed a new accumulator with, as the engine seeds the
-    normal form of a queued combination: raw terms taken at different
-    moments may carry different `den`s, and `from_raw` brings them to
-    their least common denominator without a `Fraction` or a key.
+    `top_coeff`.  The terms are kept in the form of `Polynomial`, reversed:
+    ascending (largest last) in three parallel lists of integer order keys,
+    integer numerators and monomials, all numerators over one positive
+    integer denominator `den`.  `PendingTerms(p)` copies p's lists.
 
-    `PendingTerms(p, mono)` holds the terms of mono*p, a prolongation,
-    the same way, from p's kept rows: each key is key(mono) plus the key of
-    p's term, and each numerator comes from p's tail row (a prolonged p is
-    a reducer too), so no denominator is read again.  Each monomial is kept
-    as the pair (p's monomial, mono), so terms of the product that are
-    never read are never built.  A product of total degree KEY_BOUND or
-    more raises `UsageError` before anything is held.
+    `reduce_top` reads g's own numerators.  g's denominator cancels in
+    c*u*(g - lt g): over `den`, the product term of g's tail numerator a
+    has the coefficient top*a/(den*n0), top the popped numerator and n0
+    g's leading numerator.  Keys add, so its key is g's kept key plus
+    key(u), the popped key less that of g's head; nothing is keyed.  Its
+    monomial is kept as the pair (g's monomial, u) until `top_mono`, `pop`
+    or `descending` builds it: equal keys mean equal monomials, so merging
+    and cancelling need none.  Each folded term finds its place by
+    `bisect` on its key, so no step rebuilds the terms that a reduction
+    leaves alone, and a step multiplies and adds integers.  After each step
+    the content gcd(den, numerators) is divided out, so `den` is then the
+    least common denominator of the pending terms.  Terms leave the
+    accumulator as (numerator, `den`, monomial, key) (`pop`, `descending`),
+    and `polynomial` builds the polynomial of the terms popped and those
+    still pending.
+
+    `PendingTerms(p, mono)` holds the terms of mono*p, a prolongation, the
+    same way: each key is key(mono) plus p's, each numerator is p's, and
+    each monomial is kept as the pair (p's monomial, mono), so terms of the
+    product that are never read are never built.  A product of total
+    degree KEY_BOUND or more raises `UsageError` before anything is held.
     """
 
     __slots__ = ("order", "_keys", "_nums", "_monos", "den")
 
     def __init__(self, p: Polynomial, mono: Monomial | None = None):
         self.order = p.order
-        terms = p.terms[::-1]
-        row = p.key_row()[::-1]
+        self.den = p.den
+        self._nums = [*reversed(p._nums)]
         if mono is None:
-            self._keys = list(row)
-            self._monos = [m for _, m in terms]
-            den = self.den = math.lcm(*[c.denominator for c, _ in terms])
-            self._nums = [c.numerator * (den // c.denominator) for c, _ in terms]
+            self._keys = [*reversed(p._keys)]
+            self._monos = [*reversed(p._monos)]
             return
         deg = p.degree + mono.deg
         if deg >= KEY_BOUND:
             raise _key_bound_error(deg)
         ku = p.order.key(mono)
-        self._keys = [ku + k for k in row]
-        self._monos = [(m, mono) for _, m in terms]
-        lc_num, lc_den, lcm, tail_nums, _, _ = p.tail_row()
-        den = self.den = math.lcm(lc_den, lcm)
-        scale = den // lcm
-        nums = self._nums = [a * scale for a in reversed(tail_nums)]
-        nums.append(lc_num * (den // lc_den))
-
-    @classmethod
-    def from_raw(cls, order: Ordering, raw) -> PendingTerms:
-        """An accumulator holding the nonempty descending raw terms `raw`,
-        (numerator, denominator, monomial, key) as `pop_raw` and
-        `descending_raw` give them, whose denominators may differ: `den` is
-        their lcm with the content divided out, and the keys are the terms'
-        own, so no term is keyed and no `Fraction` is made."""
-        nums, dens, monos, keys = zip(*reversed(raw))
-        den = math.lcm(*dens)
-        nums = [n * (den // d) for n, d in zip(nums, dens)]
-        if den > 1:
-            content = math.gcd(den, *nums)
-            if content > 1:
-                den //= content
-                nums = [n // content for n in nums]
-        pending = object.__new__(cls)
-        pending.order = order
-        pending._keys = list(keys)
-        pending._nums = nums
-        pending._monos = list(monos)
-        pending.den = den
-        return pending
+        self._keys = [ku + k for k in reversed(p._keys)]
+        self._monos = [(m, mono) for m in reversed(p._monos)]
 
     def __bool__(self) -> bool:
         return bool(self._keys)
@@ -559,7 +544,7 @@ class PendingTerms:
         """An independent accumulator holding the same pending terms.  The
         pending monomials are built first, so that the two share them
         rather than each building its own."""
-        self._monos = [_built(m) for m in self._monos]
+        self._monos = [_built(m) if m.__class__ is tuple else m for m in self._monos]
         other = object.__new__(PendingTerms)
         other.order = self.order
         other._keys = self._keys[:]
@@ -575,29 +560,46 @@ class PendingTerms:
             m = self._monos[-1] = _built(m)
         return m
 
-    def pop(self) -> tuple[Fraction, Monomial]:
-        """Remove and return the largest pending term."""
-        self._keys.pop()
-        return Fraction(self._nums.pop(), self.den), _built(self._monos.pop())
+    def top_key(self) -> int:
+        """The order key of the largest pending term."""
+        return self._keys[-1]
 
-    def pop_raw(self) -> tuple[int, int, Monomial, int]:
-        """Remove the largest pending term and return it unbuilt, as
-        (numerator, `den`, monomial, key)."""
+    def pop(self) -> tuple[int, int, Monomial, int]:
+        """Remove the largest pending term and return it as (numerator,
+        `den`, monomial, key)."""
         return self._nums.pop(), self.den, _built(self._monos.pop()), self._keys.pop()
 
-    def descending(self) -> tuple:
-        """The pending terms, largest first, as a polynomial keeps them."""
-        den = self.den
-        return tuple(zip([Fraction(n, den) for n in reversed(self._nums)],
-                         [_built(m) for m in reversed(self._monos)]))
-
-    def descending_raw(self) -> list:
-        """The pending terms, largest first, as `pop_raw` returns them."""
+    def descending(self) -> list:
+        """The pending terms, largest first, as `pop` returns them."""
         den = self.den
         return [
-            (n, den, _built(m), k)
-            for n, m, k in zip(reversed(self._nums), reversed(self._monos), reversed(self._keys))
+            (c, den, _built(m), k)
+            for c, m, k in zip(reversed(self._nums), reversed(self._monos), reversed(self._keys))
         ]
+
+    def polynomial(self, popped=()) -> Polynomial:
+        """The polynomial of the terms `popped`, descending as `pop` gave
+        them, and then of the pending terms.  Terms popped at different
+        moments of a reduction may carry different denominators: the
+        polynomial's is the lcm of all, with the content divided out.  The
+        keys are the terms' own, so no term is keyed and no `Fraction` is
+        made."""
+        den = math.lcm(*[d for _, d, _, _ in popped], self.den if self._nums else 1)
+        nums = [c * (den // d) for c, d, _, _ in popped]
+        monos = [m for _, _, m, _ in popped]
+        keys = [k for _, _, _, k in popped]
+        if self._nums:
+            scale = den // self.den
+            tail = reversed(self._nums)
+            nums += tail if scale == 1 else [c * scale for c in tail]
+            monos += [_built(m) if m.__class__ is tuple else m for m in reversed(self._monos)]
+            keys += reversed(self._keys)
+        if den > 1:
+            content = math.gcd(den, *nums)
+            if content > 1:
+                den //= content
+                nums = [c // content for c in nums]
+        return Polynomial._raw(self.order, tuple(keys), tuple(monos), tuple(nums), den)
 
     def top_coeff(self) -> Fraction:
         """The coefficient of the largest pending term."""
@@ -614,47 +616,48 @@ class PendingTerms:
         total degree KEY_BOUND or more, raises `UsageError` before anything
         is removed.
 
-        c = cn/cd in lowest terms: cn is the popped numerator times lc(g)'s
-        denominator and cd is `den` times lc(g)'s numerator, over their
-        gcd.  When `den` is not a multiple of the products' common
-        denominator need = cd*L (L from g's tail row), the numerators are
-        rescaled once to the (positive) lcm of the two; a negative cd needs
-        no sign fix, since den // need is exact either way.  Over `den`, the
-        product term of g's tail numerator a has numerator f*a, f =
-        -cn*(den // need).  A product term joins the entry of equal key,
-        which goes when the sum is zero, or else is inserted.  The products
-        come in descending order (the orderings are compatible with
-        multiplication), so each one is searched for below the place of the
-        one before.  Last the content gcd(den, numerators) is divided out.
+        cn/cd is top/(den*n0) in lowest terms, top the popped numerator and
+        n0 g's leading numerator.  When `den` is not a multiple of cd, the
+        numerators are rescaled once to the (positive) lcm of the two; a
+        negative cd needs no sign fix, since den // cd is exact either way.
+        Over `den`, the product term of g's tail numerator a then has
+        numerator f*a, f = -cn*(den // cd).  A product term joins the entry
+        of equal key, which goes when the sum is zero, or else is inserted.
+        The products come in descending order (the orderings are compatible
+        with multiplication), so each one is searched for below the place of
+        the one before.  Last the content gcd(den, numerators) is divided
+        out.
         """
         if g.order != self.order:
             raise UsageError("cannot combine polynomials under different orderings")
-        ku = self.order.key(mono)
-        lc_num, lc_den, lcm, tail_nums, tail_keys, tail_deg = g.tail_row()
+        _check_dim(mono, g._monos[0])
+        tail_deg = g._tail_deg
+        if tail_deg is None:
+            tail_deg = g.tail_degree()
         deg = tail_deg + mono.deg if tail_deg >= 0 else -1
         if deg >= KEY_BOUND:
             raise _key_bound_error(deg)
         keys, nums, monos = self._keys, self._nums, self._monos
-        keys.pop()
+        # Keys add: key(mono) is the popped key less that of g's head.
+        ku = keys.pop() - g._keys[0]
         monos.pop()
         den = self.den
-        cn = nums.pop() * lc_den
-        cd = den * lc_num
+        cn = nums.pop()
+        cd = den * g._nums[0]
         r = math.gcd(cn, cd)
         cn //= r
         cd //= r
-        if tail_nums:
-            need = cd * lcm
-            if den % need:
-                new = math.lcm(den, need)
+        if tail_deg >= 0:
+            if den % cd:
+                new = math.lcm(den, cd)
                 scale = new // den
-                nums[:] = [n * scale for n in nums]
+                nums[:] = [c * scale for c in nums]
                 den = new
-            f = -cn * (den // need)
+            f = -cn * (den // cd)
             size = hi = len(keys)
-            terms = iter(g.terms)
-            next(terms)
-            for a, kg, (_, gm) in zip(tail_nums, tail_keys, terms):
+            tail = zip(g._nums, g._keys, g._monos)
+            next(tail)
+            for a, kg, gm in tail:
                 t = f * a
                 k = ku + kg
                 hi = bisect_left(keys, k, 0, hi)
@@ -676,19 +679,9 @@ class PendingTerms:
             content = math.gcd(den, *nums)
             if content > 1:
                 den //= content
-                nums[:] = [n // content for n in nums]
+                nums[:] = [c // content for c in nums]
         self.den = den
         return deg
-
-
-def monic_polynomial(order: Ordering, raw) -> tuple[Polynomial, Fraction]:
-    """The monic polynomial of the nonempty descending raw terms `raw`,
-    (numerator, denominator, monomial, key) as `pop_raw` gives them, and
-    the factor 1/lc it scaled them by: each coefficient n/d becomes
-    n*d0/(d*n0), where n0/d0 is the first one, in one `Fraction` per term."""
-    n0, d0, _, _ = raw[0]
-    terms = tuple([(Fraction(n * d0, d * n0), m) for n, d, m, _ in raw])
-    return Polynomial._raw(order, terms), Fraction(d0, n0)
 
 
 def _built(m) -> Monomial:
@@ -743,4 +736,4 @@ def spoly(f: Polynomial, g: Polynomial) -> Polynomial:
     # One reduction step: the leading terms of the two multiples cancel.
     pending = PendingTerms(f.mul_term(1 / f.lc, uf))
     pending.reduce_top(ug, g)
-    return Polynomial._raw(f.order, pending.descending())
+    return pending.polynomial()

@@ -400,13 +400,6 @@ class Partition:
         return q is not None and self.allows(u, q)
 
 
-def inv_divisor(partition: Partition, m: Monomial) -> Monomial | None:
-    """An involutive divisor of m within the partitioned set, or None: the
-    earliest listed of those `Partition.divisors` finds, which is the only
-    one under Janet and Thomas."""
-    return min(partition.divisors(m), key=partition.monomials.index, default=None)
-
-
 def thomas_completion(U) -> frozenset[Monomial]:
     """All monomials of the monoid ideal of U inside the box bounded by the
     coordinatewise maxima of U.  This is the (finite) Thomas completion."""

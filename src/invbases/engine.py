@@ -40,7 +40,6 @@ from .core import (
     Polynomial,
     UsageError,
     _key_bound_error,
-    monic_polynomial,
     mono_div,
     mono_mul,
     mono_one,
@@ -453,34 +452,31 @@ class _Engine:
         (`reduce_top`), which folds the rest of the multiplied reducer into
         the pending terms.  Under `track_cofactors` the step's multiplier
         c = (top coefficient)/lc is read first (`top_coeff`), for the
-        cofactors.  p seeds the accumulator in its own form (`SigPoly.pending`):
-        a queued prolongation x*g as the product, `PendingTerms(g, x)`, and
-        a queued combination from the raw terms that formed it
-        (`PendingTerms.from_raw`), not made monic, with its cofactors
-        unscaled.  Irreducible terms are kept as the accumulator's raw
-        terms, and the monic remainder is built from them once
-        (`monic_polynomial`), with the factor that scales the cofactors;
-        a deflected combination is queued as raw terms, never built.  Under
-        `check_invariants` every popped prolongation and combination is
-        also built (`SigPoly.value`), and its seeded accumulator must hold
-        the built terms, whether or not a criterion discards its head.
+        cofactors.  p seeds the accumulator (`SigPoly.pending`): a queued
+        prolongation x*g as the product, `PendingTerms(g, x)`, and any other
+        element, a combination (not made monic) included, with its
+        polynomial's integers.  Irreducible terms are kept as the
+        accumulator gives them (`pop`), and the remainder is built from them
+        once (`PendingTerms.polynomial`), then made monic, with the factor
+        that scales the cofactors.  Under `check_invariants` every popped element is also
+        built (`SigPoly.value`) and rebuilt through the public constructor,
+        which keys its terms afresh, and its seeded accumulator must hold
+        those terms, whether or not a criterion discards its head.
         """
         order = self.order
         deg = self._bump_deg(p)
         if deg >= KEY_BOUND:
             raise _key_bound_error(deg)
-        # `value` builds a prolongation, or a combination under `_raw`'s
-        # canonical check; the constructor's accumulator of the built
-        # terms keys them afresh.
         if (
             self.options.check_invariants
-            and p.pending().descending_raw() != PendingTerms(p.value()).descending_raw()
+            and p.pending().descending()
+            != PendingTerms(Polynomial(order, p.value().terms)).descending()
         ):
             raise AssertionError(
                 "the seeded accumulator differs from the built "
-                + ("combination" if p.raw is not None else "prolongation")
+                + ("polynomial" if p.mono is None else "prolongation")
             )
-        safe, unsafe = self._ranked_divisors(p, p.lm)
+        safe, unsafe = self._ranked_divisors(p, p.lm, p.lm_key)
         # The head certified by sig(p) is redundant as soon as a
         # signature-safe involutive head divisor triggers one of the
         # criteria.
@@ -490,7 +486,7 @@ class _Engine:
                 return Polynomial.zero(order), verdict
 
         pending = p.pending()
-        rem = []  # irreducible terms, descending, as `pop_raw` gives them
+        rem = []  # irreducible terms, descending, as `pop` gives them
         cofs = p.cofactors
         deflected: set[tuple[Signature, Monomial]] = set()
         while True:
@@ -511,36 +507,37 @@ class _Engine:
                     # term stays.  The division asks for the combination
                     # the reduction would have formed to be queued.
                     self._deflect(p, *unsafe[0], rem, pending, cofs, deflected)
-                rem.append(pending.pop_raw())
+                rem.append(pending.pop())
             if not pending:
                 break
-            safe, unsafe = self._ranked_divisors(p, pending.top_mono())
+            safe, unsafe = self._ranked_divisors(p, pending.top_mono(), pending.top_key())
 
-        h = Polynomial.zero(order)
+        h = pending.polynomial(rem)
         if rem:
-            h, factor = monic_polynomial(order, rem)
             if cofs is not None:
+                factor = 1 / h.lc
                 cofs = tuple(a.scale(factor) for a in cofs)
+            h = h.monic()
         p.cofactors = cofs
         return h, None
 
-    def _ranked_divisors(self, p: SigPoly, m: Monomial) -> tuple[list, list]:
+    def _ranked_divisors(self, p: SigPoly, m: Monomial, m_key: int) -> tuple[list, list]:
         """The (q, u) of every basis element q whose head involutively
-        divides m, u the quotient, in the order `divisors` yields them
-        (smallest head first): those that are signature-safe for p
-        (u*sig(q) <= sig(p)) and the others.  Compared in integers: q lies
-        at a later position, or at p's with key(u) plus q's kept signature
-        key at most p's."""
+        divides m, of order key m_key, u the quotient, in the order
+        `divisors` yields them (smallest head first): those that are
+        signature-safe for p (u*sig(q) <= sig(p)) and the others.  Compared
+        in integers: q lies at a later position, or at p's with key(u) plus
+        q's kept signature key at most p's.  Keys add, so key(u) is m_key
+        less q's kept head key, and nothing is keyed."""
         safe, unsafe = [], []
         index, bound = p.sig.index, p.sig_key
-        key = self.order.key
         for _g, q, u in self._index.divisors(m):
             at = q.sig.index
             if at == index:
                 deg = u.deg + q.sig.mono.deg
                 if deg >= KEY_BOUND:
                     raise _key_bound_error(deg)
-                ok = key(u) + q.sig_key <= bound
+                ok = m_key - q.lm_key + q.sig_key <= bound
             else:
                 ok = at > index
             (safe if ok else unsafe).append((q, u))
@@ -558,19 +555,19 @@ class _Engine:
 
         Every remainder term lies above the largest pending term, so above
         every pending term and every product term: with a remainder, the
-        combination's head is rem[0]'s, with the key that raw term carries,
-        before the step is taken.  When that
-        head would lose the same-signature merge (`_loses_merge`), `_push`
-        would drop the combination, and only its accounting is done here:
+        combination's head is rem[0]'s, with the key that term carries,
+        before the step is taken.  When that head would lose the
+        same-signature merge (`_loses_merge`), `_push` would drop the
+        combination, and only its accounting is done here:
         the creator check, the merge count and the degree bump.  That bump
         takes the largest degree of c*chosen_u*chosen.poly: its head is the
         largest pending term, within `max_deg` already, and a product term
         above `max_deg` has nothing to cancel against, so it is the degree
         `_push` would see.  Otherwise the reduction step (`reduce_top`) is
-        taken on a copy of the accumulator, and the combination, the raw
-        terms of `rem` and of the copy, is queued unbuilt when it is no
-        repeat.  With cofactors it is always taken, so that `_push` checks
-        them, and c is read first (`top_coeff`).
+        taken on a copy of the accumulator, and the combination, the terms
+        of `rem` and of the copy, is built (`polynomial`) and queued when it
+        is no repeat.  With cofactors it is always taken, so that `_push`
+        checks them, and c is read first (`top_coeff`).
         """
         dsig = sig_mul(chosen_u, chosen.sig)
         if rem:
@@ -588,22 +585,25 @@ class _Engine:
         acc = pending.copy()
         c = None if cofs is None else acc.top_coeff() / chosen.poly.lc
         acc.reduce_top(chosen_u, chosen.poly)
-        raw = [*rem, *acc.descending_raw()]
-        if not raw or (dsig, raw[0][2]) in deflected:
-            return
-        deflected.add((dsig, raw[0][2]))
-        if self._queue_combination(dsig, raw, cofs, c, chosen_u, chosen, p.sig):
+        if not rem:
+            if not acc:
+                return
+            head = acc.top_mono()
+            if (dsig, head) in deflected:
+                return
+        deflected.add((dsig, head))
+        comb = acc.polynomial(rem)
+        if self._queue_combination(dsig, comb, cofs, c, chosen_u, chosen, p.sig):
             self.stats.deflections += 1
 
-    def _queue_combination(self, sig, raw, cofs, c, u, reducer, creator_sig) -> bool:
-        """Queue the nonzero combination current - c*u*reducer.poly, whose
-        terms are the raw terms `raw`, under sig, unbuilt and not made
-        monic (`SigPoly.combination`), as its own ancestor; `cofs` are the
+    def _queue_combination(self, sig, comb, cofs, c, u, reducer, creator_sig) -> bool:
+        """Queue the nonzero combination comb = current - c*u*reducer.poly
+        under sig, not made monic, as its own ancestor; `cofs` are the
         cofactors of current.  Returns what `_push` returns."""
         vcofs = None
         if cofs is not None:
             vcofs = tuple(a - b.mul_term(c, u) for a, b in zip(cofs, reducer.cofactors))
-        return self._push(SigPoly.combination(sig, self.order, raw, vcofs), creator_sig)
+        return self._push(SigPoly(sig, comb, comb.lm, cofactors=vcofs), creator_sig)
 
     # -- main loop -----------------------------------------------------
 
@@ -697,8 +697,8 @@ class _Engine:
             pending.reduce_top(u, t_new.poly)
             if pending:
                 self._queue_combination(
-                    sig_mul(u, t_new.sig), pending.descending_raw(), q.cofactors,
-                    q.poly.lc, u, t_new, t_new.sig
+                    sig_mul(u, t_new.sig), pending.polynomial(),
+                    q.cofactors, q.poly.lc, u, t_new, t_new.sig
                 )
 
 
@@ -789,7 +789,7 @@ class _InvolutiveReducer:
             else:
                 g, _item, u = hit
                 pending.reduce_top(u, g)
-        return Polynomial._raw(self.order, tuple(rem))
+        return pending.polynomial(rem)
 
 
 def min_bas(H, division: Division, order: Ordering) -> list[Polynomial]:

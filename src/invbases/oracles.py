@@ -91,8 +91,9 @@ def buchberger_nf(f: Polynomial, G, order: Ordering) -> Polynomial:
         if g.is_zero:
             raise UsageError("zero polynomial in the reducing set")
     rem = []
-    _reduce(PendingTerms(f), _ranked(polys, order), rem)
-    return Polynomial._raw(order, tuple(rem))
+    pending = PendingTerms(f)
+    _reduce(pending, _ranked(polys, order), rem)
+    return pending.polynomial(rem)
 
 
 def _ranked(polys, order: Ordering) -> list:

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import le
 
 from .core import (
@@ -65,41 +64,29 @@ def sig_cmp(order: Ordering, s: Signature, t: Signature) -> int:
     return order.cmp(s.mono, t.mono)
 
 
-def sig_sort_key(order: Ordering, s: Signature):
-    """Ascending sort under this key agrees with `sig_cmp`."""
-    return (-s.index, order.key(s.mono))
-
-
 class SigPoly:
     """A polynomial labelled with its signature and reduction ancestry.
 
-    The labelled polynomial takes one of three forms.  It is `poly`, or,
-    for a queued prolongation, the product mono*poly, kept unbuilt: `mono`
-    is the multiplier (None for any other element) and `poly` the basis
-    element it prolongs.  A queued combination (`combination`) keeps
-    instead the raw terms that formed it, `raw`, as the reduction
-    accumulator hands them out (`PendingTerms.pop_raw`), not made monic;
-    its `poly` and `mono` are None.  `pending()` seeds a fresh accumulator
-    with the labelled polynomial, whatever the form, and `value()` builds
-    the polynomial itself.  `lm` is its head (None when it is zero) and
-    `deg` its largest total degree (-1 when it is zero and no
-    prolongation), both taken once here.  So are the order keys the
-    engine compares, under `order`: `sig_key` of the signature's monomial
-    and `lm_key` of the head (None with it; a combination's is its first
-    term's kept key).  `anc_lm` is
-    the head of the basis element this one descends from by prolongations
-    and tail work; an element whose head changed starts a fresh ancestry,
-    and a combination is its own ancestor.
-    `cofactors` (optional) expresses the labelled polynomial exactly as a
-    combination of the original generators.  Which prolongations are due
-    is not kept here: the engine takes them from what the partition
-    reports as widened at each insertion.
+    The labelled polynomial is `poly`, or, for a queued prolongation, the
+    product mono*poly, kept unbuilt: `mono` is the multiplier (None for any
+    other element) and `poly` the basis element it prolongs.  A deflected
+    or head-reduced combination is a plain `poly`, not made monic.
+    `pending()` seeds a fresh accumulator with the labelled polynomial, and
+    `value()` builds it.  `lm` is its head (None when it is zero) and `deg`
+    its largest total degree (-1 when it is zero and no prolongation), both
+    taken once here.  So are the order keys the engine compares: `sig_key`
+    of the signature's monomial and `lm_key` of the head (None with it;
+    poly's kept key when there is no multiplier).  `anc_lm` is the head of
+    the basis element this one descends from by prolongations and tail
+    work; an element whose head changed starts a fresh ancestry, and a
+    combination is its own ancestor.  `cofactors` (optional) expresses the
+    labelled polynomial exactly as a combination of the original
+    generators.  Which prolongations are due is not kept here: the engine
+    takes them from what the partition reports as widened at each
+    insertion.
     """
 
-    __slots__ = (
-        "sig", "order", "poly", "mono", "raw", "lm", "deg", "sig_key", "lm_key", "anc_lm",
-        "cofactors",
-    )
+    __slots__ = ("sig", "poly", "mono", "lm", "deg", "sig_key", "lm_key", "anc_lm", "cofactors")
 
     def __init__(
         self,
@@ -110,56 +97,28 @@ class SigPoly:
         mono: Monomial | None = None,
     ):
         self.sig = sig
-        self.order = poly.order
         self.poly = poly
         self.mono = mono
-        self.raw = None
         key = poly.order.key
         if poly.is_zero:
             self.lm = self.lm_key = None
+        elif mono is None:
+            self.lm = poly.lm
+            self.lm_key = poly.key_row()[0]
         else:
-            self.lm = poly.lm if mono is None else mono_mul(poly.lm, mono)
+            self.lm = mono_mul(poly.lm, mono)
             self.lm_key = key(self.lm)
         self.deg = poly.degree if mono is None else poly.degree + mono.deg
         self.sig_key = key(sig.mono)
         self.anc_lm = anc_lm
         self.cofactors = cofactors
 
-    @classmethod
-    def combination(
-        cls,
-        sig: Signature,
-        order: Ordering,
-        raw: list,
-        cofactors: tuple[Polynomial, ...] | None = None,
-    ) -> SigPoly:
-        """A combination queued unbuilt: the nonempty descending raw terms
-        `raw`, (numerator, denominator, monomial, key), labelled with sig."""
-        sp = cls.__new__(cls)
-        sp.sig = sig
-        sp.order = order
-        sp.poly = sp.mono = None
-        sp.raw = raw
-        _, _, sp.lm, sp.lm_key = raw[0]
-        sp.deg = max([m.deg for _, _, m, _ in raw])
-        sp.sig_key = order.key(sig.mono)
-        sp.anc_lm = sp.lm
-        sp.cofactors = cofactors
-        return sp
-
     def pending(self) -> PendingTerms:
         """A fresh reduction accumulator holding the labelled polynomial."""
-        if self.raw is not None:
-            return PendingTerms.from_raw(self.order, self.raw)
         return PendingTerms(self.poly, self.mono)
 
     def value(self) -> Polynomial:
-        """The labelled polynomial, built: a combination as it was formed,
-        through `Polynomial._raw` and its canonical check."""
-        if self.raw is not None:
-            return Polynomial._raw(
-                self.order, tuple([(Fraction(n, d), m) for n, d, m, _ in self.raw])
-            )
+        """The labelled polynomial, built."""
         return self.poly if self.mono is None else self.poly.mul_term(1, self.mono)
 
     def __repr__(self) -> str:

@@ -28,7 +28,6 @@ from invbases.division import (
     axioms_check,
     alex_division,
     division_by_name,
-    inv_divisor,
     janet,
     minimal_completion,
     support,
@@ -52,6 +51,13 @@ Y3 = Monomial((0, 3))
 X3 = Monomial((3, 0))
 X = Monomial((1, 0))
 Y = Monomial((0, 1))
+
+
+def inv_divisor(partition, m):
+    """An involutive divisor of m within the partitioned set, or None: the
+    earliest listed of those `Partition.divisors` finds, which is the only
+    one under Janet and Thomas."""
+    return min(partition.divisors(m), key=partition.monomials.index, default=None)
 
 
 class TestConstruction:

@@ -6,16 +6,18 @@ canonicalising constructor, which shares no code with the accumulator),
 and against `FractionPendingTerms`, the accumulator it replaced: `Fraction`
 coefficients instead of integer numerators over a common denominator, and
 each product's monomial and key built when it is folded in, not its key
-added from the reducer's key row and its monomial built when it leaves.
+added from the reducer's kept keys and its monomial built when it leaves.
 `reduce_top(u, g)` is checked against the reference's `pop` followed by
 `sub_tail(top / lc(g), u, g)`, the quotient taken in `Fraction`s rather
-than from the reducer's integer tail row.  A prolongation seeded as a
+than from the reducer's integer numerators.  A prolongation seeded as a
 product, `PendingTerms(g, u)`, is checked against the accumulator of the
-product built by `mul_term`, and one seeded from raw terms,
-`PendingTerms.from_raw`, against the accumulator of the same terms built.
-Each normal-form reference below rebuilds the polynomial after every
-irreducible head with `drop_lt`, as the three normal forms once did, and
-takes each reduction step as that difference.  The normal forms must
+product built by `mul_term`, and the polynomial an accumulator builds of
+the terms taken out of it and those still pending
+(`PendingTerms.polynomial`) against the constructor's polynomial of the
+same terms.  Each normal-form reference below rebuilds the polynomial
+after every irreducible head with `drop_lt`, through the constructor, as
+the three normal forms once did, and takes each reduction step as that
+difference.  The normal forms must
 return the same remainder, the same verdict and the same deflected queue
 entries on random inputs, under every division.
 """
@@ -39,14 +41,12 @@ from invbases.core import (
     VarSet,
     degrevlex,
     lex,
-    monic_polynomial,
     mono_div,
     mono_mul,
     mono_one,
     mono_var,
     spoly,
 )
-from invbases import engine as engine_module
 from invbases import signatures as signatures_module
 from invbases.division import alex_division, division_by_name, janet
 from invbases.engine import EngineOptions, _Engine, _InvolutiveReducer, inv_bas, inv_comp
@@ -119,7 +119,7 @@ class FractionPendingTerms:
 
 def drop_lt(h: Polynomial) -> Polynomial:
     """h without its leading term."""
-    return Polynomial._raw(h.order, h.terms[1:])
+    return Polynomial(h.order, h.terms[1:])
 
 
 def drop_lt_involutive_nf(f: Polynomial, G, division, order) -> Polynomial:
@@ -145,7 +145,7 @@ def drop_lt_involutive_nf(f: Polynomial, G, division, order) -> Polynomial:
             h = drop_lt(h)
         else:
             h = h - hit.mul_term(h.lc / hit.lc, hit_u)
-    return Polynomial._raw(order, tuple(rem))
+    return Polynomial(order, rem)
 
 
 def drop_lt_buchberger_nf(f: Polynomial, G, order) -> Polynomial:
@@ -168,7 +168,7 @@ def drop_lt_buchberger_nf(f: Polynomial, G, order) -> Polynomial:
             h = drop_lt(h)
         else:
             h = h - hit.mul_term(h.lc / hit.lc, hit_u)
-    return Polynomial._raw(order, tuple(rem))
+    return Polynomial(order, rem)
 
 
 def drop_lt_regular_normal_form(engine: _Engine, p: SigPoly):
@@ -208,7 +208,7 @@ def drop_lt_regular_normal_form(engine: _Engine, p: SigPoly):
         if chosen_rank[0] != 0:
             if engine.deflect:
                 c = h.lc / chosen.poly.lc
-                current = Polynomial._raw(order, tuple(rem) + h.terms)
+                current = Polynomial(order, tuple(rem) + h.terms)
                 value = current - chosen.poly.mul_term(c, chosen_u)
                 dsig = sig_mul(chosen_u, chosen.sig)
                 if not value.is_zero and (dsig, value.lm) not in deflected:
@@ -223,7 +223,7 @@ def drop_lt_regular_normal_form(engine: _Engine, p: SigPoly):
         c = h.lc / chosen.poly.lc
         h = h - chosen.poly.mul_term(c, chosen_u)
         at_head = False
-    return Polynomial._raw(order, tuple(rem)), None
+    return Polynomial(order, rem), None
 
 
 @st.composite
@@ -335,7 +335,19 @@ def poly(*terms):
 
 
 def pending_poly(pending: PendingTerms) -> Polynomial:
-    return Polynomial._raw(pending.order, pending.descending())
+    return pending.polynomial()
+
+
+def fraction_terms(pending: PendingTerms) -> tuple:
+    """The pending terms, largest first, with `Fraction` coefficients, as the
+    reference keeps them."""
+    return tuple((Fraction(n, d), m) for n, d, m, _ in pending.descending())
+
+
+def pop_fraction(pending: PendingTerms) -> tuple:
+    """Remove the largest pending term and return it as the reference does."""
+    n, d, m, _ = pending.pop()
+    return Fraction(n, d), m
 
 
 def assert_content_removed(pending: PendingTerms) -> None:
@@ -343,7 +355,7 @@ def assert_content_removed(pending: PendingTerms) -> None:
     common denominator of the pending terms."""
     assert pending.den > 0
     assert math.gcd(pending.den, *pending._nums) == 1
-    assert pending.den == math.lcm(*[c.denominator for c, _ in pending.descending()])
+    assert pending.den == math.lcm(*[c.denominator for c, _ in fraction_terms(pending)])
 
 
 class TestPendingTerms:
@@ -351,27 +363,27 @@ class TestPendingTerms:
         pending = PendingTerms(poly((1, (2, 0)), (2, (0, 1)), (3, (0, 0))))
         popped = []
         while pending:
-            popped.append(pending.pop())
+            popped.append(pop_fraction(pending))
         assert popped == list(poly((1, (2, 0)), (2, (0, 1)), (3, (0, 0))).terms)
 
     def test_a_cancelling_product_term_removes_the_entry(self):
         pending = PendingTerms(poly((1, (3, 0)), (1, (2, 0)), (2, (0, 1))))
         # x^3 against 1*1*(x^3 + 2*y): the tail 2*y cancels the pending 2*y
         pending.reduce_top(Monomial((0, 0)), poly((1, (3, 0)), (2, (0, 1))))
-        assert pending.descending() == poly((1, (2, 0))).terms
+        assert fraction_terms(pending) == poly((1, (2, 0))).terms
 
     def test_an_equal_monomial_merges_its_coefficient(self):
         pending = PendingTerms(poly((Fraction(1, 2), (3, 1)), (1, (2, 0)), (2, (1, 0))))
         # 1/2*x^3*y against 1/2*x*(x^2*y + 1): the tail x/2 joins the
         # pending 2*x
         pending.reduce_top(Monomial((1, 0)), poly((1, (2, 1)), (1, (0, 0))))
-        assert pending.descending() == poly((1, (2, 0)), (Fraction(3, 2), (1, 0))).terms
+        assert fraction_terms(pending) == poly((1, (2, 0)), (Fraction(3, 2), (1, 0))).terms
 
     def test_inserts_keep_strict_descending_order(self):
         pending = PendingTerms(poly((1, (2, 2)), (1, (3, 0)), (1, (1, 1)), (1, (0, 0))))
         g = poly((1, (2, 2)), (1, (2, 1)), (-1, (1, 1)), (1, (0, 2)), (1, (1, 0)), (1, (0, 0)))
         pending.reduce_top(Monomial((0, 0)), g)
-        keys = [DRL.key(m) for _, m in pending.descending()]
+        keys = [DRL.key(m) for _, m in fraction_terms(pending)]
         assert keys == sorted(keys, reverse=True)
         assert len(set(keys)) == len(keys)
         assert pending_poly(pending) == poly((1, (3, 0)), (-1, (2, 1)), (2, (1, 1)), (-1, (0, 2)),
@@ -386,19 +398,19 @@ class TestPendingTerms:
             buchberger_nf(poly((1, (1, 1))), [other], DRL)
         with pytest.raises(UsageError):
             pending.reduce_top(Monomial((0, 1, 0)), poly((1, (1, 0)), (1, (0, 1))))
-        assert pending.descending() == poly((1, (1, 1))).terms
+        assert fraction_terms(pending) == poly((1, (1, 1))).terms
 
     def test_a_copy_is_independent(self):
         pending = PendingTerms(
             poly((Fraction(1, 2), (1, 2)), (1, (2, 0)), (Fraction(1, 3), (1, 1)), (2, (0, 0)))
         )
-        before = pending.descending()
+        before = fraction_terms(pending)
         twin = pending.copy()
         y2 = Monomial((0, 2))
         g = poly((1, (1, 0)), (Fraction(2, 3), (0, 1)))
         assert twin.top_coeff() == Fraction(1, 2)
         twin.reduce_top(y2, g)
-        assert pending.descending() == before
+        assert fraction_terms(pending) == before
         assert pending_poly(twin) == pending_poly(pending) - g.mul_term(Fraction(1, 2), y2)
 
     def test_returns_the_largest_product_degree(self):
@@ -425,8 +437,8 @@ class TestPendingTerms:
         for _ in range(data.draw(st.integers(1, 12))):
             for _ in range(data.draw(st.integers(0, 2))):
                 if ref:
-                    assert pending.pop() == ref.pop()
-                    assert pending.descending() == ref.descending()
+                    assert pop_fraction(pending) == ref.pop()
+                    assert fraction_terms(pending) == ref.descending()
             if not ref:
                 break
             terms = ref.descending()
@@ -435,10 +447,10 @@ class TestPendingTerms:
             g, u = draw_reducer_of(data, order, tc, top, terms[1:])
             ref.pop()
             assert pending.reduce_top(u, g) == ref.sub_tail(tc / g.lc, u, g)
-            assert pending.descending() == ref.descending()
+            assert fraction_terms(pending) == ref.descending()
             assert_content_removed(pending)
         while ref:
-            assert pending.pop() == ref.pop()
+            assert pop_fraction(pending) == ref.pop()
         assert not pending
 
     def test_a_product_at_the_key_bound_is_rejected(self):
@@ -459,17 +471,17 @@ class TestPendingTerms:
         # reaches the bound.
         g = Polynomial(order, [(1, Monomial((1, 0))), (1, Monomial((0, KEY_BOUND - 1)))])
         pending = PendingTerms(Polynomial(order, [(2, Monomial((1, 1))), (1, Monomial((0, 0)))]))
-        before = pending.descending()
+        before = fraction_terms(pending)
         with pytest.raises(UsageError, match="order key bound"):
             pending.reduce_top(Monomial((0, 1)), g)
-        assert pending.descending() == before
+        assert fraction_terms(pending) == before
 
     def test_reduce_top_rejects_a_reducer_of_another_ordering(self):
         pending = PendingTerms(poly((1, (1, 1))))
         other = Polynomial(lex(XY), [(1, Monomial((1, 0))), (1, Monomial((0, 1)))])
         with pytest.raises(UsageError):
             pending.reduce_top(Monomial((0, 1)), other)
-        assert pending.descending() == poly((1, (1, 1))).terms
+        assert fraction_terms(pending) == poly((1, (1, 1))).terms
 
     def test_reduce_top_cancels_the_top_term(self):
         # 3*x^2 + y reduced by -2*x + 1/2 at x: c = -3/2, and
@@ -477,11 +489,11 @@ class TestPendingTerms:
         pending = PendingTerms(poly((3, (2, 0)), (1, (0, 1))))
         assert pending.top_mono() == Monomial((2, 0))
         assert pending.reduce_top(Monomial((1, 0)), poly((-2, (1, 0)), (Fraction(1, 2), (0, 0)))) == 1
-        assert pending.descending() == poly((Fraction(3, 4), (1, 0)), (1, (0, 1))).terms
+        assert fraction_terms(pending) == poly((Fraction(3, 4), (1, 0)), (1, (0, 1))).terms
         assert pending.den == 4
         # A one-term reducer only removes the top term.
         assert pending.reduce_top(Monomial((0, 0)), poly((5, (1, 0)))) == -1
-        assert pending.descending() == poly((1, (0, 1))).terms
+        assert fraction_terms(pending) == poly((1, (0, 1))).terms
         assert pending.den == 1
 
     @given(st.data())
@@ -502,92 +514,92 @@ class TestPendingTerms:
             tc, top = terms[0]
             assert pending.top_mono() == top
             if data.draw(st.integers(0, 3)) == 0:
-                assert pending.pop() == ref.pop()
+                assert pop_fraction(pending) == ref.pop()
                 continue
             g, u = draw_reducer_of(data, order, tc, top, terms[1:])
             deg = pending.reduce_top(u, g)
             ref.pop()
             assert deg == ref.sub_tail(tc / g.lc, u, g)
-            assert pending.descending() == ref.descending()
+            assert fraction_terms(pending) == ref.descending()
             assert_content_removed(pending)
             if data.draw(st.booleans()):
                 copies.append((pending.copy(), ref.copy()))
         for acc, acc_ref in [(pending, ref), *copies]:
-            assert acc.descending() == acc_ref.descending()
+            assert fraction_terms(acc) == acc_ref.descending()
             while acc_ref:
                 assert acc.top_mono() == acc_ref.descending()[0][1]
-                assert acc.pop() == acc_ref.pop()
+                assert pop_fraction(acc) == acc_ref.pop()
             assert not acc
+
+    @staticmethod
+    def taken_terms(data, order, p):
+        """Run an accumulator of p and the reference side by side through
+        random pops and reduction steps; returns the accumulator, the terms
+        it popped, which carry the `den` of their moment, and the
+        reference's terms popped and left."""
+        pending, ref = PendingTerms(p), FractionPendingTerms(p)
+        popped, terms = [], []
+        for _ in range(data.draw(st.integers(0, 6))):
+            if not ref:
+                break
+            if data.draw(st.booleans()):
+                popped.append(pending.pop())
+                terms.append(ref.pop())
+            else:
+                current = ref.descending()
+                g, u = draw_reducer_of(data, order, *current[0], current[1:])
+                pending.reduce_top(u, g)
+                ref.pop()
+                ref.sub_tail(current[0][0] / g.lc, u, g)
+        return pending, popped, terms + list(ref.descending())
 
     @given(st.data())
     @settings(max_examples=100, deadline=None)
     def test_raw_terms_build_the_monic_form(self, data):
-        """Terms taken unbuilt (`pop_raw`, `descending_raw`) between
-        reduction steps carry the `den` of their moment; `monic_polynomial`
-        builds from them the monic form of what `pop` and `descending`
-        give, and returns the factor 1/lc it scaled by."""
+        """Terms popped between reduction steps carry the `den` of their
+        moment; `polynomial` builds from them and the pending terms, in the
+        canonical form, the polynomial of the reference's terms, and
+        `monic` its monic form."""
         vs = VarSet(("x", "y", "z")[: data.draw(st.integers(2, 3))])
         order = data.draw(st.sampled_from((lex, degrevlex)))(vs)
         p = data.draw(prime_polynomials(order, vs.n, max_terms=6).filter(lambda f: not f.is_zero))
-        pending, twin = PendingTerms(p), PendingTerms(p)
-        raw, terms = [], []
-        for _ in range(data.draw(st.integers(0, 6))):
-            if not pending:
-                break
-            if data.draw(st.booleans()):
-                raw.append(pending.pop_raw())
-                terms.append(twin.pop())
-            else:
-                current = twin.descending()
-                g, u = draw_reducer_of(data, order, *current[0], current[1:])
-                pending.reduce_top(u, g)
-                twin.reduce_top(u, g)
-        raw += pending.descending_raw()
-        terms += twin.descending()
+        pending, popped, terms = self.taken_terms(data, order, p)
+        raw = popped + pending.descending()
         assert [(Fraction(n, d), m) for n, d, m, _ in raw] == terms
+        h = pending.polynomial(popped)
+        want = Polynomial(order, terms)
+        assert (h.terms, h.key_row(), h._nums, h.den) == (
+            tuple(terms), want.key_row(), want._nums, want.den)
+        assert math.gcd(h.den, *h._nums) == 1
+        assert h.monic() == want.monic()
         if terms:
-            h, factor = monic_polynomial(order, raw)
-            assert h == Polynomial._raw(order, tuple(terms)).monic()
-            assert factor == 1 / terms[0][0]
+            assert h.monic().lc == 1
 
     @given(st.data())
     @settings(max_examples=100, deadline=None)
     def test_raw_terms_seed_the_accumulator_they_came_from(self, data):
-        """`PendingTerms.from_raw` over terms taken unbuilt (`pop_raw`,
-        `descending_raw`) between reduction steps, whose `den`s differ,
-        holds what the constructor's accumulator of the same terms holds:
-        keys, numerators, the least common denominator and every pop.  With
-        no term popped it is the accumulator the terms came from."""
+        """The accumulator of the polynomial built of the terms popped
+        between reduction steps, whose `den`s differ, and the pending ones
+        holds what the
+        constructor's accumulator of the same terms holds: keys, numerators,
+        the least common denominator and every pop.  With no term popped it
+        is the accumulator the terms came from."""
         vs = VarSet(("x", "y", "z")[: data.draw(st.integers(2, 3))])
         order = data.draw(st.sampled_from((lex, degrevlex)))(vs)
         p = data.draw(prime_polynomials(order, vs.n, max_terms=6).filter(lambda f: not f.is_zero))
-        pending, twin = PendingTerms(p), PendingTerms(p)
-        raw, terms = [], []
-        for _ in range(data.draw(st.integers(0, 6))):
-            if not pending:
-                break
-            if data.draw(st.booleans()):
-                raw.append(pending.pop_raw())
-                terms.append(twin.pop())
-            else:
-                current = twin.descending()
-                g, u = draw_reducer_of(data, order, *current[0], current[1:])
-                pending.reduce_top(u, g)
-                twin.reduce_top(u, g)
-        popped = bool(raw)
-        raw += pending.descending_raw()
-        terms += twin.descending()
-        if not raw:
+        pending, popped, terms = self.taken_terms(data, order, p)
+        if not terms:
             return
-        seeded = PendingTerms.from_raw(order, raw)
-        built = PendingTerms(Polynomial._raw(order, tuple(terms)))
+        seeded = PendingTerms(pending.polynomial(popped))
+        built = PendingTerms(Polynomial(order, terms))
         assert_content_removed(seeded)
         sources = [built] if popped else [built, pending]
         for other in sources:
             assert seeded._keys == other._keys
             assert seeded._nums == other._nums
             assert seeded.den == other.den
-            assert seeded.descending() == other.descending() == tuple(terms)
+            assert seeded.descending() == other.descending()
+        assert fraction_terms(seeded) == tuple(terms)
         while built:
             assert seeded.top_mono() == built.top_mono()
             assert seeded.pop() == built.pop()
@@ -618,11 +630,11 @@ class TestPendingTerms:
             if data.draw(st.booleans()):
                 copies.append((pending.copy(), ref.copy()))
             if ref and data.draw(st.booleans()):
-                assert pending.pop() == ref.pop()
+                assert pop_fraction(pending) == ref.pop()
         for acc, acc_ref in [(pending, ref), *copies]:
-            assert acc.descending() == acc_ref.descending()
+            assert fraction_terms(acc) == acc_ref.descending()
             while acc_ref:
-                assert acc.pop() == acc_ref.pop()
+                assert pop_fraction(acc) == acc_ref.pop()
             assert not acc
 
     @given(st.data())
@@ -686,8 +698,8 @@ class TestSeededProducts:
         g = poly((1, (2, 0)), (1, (1, 1)), (1, (0, 0)))
         pending = PendingTerms(g, y)
         twin = pending.copy()
-        assert [id(m) for _, m in twin.descending()] == [id(m) for _, m in pending.descending()]
-        assert twin.descending() == g.mul_term(1, y).terms
+        assert [id(t[2]) for t in twin.descending()] == [id(t[2]) for t in pending.descending()]
+        assert pending_poly(twin) == g.mul_term(1, y)
 
     def test_check_invariants_catches_a_corrupt_seeded_accumulator(self, monkeypatch):
         class Corrupt(PendingTerms):
@@ -722,11 +734,10 @@ class TestSeededProducts:
 
 
 class TestKeptKeyRows:
-    """Under `__debug__`, `_raw`'s canonical check keys every term, and the
-    polynomial keeps those keys as its row, as the constructor keeps the
-    keys it sorts by: reading `key_row` keys nothing more."""
+    """Every polynomial keeps the order keys of its terms: the constructor
+    those it sorts by, the other builders keys they add or take from the
+    accumulator, so reading `key_row` keys nothing."""
 
-    @pytest.mark.skipif(not __debug__, reason="the canonical check runs only under __debug__")
     @given(st.data())
     @settings(max_examples=60, deadline=None)
     def test_built_polynomials_carry_their_row(self, data):
@@ -753,44 +764,6 @@ class TestKeptKeyRows:
                 row = p.key_row()
             assert row == want, what
             assert count.calls == 0, what
-
-
-class TestTailRows:
-    """A reducer's integer tail row: built once, on its first use, and
-    holding only integers."""
-
-    @given(st.data())
-    @settings(max_examples=100, deadline=None)
-    def test_the_row_holds_the_tail_over_its_lcm(self, data):
-        vs = VarSet(("x", "y", "z")[: data.draw(st.integers(2, 3))])
-        order = data.draw(st.sampled_from((lex, degrevlex)))(vs)
-        g = data.draw(prime_polynomials(order, vs.n, max_terms=6).filter(lambda p: not p.is_zero))
-        row = g.tail_row()
-        lc_num, lc_den, lcm, nums, keys, deg = row
-        tail = g.terms[1:]
-        assert (lc_num, lc_den) == (g.lc.numerator, g.lc.denominator)
-        assert lcm == math.lcm(*[c.denominator for c, _ in tail])
-        assert [Fraction(a, lcm) for a in nums] == [c for c, _ in tail]
-        assert keys == g.key_row()[1:]
-        assert deg == max((m.deg for _, m in tail), default=-1)
-        assert all(type(x) is int for x in (lc_num, lc_den, lcm, deg, *nums, *keys))
-        assert g.tail_row() is row
-
-    def test_a_completion_builds_one_row_per_reducer(self, monkeypatch):
-        built = []
-        real = Polynomial._build_tail_row
-
-        def build(g):
-            built.append(g)
-            return real(g)
-
-        monkeypatch.setattr(Polynomial, "_build_tail_row", build)
-        sf = load_builtin("katsura5")
-        result = inv_comp(sf.polynomials, janet(sf.vars), sf.order)
-        assert built
-        assert len({id(g) for g in built}) == len(built)
-        # Every reducer of the signature-safe normal form is a basis element.
-        assert {id(g) for g in built} <= {id(g) for g in result.loop_basis}
 
 
 class TestInvolutiveReducer:
@@ -999,37 +972,37 @@ class TestRegularNormalForm:
 
 
 class TestQueuedCombinations:
-    """A deflected or head-reduced combination is queued as the raw terms
-    that formed it (`SigPoly.combination`) and enters the accumulator that
-    reduces it through `PendingTerms.from_raw`: it is built only under
-    `check_invariants`, and made monic only as a normal form."""
+    """A deflected or head-reduced combination is queued as the polynomial
+    the reduction step formed (`PendingTerms.polynomial`), not made monic: only the
+    generators and the inserted normal forms are."""
 
     @pytest.mark.parametrize("name", ["noon3", "katsura4"])
     def test_only_an_inserted_normal_form_is_made_monic(self, name, monkeypatch):
         calls = []
-        real = engine_module.monic_polynomial
+        real = Polynomial.monic
 
-        def counted(order, raw):
-            calls.append(len(raw))
-            return real(order, raw)
+        def counted(p):
+            calls.append(len(p))
+            return real(p)
 
-        monkeypatch.setattr(engine_module, "monic_polynomial", counted)
+        monkeypatch.setattr(Polynomial, "monic", counted)
         sf = load_builtin(name)
         r = inv_comp(sf.polynomials, alex_division(sf.vars), sf.order)
         assert r.stats.deflections > 0
-        assert len(calls) == r.stats.polys_loop
+        assert len(calls) == len(sf.polynomials) + r.stats.polys_loop
 
     def test_check_invariants_catches_a_corrupt_raw_term(self, monkeypatch):
-        # The last raw term of every queued combination carries a key one
-        # off its monomial's; the built combination keys its terms afresh.
-        real = SigPoly.combination.__func__
+        # The last term of every queued combination carries a key one off
+        # its monomial's, set after `_raw`'s check; the built combination is
+        # keyed afresh.
+        real = _Engine._queue_combination
 
-        def corrupt(cls, sig, order, raw, cofactors=None):
-            n, d, m, k = raw[-1]
-            return real(cls, sig, order, [*raw[:-1], (n, d, m, k + 1)], cofactors)
+        def corrupt(engine, sig, comb, *rest):
+            comb._keys = (*comb._keys[:-1], comb._keys[-1] + 1)
+            return real(engine, sig, comb, *rest)
 
-        monkeypatch.setattr(SigPoly, "combination", classmethod(corrupt))
+        monkeypatch.setattr(_Engine, "_queue_combination", corrupt)
         sf = load_builtin("noon3")
-        with pytest.raises(AssertionError, match="the seeded accumulator differs from the built combination"):
+        with pytest.raises(AssertionError, match="the seeded accumulator differs from the built polynomial"):
             inv_comp(sf.polynomials, alex_division(sf.vars), sf.order,
                      EngineOptions(check_invariants=True))

@@ -19,7 +19,6 @@ from invbases.core import (
     alex,
     degrevlex,
     lex,
-    mono_cmp,
     mono_div,
     mono_lcm,
     mono_mul,
@@ -37,6 +36,11 @@ X2 = Monomial((2, 0))
 ONE2 = mono_one(2)
 
 PRIORITIES = ((0, 1, 2), (2, 0, 1), (1, 2, 0))
+
+
+def mono_cmp(order, a, b) -> int:
+    """Compare two monomials under `order`; returns LESS, EQUAL or GREATER."""
+    return order.cmp(a, b)
 
 
 def textbook_key(kind: str, priority: tuple[int, ...], m: Monomial) -> tuple:

@@ -1,12 +1,18 @@
 """Polynomial canonical form, arithmetic, rendering, and S-polynomials."""
 from __future__ import annotations
 
+import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import invbases
 from invbases.core import (
     Monomial,
     Polynomial,
@@ -20,8 +26,13 @@ from invbases.core import (
     render_polynomial,
     spoly,
 )
+from invbases.division import alex_division, division_by_name
+from invbases.engine import EngineOptions, _Engine, _InvolutiveReducer
+from invbases.systems import load_builtin, parse_polynomial
 
-from conftest import polynomials
+from conftest import monomials, polynomials, small_fractions
+
+DIVISIONS = ("janet", "alex", "thomas")
 
 VS = VarSet(("x", "y"))
 LEX = lex(VS)
@@ -99,26 +110,172 @@ class TestAccessors:
 
 
 class TestCanonicalCheck:
-    """`_assert_canonical` raises explicitly, so it does not depend on
-    `assert` statements; `_raw` calls it unless Python runs with -O."""
+    """`_check_canonical` raises explicitly, so it does not depend on
+    `assert` statements; `_raw` calls it unless Python runs with -O.  Each
+    case is (monomials, numerators, denominator), keyed under lex unless a
+    monomial has the wrong dimension."""
 
     @pytest.mark.parametrize(
         "terms, message",
         [
-            (((Fraction(0), X2),), "non-canonical coefficient"),
-            (((1, X2),), "non-canonical coefficient"),
-            (((Fraction(1), Monomial((1, 1, 1))),), "dimension mismatch"),
-            (((Fraction(1), Y2), (Fraction(1), X2)), "out of order"),
-            (((Fraction(1), X2), (Fraction(2), X2)), "out of order"),
+            (((X2,), (0,), 1), "non-canonical coefficient"),
+            (((X2,), (Fraction(1),), 1), "non-canonical coefficient"),
+            (((Monomial((1, 1, 1)),), (1,), 1), "dimension mismatch"),
+            (((Y2, X2), (1, 1), 1), "out of order"),
+            (((X2, X2), (1, 2), 1), "out of order"),
+            (((X2, Y2), (2, 4), 2), "shares a factor"),
+            (((X2,), (1,), 0), "non-canonical denominator"),
+            (((X2,), (-1,), -1), "non-canonical denominator"),
+            (((X2, Y2), (1,), 1), "different lengths"),
         ],
     )
     def test_broken_terms_raise(self, terms, message):
+        monos, nums, den = terms
+        keys = tuple(LEX.key(m) if len(m.exps) == 2 else 0 for m in monos)
         with pytest.raises(AssertionError, match=message):
-            Polynomial._raw(LEX, terms)
-        p = object.__new__(Polynomial)
-        p.order, p.terms = LEX, terms
+            Polynomial._raw(LEX, keys, monos, nums, den)
+        p = Polynomial(LEX, [(1, X2)])
+        p._keys, p._monos, p._nums, p.den = keys, monos, nums, den
         with pytest.raises(AssertionError, match=message):
-            p._assert_canonical()
+            p._check_canonical()
+
+    def test_a_key_that_is_not_its_monomials_raises(self):
+        keys = (LEX.key(X2), LEX.key(XY) + 1)
+        with pytest.raises(AssertionError, match="kept key differs"):
+            Polynomial._raw(LEX, keys, (X2, XY), (1, 1), 1)
+
+
+def canonical_faults(p: Polynomial) -> list[str]:
+    """What in p breaks the canonical form: den > 0, integer numerators, none
+    zero, content gcd(den, numerators) = 1, keys strictly descending and
+    equal to `order.key` of the monomials, `terms` that round-trip through
+    the constructor, and `==` and `hash` that agree with the polynomial
+    parsed back from the printed text.  No `assert`, so that it checks
+    under `python -O` as well."""
+    faults = []
+    order, parts = p.order, (p.key_row(), p._monos, p._nums, p.den)
+    keys, monos, nums, den = parts
+    if type(den) is not int or den <= 0:
+        faults.append("denominator %r" % (den,))
+    if not all(type(c) is int and c for c in nums):
+        faults.append("numerators %r" % (nums,))
+    elif math.gcd(den, *nums) != 1:
+        faults.append("content %d" % math.gcd(den, *nums))
+    if list(keys) != [order.key(m) for m in monos]:
+        faults.append("keys differ from the monomials'")
+    if any(a <= b for a, b in zip(keys, keys[1:])):
+        faults.append("keys out of order")
+    rebuilt = Polynomial(order, p.terms)
+    if (rebuilt.key_row(), rebuilt._monos, rebuilt._nums, rebuilt.den) != parts:
+        faults.append("terms do not round-trip through the constructor")
+    back = parse_polynomial(str(p), order)
+    if back != p or hash(back) != hash(p):
+        faults.append("differs from the polynomial parsed back from %r" % str(p))
+    return faults
+
+
+def arithmetic_results(f, g, c, u, G, division) -> dict[str, Polynomial]:
+    """A polynomial built by each path outside the engine."""
+    order = f.order
+    return {
+        "constructor": Polynomial(order, f.terms + g.terms),
+        "+": f + g,
+        "-": f - g,
+        "self -": f - f,
+        "*": f * g,
+        "mul_term": f.mul_term(c, u),
+        "scale": f.scale(c),
+        "monic": f.monic(),
+        "nf remainder": _InvolutiveReducer(G, division, order).nf(f),
+    }
+
+
+def engine_results(polys, division, order) -> list[tuple[str, Polynomial]]:
+    """Every result of `regular_normal_form` and every combination queued
+    (deflected or head-reduced) in a completion of polys."""
+    engine = _Engine(division, order, EngineOptions())
+    engine.seed(polys)
+    found = []
+    normal_form, queue = engine.regular_normal_form, engine._queue_combination
+
+    def reduced(p):
+        h, verdict = normal_form(p)
+        found.append(("regular_normal_form", h))
+        return h, verdict
+
+    def combination(sig, comb, *rest):
+        found.append(("combination", comb))
+        return queue(sig, comb, *rest)
+
+    engine.regular_normal_form = reduced
+    engine._queue_combination = combination
+    engine.run()
+    return found
+
+
+@st.composite
+def fraction_systems(draw):
+    """1-3 nonzero generators in 2 variables with rational coefficients."""
+    order = draw(st.sampled_from((LEX, DRL)))
+    return order, draw(st.lists(polynomials(order, 2, max_deg=2, max_terms=3),
+                                min_size=1, max_size=3))
+
+
+class TestCanonicalForm:
+    """Every way to build a polynomial gives the canonical form."""
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_every_build_path(self, data):
+        order = data.draw(st.sampled_from((LEX, DRL)))
+        f, g = data.draw(polynomials(order, 2)), data.draw(polynomials(order, 2))
+        c = data.draw(st.sampled_from((0, 1, -1)) | small_fractions())
+        u = data.draw(monomials(2, 2))
+        G = data.draw(st.lists(polynomials(order, 2, max_terms=3), min_size=1, max_size=3))
+        division = division_by_name(data.draw(st.sampled_from(DIVISIONS)), VS)
+        for what, p in arithmetic_results(f, g, c, u, G, division).items():
+            assert canonical_faults(p) == [], what
+        sys_order, polys = data.draw(fraction_systems())
+        division = division_by_name(data.draw(st.sampled_from(DIVISIONS)), VS)
+        for what, p in engine_results(polys, division, sys_order):
+            assert canonical_faults(p) == [], what
+
+    def test_deflected_combinations_of_noon3(self):
+        sf = load_builtin("noon3")
+        found = engine_results(sf.polynomials, alex_division(sf.vars), sf.order)
+        kinds = [what for what, _ in found]
+        assert kinds.count("combination") > 10 and "regular_normal_form" in kinds
+        assert any(p.den > 1 and not p.is_zero for _, p in found)
+        for what, p in found:
+            assert canonical_faults(p) == [], what
+
+    def test_builders_normalise_without_the_debug_check(self):
+        # Under -O `_raw` checks nothing, so the builders themselves must
+        # give the canonical form.
+        here = Path(__file__).resolve().parent
+        src = Path(invbases.__file__).resolve().parent.parent
+        script = (
+            "import sys\n"
+            "from fractions import Fraction\n"
+            "from invbases import load_builtin, alex_division, janet, parse_polynomial\n"
+            "from test_polynomials import DRL, arithmetic_results, canonical_faults, engine_results\n"
+            "if __debug__:\n"
+            "    sys.exit('not running under -O')\n"
+            "f = parse_polynomial('2/3*x^2*y - 5/4*x*y + 7', DRL)\n"
+            "g = parse_polynomial('-3*x*y^2 + 1/6*y + 2/9', DRL)\n"
+            "G = [parse_polynomial('4/5*x*y - 3/7', DRL), parse_polynomial('6*y^2 + 1/2*x', DRL)]\n"
+            "found = list(arithmetic_results(f, g, Fraction(-4, 9), g.lm, G, janet(DRL.vars)).items())\n"
+            "sf = load_builtin('noon3')\n"
+            "found += engine_results(sf.polynomials, alex_division(sf.vars), sf.order)\n"
+            "bad = [(what, faults) for what, p in found for faults in [canonical_faults(p)] if faults]\n"
+            "print(len(found), bad)\n"
+            "sys.exit(1 if bad else 0)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(here)]))
+        done = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stdout + done.stderr
+        assert int(done.stdout.split()[0]) > 100
 
 
 class TestArithmetic:

@@ -11,6 +11,7 @@ from invbases.core import (
     GREATER,
     LESS,
     Monomial,
+    PendingTerms,
     Polynomial,
     UsageError,
     VarSet,
@@ -25,7 +26,6 @@ from invbases.signatures import (
     criteria,
     sig_cmp,
     sig_mul,
-    sig_sort_key,
 )
 
 from conftest import monomials
@@ -46,6 +46,11 @@ X2Y2 = Monomial((2, 2))
 
 def poly(*terms):
     return Polynomial(LEX, [(Fraction(c), m) for c, m in terms])
+
+
+def sig_sort_key(order, s: Signature):
+    """Ascending sort under this key agrees with `sig_cmp`."""
+    return (-s.index, order.key(s.mono))
 
 
 def sp(sig_mono, sig_index, p, anc_lm=None):
@@ -199,20 +204,27 @@ class TestSigPoly:
         assert "(2, 1)" in repr(a)
         assert criteria(a, sp(ONE, 1, g), {}) is Verdict.SUPER
 
-    def test_a_combination_keeps_its_raw_terms(self):
-        # 2/3*x*y^2 - 1/2*y^2 + 5*y as accumulator terms over two
-        # denominators: the head and its key come from the first term, the
-        # combination is its own ancestor, and it is built as formed, not
-        # made monic.
-        raw = [(2, 3, XY2, LEX.key(XY2)), (-3, 6, Y2, LEX.key(Y2)), (30, 6, Y, LEX.key(Y))]
-        a = SigPoly.combination(Signature(Y, 1), LEX, raw)
-        want = poly((Fraction(2, 3), XY2), (Fraction(-1, 2), Y2), (5, Y))
-        assert (a.poly, a.mono, a.raw) == (None, None, raw)
+    def test_a_combination_is_a_plain_polynomial(self):
+        # 2/3*x*y^2 - 1/2*y^2 + y, built as the engine builds a deflected
+        # combination: a term popped over one denominator, then the terms a
+        # reduction step leaves over another (x*y - y^2 + y less
+        # 1/2*y*(2*x - y)).  The head's key is the
+        # polynomial's kept one, the combination is its own ancestor, and it
+        # is queued as formed, not made monic.
+        pending = PendingTerms(poly((Fraction(2, 3), XY2), (1, XY), (-1, Y2), (1, Y)))
+        popped = [pending.pop()]
+        pending.reduce_top(Y, poly((2, X), (-1, Y)))
+        assert (popped[0][1], pending.den) == (3, 2)
+        comb = pending.polynomial(popped)
+        want = poly((Fraction(2, 3), XY2), (Fraction(-1, 2), Y2), (1, Y))
+        assert comb == want
+        a = SigPoly(Signature(Y, 1), comb, comb.lm)
+        assert (a.poly, a.mono) == (comb, None)
         assert (a.lm, a.lm_key, a.anc_lm, a.sig_key) == (XY2, LEX.key(XY2), XY2, LEX.key(Y))
         assert a.deg == 3
-        assert a.value() == want
-        assert a.pending().descending() == want.terms
-        assert a.pending().den == 6
+        assert a.value() is comb
+        assert a.pending().descending() == [(4, 6, XY2, LEX.key(XY2)), (-3, 6, Y2, LEX.key(Y2)),
+                                            (6, 6, Y, LEX.key(Y))]
 
     def test_every_form_seeds_and_keeps_its_degree(self):
         g = poly((1, XY), (2, Y))
@@ -220,7 +232,7 @@ class TestSigPoly:
             (SigPoly(Signature(ONE, 1), g, XY), g),
             (SigPoly(Signature(X, 1), g, XY, mono=X), g.mul_term(1, X)),
         ]:
-            assert a.pending().descending() == built.terms
+            assert a.pending().descending() == PendingTerms(built).descending()
             assert a.deg == built.degree
         zero = SigPoly(Signature(ONE, 1), Polynomial.zero(LEX), ONE)
         assert (zero.lm, zero.deg, bool(zero.pending())) == (None, -1, False)

@@ -82,6 +82,52 @@ def test_the_scan_finds_fraction_internals():
     ]
 
 
+# Coefficients are integer numerators over one denominator everywhere but at
+# the edges: the parser builds `Fraction`s, and `core` gives them out through
+# the public constructor and accessors.  No other module works on them.
+FRACTION_MODULES = {"core.py", "systems.py"}
+
+
+def fractions_imports(source: str, filename: str) -> list[str]:
+    """`file:line` of every import of the `fractions` module in the source."""
+    tree = ast.parse(source, filename=filename)
+    hits = []
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Import):
+            names = [a.name for a in n.names]
+        elif isinstance(n, ast.ImportFrom) and not n.level:
+            names = [n.module]
+        else:
+            continue
+        if any(name == "fractions" or name.startswith("fractions.") for name in names):
+            hits.append("%s:%d" % (filename, n.lineno))
+    return hits
+
+
+def test_only_the_edges_import_fractions():
+    files = sorted(SRC.glob("*.py"))
+    assert {path.name for path in files} >= FRACTION_MODULES
+    found = [
+        hit
+        for path in files
+        if path.name not in FRACTION_MODULES
+        for hit in fractions_imports(path.read_text(), path.name)
+    ]
+    assert found == []
+
+
+def test_the_scan_finds_fractions_imports():
+    source = (
+        "import os, fractions\n"
+        "from fractions import Fraction\n"
+        "def f():\n"
+        "    import fractions as fr\n"
+        "    from .fractions import Fraction\n"
+        "    return fr\n"
+    )
+    assert fractions_imports(source, "sample.py") == ["sample.py:1", "sample.py:2", "sample.py:4"]
+
+
 def load_tracer_class():
     spec = importlib.util.spec_from_file_location("perfbench_layers", PERFBENCH / "layers.py")
     module = importlib.util.module_from_spec(spec)

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .core import UsageError
 from .division import division_by_name
@@ -18,21 +18,10 @@ COLUMNS = ("system", "algorithm", "division", "time_ms") + COUNTERS + ("verified
 ALGORITHMS = ("invcomp", "invbas")
 
 
-@dataclass(frozen=True)
-class BenchRow:
-    system: str
-    algorithm: str
-    division: str
-    time_ms: float
-    reds: int
-    c1: int
-    c2: int
-    f5: int
-    super: int
-    polys_loop: int
-    polys_min: int
-    max_deg: int
-    verified: bool | None
+class BenchRow(namedtuple("BenchRow", COLUMNS)):
+    """One row of the grid: a completion run's time, counters and verdict."""
+
+    __slots__ = ()
 
     @classmethod
     def from_stats(
@@ -49,16 +38,27 @@ class BenchRow:
         )
 
     def as_dict(self) -> dict:
-        return {col: getattr(self, col) for col in COLUMNS}
+        return self._asdict()
 
 
-@dataclass
 class BenchConfig:
-    systems: list[str] = field(default_factory=list)
-    algorithms: list[str] = field(default_factory=lambda: ["invcomp"])
-    divisions: list[str] = field(default_factory=lambda: ["janet"])
-    order: str | None = None
-    verify: bool = False
+    """The grid to run: every system under every algorithm and division."""
+
+    __slots__ = ("systems", "algorithms", "divisions", "order", "verify")
+
+    def __init__(
+        self,
+        systems: list[str] | None = None,
+        algorithms: list[str] | None = None,
+        divisions: list[str] | None = None,
+        order: str | None = None,
+        verify: bool = False,
+    ):
+        self.systems = [] if systems is None else systems
+        self.algorithms = ["invcomp"] if algorithms is None else algorithms
+        self.divisions = ["janet"] if divisions is None else divisions
+        self.order = order
+        self.verify = verify
 
 
 def resolve_system(name: str, order: str | None = None) -> SystemFile:

@@ -26,9 +26,8 @@ import math
 import operator
 import struct
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
-from typing import Iterable, Iterator
 
 LESS, EQUAL, GREATER = -1, 0, 1
 
@@ -43,29 +42,36 @@ class UsageError(ValueError):
     """A caller broke an operation contract (bad dimension, empty input, ...)."""
 
 
-@dataclass(frozen=True)
 class VarSet:
     """Ordered variable names plus a comparison priority.
 
     `priority` lists variable indices from most significant to least
     significant.  The default is declaration order, so the first declared
     variable is the greatest one under every ordering built on this set.
+    Equal and hashable by value.
     """
 
-    names: tuple[str, ...]
-    priority: tuple[int, ...] | None = None
+    __slots__ = ("names", "priority")
 
-    def __post_init__(self):
-        names = tuple(self.names)
-        object.__setattr__(self, "names", names)
+    def __init__(self, names: Iterable[str], priority: Iterable[int] | None = None):
+        names = tuple(names)
         if not names:
             raise UsageError("variable set must not be empty")
         if len(set(names)) != len(names):
             raise UsageError("duplicate variable names: %r" % (names,))
-        pr = tuple(self.priority) if self.priority is not None else tuple(range(len(names)))
+        pr = tuple(priority) if priority is not None else tuple(range(len(names)))
         if sorted(pr) != list(range(len(names))):
             raise UsageError("priority must be a permutation of variable indices")
-        object.__setattr__(self, "priority", pr)
+        self.names = names
+        self.priority = pr
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not VarSet:
+            return NotImplemented
+        return self.names == other.names and self.priority == other.priority
+
+    def __hash__(self) -> int:
+        return hash((self.names, self.priority))
 
     @property
     def n(self) -> int:
@@ -163,7 +169,6 @@ def _key_bound_error(deg: int) -> UsageError:
     return UsageError("total degree %d reaches the order key bound 2^%d" % (deg, KEY_BITS))
 
 
-@dataclass(frozen=True)
 class Ordering:
     """A total monomial ordering of one of the supported kinds.
 
@@ -172,29 +177,41 @@ class Ordering:
     ascending and breaks ties lexicographically descending; it is not
     admissible (1 is the unique greatest monomial) and is only meant to
     generate an involutive division, never to order a polynomial.
+    Equal and hashable by value: its kind and variable set.
     """
 
-    kind: str
-    vars: VarSet
+    __slots__ = ("kind", "vars", "_n", "_perm", "_pack", "_byteorder", "_sign", "_deg_weight")
 
-    def __post_init__(self):
-        if self.kind not in ORDER_KINDS:
-            raise UsageError("unknown ordering kind %r" % (self.kind,))
+    def __init__(self, kind: str, vars: VarSet):
+        if kind not in ORDER_KINDS:
+            raise UsageError("unknown ordering kind %r" % (kind,))
+        self.kind = kind
+        self.vars = vars
         # `key` packs the exponents, in priority order, as the 32-bit
         # (KEY_BITS) digits of one integer: most significant first for lex
         # and alex, least significant first for degrevlex, which subtracts
         # them; the total degree has a weight of its own.
-        n = self.vars.n
-        pr = self.vars.priority
-        big = self.kind != DEGREVLEX
-        deg_weight = {LEX: 0, DEGREVLEX: KEY_BOUND ** n, ALEX: -(KEY_BOUND ** n)}[self.kind]
-        object.__setattr__(self, "_n", n)
-        perm = None if pr == tuple(range(n)) else operator.itemgetter(*pr)
-        object.__setattr__(self, "_perm", perm)
-        object.__setattr__(self, "_pack", struct.Struct("%s%dI" % (">" if big else "<", n)).pack)
-        object.__setattr__(self, "_byteorder", "big" if big else "little")
-        object.__setattr__(self, "_sign", 1 if big else -1)
-        object.__setattr__(self, "_deg_weight", deg_weight)
+        n = vars.n
+        pr = vars.priority
+        big = kind != DEGREVLEX
+        self._n = n
+        self._perm = None if pr == tuple(range(n)) else operator.itemgetter(*pr)
+        self._pack = struct.Struct("%s%dI" % (">" if big else "<", n)).pack
+        self._byteorder = "big" if big else "little"
+        self._sign = 1 if big else -1
+        self._deg_weight = {LEX: 0, DEGREVLEX: KEY_BOUND ** n, ALEX: -(KEY_BOUND ** n)}[kind]
+
+    def __eq__(self, other) -> bool:
+        # Every reduction step compares two orderings, nearly always the
+        # same object.
+        if self is other:
+            return True
+        if other.__class__ is not Ordering:
+            return NotImplemented
+        return self.kind == other.kind and self.vars == other.vars
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.vars))
 
     def __reduce__(self):
         # The packing function is rebuilt, not pickled.

@@ -16,8 +16,7 @@ three defining axioms of an involutive division.
 from __future__ import annotations
 
 import itertools
-import random
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import itemgetter, le
 
 from .core import (
@@ -40,25 +39,34 @@ ALEX_DIVISION = "alex"
 DIVISION_NAMES = (JANET, THOMAS, ALEX_DIVISION)
 
 
-@dataclass(frozen=True)
 class Division:
-    """An involutive division, either Thomas or generated by an ordering."""
+    """An involutive division, either Thomas or generated by an ordering.
+    Equal and hashable by value."""
 
-    kind: str
-    vars: VarSet
-    base: Ordering | None = None
+    __slots__ = ("kind", "vars", "base")
 
-    def __post_init__(self):
-        if self.kind == THOMAS:
-            if self.base is not None:
+    def __init__(self, kind: str, vars: VarSet, base: Ordering | None = None):
+        if kind == THOMAS:
+            if base is not None:
                 raise UsageError("the Thomas division takes no base ordering")
-        elif self.kind == "order":
-            if self.base is None:
+        elif kind == "order":
+            if base is None:
                 raise UsageError("order-generated division requires a base ordering")
-            if self.base.vars != self.vars:
+            if base.vars != vars:
                 raise UsageError("base ordering is over a different variable set")
         else:
-            raise UsageError("unknown division kind %r" % (self.kind,))
+            raise UsageError("unknown division kind %r" % (kind,))
+        self.kind = kind
+        self.vars = vars
+        self.base = base
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Division:
+            return NotImplemented
+        return self.kind == other.kind and self.vars == other.vars and self.base == other.base
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.vars, self.base))
 
     @property
     def name(self) -> str:
@@ -447,21 +455,19 @@ def minimal_completion(
     raise UsageError("monomial completion did not terminate within %d steps" % max_steps)
 
 
-@dataclass(frozen=True)
-class AxiomsReport:
+class AxiomsReport(
+    namedtuple("AxiomsReport", "ok condition witness message", defaults=(None, None, ""))
+):
     """Outcome of checking the involutive-division axioms on one set."""
 
-    ok: bool
-    condition: int | None = None
-    witness: tuple | None = None
-    message: str = ""
+    __slots__ = ()
 
 
 def axioms_check(
     division: Division,
     U,
     nm_fn=None,
-    rng: random.Random | None = None,
+    rng=None,
     subset_samples: int = 0,
 ) -> AxiomsReport:
     """Check the three axioms of an involutive division on the finite set U.
@@ -471,8 +477,8 @@ def axioms_check(
     2. If v lies in the cone of u then every variable multiplicative for v
        is multiplicative for u.
     3. Shrinking the set never shrinks a surviving element's multiplicative
-       variables (checked on all single-removal subsets, plus optional
-       random subsets when `subset_samples` > 0).
+       variables (checked on all single-removal subsets, plus
+       `subset_samples` random subsets drawn with `rng`, a `random.Random`).
 
     `nm_fn(u, V) -> set of nonmultiplicative indices` overrides the
     division's own partition; the checker then validates that assignment

@@ -30,7 +30,7 @@ import heapq
 import itertools
 import operator
 import time
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .core import (
     KEY_BOUND,
@@ -70,7 +70,6 @@ DIAGNOSTICS = (
 )
 
 
-@dataclass
 class Stats:
     """Counters for one completion run.
 
@@ -92,21 +91,70 @@ class Stats:
     `inv_bas` leaves the diagnostics at zero.
     """
 
-    reds: int = 0
-    c1: int = 0
-    c2: int = 0
-    f5: int = 0
-    super: int = 0
-    polys_loop: int = 0
-    polys_min: int = 0
-    max_deg: int = 0
-    deflections: int = 0
-    sig_merges: int = 0
-    killed_q: int = 0
-    purged_t: int = 0
-    global_sig_violations: int = 0
-    same_index_sig_violations: int = 0
-    elapsed_ms: float = 0.0
+    __slots__ = (
+        "reds",
+        "c1",
+        "c2",
+        "f5",
+        "super",
+        "polys_loop",
+        "polys_min",
+        "max_deg",
+        "deflections",
+        "sig_merges",
+        "killed_q",
+        "purged_t",
+        "global_sig_violations",
+        "same_index_sig_violations",
+        "elapsed_ms",
+    )
+
+    def __init__(
+        self,
+        reds: int = 0,
+        c1: int = 0,
+        c2: int = 0,
+        f5: int = 0,
+        super: int = 0,
+        polys_loop: int = 0,
+        polys_min: int = 0,
+        max_deg: int = 0,
+        deflections: int = 0,
+        sig_merges: int = 0,
+        killed_q: int = 0,
+        purged_t: int = 0,
+        global_sig_violations: int = 0,
+        same_index_sig_violations: int = 0,
+        elapsed_ms: float = 0.0,
+    ):
+        self.reds = reds
+        self.c1 = c1
+        self.c2 = c2
+        self.f5 = f5
+        self.super = super
+        self.polys_loop = polys_loop
+        self.polys_min = polys_min
+        self.max_deg = max_deg
+        self.deflections = deflections
+        self.sig_merges = sig_merges
+        self.killed_q = killed_q
+        self.purged_t = purged_t
+        self.global_sig_violations = global_sig_violations
+        self.same_index_sig_violations = same_index_sig_violations
+        self.elapsed_ms = elapsed_ms
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in Stats.__slots__)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Stats:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        return "Stats(%s)" % ", ".join(
+            "%s=%r" % item for item in zip(Stats.__slots__, self._values())
+        )
 
     def note(self, verdict: Verdict) -> None:
         if verdict is Verdict.SUPER:
@@ -125,7 +173,6 @@ class Stats:
         return self.c1 + self.c2 + self.f5 + self.super
 
 
-@dataclass
 class EngineOptions:
     """Opt-in extras of the signature-based completion.  Neither changes
     the basis or the `--stats` counters.
@@ -139,26 +186,39 @@ class EngineOptions:
     prolongation seeded into a normal form against the built product.
     """
 
-    track_cofactors: bool = False
-    check_invariants: bool = False
+    __slots__ = ("track_cofactors", "check_invariants")
+
+    def __init__(self, track_cofactors: bool = False, check_invariants: bool = False):
+        self.track_cofactors = track_cofactors
+        self.check_invariants = check_invariants
 
 
-@dataclass(frozen=True)
-class CofactorRecord:
+class CofactorRecord(namedtuple("CofactorRecord", "sig poly cofactors")):
     """How one basis insertion decomposes over the monic sorted generators."""
 
-    sig: Signature
-    poly: Polynomial
-    cofactors: tuple[Polynomial, ...]
+    __slots__ = ()
 
 
-@dataclass
 class CompletionResult:
-    basis: list[Polynomial]
-    stats: Stats
-    loop_basis: list[Polynomial]
-    sorted_input: list[Polynomial]
-    cofactor_records: list[CofactorRecord] = field(default_factory=list)
+    """The outcome of one completion run: the minimal basis, the counters,
+    the basis the loop ended with, the inputs in the order the run took
+    them and, with `track_cofactors`, one record per basis insertion."""
+
+    __slots__ = ("basis", "stats", "loop_basis", "sorted_input", "cofactor_records")
+
+    def __init__(
+        self,
+        basis: list[Polynomial],
+        stats: Stats,
+        loop_basis: list[Polynomial],
+        sorted_input: list[Polynomial],
+        cofactor_records: list[CofactorRecord] | None = None,
+    ):
+        self.basis = basis
+        self.stats = stats
+        self.loop_basis = loop_basis
+        self.sorted_input = sorted_input
+        self.cofactor_records = [] if cofactor_records is None else cofactor_records
 
     @property
     def diagnostics(self) -> dict[str, int]:

@@ -23,7 +23,7 @@ basis element at a position >= j has a head dividing lm(g_j) from then on.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import le
 
 from .core import (
@@ -40,16 +40,15 @@ from .core import (
 )
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(namedtuple("Signature", "mono index")):
     """A module monomial m*e_index; indices are 1-based."""
 
-    mono: Monomial
-    index: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.index < 1:
-            raise UsageError("signature index must be >= 1, got %d" % self.index)
+    def __new__(cls, mono: Monomial, index: int):
+        if index < 1:
+            raise UsageError("signature index must be >= 1, got %d" % index)
+        return tuple.__new__(cls, (mono, index))
 
 
 def sig_mul(m: Monomial, s: Signature) -> Signature:

@@ -18,9 +18,8 @@ example systems.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from importlib import resources
 from pathlib import Path
 
 from .core import (
@@ -49,15 +48,10 @@ class ParseError(UsageError):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
-class SystemFile:
+class SystemFile(namedtuple("SystemFile", "name vars order declared_order polynomials")):
     """A parsed polynomial system, ready for completion."""
 
-    name: str
-    vars: VarSet
-    order: Ordering
-    declared_order: str | None
-    polynomials: tuple[Polynomial, ...]
+    __slots__ = ()
 
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -297,10 +291,19 @@ def gen_katsura(n: int, order: str = DEFAULT_ORDER) -> SystemFile:
 _FAMILY = re.compile(r"^(cyclic|katsura)-?(\d+)$")
 
 
+def _data_files():
+    """The package's directory of example systems.  `importlib.resources`
+    is imported here, not at import of this module, because it imports
+    `typing` and `random`."""
+    from importlib import resources
+
+    return resources.files("invbases.data")
+
+
 def packaged_names() -> tuple[str, ...]:
     """Names of the system files shipped inside the package."""
     out = []
-    for entry in resources.files("invbases.data").iterdir():
+    for entry in _data_files().iterdir():
         if entry.name.endswith(".sys"):
             out.append(entry.name[: -len(".sys")])
     return tuple(sorted(out))
@@ -317,7 +320,7 @@ def load_builtin(name: str, order: str | None = None) -> SystemFile:
             return gen_cyclic(num, kind)
         return gen_katsura(num, kind)
     base = name.strip().lower()
-    candidate = resources.files("invbases.data").joinpath(base + ".sys")
+    candidate = _data_files().joinpath(base + ".sys")
     if candidate.is_file():
         return parse_system(candidate.read_text(), base, order=order)
     raise UsageError(

@@ -1,6 +1,7 @@
 """Involutive divisions: pairwise rules, partitions, completions, axioms."""
 from __future__ import annotations
 
+import pickle
 import random
 
 import pytest
@@ -80,6 +81,25 @@ class TestConstruction:
             Division("order", VS, lex(VarSet(("a", "b"))))
         with pytest.raises(UsageError):
             Division("pommaret", VS)
+
+    def test_equal_by_value(self):
+        vs = VarSet(("x", "y"))
+        for name in ("janet", "alex", "thomas"):
+            a, b = division_by_name(name, VS), division_by_name(name, vs)
+            assert a is not b
+            assert a == b and hash(a) == hash(b)
+            assert a != division_by_name(name, VarSet(("x", "y"), (1, 0)))
+        assert JAN != ALX and ALX != THO and JAN != THO
+        assert Division("order", VS, lex(VS)) == JAN
+        assert Division("order", VS, degrevlex(VS)) != JAN
+
+    def test_divisions_pickle(self):
+        for div in (JAN, ALX, THO, janet(VarSet(("x", "y", "z"), (2, 0, 1)))):
+            back = pickle.loads(pickle.dumps(div))
+            assert back == div and hash(back) == hash(div)
+            assert back.name == div.name
+            U = [Monomial(e + (0,) * (div.vars.n - 2)) for e in ((2, 0), (1, 1), (0, 2))]
+            assert [back.nm_set(u, U) for u in U] == [div.nm_set(u, U) for u in U]
 
 
 class TestPairRule:
@@ -636,6 +656,9 @@ class TestAxioms:
     def test_report_defaults(self):
         report = AxiomsReport(True)
         assert report.ok and report.condition is None and report.witness is None
+        assert report.message == ""
+        assert report == AxiomsReport(ok=True, condition=None, witness=None, message="")
+        assert repr(report) == "AxiomsReport(ok=True, condition=None, witness=None, message='')"
 
     def test_empty_set_is_an_error(self):
         with pytest.raises(UsageError):

@@ -220,6 +220,24 @@ class TestStatsNote:
         with pytest.raises(UsageError):
             Stats().note(Verdict.NONE)
 
+    def test_stats_start_at_zero_and_take_keywords(self):
+        s = Stats()
+        assert all(getattr(s, name) == 0 for name in Stats.__slots__)
+        assert s.elapsed_ms == 0.0
+        t = Stats(reds=3, deflections=2, elapsed_ms=1.5)
+        assert (t.reds, t.deflections, t.elapsed_ms, t.c1) == (3, 2, 1.5, 0)
+        assert t == Stats(reds=3, deflections=2, elapsed_ms=1.5)
+        assert t != s
+        s.reds = 3
+        assert "reds=3" in repr(s)
+
+    def test_engine_options_are_off_by_default(self):
+        options = EngineOptions()
+        assert options.track_cofactors is False
+        assert options.check_invariants is False
+        options = EngineOptions(True, check_invariants=True)
+        assert options.track_cofactors and options.check_invariants
+
 
 class TestRegularNormalForm:
     def setup_method(self):
@@ -421,7 +439,7 @@ class TestOptionVariants:
         assert {p.lm for p in varied.basis} == {p.lm for p in base.basis}
         # Only the debug run counts violations; everything else is the same.
         check_only = {"elapsed_ms", "global_sig_violations", "same_index_sig_violations"}
-        for name in vars(base.stats).keys() - check_only:
+        for name in set(Stats.__slots__) - check_only:
             assert getattr(varied.stats, name) == getattr(base.stats, name), name
         for name in base.diagnostics.keys() - check_only:
             assert varied.diagnostics[name] == base.diagnostics[name], name

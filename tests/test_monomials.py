@@ -174,6 +174,15 @@ class TestVarSet:
         with pytest.raises(UsageError):
             vs.index("z")
 
+    def test_equal_by_value(self):
+        a = VarSet(["x", "y"])
+        b = VarSet(("x", "y"), (0, 1))
+        assert a == b and hash(a) == hash(b)
+        assert a.names == ("x", "y")
+        assert a != VarSet(("x", "y"), (1, 0))
+        assert a != VarSet(("x", "z"))
+        assert a != ("x", "y")
+
 
 class TestOrderings:
     def test_kinds_and_admissibility(self):
@@ -242,6 +251,16 @@ class TestOrderings:
                     o.key(Monomial((1, 1, 1)))
                 with pytest.raises(UsageError):
                     o.key(Monomial((1,)))
+
+    def test_equal_by_value(self):
+        vs = VarSet(("x", "y"))
+        for kind in ("lex", "degrevlex", "alex"):
+            a, b = ordering_by_name(kind, vs), ordering_by_name(kind, VarSet(("x", "y")))
+            assert a is not b
+            assert a == b and hash(a) == hash(b)
+            assert a != ordering_by_name(kind, VarSet(("x", "y"), (1, 0)))
+        assert lex(vs) != degrevlex(vs) and degrevlex(vs) != alex(vs)
+        assert lex(vs) != vs
 
     def test_orderings_pickle(self):
         vs = VarSet(("x", "y"), (1, 0))

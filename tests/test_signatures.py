@@ -75,6 +75,18 @@ class TestSignature:
         assert Signature(XY, 2) == Signature(XY, 2)
         assert Signature(XY, 2) != Signature(XY, 1)
 
+    def test_equal_signatures_hash_equal(self):
+        a, b = Signature(XY, 2), Signature(mono=Monomial((1, 1)), index=2)
+        assert a is not b
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, Signature(X, 2), Signature(XY, 1)}) == 3
+        assert (a.mono, a.index) == (XY, 2)
+        assert repr(a) == "Signature(mono=Monomial((1, 1)), index=2)"
+
+    def test_keyword_index_is_checked_too(self):
+        with pytest.raises(UsageError):
+            Signature(mono=ONE, index=0)
+
     def test_sig_mul_shifts_the_monomial_only(self):
         s = sig_mul(X, Signature(Y, 2))
         assert s == Signature(XY, 2)

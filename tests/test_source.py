@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import ast
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import invbases
@@ -88,8 +90,8 @@ def test_the_scan_finds_fraction_internals():
 FRACTION_MODULES = {"core.py", "systems.py"}
 
 
-def fractions_imports(source: str, filename: str) -> list[str]:
-    """`file:line` of every import of the `fractions` module in the source."""
+def imports_of(module: str, source: str, filename: str) -> list[str]:
+    """`file:line` of every import of `module` in the source."""
     tree = ast.parse(source, filename=filename)
     hits = []
     for n in ast.walk(tree):
@@ -99,7 +101,7 @@ def fractions_imports(source: str, filename: str) -> list[str]:
             names = [n.module]
         else:
             continue
-        if any(name == "fractions" or name.startswith("fractions.") for name in names):
+        if any(name == module or name.startswith(module + ".") for name in names):
             hits.append("%s:%d" % (filename, n.lineno))
     return hits
 
@@ -111,7 +113,7 @@ def test_only_the_edges_import_fractions():
         hit
         for path in files
         if path.name not in FRACTION_MODULES
-        for hit in fractions_imports(path.read_text(), path.name)
+        for hit in imports_of("fractions", path.read_text(), path.name)
     ]
     assert found == []
 
@@ -125,7 +127,83 @@ def test_the_scan_finds_fractions_imports():
         "    from .fractions import Fraction\n"
         "    return fr\n"
     )
-    assert fractions_imports(source, "sample.py") == ["sample.py:1", "sample.py:2", "sample.py:4"]
+    assert imports_of("fractions", source, "sample.py") == [
+        "sample.py:1",
+        "sample.py:2",
+        "sample.py:4",
+    ]
+
+
+# `dataclasses` generates and `exec`s the code of every class it decorates,
+# at each start, and importing it brings in `inspect` and `ast`: about 16 ms
+# of a start that was 0.14 s.  The package writes its classes out instead.
+def test_no_module_imports_dataclasses():
+    files = sorted(SRC.glob("*.py"))
+    assert files
+    found = [
+        hit for path in files for hit in imports_of("dataclasses", path.read_text(), path.name)
+    ]
+    assert found == []
+
+
+def test_the_scan_finds_dataclasses_imports():
+    source = (
+        "import dataclasses\n"
+        "from dataclasses import dataclass, field\n"
+        "from .dataclasses import helper\n"
+        "def f():\n"
+        "    import dataclasses as dc\n"
+        "    return dc\n"
+    )
+    assert imports_of("dataclasses", source, "sample.py") == [
+        "sample.py:1",
+        "sample.py:2",
+        "sample.py:5",
+    ]
+
+
+def code_generation_calls(source: str, filename: str) -> list[str]:
+    """`file:line name` of every call of the builtins `exec` and `eval`."""
+    tree = ast.parse(source, filename=filename)
+    return [
+        "%s:%d %s" % (filename, n.lineno, n.func.id)
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Call)
+        and isinstance(n.func, ast.Name)
+        and n.func.id in ("exec", "eval")
+    ]
+
+
+def test_no_module_calls_exec_or_eval():
+    files = sorted(SRC.glob("*.py"))
+    assert files
+    found = [hit for path in files for hit in code_generation_calls(path.read_text(), path.name)]
+    assert found == []
+
+
+def test_the_scan_finds_exec_and_eval():
+    source = "def f(code):\n    exec(code)\n    return eval(code), obj.eval(code)\n"
+    assert code_generation_calls(source, "sample.py") == ["sample.py:2 exec", "sample.py:3 eval"]
+
+
+# Modules a start must not load: `dataclasses`, with the `inspect` it
+# imports, and `typing` and `random`, which the package would need for
+# annotations only.  `python -S` skips the site hooks, whose `.pth` files
+# may import some of them first and so hide a regression.
+UNWANTED_AT_START = ("dataclasses", "inspect", "typing", "random")
+
+
+def test_starting_the_cli_loads_no_unwanted_module():
+    code = (
+        "import sys\n"
+        "sys.path.insert(0, %r)\n"
+        "import invbases.cli\n"
+        "print(' '.join(m for m in %r if m in sys.modules))\n"
+    ) % (str(SRC.parent), UNWANTED_AT_START)
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    assert out.split() == []
 
 
 def load_tracer_class():

@@ -10,8 +10,9 @@ reduction step reads the reducer's own numerators, and the accumulator
 builds a polynomial of its terms (`PendingTerms.polynomial`), so nothing
 converts between two forms.  `Fraction` appears only at the edges: the public constructor
 `Polynomial(order, terms)`, which the parser and the cofactor sums go
-through, the accessors `lc`, `lt`, `terms` and iteration, the
-accumulator's `top_coeff` (for cofactors), and `render_polynomial`.
+through, the accessors `lc`, `lt`, `terms` and iteration, and the
+accumulator's `top_coeff` (for cofactors); `render_polynomial` prints the
+integers.
 
 Terms are combined in two places only.  Every cancelling step (the three
 normal forms, the engine's deflections and head reductions under alex, and
@@ -721,19 +722,24 @@ def render_monomial(m: Monomial, names: tuple[str, ...]) -> str:
 
 
 def render_polynomial(p: Polynomial) -> str:
-    """Canonical text form, e.g. ``x^2 - 3/2*y^2``."""
+    """Canonical text form, e.g. ``x^2 - 3/2*y^2``.  Each coefficient
+    n/den is printed in lowest terms, as `str(Fraction(n, den))` would,
+    from the integer numerator."""
     if p.is_zero:
         return "0"
     names = p.order.vars.names
+    den = p.den
     pieces = []
-    for pos, (c, m) in enumerate(p.terms):
-        neg = c < 0
-        mag = -c if neg else c
+    for pos, (n, m) in enumerate(zip(p._nums, p._monos)):
+        neg = n < 0
+        mag = -n if neg else n
+        g = math.gcd(mag, den)
+        coeff = str(mag // g) if g == den else "%d/%d" % (mag // g, den // g)
         body = render_monomial(m, names)
         if not body:
-            body = str(mag)
-        elif mag != 1:
-            body = "%s*%s" % (mag, body)
+            body = coeff
+        elif mag != den:  # a coefficient of magnitude 1 is not printed
+            body = "%s*%s" % (coeff, body)
         if pos == 0:
             pieces.append("-" + body if neg else body)
         else:

@@ -40,6 +40,7 @@ from .core import (
     Polynomial,
     UsageError,
     _key_bound_error,
+    _mono,
     mono_div,
     mono_mul,
     mono_one,
@@ -584,7 +585,7 @@ class _Engine:
     def _ranked_divisors(self, p: SigPoly, m: Monomial, m_key: int) -> tuple[list, list]:
         """The (q, u) of every basis element q whose head involutively
         divides m, of order key m_key, u the quotient, in the order
-        `divisors` yields them (smallest head first): those that are
+        `divisors` returns them (smallest head first): those that are
         signature-safe for p (u*sig(q) <= sig(p)) and the others.  Compared
         in integers: q lies at a later position, or at p's with key(u) plus
         q's kept signature key at most p's.  Keys add, so key(u) is m_key
@@ -794,14 +795,22 @@ class _InvolutiveReducer:
     C1/C2 lookup of `inv_bas` all go through it.  It asks the partition's
     lookup (`Partition.divisors`) for the heads that involutively divide m:
     the one head under Janet and Thomas, every such head under alex,
-    smallest first.  `nf` reduces each term by the first divisor it yields
-    (smallest head, then earliest added).  It looks at the largest pending
-    term of a `PendingTerms`: an irreducible term is popped into the
-    remainder, and the reduction step (`reduce_top`) cancels it and folds
-    the rest of the multiplied divisor into the pending terms.
+    smallest first.  It returns the rows as a tuple, which it memoises by
+    the exponents of m.  The partition and the filed elements change only
+    in `add`, so an entry is exact until the next `add`, which clears the
+    memo (also when it files a repeated head: that widens no mask but
+    lengthens the head's rows).  Under alex, whose cones nest, a search
+    probes every mask file, and many terms are searched again before the
+    set grows.
+
+    `nf` reduces each term by the first row (smallest head, then earliest
+    added).  It looks at the largest pending term of a `PendingTerms`: an
+    irreducible term is popped into the remainder, and the reduction step
+    (`reduce_top`) cancels it and folds the rest of the multiplied divisor
+    into the pending terms.
     """
 
-    __slots__ = ("order", "partition", "_by_head")
+    __slots__ = ("order", "partition", "_by_head", "_memo")
 
     def __init__(self, G, division: Division, order: Ordering):
         polys = [g for g in G]
@@ -811,6 +820,7 @@ class _InvolutiveReducer:
         self.order = order
         self.partition = division.partition(())
         self._by_head: dict[Monomial, list[tuple]] = {}
+        self._memo: dict[tuple, tuple] = {}
         for g in polys:
             self.add(g)
 
@@ -820,22 +830,30 @@ class _InvolutiveReducer:
         lm = g.lm
         widened = self.partition.add(lm)
         self._by_head.setdefault(lm, []).append((g, item))
+        self._memo.clear()
         return widened
 
-    def divisors(self, m: Monomial):
-        """Yield (polynomial, item, quotient) for every element whose head
+    def divisors(self, m: Monomial) -> tuple:
+        """The (polynomial, item, quotient) rows of every element whose head
         involutively divides m: the heads the partition's lookup names,
         smallest first (by the kept key of the first element's head; under
         Janet and Thomas there is one at most), and each head's elements
         in the order they were added."""
-        by_head = self._by_head
-        heads = self.partition.divisors(m)
-        if len(heads) > 1:
-            heads.sort(key=lambda h: by_head[h][0][0].key_row()[0])
-        for head in heads:
-            u = mono_div(m, head)
-            for g, item in by_head[head]:
-                yield g, item, u
+        e = m.exps
+        rows = self._memo.get(e)
+        if rows is None:
+            by_head = self._by_head
+            heads = self.partition.divisors(m)
+            if len(heads) > 1:
+                heads.sort(key=lambda h: by_head[h][0][0].key_row()[0])
+            d = m.deg
+            rows = []
+            for head in heads:
+                # The partition has proved that the head divides m.
+                u = _mono(tuple(map(operator.sub, e, head.exps)), d - head.deg)
+                rows += [(g, item, u) for g, item in by_head[head]]
+            rows = self._memo[e] = tuple(rows)
+        return rows
 
     def nf(self, f: Polynomial, mono: Monomial | None = None) -> Polynomial:
         """The involutive normal form of f, or of the product mono*f,
@@ -843,12 +861,12 @@ class _InvolutiveReducer:
         pending = PendingTerms(f, mono)
         rem = []
         while pending:
-            hit = next(self.divisors(pending.top_mono()), None)
-            if hit is None:
-                rem.append(pending.pop())
-            else:
-                g, _item, u = hit
+            hits = self.divisors(pending.top_mono())
+            if hits:
+                g, _item, u = hits[0]
                 pending.reduce_top(u, g)
+            else:
+                rem.append(pending.pop())
         return pending.polynomial(rem)
 
 
@@ -947,9 +965,9 @@ def inv_bas(F, division: Division, order: Ordering) -> CompletionResult:
     while queue:
         p, x, p_lm, anc, processed, key = heapq.heappop(queue)[2]
         pending.discard(key)
-        hit = next(reducer.divisors(p_lm), None)
-        if hit is not None:
-            g, _item, _u = hit
+        hits = reducer.divisors(p_lm)
+        if hits:
+            g, _item, _u = hits[0]
             verdict = ancestor_criteria(p_lm, anc, basis[g.lm][1])
             if verdict is not Verdict.NONE:
                 stats.note(verdict)

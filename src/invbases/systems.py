@@ -17,6 +17,7 @@ example systems.
 """
 from __future__ import annotations
 
+import os
 import re
 from collections import namedtuple
 from fractions import Fraction
@@ -291,19 +292,22 @@ def gen_katsura(n: int, order: str = DEFAULT_ORDER) -> SystemFile:
 _FAMILY = re.compile(r"^(cyclic|katsura)-?(\d+)$")
 
 
-def _data_files():
-    """The package's directory of example systems.  `importlib.resources`
-    is imported here, not at import of this module, because it imports
-    `typing` and `random`."""
-    from importlib import resources
-
-    return resources.files("invbases.data")
+_DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
+_PACKAGED = re.compile(r"\w+")
 
 
 def packaged_names() -> tuple[str, ...]:
-    """Names of the system files shipped inside the package."""
+    """Names of the system files shipped inside the package.
+    `importlib.resources` lists them, also from a zipped install; it is
+    imported here, not at import of this module, because it imports
+    `typing`, `tempfile` and `random`."""
+    from importlib import resources
+
     out = []
-    for entry in _data_files().iterdir():
+    # Through the package, not `invbases.data`: a directory without an
+    # `__init__.py` is a namespace package, which `resources` cannot read
+    # inside a zip archive.
+    for entry in resources.files(__package__).joinpath("data").iterdir():
         if entry.name.endswith(".sys"):
             out.append(entry.name[: -len(".sys")])
     return tuple(sorted(out))
@@ -311,7 +315,8 @@ def packaged_names() -> tuple[str, ...]:
 
 def load_builtin(name: str, order: str | None = None) -> SystemFile:
     """Resolve a built-in system name: cyclicN, katsuraN, or a packaged
-    example system."""
+    example system, read through the package's loader (which also reads
+    from a zipped install)."""
     m = _FAMILY.match(name.strip().lower())
     if m:
         family, num = m.group(1), int(m.group(2))
@@ -320,9 +325,13 @@ def load_builtin(name: str, order: str | None = None) -> SystemFile:
             return gen_cyclic(num, kind)
         return gen_katsura(num, kind)
     base = name.strip().lower()
-    candidate = _data_files().joinpath(base + ".sys")
-    if candidate.is_file():
-        return parse_system(candidate.read_text(), base, order=order)
+    if _PACKAGED.fullmatch(base):
+        try:
+            raw = __loader__.get_data(os.path.join(_DATA_DIR, base + ".sys"))
+        except OSError:
+            pass
+        else:
+            return parse_system(raw.decode("utf-8"), base, order=order)
     raise UsageError(
         "unknown system %r (try cyclicN, katsuraN, or one of: %s)"
         % (name, ", ".join(packaged_names()))

@@ -485,6 +485,88 @@ class TestDivisorLookup:
         assert part.divisors(Y) == []
 
 
+def rows_of(index, m):
+    return [(id(g), item, u) for g, item, u in index.divisors(m)]
+
+
+def fresh_reducer(elements, div, order):
+    index = _InvolutiveReducer((), div, order)
+    for g, item in elements:
+        index.add(g, item)
+    return index
+
+
+class TestMemoisedLookup:
+    """`_InvolutiveReducer.divisors` memoises its rows until the next `add`:
+    every answer must equal that of a reducer built afresh from the same
+    elements."""
+
+    @given(
+        st.lists(monomials(2, 3), min_size=1, max_size=8),
+        st.lists(monomials(2, 5), min_size=1, max_size=6),
+        st.sampled_from(("janet", "thomas", "alex")),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_interleaved_adds_and_lookups_equal_a_fresh_reducer(self, heads, queries, name, rng):
+        # Heads may repeat.  Each query is looked up before and after every
+        # add, some more than once, so stale entries would be answered.
+        div = division_by_name(name, VS)
+        order = degrevlex(VS)
+        index = _InvolutiveReducer((), div, order)
+        elements = []
+        for k, w in enumerate(heads):
+            for m in rng.sample(queries, len(queries)):
+                assert rows_of(index, m) == rows_of(fresh_reducer(elements, div, order), m)
+            g = Polynomial(order, [(1, w)])
+            index.add(g, k)
+            elements.append((g, k))
+            fresh = fresh_reducer(elements, div, order)
+            for m in queries + [mono_mul(w, q) for q in queries] + queries:
+                assert rows_of(index, m) == rows_of(fresh, m)
+
+    def test_an_add_that_widens_a_mask_drops_a_remembered_hit(self):
+        # Under alex x^2*y^2 lies in the cones of x*y and x^2*y until y^2
+        # makes y nonmultiplicative for x^2*y.
+        order = lex(VS)
+        m = Monomial((2, 2))
+        xy, x2y = Polynomial(order, [(1, XY)]), Polynomial(order, [(1, X2Y)])
+        index = _InvolutiveReducer((x2y, xy), ALX, order)
+        assert [(g, u) for g, _item, u in index.divisors(m)] == [(xy, XY), (x2y, Y)]
+        index.add(Polynomial(order, [(1, Y2)]))
+        assert [(g, u) for g, _item, u in index.divisors(m)] == [(xy, XY)]
+
+    @pytest.mark.parametrize("div", [JAN, THO, ALX], ids=lambda d: d.name)
+    def test_an_add_of_a_repeated_head_lengthens_a_remembered_answer(self, div):
+        order = lex(VS)
+        m = Monomial((2, 2))
+        first, second = Polynomial(order, [(1, XY)]), Polynomial(order, [(2, XY), (1, Y)])
+        index = _InvolutiveReducer((first,), div, order)
+        assert index.divisors(m) == ((first, None, XY),)
+        widened = index.add(second, "again")
+        assert widened == {}
+        assert index.divisors(m) == ((first, None, XY), (second, "again", XY))
+
+    @pytest.mark.parametrize("div", [JAN, THO, ALX], ids=lambda d: d.name)
+    def test_the_rows_are_a_tuple_and_kept_until_the_next_add(self, div):
+        order = lex(VS)
+        index = _InvolutiveReducer([Polynomial(order, [(1, XY)])], div, order)
+        for m in (Monomial((2, 2)), Y):
+            rows = index.divisors(m)
+            assert type(rows) is tuple
+            assert index.divisors(Monomial(m.exps)) is rows
+        rows = index.divisors(Y)
+        index.add(Polynomial(order, [(1, Y)]))
+        assert rows == () and index.divisors(Y) != rows
+
+    @pytest.mark.parametrize("div", [JAN, THO, ALX], ids=lambda d: d.name)
+    def test_a_monomial_of_another_dimension_is_rejected_every_time(self, div):
+        index = _InvolutiveReducer([Polynomial(lex(VS), [(1, XY)])], div, lex(VS))
+        for _ in range(2):
+            with pytest.raises(UsageError, match="dimension mismatch"):
+                index.divisors(Monomial((1, 1, 0)))
+
+
 class TestThomasCompletion:
     def test_small_box(self):
         assert thomas_completion((X2, XY)) == frozenset({X2, XY, X2Y})

@@ -23,6 +23,7 @@ from invbases.core import (
     mono_div,
     mono_lcm,
     mono_one,
+    render_monomial,
     render_polynomial,
     spoly,
 )
@@ -37,6 +38,7 @@ DIVISIONS = ("janet", "alex", "thomas")
 VS = VarSet(("x", "y"))
 LEX = lex(VS)
 DRL = degrevlex(VS)
+DRL3 = degrevlex(VarSet(("x", "y", "z")))
 
 X2 = Monomial((2, 0))
 XY = Monomial((1, 1))
@@ -367,6 +369,43 @@ class TestRender:
     def test_str_matches_render(self):
         p = poly(LEX, (2, X))
         assert str(p) == "2*x"
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(
+                    st.sampled_from((1, -1, 2, -7)),
+                    st.fractions(min_value=-50, max_value=50, max_denominator=36),
+                ).filter(lambda c: c != 0),
+                monomials(3, 3),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_rendering_from_numerators_equals_rendering_fractions(self, terms):
+        # Unit, integral, negative and fractional coefficients, against the
+        # rendering that prints each coefficient as a `Fraction`.
+        p = Polynomial(DRL3, terms)
+        assert render_polynomial(p) == render_by_fractions(p)
+
+
+def render_by_fractions(p: Polynomial) -> str:
+    if p.is_zero:
+        return "0"
+    pieces = []
+    for pos, (c, m) in enumerate(p.terms):
+        mag = abs(c)
+        body = render_monomial(m, p.order.vars.names)
+        if not body:
+            body = str(mag)
+        elif mag != 1:
+            body = "%s*%s" % (mag, body)
+        if pos == 0:
+            pieces.append("-" + body if c < 0 else body)
+        else:
+            pieces.append(("- " if c < 0 else "+ ") + body)
+    return " ".join(pieces)
 
 
 class TestSPoly:

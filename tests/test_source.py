@@ -188,9 +188,13 @@ def test_the_scan_finds_exec_and_eval():
 
 # Modules a start must not load: `dataclasses`, with the `inspect` it
 # imports, and `typing` and `random`, which the package would need for
-# annotations only.  `python -S` skips the site hooks, whose `.pth` files
-# may import some of them first and so hide a regression.
+# annotations only.  Nor may loading a packaged system, which reads its file
+# through the package's loader: `importlib.resources` would bring in
+# `typing`, `tempfile`, `random` and `shutil`.  `python -S` skips the site
+# hooks, whose `.pth` files may import some of them first and so hide a
+# regression.
 UNWANTED_AT_START = ("dataclasses", "inspect", "typing", "random")
+UNWANTED_AT_LOAD = ("typing", "tempfile", "random", "shutil")
 
 
 def test_starting_the_cli_loads_no_unwanted_module():
@@ -199,11 +203,13 @@ def test_starting_the_cli_loads_no_unwanted_module():
         "sys.path.insert(0, %r)\n"
         "import invbases.cli\n"
         "print(' '.join(m for m in %r if m in sys.modules))\n"
-    ) % (str(SRC.parent), UNWANTED_AT_START)
+        "invbases.cli.load_builtin('noon3')\n"
+        "print(' '.join(m for m in %r if m in sys.modules))\n"
+    ) % (str(SRC.parent), UNWANTED_AT_START, UNWANTED_AT_LOAD)
     out = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
     ).stdout
-    assert out.split() == []
+    assert out.split("\n") == ["", "", ""]
 
 
 def load_tracer_class():

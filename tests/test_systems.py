@@ -1,10 +1,16 @@
 """System file parsing, rendering, generators, and packaged data."""
 from __future__ import annotations
 
+import subprocess
+import sys
+import zipfile
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import invbases
 from invbases.core import UsageError, lex, render_polynomial
 from invbases.systems import (
     ParseError,
@@ -232,6 +238,33 @@ class TestBuiltins:
             load_builtin("nonesuch")
         assert "nonesuch" in str(exc.value)
         assert "trinks" in str(exc.value)
+
+    @pytest.mark.parametrize("name", ["../data/noon3", "data/noon3", "noon3.sys", "", "eco7 x"])
+    def test_a_name_that_is_not_a_packaged_file_name_is_unknown(self, name):
+        with pytest.raises(UsageError, match="unknown system"):
+            load_builtin(name)
+
+    def test_a_zipped_install_reads_and_lists_the_packaged_systems(self, tmp_path):
+        # The package imported from a zip archive: the loader reads the
+        # system file out of the archive.
+        package = Path(invbases.__file__).parent
+        archive = tmp_path / "invbases.zip"
+        with zipfile.ZipFile(archive, "w") as zf:
+            for path in sorted(package.rglob("*")):
+                if path.suffix in (".py", ".sys"):
+                    zf.write(path, Path("invbases") / path.relative_to(package))
+        code = (
+            "import sys\n"
+            "sys.path.insert(0, %r)\n"
+            "import invbases.systems as s\n"
+            "assert s.__file__.startswith(%r), s.__file__\n"
+            "print(s.render_system(s.load_builtin('noon3')))\n"
+            "print(' '.join(s.packaged_names()))\n"
+        ) % (str(archive), str(archive))
+        out = subprocess.run(
+            [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
+        ).stdout
+        assert out == "%s\n%s\n" % (render_system(load_builtin("noon3")), " ".join(packaged_names()))
 
 
 class TestLoadSystemFile:

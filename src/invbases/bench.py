@@ -6,12 +6,9 @@ from collections import namedtuple
 
 from .core import UsageError
 from .division import division_by_name
-from .engine import Stats, inv_bas, inv_comp, nf_full
+from .engine import COUNTERS, Stats, inv_bas, inv_comp, nf_full
 from .oracles import buchberger_nf, is_groebner, is_involutive
 from .systems import SystemFile, load_builtin, load_system_file
-
-# The columns copied from `Stats` under the same name.
-COUNTERS = ("reds", "c1", "c2", "f5", "super", "polys_loop", "polys_min", "max_deg")
 
 COLUMNS = ("system", "algorithm", "division", "time_ms") + COUNTERS + ("verified",)
 

@@ -59,6 +59,9 @@ from .signatures import (
 )
 
 
+# The `Stats` counters that `bench` prints as the `--stats` columns.
+COUNTERS = ("reds", "c1", "c2", "f5", "super", "polys_loop", "polys_min", "max_deg")
+
 # The engine's diagnostic counters: kept in `Stats`, outside the `--stats`
 # columns, and read by name through `CompletionResult.diagnostics`.
 DIAGNOSTICS = (
@@ -72,14 +75,16 @@ DIAGNOSTICS = (
 
 
 class Stats:
-    """Counters for one completion run.
+    """Counters for one completion run: the `COUNTERS`, the `DIAGNOSTICS`
+    and the run's wall time, each set by keyword (0, and 0.0 for
+    `elapsed_ms`, by default).
 
-    The first eight are the `--stats` columns (`inv_bas` leaves `f5` and
-    `super` at zero).  `max_deg` is the largest total degree seen, and the
-    two algorithms see different things: `inv_comp` counts the queued
-    polynomials and every term a reduction step forms, `inv_bas` only the
-    queued polynomials and the normal forms.  So the column does not
-    compare across algorithms (noon3 under alex: 13 against 6).
+    `inv_bas` leaves `f5` and `super` at zero.  `max_deg` is the largest
+    total degree seen, and the two algorithms see different things:
+    `inv_comp` counts the queued polynomials and every term a reduction
+    step forms, `inv_bas` only the queued polynomials and the normal
+    forms.  So the column does not compare across algorithms (noon3 under
+    alex: 13 against 6).
 
     The diagnostics count deflected combinations queued (`deflections`),
     queued elements of equal signature merged (`sig_merges`) and of those
@@ -92,57 +97,13 @@ class Stats:
     `inv_bas` leaves the diagnostics at zero.
     """
 
-    __slots__ = (
-        "reds",
-        "c1",
-        "c2",
-        "f5",
-        "super",
-        "polys_loop",
-        "polys_min",
-        "max_deg",
-        "deflections",
-        "sig_merges",
-        "killed_q",
-        "purged_t",
-        "global_sig_violations",
-        "same_index_sig_violations",
-        "elapsed_ms",
-    )
+    __slots__ = COUNTERS + DIAGNOSTICS + ("elapsed_ms",)
 
-    def __init__(
-        self,
-        reds: int = 0,
-        c1: int = 0,
-        c2: int = 0,
-        f5: int = 0,
-        super: int = 0,
-        polys_loop: int = 0,
-        polys_min: int = 0,
-        max_deg: int = 0,
-        deflections: int = 0,
-        sig_merges: int = 0,
-        killed_q: int = 0,
-        purged_t: int = 0,
-        global_sig_violations: int = 0,
-        same_index_sig_violations: int = 0,
-        elapsed_ms: float = 0.0,
-    ):
-        self.reds = reds
-        self.c1 = c1
-        self.c2 = c2
-        self.f5 = f5
-        self.super = super
-        self.polys_loop = polys_loop
-        self.polys_min = polys_min
-        self.max_deg = max_deg
-        self.deflections = deflections
-        self.sig_merges = sig_merges
-        self.killed_q = killed_q
-        self.purged_t = purged_t
-        self.global_sig_violations = global_sig_violations
-        self.same_index_sig_violations = same_index_sig_violations
-        self.elapsed_ms = elapsed_ms
+    def __init__(self, **values):
+        for name in Stats.__slots__:
+            setattr(self, name, values.pop(name, 0.0 if name == "elapsed_ms" else 0))
+        if values:
+            raise TypeError("Stats has no counter %s" % ", ".join(sorted(values)))
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in Stats.__slots__)
@@ -158,16 +119,11 @@ class Stats:
         )
 
     def note(self, verdict: Verdict) -> None:
-        if verdict is Verdict.SUPER:
-            self.super += 1
-        elif verdict is Verdict.C1:
-            self.c1 += 1
-        elif verdict is Verdict.C2:
-            self.c2 += 1
-        elif verdict is Verdict.F5:
-            self.f5 += 1
-        else:
+        """Count a head reduction the criterion `verdict` discarded, in the
+        counter of that name."""
+        if verdict is Verdict.NONE:
             raise UsageError("cannot record verdict %r" % (verdict,))
+        setattr(self, verdict.value, getattr(self, verdict.value) + 1)
 
     @property
     def criteria_total(self) -> int:
@@ -297,7 +253,7 @@ class _Engine:
 
         self.T: list[SigPoly] = []
         self.by_position: dict[int, list[tuple[Monomial, SigPoly]]] = {}
-        self._index = _InvolutiveReducer((), division, order)
+        self._index = _InvolutiveReducer((), division)
 
     def seed(self, F) -> None:
         """Queue the generators of F, checked, made monic and sorted by
@@ -331,14 +287,6 @@ class _Engine:
         self.by_position.setdefault(sp.sig.index, []).append((sp.lm, sp))
         return self._index.add(sp.poly, sp)
 
-    def _bump_deg(self, sp: SigPoly) -> int:
-        """Raise `max_deg` to the total degree of sp's polynomial, and
-        return it."""
-        deg = sp.deg
-        if deg > self.stats.max_deg:
-            self.stats.max_deg = deg
-        return deg
-
     def _check_cofactors(self, sp: SigPoly) -> None:
         if self.options.track_cofactors:
             if sp.cofactors is None:
@@ -361,7 +309,8 @@ class _Engine:
         """
         if sp.lm is None:
             return False
-        self._bump_deg(sp)
+        if sp.deg > self.stats.max_deg:
+            self.stats.max_deg = sp.deg
         self._check_cofactors(sp)
         self._check_creator(sp.sig, creator_sig)
         if sp.sig in self._sig_best:
@@ -525,9 +474,8 @@ class _Engine:
         those terms, whether or not a criterion discards its head.
         """
         order = self.order
-        deg = self._bump_deg(p)
-        if deg >= KEY_BOUND:
-            raise _key_bound_error(deg)
+        if p.deg >= KEY_BOUND:
+            raise _key_bound_error(p.deg)
         if (
             self.options.check_invariants
             and p.pending().descending()
@@ -777,7 +725,7 @@ def inv_comp(
 
 def nf_full(f: Polynomial, G, division: Division, order: Ordering) -> Polynomial:
     """Full involutive normal form of f against the polynomials G."""
-    return _InvolutiveReducer(G, division, order).nf(f)
+    return _InvolutiveReducer(G, division).nf(f)
 
 
 class _InvolutiveReducer:
@@ -787,8 +735,9 @@ class _InvolutiveReducer:
 
     Each head lists the (polynomial, item) pairs of its elements in the
     order they were added, where the item is what `add` attaches (the
-    engine's `SigPoly`; None for the elements of G).  The nonmultiplicative
-    masks are kept once, in the partition, which widens them as G grows.
+    engine's `SigPoly`, `inv_bas`'s ancestor head; None for the elements
+    of G).  The nonmultiplicative masks are kept once, in the partition,
+    which widens them as G grows.
 
     `divisors(m)` is the one involutive-divisor search of the package: the
     engine's signature-safe normal form, `nf`, `is_involutive` and the
@@ -810,14 +759,13 @@ class _InvolutiveReducer:
     into the pending terms.
     """
 
-    __slots__ = ("order", "partition", "_by_head", "_memo")
+    __slots__ = ("partition", "_by_head", "_memo")
 
-    def __init__(self, G, division: Division, order: Ordering):
+    def __init__(self, G, division: Division):
         polys = [g for g in G]
         for g in polys:
             if g.is_zero:
                 raise UsageError("zero polynomial in the reducing set")
-        self.order = order
         self.partition = division.partition(())
         self._by_head: dict[Monomial, list[tuple]] = {}
         self._memo: dict[tuple, tuple] = {}
@@ -924,7 +872,9 @@ def inv_bas(F, division: Division, order: Ordering) -> CompletionResult:
     element a prolongation prolongs, None for the others.  A nonzero
     normal form h sends the basis elements whose heads lm(h) properly
     divides back to the queue, and keeps its element's ancestry when its
-    head is unchanged.
+    head is unchanged.  The basis is held once, in the divisor index, each
+    element filed with its anc; a displacement files the rest afresh, in
+    their order.
 
     Each basis element has had the prolongations of all its
     nonmultiplicative variables queued, so only a queued element carries
@@ -959,16 +909,15 @@ def inv_bas(F, division: Division, order: Ordering) -> CompletionResult:
     gens = [f.monic() for f in polys]
     for g in gens:
         push(g, g.lm, 0)
-    basis: dict[Monomial, tuple] = {}  # head -> (poly, anc)
-    reducer = _InvolutiveReducer((), division, order)
+    reducer = _InvolutiveReducer((), division)  # the basis, rows (poly, anc)
     pending: set[tuple[Monomial, int]] = set()  # the keys of the queued prolongations
     while queue:
         p, x, p_lm, anc, processed, key = heapq.heappop(queue)[2]
         pending.discard(key)
         hits = reducer.divisors(p_lm)
         if hits:
-            g, _item, _u = hits[0]
-            verdict = ancestor_criteria(p_lm, anc, basis[g.lm][1])
+            _g, g_anc, _u = hits[0]
+            verdict = ancestor_criteria(p_lm, anc, g_anc)
             if verdict is not Verdict.NONE:
                 stats.note(verdict)
                 continue
@@ -978,28 +927,31 @@ def inv_bas(F, division: Division, order: Ordering) -> CompletionResult:
             continue
         stats.max_deg = max(stats.max_deg, h.degree)
         h = h.monic()
-        # The heads lm(h) properly divides: larger degree, exponents no
-        # smaller.
+        # The heads lm(h) properly divides (larger degree, exponents no
+        # smaller) go back to the queue, and the rest is filed afresh in a
+        # new index: the old one, its rows popped, is dropped.
         hm = h.lm
         he, hd = hm.exps, hm.deg
-        displaced = [m for m in basis if m.deg > hd and all(map(operator.le, he, m.exps))]
+        rows = reducer._by_head
+        displaced = [m for m in rows if m.deg > hd and all(map(operator.le, he, m.exps))]
         for m in displaced:
-            push(*basis.pop(m), reducer.partition.nm_mask(m))
+            push(*rows.pop(m)[0], reducer.partition.nm_mask(m))
         if displaced:
-            reducer = _InvolutiveReducer([t[0] for t in basis.values()], division, order)
+            reducer = _InvolutiveReducer((), division)
+            for ((q, q_anc),) in rows.values():
+                reducer.add(q, q_anc)
         if hm != p_lm:
             anc, processed = hm, 0
-        basis[hm] = (h, anc)
-        for m, bits in reducer.add(h).items():
+        for m, bits in reducer.add(h, anc).items():
             if m == hm:
                 bits &= ~processed
-            q, q_anc = basis[m]
+            ((q, q_anc),) = reducer._by_head[m]
             for i in bit_indices(bits):
                 if (m, i) not in pending:
                     pending.add((m, i))
                     push(q, q_anc, 0, (m, i))
 
-    loop_basis = [t[0] for t in basis.values()]
+    loop_basis = [q for ((q, _anc),) in reducer._by_head.values()]
     stats.polys_loop = len(loop_basis)
     basis_min = min_bas(loop_basis, division, order)
     stats.polys_min = len(basis_min)

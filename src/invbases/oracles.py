@@ -223,7 +223,7 @@ def is_involutive(G, division: Division, order: Ordering) -> bool:
     polys = [g for g in G]
     if not polys:
         raise UsageError("cannot test an empty basis")
-    reducer = _InvolutiveReducer(polys, division, order)
+    reducer = _InvolutiveReducer(polys, division)
     n = order.vars.n
     for g in polys:
         for i in sorted(reducer.partition.nonmult(g.lm)):

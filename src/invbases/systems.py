@@ -155,7 +155,10 @@ def parse_polynomial(text: str, order: Ordering) -> Polynomial:
         expect_term = False
     if expect_term:
         raise ParseError("dangling operator at end of polynomial")
-    return Polynomial(order, terms)
+    try:
+        return Polynomial(order, terms)
+    except UsageError as exc:  # a total degree at the order key bound
+        raise ParseError(str(exc)) from None
 
 
 def parse_system(

@@ -4,6 +4,7 @@ from __future__ import annotations
 import importlib.util
 import json
 import random
+import shutil
 from pathlib import Path
 
 import pytest
@@ -180,9 +181,12 @@ class TestFormatStats:
             format_stats([], "csv")
 
 
-def load_bench_grid():
-    path = Path(__file__).resolve().parents[1] / "scripts" / "bench_grid.py"
-    spec = importlib.util.spec_from_file_location("bench_grid", path)
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def load_script(name):
+    path = ROOT / "scripts" / (name + ".py")
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -210,8 +214,43 @@ class TestBenchGridCompare:
         ids=["no-digests", "one-digest", "same-digest", "other-digest", "other-counter"],
     )
     def test_exit_code(self, tmp_path, capsys, old, new, code):
-        grid = load_bench_grid()
+        grid = load_script("bench_grid")
         argv = ["--compare", self.write(tmp_path / "old.json", **old),
                 self.write(tmp_path / "new.json", **new)]
         assert grid.main(argv) == code
         assert ("DIFFER" in capsys.readouterr().out) == (code == 1)
+
+
+class TestCompareOutputs:
+    """`scripts/compare_outputs.py` runs each job against two trees and
+    compares what they print."""
+
+    JOBS = (("--system", "cyclic3", "--division", "janet", "--algorithm", "invbas"),
+            ("--system", "cyclic3", "--division", "thomas", "--cofactors"))
+
+    def test_the_tree_matches_itself(self, capsys):
+        script = load_script("compare_outputs")
+        src = str(ROOT / "src")
+        assert script.compare(src, src, self.JOBS) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split("\t")[0] for line in lines[:-1]] == ["same", "same"]
+        assert lines[-1] == "0 of 2 jobs differ or fail"
+
+    def test_a_run_prints_the_cli_output_and_the_result(self):
+        script = load_script("compare_outputs")
+        status, out = script.job_output(str(ROOT / "src"), self.JOBS[1])
+        assert status == 0
+        assert '"time_ms": "*"' in out and "exit: 0" in out
+        for part in ("loop basis: ['x1 + x2 + x3'", "diagnostics: {", "record: 3 (0, 0, 0)"):
+            assert part in out
+
+    def test_a_changed_output_or_a_crash_is_reported(self, tmp_path, capsys):
+        script = load_script("compare_outputs")
+        changed = tmp_path / "changed"
+        shutil.copytree(ROOT / "src" / "invbases", changed / "invbases")
+        cli = changed / "invbases" / "cli.py"
+        cli.write_text(cli.read_text().replace("# cofactor decompositions", "# cofactors"))
+        assert script.compare(str(ROOT / "src"), str(changed), self.JOBS) == 1
+        assert script.compare(str(ROOT / "src"), str(tmp_path / "empty"), self.JOBS[:1]) == 1
+        verdicts = [line.split("\t")[0] for line in capsys.readouterr().out.splitlines()]
+        assert [v for v in verdicts if v in ("same", "DIFFER", "FAIL")] == ["same", "DIFFER", "FAIL"]

@@ -386,7 +386,7 @@ class TestInvDivisor:
         assert inv_divisor(part, m) == XY
         assert inv_divisor(ALX.partition((X2Y, XY)), m) == X2Y
         G = [Polynomial(lex(VS), [(1, X2Y)]), Polynomial(lex(VS), [(1, XY)])]
-        index = _InvolutiveReducer(G, ALX, lex(VS))
+        index = _InvolutiveReducer(G, ALX)
         assert [g.lm for g, _item, _u in index.divisors(m)] == [XY, X2Y]
 
     def test_divisor_satisfies_its_contract(self):
@@ -444,7 +444,7 @@ class TestDivisorLookup:
         # those of the one divisor.
         order = degrevlex(div.vars)
         part = div.partition(())
-        index = _InvolutiveReducer((), div, order)
+        index = _InvolutiveReducer((), div)
         rows = []
         for k, w in enumerate([None, *U]):
             if w is not None:
@@ -490,7 +490,7 @@ def rows_of(index, m):
 
 
 def fresh_reducer(elements, div, order):
-    index = _InvolutiveReducer((), div, order)
+    index = _InvolutiveReducer((), div)
     for g, item in elements:
         index.add(g, item)
     return index
@@ -513,7 +513,7 @@ class TestMemoisedLookup:
         # add, some more than once, so stale entries would be answered.
         div = division_by_name(name, VS)
         order = degrevlex(VS)
-        index = _InvolutiveReducer((), div, order)
+        index = _InvolutiveReducer((), div)
         elements = []
         for k, w in enumerate(heads):
             for m in rng.sample(queries, len(queries)):
@@ -531,7 +531,7 @@ class TestMemoisedLookup:
         order = lex(VS)
         m = Monomial((2, 2))
         xy, x2y = Polynomial(order, [(1, XY)]), Polynomial(order, [(1, X2Y)])
-        index = _InvolutiveReducer((x2y, xy), ALX, order)
+        index = _InvolutiveReducer((x2y, xy), ALX)
         assert [(g, u) for g, _item, u in index.divisors(m)] == [(xy, XY), (x2y, Y)]
         index.add(Polynomial(order, [(1, Y2)]))
         assert [(g, u) for g, _item, u in index.divisors(m)] == [(xy, XY)]
@@ -541,7 +541,7 @@ class TestMemoisedLookup:
         order = lex(VS)
         m = Monomial((2, 2))
         first, second = Polynomial(order, [(1, XY)]), Polynomial(order, [(2, XY), (1, Y)])
-        index = _InvolutiveReducer((first,), div, order)
+        index = _InvolutiveReducer((first,), div)
         assert index.divisors(m) == ((first, None, XY),)
         widened = index.add(second, "again")
         assert widened == {}
@@ -550,7 +550,7 @@ class TestMemoisedLookup:
     @pytest.mark.parametrize("div", [JAN, THO, ALX], ids=lambda d: d.name)
     def test_the_rows_are_a_tuple_and_kept_until_the_next_add(self, div):
         order = lex(VS)
-        index = _InvolutiveReducer([Polynomial(order, [(1, XY)])], div, order)
+        index = _InvolutiveReducer([Polynomial(order, [(1, XY)])], div)
         for m in (Monomial((2, 2)), Y):
             rows = index.divisors(m)
             assert type(rows) is tuple
@@ -561,7 +561,7 @@ class TestMemoisedLookup:
 
     @pytest.mark.parametrize("div", [JAN, THO, ALX], ids=lambda d: d.name)
     def test_a_monomial_of_another_dimension_is_rejected_every_time(self, div):
-        index = _InvolutiveReducer([Polynomial(lex(VS), [(1, XY)])], div, lex(VS))
+        index = _InvolutiveReducer([Polynomial(lex(VS), [(1, XY)])], div)
         for _ in range(2):
             with pytest.raises(UsageError, match="dimension mismatch"):
                 index.divisors(Monomial((1, 1, 0)))

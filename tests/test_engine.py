@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import invbases
+from invbases import bench
 from invbases.bench import verify_basis
 from invbases.core import (
     KEY_BOUND,
@@ -37,6 +38,8 @@ from invbases.division import (
     thomas_division,
 )
 from invbases.engine import (
+    COUNTERS,
+    DIAGNOSTICS,
     EngineOptions,
     Stats,
     _Engine,
@@ -230,6 +233,16 @@ class TestStatsNote:
         assert t != s
         s.reds = 3
         assert "reds=3" in repr(s)
+        with pytest.raises(TypeError, match="no counter bogus"):
+            Stats(reds=1, bogus=2)
+
+    def test_the_counters_are_declared_once(self):
+        # The slots, the bench columns and the verdict counters all come
+        # from `COUNTERS` and `DIAGNOSTICS`.
+        assert Stats.__slots__ == COUNTERS + DIAGNOSTICS + ("elapsed_ms",)
+        assert bench.COUNTERS is COUNTERS
+        assert bench.COLUMNS[4:-1] == COUNTERS
+        assert {v.value for v in Verdict if v is not Verdict.NONE} <= set(COUNTERS)
 
     def test_engine_options_are_off_by_default(self):
         options = EngineOptions()
@@ -1102,10 +1115,10 @@ class TestGrownReducer:
         div = division_by_name(division_name, VS)
         G = [poly(order, (c, Monomial((a, b)))) for a, b, c in terms]
         start = min(start, len(G))
-        grown = _InvolutiveReducer(G[:start], div, order)
+        grown = _InvolutiveReducer(G[:start], div)
         for i in range(start, len(G)):
             grown.add(G[i])
-            fresh = _InvolutiveReducer(G[: i + 1], div, order)
+            fresh = _InvolutiveReducer(G[: i + 1], div)
             assert filed(grown) == filed(fresh)
             assert grown.partition.monomials == fresh.partition.monomials
             for u in fresh.partition.monomials:

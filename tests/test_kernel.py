@@ -226,6 +226,13 @@ def drop_lt_regular_normal_form(engine: _Engine, p: SigPoly):
     return Polynomial(order, rem), None
 
 
+def as_if_pushed(engine: _Engine, p: SigPoly) -> _Engine:
+    """The engine with p's degree counted in `max_deg`, as `_push` counts
+    every element before it can pop."""
+    engine.stats.max_deg = max(engine.stats.max_deg, p.deg)
+    return engine
+
+
 @st.composite
 def reduction_cases(draw, max_reducers: int = 4):
     """An order over 2-3 variables, nonzero reducers, and a polynomial built
@@ -755,7 +762,7 @@ class TestKeptKeyRows:
             "scale": f.scale(c),
             "neg": -f,
             "spoly": spoly(f, g),
-            "nf": _InvolutiveReducer(G, division, order).nf(f),
+            "nf": _InvolutiveReducer(G, division).nf(f),
             "constructor": Polynomial(order, f.terms + g.terms),
         }
         for what, p in built.items():
@@ -772,7 +779,7 @@ class TestInvolutiveReducer:
     def test_matches_the_drop_lt_loop(self, case, division_name):
         order, G, f = case
         div = division_by_name(division_name, order.vars)
-        reducer = _InvolutiveReducer(G, div, order)
+        reducer = _InvolutiveReducer(G, div)
         assert reducer.nf(f).terms == drop_lt_involutive_nf(f, G, div, order).terms
 
 
@@ -820,7 +827,7 @@ class TestHeadDivisors:
         G = [Polynomial(order, [(1, m)]) for m in heads]
         # The elements of G[:start] carry no item, those added later their
         # position in G.
-        index = _InvolutiveReducer(G[:start], div, order)
+        index = _InvolutiveReducer(G[:start], div)
         for i in range(start, len(G)):
             index.add(G[i], i)
         part = div.partition(heads)
@@ -842,11 +849,11 @@ class TestRegularNormalForm:
         order, basis, p = case
         div = division_by_name(division_name, order.vars)
 
-        ref_engine = engine_over(div, order, basis)
+        ref_engine = as_if_pushed(engine_over(div, order, basis), p)
         ref_h, ref_verdict = drop_lt_regular_normal_form(ref_engine, p)
         ref_queue = queued(ref_engine)
 
-        engine = engine_over(div, order, basis)
+        engine = as_if_pushed(engine_over(div, order, basis), p)
         h, verdict = engine.regular_normal_form(p)
         assert verdict is ref_verdict
         assert h.order == order
@@ -871,7 +878,7 @@ class TestRegularNormalForm:
                     queued_first.append(SigPoly(sig_mul(u, q.sig), g, g.lm))
         engines = []
         for _ in range(2):
-            engine = engine_over(div, order, basis)
+            engine = as_if_pushed(engine_over(div, order, basis), p)
             for sp in queued_first:
                 engine._push(sp, None)
             engines.append(engine)
@@ -881,6 +888,17 @@ class TestRegularNormalForm:
         assert h.terms == ref_h.monic().terms
         assert engines[1].stats == engines[0].stats
         assert queued(engines[1]) == queued(engines[0])
+
+    def test_an_element_never_pushed_leaves_max_deg_alone(self):
+        # `_push` counts the degree of every element before it can pop, so
+        # the normal form counts only the terms its steps form: x*y^2,
+        # irreducible and never queued, leaves max_deg at 0.
+        order = lex(XY)
+        f = Polynomial(order, [(1, Monomial((1, 2)))])
+        p = SigPoly(Signature(Monomial((0, 0)), 1), f, f.lm)
+        engine = engine_over(janet(XY), order, [])
+        assert engine.regular_normal_form(p) == (f, None)
+        assert engine.stats.max_deg == 0
 
     def test_a_deflection_that_loses_the_merge_is_only_counted(self):
         # Under lex, q = x + y^5 reduces both terms of p = x^2 + x*y^3 only

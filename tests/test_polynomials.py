@@ -188,7 +188,7 @@ def arithmetic_results(f, g, c, u, G, division) -> dict[str, Polynomial]:
         "mul_term": f.mul_term(c, u),
         "scale": f.scale(c),
         "monic": f.monic(),
-        "nf remainder": _InvolutiveReducer(G, division, order).nf(f),
+        "nf remainder": _InvolutiveReducer(G, division).nf(f),
     }
 
 

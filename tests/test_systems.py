@@ -71,6 +71,7 @@ class TestParsePolynomial:
             "3/0",
             "1/0*x",
             "x + 0/0",
+            "x^4294967295*y",  # total degree 2^32, the order key bound
         ],
     )
     def test_rejected_forms(self, order, text):
@@ -121,6 +122,7 @@ class TestParseSystem:
             ("vars: x\nq: x", 2),
             ("vars: x\np: x\np: y", 3),
             ("vars: x\np: x - x", 2),
+            ("vars: x y\n# comment\np: x^4294967296 + y", 3),  # the order key bound
             ("p: x", None),
             ("vars: x", None),
         ],

@@ -193,8 +193,8 @@ class Partition:
 
     Each nonmultiplicative set is kept once, as a bitmask (bit i for
     variable i).  `nm_mask` returns a mask, `allows` tests a quotient's
-    support against it, and `nonmult` and `mult` decode it into sets of
-    variable indices.  A repeat of a kept monomial changes no mask.
+    support against it, and `nonmult` decodes it into a set of variable
+    indices.  A repeat of a kept monomial changes no mask.
 
     Under a division generated by an ordering, the base-order key of each
     monomial is kept next to its mask.  `add(w)` keys w once and makes one
@@ -393,10 +393,6 @@ class Partition:
 
     def nonmult(self, u: Monomial) -> frozenset[int]:
         return frozenset(bit_indices(self.nm_mask(u)))
-
-    def mult(self, u: Monomial) -> frozenset[int]:
-        mask = self.nm_mask(u)
-        return frozenset(i for i in range(self.division.vars.n) if not mask >> i & 1)
 
     def allows(self, u: Monomial, quotient: Monomial) -> bool:
         """Whether u involutively divides u*quotient, i.e. the quotient is

@@ -136,11 +136,11 @@ class EngineOptions:
 
     `track_cofactors` carries with every element its expression over the
     monic sorted generators and records one `CofactorRecord` per basis
-    insertion.  `check_invariants` enables internal assertions and the two
-    signature diagnostics on every iteration, among them a comparison of
-    the partition kept up by insertions, of its divisor lookup and of the
-    basis filed by position against their definitions, and of each
-    prolongation seeded into a normal form against the built product.
+    insertion, unchecked.  `check_invariants` is the one switch for every
+    self-check of the engine (`_Checks`) and the two signature
+    diagnostics, among them a re-expansion of each cofactor vector and a
+    comparison of the partition kept up by insertions, of its divisor
+    lookup and of the basis filed by position against their definitions.
     """
 
     __slots__ = ("track_cofactors", "check_invariants")
@@ -212,10 +212,10 @@ class _Engine:
 
     The basis starts empty.  An element joins it one way only: `_push`
     queues it, `_pop` hands it out in signature order, and `_insert` files
-    its nonzero normal form with `_grow`: in `T`, in the divisor index and
-    in `by_position` (position -> (head, element) pairs in insertion
-    order), which the signature criterion and the cover check read.
-    `seed` queues the input.
+    its nonzero normal form with `_grow`: in the divisor index (`basis`)
+    and in `by_position` (position -> (head, element) pairs in insertion
+    order), which the signature criterion and the cover check read.  `seed`
+    queues the input.  `check` is the run's `_Checks`, or None.
 
     The basis only grows, which is why the loop basis is larger than the
     minimal one.  Signature-safe reduction cannot displace: elements pop
@@ -231,7 +231,6 @@ class _Engine:
     def __init__(self, division: Division, order: Ordering, options: EngineOptions):
         self.division = division
         self.order = order
-        self.options = options
         # Under a division generated by a non-admissible ordering a head
         # reducible only unsafely may otherwise stay involutively reducible
         # forever, so its combination is deflected into the queue.  The
@@ -249,11 +248,11 @@ class _Engine:
         # merged away stay behind and are skipped by `_pop`.
         self._sig_best: dict[Signature, SigPoly] = {}
 
-        self.records: list[CofactorRecord] = []
+        self.records: list[CofactorRecord] | None = [] if options.track_cofactors else None
 
-        self.T: list[SigPoly] = []
         self.by_position: dict[int, list[tuple[Monomial, SigPoly]]] = {}
         self._index = _InvolutiveReducer((), division)
+        self.check = _Checks(self) if options.check_invariants else None
 
     def seed(self, F) -> None:
         """Queue the generators of F, checked, made monic and sorted by
@@ -268,31 +267,24 @@ class _Engine:
             reverse=True,
         )
         k = len(self.gens)
-        unit = None
+        unit, one, zero = None, Polynomial.one(order), Polynomial.zero(order)
         for i, g in enumerate(self.gens):
             sig = Signature(mono_one(order.vars.n), i + 1)
-            if self.options.track_cofactors:
-                unit = tuple(
-                    Polynomial.one(order) if j == i else Polynomial.zero(order)
-                    for j in range(k)
-                )
+            if self.records is not None:
+                unit = tuple(one if j == i else zero for j in range(k))
             self._push(SigPoly(sig, g, g.lm, cofactors=unit), creator_sig=None)
 
     # -- bookkeeping ---------------------------------------------------
 
     def _grow(self, sp: SigPoly) -> dict[Monomial, int]:
-        """Append sp to the basis, its module position and the divisor
-        index; returns what `Partition.add` reports as widened."""
-        self.T.append(sp)
+        """File sp in its module position and the divisor index; returns
+        what `Partition.add` reports as widened."""
         self.by_position.setdefault(sp.sig.index, []).append((sp.lm, sp))
         return self._index.add(sp.poly, sp)
 
-    def _check_cofactors(self, sp: SigPoly) -> None:
-        if self.options.track_cofactors:
-            if sp.cofactors is None:
-                raise AssertionError("cofactor tracking lost a vector")
-            if _expand(sp.cofactors, self.gens) != sp.value():
-                raise AssertionError("cofactor expansion does not reproduce the polynomial")
+    def basis(self) -> list[SigPoly]:
+        """The basis elements in insertion order, read from the index."""
+        return [t for ((_g, t),) in self._index._by_head.values()]
 
     # -- queue ---------------------------------------------------------
 
@@ -311,8 +303,8 @@ class _Engine:
             return False
         if sp.deg > self.stats.max_deg:
             self.stats.max_deg = sp.deg
-        self._check_cofactors(sp)
-        self._check_creator(sp.sig, creator_sig)
+        if self.check is not None:
+            self.check.pushed(sp, creator_sig)
         if sp.sig in self._sig_best:
             self.stats.sig_merges += 1
             if self._loses_merge(sp.sig, sp.lm_key):
@@ -331,14 +323,6 @@ class _Engine:
         incumbent = self._sig_best.get(sig)
         return incumbent is not None and lm_key >= incumbent.lm_key
 
-    def _check_creator(self, sig: Signature, creator_sig: Signature | None) -> None:
-        if (
-            self.options.check_invariants
-            and creator_sig is not None
-            and sig_cmp(self.order, sig, creator_sig) < 0
-        ):
-            raise AssertionError("queued signature below its creator")
-
     def _pop(self) -> SigPoly | None:
         while self._heap:
             _, sp = heapq.heappop(self._heap)
@@ -346,74 +330,6 @@ class _Engine:
                 del self._sig_best[sp.sig]
                 return sp
         return None
-
-    # -- invariants ----------------------------------------------------
-
-    def _check_positions(self) -> None:
-        """`by_position` must be `T` grouped by module position, in order,
-        each element with its head."""
-        grouped: dict[int, list[tuple[Monomial, SigPoly]]] = {}
-        for t in self.T:
-            grouped.setdefault(t.sig.index, []).append((t.poly.lm, t))
-        if self.by_position != grouped:
-            raise AssertionError("the basis filed by position differs from T grouped by position")
-
-    def _check_partition(self, widened: dict[Monomial, int] | None = None) -> None:
-        """Every split kept up by `Partition.add` must equal the definition,
-        `Division.nm_set` over the current heads (not a second replay of
-        `add`, which would repeat any fault of its own).  Each head must
-        find itself by the partition's lookup, and the lookup must give
-        head u for u times variable i exactly when i is multiplicative for
-        u by that definition.  `widened`, the report of adding the last
-        head, must match the definition before and after that head, entry
-        for entry and in order."""
-        kept = self._index.partition
-        division = self.division
-        heads = tuple(t.poly.lm for t in self.T)
-        if kept.monomials != heads:
-            raise AssertionError("partition lists the heads differently from the basis")
-        n = self.order.vars.n
-        older, last = heads[:-1], heads[-1]
-        report = {}
-        for u in heads:
-            before = division.nm_set(u, older)
-            want = before | division.nm_pair(u, last)
-            if u == last or want != before:
-                report[u] = sum(1 << i for i in (want if u == last else want - before))
-            if kept.nonmult(u) != want:
-                raise AssertionError(
-                    "partition keeps nonmultiplicative variables %s for %r, the definition gives %s"
-                    % (sorted(kept.nonmult(u)), u.exps, sorted(want))
-                )
-            if u not in kept.divisors(u):
-                raise AssertionError("partition lookup does not find the head %r itself" % (u.exps,))
-            for i in range(n):
-                found = kept.divisors(mono_mul(u, mono_var(i, n)))
-                if (u in found) == (i in want):
-                    raise AssertionError(
-                        "partition lookup gives %r for %r times variable %d (nonmultiplicative: %s)"
-                        % (found, u.exps, i, i in want)
-                    )
-        if widened is not None and list(widened.items()) != list(report.items()):
-            raise AssertionError(
-                "partition reports %r as widened, the definition gives %r" % (widened, report)
-            )
-
-    def _pop_checks(self, p: SigPoly) -> None:
-        if not self.options.check_invariants:
-            return
-        lms = [t.poly.lm for t in self.T]
-        if len(set(lms)) != len(lms):
-            raise AssertionError("duplicate heads in the basis")
-        # Every basis element at an earlier position has a larger signature.
-        sig = p.sig
-        same_index = any(
-            sig_cmp(self.order, sig, t.sig) < 0 for _h, t in self.by_position.get(sig.index, ())
-        )
-        if same_index or any(at < sig.index for at in self.by_position):
-            self.stats.global_sig_violations += 1
-        if same_index:
-            self.stats.same_index_sig_violations += 1
 
     def _covered(self, p: SigPoly) -> bool:
         """True when a processed element certifies, at p's exact signature,
@@ -468,23 +384,11 @@ class _Engine:
         polynomial's integers.  Irreducible terms are kept as the
         accumulator gives them (`pop`), and the remainder is built from them
         once (`PendingTerms.polynomial`), then made monic, with the factor
-        that scales the cofactors.  Under `check_invariants` every popped element is also
-        built (`SigPoly.value`) and rebuilt through the public constructor,
-        which keys its terms afresh, and its seeded accumulator must hold
-        those terms, whether or not a criterion discards its head.
+        that scales the cofactors.
         """
         order = self.order
         if p.deg >= KEY_BOUND:
             raise _key_bound_error(p.deg)
-        if (
-            self.options.check_invariants
-            and p.pending().descending()
-            != PendingTerms(Polynomial(order, p.value().terms)).descending()
-        ):
-            raise AssertionError(
-                "the seeded accumulator differs from the built "
-                + ("polynomial" if p.mono is None else "prolongation")
-            )
         safe, unsafe = self._ranked_divisors(p, p.lm, p.lm_key)
         # The head certified by sig(p) is redundant as soon as a
         # signature-safe involutive head divisor triggers one of the
@@ -567,28 +471,28 @@ class _Engine:
         combination's head is rem[0]'s, with the key that term carries,
         before the step is taken.  When that head would lose the
         same-signature merge (`_loses_merge`), `_push` would drop the
-        combination, and only its accounting is done here:
-        the creator check, the merge count and the degree bump.  That bump
-        takes the largest degree of c*chosen_u*chosen.poly: its head is the
-        largest pending term, within `max_deg` already, and a product term
-        above `max_deg` has nothing to cancel against, so it is the degree
-        `_push` would see.  Otherwise the reduction step (`reduce_top`) is
-        taken on a copy of the accumulator, and the combination, the terms
-        of `rem` and of the copy, is built (`polynomial`) and queued when it
-        is no repeat.  With cofactors it is always taken, so that `_push`
-        checks them, and c is read first (`top_coeff`).
+        combination, and only its accounting is done here: the creator
+        check, the merge count and the degree bump.  That bump takes the
+        largest degree of c*chosen_u*chosen.poly: its head is the largest
+        pending term, within `max_deg` already, and a product term above
+        `max_deg` has nothing to cancel against, so it is the degree `_push`
+        would see.  Otherwise the reduction step (`reduce_top`) is taken on
+        a copy of the accumulator, and the combination, the terms of `rem`
+        and of the copy, is built (`polynomial`) and queued when it is no
+        repeat.  With cofactors, c is read first (`top_coeff`).
         """
         dsig = sig_mul(chosen_u, chosen.sig)
         if rem:
             _, _, head, head_key = rem[0]
             if (dsig, head) in deflected:
                 return
-            if cofs is None and self._loses_merge(dsig, head_key):
+            if self._loses_merge(dsig, head_key):
                 deflected.add((dsig, head))
                 deg = chosen_u.deg + chosen.poly.degree
                 if deg > self.stats.max_deg:
                     self.stats.max_deg = deg
-                self._check_creator(dsig, p.sig)
+                if self.check is not None:
+                    self.check.created(dsig, p.sig)
                 self.stats.sig_merges += 1
                 return
         acc = pending.copy()
@@ -622,7 +526,8 @@ class _Engine:
             p = self._pop()
             if p is None:
                 break
-            self._pop_checks(p)
+            if self.check is not None:
+                self.check.popped(p)
             if self.cover and self._covered(p):
                 self.stats.note(Verdict.SUPER)
                 continue
@@ -634,8 +539,8 @@ class _Engine:
                 self.stats.reds += 1
                 continue
             self._insert(p, h)
-        self.stats.polys_loop = len(self.T)
-        loop_basis = [t.poly for t in self.T]
+        loop_basis = [t.poly for t in self.basis()]
+        self.stats.polys_loop = len(loop_basis)
         basis = min_bas(loop_basis, self.division, self.order)
         self.stats.polys_min = len(basis)
         self.stats.elapsed_ms = (time.perf_counter() - start) * 1000.0
@@ -653,13 +558,9 @@ class _Engine:
         # Keep p's ancestry when the head stayed, else start its own.
         anc_lm = p.anc_lm if h.lm == p.lm else h.lm
         t_new = SigPoly(p.sig, h, anc_lm, cofactors=p.cofactors)
-        self._check_cofactors(t_new)
-        if self.options.check_invariants and any(t.lm == h.lm for t in self.T):
-            raise AssertionError("inserted a duplicate head into the basis")
         widened = self._grow(t_new)
-        if self.options.check_invariants:
-            self._check_positions()
-            self._check_partition(widened)
+        if self.check is not None:
+            self.check.inserted(t_new, widened)
         if t_new.cofactors is not None:
             self.records.append(CofactorRecord(t_new.sig, t_new.poly, t_new.cofactors))
 
@@ -693,7 +594,7 @@ class _Engine:
         part = self._index.partition
         h = t_new.lm
         he, hd = h.exps, h.deg
-        for q in self.T:
+        for q in self.basis():
             # The other heads h divides: degree and exponents no smaller.
             m = q.lm
             if m.deg < hd or q is t_new or not all(map(operator.le, he, m.exps)):
@@ -709,6 +610,104 @@ class _Engine:
                     sig_mul(u, t_new.sig), pending.polynomial(),
                     q.cofactors, q.poly.lc, u, t_new, t_new.sig
                 )
+
+
+class _Checks:
+    """Every self-check of an `_Engine` run under `check_invariants`, told
+    of four events: `pushed` by `_push`, `created` by `_deflect` for a merge
+    loser it drops unbuilt, `popped` by `run` and `inserted` by `_insert`.
+    Each raises `AssertionError` explicitly, which `python -O` keeps;
+    `popped` also counts the two signature diagnostics."""
+
+    __slots__ = ("engine",)
+
+    def __init__(self, engine: _Engine):
+        self.engine = engine
+
+    def pushed(self, sp: SigPoly, creator_sig: Signature | None) -> None:
+        self.cofactors(sp)
+        self.created(sp.sig, creator_sig)
+
+    def created(self, sig: Signature, creator_sig: Signature | None) -> None:
+        if creator_sig is not None and sig_cmp(self.engine.order, sig, creator_sig) < 0:
+            raise AssertionError("queued signature below its creator")
+
+    def popped(self, p: SigPoly) -> None:
+        # p's seeded accumulator must hold p built and rebuilt through the
+        # public constructor, which keys its terms afresh.
+        engine, order = self.engine, self.engine.order
+        built = Polynomial(order, p.value().terms)
+        if p.pending().descending() != PendingTerms(built).descending():
+            kind = "polynomial" if p.mono is None else "prolongation"
+            raise AssertionError("the seeded accumulator differs from the built " + kind)
+        # Every basis element at an earlier position has a larger signature.
+        sig, filed = p.sig, engine.by_position
+        same_index = any(sig_cmp(order, sig, t.sig) < 0 for _h, t in filed.get(sig.index, ()))
+        if same_index or any(at < sig.index for at in filed):
+            engine.stats.global_sig_violations += 1
+        if same_index:
+            engine.stats.same_index_sig_violations += 1
+
+    def inserted(self, t: SigPoly, widened: dict[Monomial, int]) -> None:
+        engine = self.engine
+        self.cofactors(t)
+        if len(engine._index._by_head[t.lm]) > 1:
+            raise AssertionError("inserted a duplicate head into the basis")
+        # `by_position`: the basis grouped by position, in order, with heads.
+        grouped: dict[int, list[tuple[Monomial, SigPoly]]] = {}
+        for u in engine.basis():
+            grouped.setdefault(u.sig.index, []).append((u.poly.lm, u))
+        if engine.by_position != grouped:
+            raise AssertionError("the basis filed by position differs from the index's")
+        self.partition(widened)
+
+    def cofactors(self, sp: SigPoly) -> None:
+        if self.engine.records is not None:
+            if sp.cofactors is None:
+                raise AssertionError("cofactor tracking lost a vector")
+            if _expand(sp.cofactors, self.engine.gens) != sp.value():
+                raise AssertionError("cofactor expansion does not reproduce the polynomial")
+
+    def partition(self, widened: dict[Monomial, int] | None = None) -> None:
+        """Every split kept up by `Partition.add` must equal the definition,
+        `Division.nm_set` over the current heads (not a second replay of
+        `add`, which would repeat any fault of its own).  Each head must
+        find itself by the partition's lookup, and the lookup must give
+        head u for u times variable i exactly when i is multiplicative for
+        u by that definition.  `widened`, the report of adding the last
+        head, must match the definition before and after that head, entry
+        for entry and in order."""
+        engine = self.engine
+        kept, division = engine._index.partition, engine.division
+        heads = tuple(t.poly.lm for t in engine.basis())
+        if kept.monomials != heads:
+            raise AssertionError("partition lists the heads differently from the basis")
+        n = engine.order.vars.n
+        older, last = heads[:-1], heads[-1]
+        report = {}
+        for u in heads:
+            before = division.nm_set(u, older)
+            want = before | division.nm_pair(u, last)
+            if u == last or want != before:
+                report[u] = sum(1 << i for i in (want if u == last else want - before))
+            if kept.nonmult(u) != want:
+                raise AssertionError(
+                    "partition keeps nonmultiplicative variables %s for %r, the definition gives %s"
+                    % (sorted(kept.nonmult(u)), u.exps, sorted(want))
+                )
+            if u not in kept.divisors(u):
+                raise AssertionError("partition lookup does not find the head %r itself" % (u.exps,))
+            for i in range(n):
+                found = kept.divisors(mono_mul(u, mono_var(i, n)))
+                if (u in found) == (i in want):
+                    raise AssertionError(
+                        "partition lookup gives %r for %r times variable %d (nonmultiplicative: %s)"
+                        % (found, u.exps, i, i in want)
+                    )
+        if widened is not None and list(widened.items()) != list(report.items()):
+            raise AssertionError(
+                "partition reports %r as widened, the definition gives %r" % (widened, report)
+            )
 
 
 def inv_comp(

@@ -216,16 +216,20 @@ def _open_pairs(heads):
 
 
 def is_involutive(G, division: Division, order: Ordering) -> bool:
-    """Check involutivity: each nonmultiplicative prolongation x*g has
-    involutive normal form zero against the set itself.  The product x*g
-    enters the reduction accumulator unbuilt (`_InvolutiveReducer.nf(g,
-    x)`)."""
+    """Check involutivity: each nonmultiplicative prolongation x*g, and each
+    g whose head repeats an earlier one's, has involutive normal form zero
+    against the set itself.  The product x*g enters the reduction
+    accumulator unbuilt (`_InvolutiveReducer.nf(g, x)`)."""
     polys = [g for g in G]
     if not polys:
         raise UsageError("cannot test an empty basis")
     reducer = _InvolutiveReducer(polys, division)
     n = order.vars.n
+    seen = set()
     for g in polys:
+        if g.lm in seen and not reducer.nf(g).is_zero:
+            return False
+        seen.add(g.lm)
         for i in sorted(reducer.partition.nonmult(g.lm)):
             if not reducer.nf(g, mono_var(i, n)).is_zero:
                 return False

@@ -265,15 +265,6 @@ class TestPartition:
         assert part.nonmult(X2) == frozenset({1})
         assert part.nonmult(X2Y) == frozenset()
         assert part.nonmult(Y3) == frozenset({0})
-        assert part.mult(X2) == frozenset({0})
-
-    def test_partition_is_a_disjoint_cover(self):
-        part = THO.partition((X2, XY, Y3))
-        for u in (X2, XY, Y3):
-            nm = part.nonmult(u)
-            mult = part.mult(u)
-            assert nm | mult == {0, 1}
-            assert nm & mult == frozenset()
 
     def test_allows_and_inv_divides(self):
         part = JAN.partition((XY, X2))
@@ -315,7 +306,6 @@ class TestPartition:
         for u in U:
             nm = div.nm_set(u, U)
             assert part.nonmult(u) == nm
-            assert part.mult(u) == frozenset(range(3)) - nm
             for q in quotients:
                 assert part.allows(u, q) == all(q.exps[i] == 0 for i in nm)
 

@@ -42,6 +42,7 @@ from invbases.engine import (
     DIAGNOSTICS,
     EngineOptions,
     Stats,
+    _Checks,
     _Engine,
     _InvolutiveReducer,
     inv_bas,
@@ -489,6 +490,27 @@ class TestOptionVariants:
             assert expand_cofactors(rec.cofactors, r.sorted_input) == rec.poly
             assert admissibility_check(rec.cofactors, rec.sig, sf.order)
 
+    @pytest.mark.parametrize("name, division_name", [("cyclic4", "janet"), ("noon3", "alex")])
+    def test_tracking_alone_expands_nothing(self, name, division_name, monkeypatch):
+        # Only `check_invariants` re-expands the cofactors; tracking alone
+        # records the same cofactors without checking them.
+        sf = load_builtin(name)
+        div = division_by_name(division_name, sf.vars)
+        calls = []
+        expand = invbases.engine._expand
+
+        def counted(*args):
+            calls.append(args)
+            return expand(*args)
+
+        monkeypatch.setattr(invbases.engine, "_expand", counted)
+        tracked = inv_comp(sf.polynomials, div, sf.order, EngineOptions(track_cofactors=True))
+        assert calls == []
+        checked = inv_comp(sf.polynomials, div, sf.order, DEBUG)
+        assert calls
+        assert tracked.cofactor_records
+        assert tracked.cofactor_records == checked.cofactor_records
+
 
 class TestCountersInStats:
     def test_diagnostics_are_read_from_stats(self):
@@ -674,13 +696,13 @@ class TestInvariantChecks:
         self, name, division_name, monkeypatch
     ):
         calls = []
-        check = _Engine._check_partition
+        check = _Checks.partition
 
-        def counted(engine, widened):
-            calls.append(len(engine.T))
-            check(engine, widened)
+        def counted(checks, widened):
+            calls.append(len(checks.engine.basis()))
+            check(checks, widened)
 
-        monkeypatch.setattr(_Engine, "_check_partition", counted)
+        monkeypatch.setattr(_Checks, "partition", counted)
         sf = load_builtin(name, order="degrevlex")
         div = division_by_name(division_name, sf.vars)
         r = inv_comp(sf.polynomials, div, sf.order, EngineOptions(check_invariants=True))
@@ -694,27 +716,28 @@ class TestInvariantChecks:
         engine.seed(sf.polynomials)
         first = engine._pop()
         engine._insert(first, first.poly)
-        engine._check_partition()
-        head = engine.T[0].poly.lm
+        checks = _Checks(engine)
+        checks.partition()
+        head = engine.basis()[0].poly.lm
         kept = engine._index.partition._nm[head]
         engine._index.partition._nm[head] = 0b11
         with pytest.raises(
             AssertionError, match="keeps nonmultiplicative variables \\[0, 1\\] for \\(1, 1\\)"
         ):
-            engine._check_partition()
+            checks.partition()
         engine._index.partition._nm[head] = kept
-        engine._check_partition()
+        checks.partition()
         # Adding the head x^2 makes x nonmultiplicative for x*y under Janet;
         # a mask that misses the widening keeps x*y's old split.
         g = engine.gens[0]
         engine._grow(SigPoly(Signature(Monomial((0, 0)), 1), g, g.lm))
-        engine._check_partition()
+        checks.partition()
         engine._index.partition._nm[head] = 0
         with pytest.raises(AssertionError, match="variables \\[\\] for \\(1, 1\\)"):
-            engine._check_partition()
+            checks.partition()
         engine._index.partition = janet(sf.vars).partition([head, Monomial((5, 5))])
         with pytest.raises(AssertionError, match="lists the heads"):
-            engine._check_partition()
+            checks.partition()
 
     @pytest.mark.parametrize("division_name", ["janet", "alex", "thomas"])
     def test_partition_check_catches_an_add_that_drops_the_share(
@@ -787,7 +810,7 @@ class TestInvariantChecks:
         for g in sf.polynomials:
             engine._grow(SigPoly(Signature(Monomial((0,) * sf.vars.n), 1), g, g.lm))
         with pytest.raises(AssertionError, match=message):
-            engine._check_partition()
+            _Checks(engine).partition()
 
     def test_partition_check_catches_a_refile_that_skips_a_widened_head(self, monkeypatch):
         # Under alex the lookup files each head by its mask, so a head left
@@ -818,7 +841,6 @@ class TestInvariantChecks:
         # The signature criterion and the cover check read the basis by
         # position alone, so an element missing there would weaken both.
         def grow_unfiled(engine, sp):
-            engine.T.append(sp)
             return engine._index.add(sp.poly, sp)
 
         monkeypatch.setattr(_Engine, "_grow", grow_unfiled)
@@ -826,6 +848,26 @@ class TestInvariantChecks:
         div = division_by_name(division_name, sf.vars)
         with pytest.raises(AssertionError, match="filed by position differs"):
             inv_comp(sf.polynomials, div, sf.order, EngineOptions(check_invariants=True))
+
+    def test_push_check_catches_a_signature_below_its_creator(self, monkeypatch):
+        # Each prolongation is queued one module position later, which is
+        # below its creator's signature.
+        def shifted(m, s):
+            return Signature(mono_mul(m, s.mono), s.index + 1)
+
+        monkeypatch.setattr(invbases.engine, "sig_mul", shifted)
+        sf = load_builtin("cyclic4", order="degrevlex")
+        with pytest.raises(AssertionError, match="queued signature below its creator"):
+            inv_comp(sf.polynomials, janet(sf.vars), sf.order, EngineOptions(check_invariants=True))
+
+    def test_insert_check_catches_a_duplicate_head(self):
+        sf = parse_system(WORKED_EXAMPLE)
+        engine = _Engine(janet(sf.vars), sf.order, EngineOptions(check_invariants=True))
+        engine.seed(sf.polynomials)
+        first = engine._pop()
+        engine._insert(first, first.poly)
+        with pytest.raises(AssertionError, match="inserted a duplicate head"):
+            engine._insert(first, first.poly)
 
     def test_checks_raise_under_python_O(self):
         # Run in a child interpreter, because -O strips `assert` statements.
@@ -837,15 +879,15 @@ class TestInvariantChecks:
             from invbases.systems import parse_system
 
             sf = parse_system(sys.argv[1])
-            opts = EngineOptions(track_cofactors=True)
+            opts = EngineOptions(track_cofactors=True, check_invariants=True)
             engine = _Engine(janet(sf.vars), sf.order, opts)
             engine.seed(sf.polynomials)
             first = engine._pop()
             engine._insert(first, first.poly)
-            broken = engine.T[0]
+            broken = engine.basis()[0]
             broken.cofactors = tuple(c.scale(2) for c in broken.cofactors)
             print("optimize", sys.flags.optimize, flush=True)
-            engine._check_cofactors(broken)
+            engine.check.cofactors(broken)
             """
         )
         src = str(Path(invbases.__file__).resolve().parents[1])
@@ -897,7 +939,7 @@ class TestSignatureCriterion:
                 engine = engines[-1]
                 m, i = p.sig.mono, p.sig.index
                 heads = [g.lm for j, g in enumerate(engine.gens, 1) if j > i]
-                heads += [t.poly.lm for t in engine.T if t.sig.index > i]
+                heads += [t.poly.lm for t in engine.basis() if t.sig.index > i]
                 assert (verdict is Verdict.F5) == any(h.divides(m) for h in heads)
                 reached.append(verdict)
             return verdict

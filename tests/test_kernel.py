@@ -176,7 +176,8 @@ def drop_lt_regular_normal_form(engine: _Engine, p: SigPoly):
     `drop_lt` per irreducible head (no cofactors); a queued prolongation
     starts from its product, built."""
     order = engine.order
-    part = engine.division.partition([q.poly.lm for q in engine.T])
+    basis = engine.basis()
+    part = engine.division.partition([q.poly.lm for q in basis])
     h = p.poly if p.mono is None else p.poly.mul_term(1, p.mono)
     rem = []
     at_head = True
@@ -185,7 +186,7 @@ def drop_lt_regular_normal_form(engine: _Engine, p: SigPoly):
         engine.stats.max_deg = max(engine.stats.max_deg, h.degree)
         candidates = []
         hlm = h.lm
-        for q in engine.T:
+        for q in basis:
             u = mono_div(hlm, q.poly.lm)
             if u is None or not part.allows(q.poly.lm, u):
                 continue

@@ -20,7 +20,7 @@ from invbases.core import (
     render_polynomial,
     spoly,
 )
-from invbases.division import Division, janet, thomas_division
+from invbases.division import Division, division_by_name, janet, thomas_division
 from invbases.engine import inv_comp
 from invbases.oracles import (
     _open_pairs,
@@ -241,6 +241,15 @@ class TestIsInvolutive:
     def test_empty_basis_is_rejected(self):
         with pytest.raises(UsageError):
             is_involutive([], janet(VS), LEX)
+
+    @pytest.mark.parametrize("division_name", ["janet", "thomas", "alex"])
+    def test_a_repeated_head_must_reduce_to_zero(self, division_name):
+        # x and x + 1 generate <1>, which no element of head x can hold; x
+        # and 2x are one element twice.
+        div = division_by_name(division_name, VS)
+        assert not is_groebner([poly("x"), poly("x + 1")], LEX)
+        assert not is_involutive([poly("x"), poly("x + 1")], div, LEX)
+        assert is_involutive([poly("x"), poly("2*x")], div, LEX)
 
     def test_builds_one_partition(self, monkeypatch):
         # One partition per check, grown by `Partition.add` until it holds

@@ -6,8 +6,10 @@ from collections import namedtuple
 
 from .core import UsageError
 from .division import division_by_name
-from .engine import COUNTERS, Stats, inv_bas, inv_comp, nf_full
-from .oracles import buchberger_nf, is_groebner, is_involutive
+from .engine import COUNTERS, Stats, inv_bas, inv_comp
+from .engine import nf_full  # noqa: F401  unused; perfbench/layers.py counts it (ROADMAP 1(c))
+from .oracles import buchberger_nf, is_involutive
+from .oracles import is_groebner  # noqa: F401  unused; perfbench/layers.py spans it (ROADMAP 1(c))
 from .systems import SystemFile, load_builtin, load_system_file
 
 COLUMNS = ("system", "algorithm", "division", "time_ms") + COUNTERS + ("verified",)
@@ -68,26 +70,21 @@ def resolve_system(name: str, order: str | None = None) -> SystemFile:
 def verify_basis(basis, system: SystemFile, division, rng=None, samples: int = 0) -> bool:
     """Independent validation of a completed basis G of the system's inputs F.
 
-    True proves three things, checked in this order: G is a Gröbner basis
-    (`is_groebner`), G is involutive for the division (`is_involutive`),
-    and ⟨F⟩ ⊆ ⟨G⟩: every input has normal form zero modulo G, both
-    involutive (`nf_full`) and classical (`buchberger_nf`).  Once G is
-    Gröbner, f lies in ⟨G⟩ exactly when its normal form is zero, so one
-    reduction per input decides the inclusion.  ⟨G⟩ ⊆ ⟨F⟩ is not checked:
-    a basis of a larger ideal, such as [1], passes.
+    True proves two things, checked in this order: G is an involutive
+    basis for the division (`is_involutive`, which proves G Gröbner
+    first), and ⟨F⟩ ⊆ ⟨G⟩: every input has Buchberger normal form zero
+    modulo G (`buchberger_nf`).  Once G is Gröbner, f lies in ⟨G⟩ exactly
+    when its normal form is zero, so one reduction per input decides the
+    inclusion.  ⟨G⟩ ⊆ ⟨F⟩ is not checked: a basis of a larger ideal, such
+    as [1], passes.
 
     `rng` and `samples` are ignored.  They remain so that callers written
     for the random ideal members this check once sampled still run
     (perfbench/record_refs.py passes both)."""
     order = system.order
-    if not is_groebner(basis, order):
-        return False
     if not is_involutive(basis, division, order):
         return False
-    return all(
-        nf_full(f, basis, division, order).is_zero and buchberger_nf(f, basis, order).is_zero
-        for f in system.polynomials
-    )
+    return all(buchberger_nf(f, basis, order).is_zero for f in system.polynomials)
 
 
 def run_one(

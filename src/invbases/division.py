@@ -399,10 +399,6 @@ class Partition:
         built from multiplicative variables of u only."""
         return not support(quotient) & self.nm_mask(u)
 
-    def inv_divides(self, u: Monomial, m: Monomial) -> bool:
-        q = mono_div(m, u)
-        return q is not None and self.allows(u, q)
-
 
 def thomas_completion(U) -> frozenset[Monomial]:
     """All monomials of the monoid ideal of U inside the box bounded by the

@@ -125,10 +125,6 @@ class Stats:
             raise UsageError("cannot record verdict %r" % (verdict,))
         setattr(self, verdict.value, getattr(self, verdict.value) + 1)
 
-    @property
-    def criteria_total(self) -> int:
-        return self.c1 + self.c2 + self.f5 + self.super
-
 
 class EngineOptions:
     """Opt-in extras of the signature-based completion.  Neither changes
@@ -738,9 +734,9 @@ class _InvolutiveReducer:
     of G).  The nonmultiplicative masks are kept once, in the partition,
     which widens them as G grows.
 
-    `divisors(m)` is the one involutive-divisor search of the package: the
-    engine's signature-safe normal form, `nf`, `is_involutive` and the
-    C1/C2 lookup of `inv_bas` all go through it.  It asks the partition's
+    `divisors(m)` is the engine's one involutive-divisor search: the
+    signature-safe normal form, `nf` (behind `nf_full`) and the C1/C2
+    lookup of `inv_bas` all go through it.  It asks the partition's
     lookup (`Partition.divisors`) for the heads that involutively divide m:
     the one head under Janet and Thomas, every such head under alex,
     smallest first.  It returns the rows as a tuple, which it memoises by

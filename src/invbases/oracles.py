@@ -1,23 +1,35 @@
 """Independent checks used to validate completion results.
 
 Everything here is plain textbook machinery: Buchberger-style reduction,
-the Buchberger criterion on S-polynomials, and direct re-expansion of
-cofactor combinations.  `is_involutive` is the one exception: it reduces
-prolongations with the engine's involutive normal form, so it shares the
-engine's divisor search (`_InvolutiveReducer.divisors` over
-`Partition.divisors`: by tree under Janet, by maximum under Thomas, by
-mask file under alex) and partition.  `buchberger_nf` and `is_groebner`
-reduce through one loop (`_reduce`), which scans the ranked heads behind a
-degree and support-mask check of its own; they share no logic with the
-engine, whose criteria act on signatures and ancestors during completion,
-so agreement between them and the engine is meaningful evidence of
-correctness.  `bench.verify_basis` combines them: `is_groebner`,
-`is_involutive`, and a zero normal form of each input generator, which
-proves that the inputs lie in the ideal of a Gröbner basis.  Nothing here
-checks the converse inclusion, so a basis of a larger ideal, such as [1],
-passes.  The reference loops of the tests (`drop_lt_*` in
-tests/test_kernel.py) and the sympy comparison of
-tests/test_external_oracle.py stay independent of the engine as well.
+the Buchberger criterion on S-polynomials, a monomial check of the heads,
+and direct re-expansion of cofactor combinations.  `buchberger_nf` and
+`is_groebner` reduce through one loop (`_reduce`), which scans the ranked
+heads behind a degree and support-mask check of its own; they share no
+logic with the engine, whose criteria act on signatures and ancestors
+during completion, so agreement between them and the engine is
+meaningful evidence of correctness.  `is_involutive` is `is_groebner`
+plus a check that the heads are complete; it reduces nothing, and reads
+the heads' nonmultiplicative sets and involutive divisors from the
+division's partition (`Division.partition`, `Partition.divisors`), the
+one piece it shares with the engine.  `bench.verify_basis` combines
+them: `is_involutive`, and a zero Buchberger normal form of each input
+generator, which proves that the inputs lie in the ideal of a Gröbner
+basis.  Nothing here checks the converse inclusion, so a basis of a
+larger ideal, such as [1], passes.  The reference loops of the tests
+(`drop_lt_*` in tests/test_kernel.py, the reducer-based involutivity
+check in tests/conftest.py) and the sympy comparison of
+tests/test_external_oracle.py stay independent of these checks.
+
+G is involutive exactly when it is Gröbner and its distinct heads U are
+complete: the involutive cones of U cover ⟨U⟩.  If both hold, every f in
+⟨G⟩ has involutive normal form zero: its remainder r lies in ⟨G⟩ and has
+no term in a cone, and a nonzero r would have lm(r) in lm⟨G⟩ = ⟨U⟩,
+which the cones cover.  Conversely, if every f in ⟨G⟩ reduces to zero
+involutively, lm(f) lies in a cone, so ⟨U⟩ ⊆ lm⟨G⟩ ⊆ the cones ⊆ ⟨U⟩:
+G is Gröbner and U complete.  Completeness is a monomial question:
+checked on the prolongations of U under Janet and Thomas, which are
+continuous (`_locally_complete`), and on a finite box under alex, whose
+continuity is not shown here (`_box_complete`, with the cap argument).
 
 `is_groebner` checks the minimal-head form.  Let G′ hold the first element
 of G for each divisibility-minimal head.  G is Gröbner if and only if G′
@@ -50,24 +62,26 @@ multiple of the other, and reduced on in place.  No S-polynomial is built.
 """
 from __future__ import annotations
 
+import itertools
+from operator import le
+
 from .core import (
+    Monomial,
     Ordering,
     PendingTerms,
     Polynomial,
     UsageError,
     mono_div,
     mono_lcm,
+    mono_mul,
     mono_var,
-    spoly,  # noqa: F401
+    spoly,  # noqa: F401  unused here; perfbench/layers.py counts it (ROADMAP 1(c))
     sum_of_products,
 )
-from .division import Division, support
+from .division import ALEX_DIVISION, Division, Partition, bit_indices, support
 
-# `nf_full` and `spoly` are not called here, but stay importable from this
-# module: the benchmark's count tracer (perfbench/layers.py) wraps them
-# under these names, as it does `buchberger_nf`, which `is_groebner` does
-# not call either (both reduce through `_reduce`).
-from .engine import CofactorRecord, _InvolutiveReducer, nf_full  # noqa: F401
+# Unused here; perfbench/layers.py counts it under this name (ROADMAP 1(c)).
+from .engine import CofactorRecord, nf_full  # noqa: F401
 from .signatures import Signature, sig_cmp
 
 __all__ = [
@@ -177,23 +191,30 @@ def is_groebner(G, order: Ordering) -> bool:
 
 def _minimal_heads(polys) -> tuple[list, list]:
     """Split nonzero `polys` into G′, the first element for each
-    divisibility-minimal head, and the rest, both in the order of `polys`.
-
-    A proper divisor has a smaller degree, so in order of degree a head is
-    minimal exactly when no minimal head found before it divides it (an
-    equal one included, which makes it a repeat; the sort is stable, so
-    the first of equal heads is the one kept)."""
-    found = []
-    minimal = [False] * len(polys)
-    for i in sorted(range(len(polys)), key=lambda i: polys[i].lm.deg):
-        m = polys[i].lm
-        if not any(h.divides(m) for h in found):
-            found.append(m)
-            minimal[i] = True
+    divisibility-minimal head, and the rest, both in the order of `polys`."""
+    minimal = _minimal([g.lm for g in polys])
     return (
         [g for g, keep in zip(polys, minimal) if keep],
         [g for g, keep in zip(polys, minimal) if not keep],
     )
+
+
+def _minimal(monos) -> list[bool]:
+    """For each of `monos`, whether it is divisibility-minimal among them
+    and the first of its equals.
+
+    A proper divisor has a smaller degree, so in order of degree a
+    monomial is minimal exactly when no minimal one found before it
+    divides it (an equal one included, which makes it a repeat; the sort
+    is stable, so the first of equal ones is the one kept)."""
+    found = []
+    minimal = [False] * len(monos)
+    for i in sorted(range(len(monos)), key=lambda i: monos[i].deg):
+        m = monos[i]
+        if not any(h.divides(m) for h in found):
+            found.append(m)
+            minimal[i] = True
+    return minimal
 
 
 def _open_pairs(heads):
@@ -216,23 +237,55 @@ def _open_pairs(heads):
 
 
 def is_involutive(G, division: Division, order: Ordering) -> bool:
-    """Check involutivity: each nonmultiplicative prolongation x*g, and each
-    g whose head repeats an earlier one's, has involutive normal form zero
-    against the set itself.  The product x*g enters the reduction
-    accumulator unbuilt (`_InvolutiveReducer.nf(g, x)`)."""
+    """Check that G is an involutive basis for the division: G is Gröbner
+    (`is_groebner`) and the involutive cones of its distinct heads U,
+    from one partition of U, cover ⟨U⟩ (the module docstring proves that
+    this is involutivity).  A repeated head needs no check of its own: x
+    and x + 1 are not involutive (not Gröbner), x and 2x are."""
     polys = [g for g in G]
     if not polys:
         raise UsageError("cannot test an empty basis")
-    reducer = _InvolutiveReducer(polys, division)
-    n = order.vars.n
-    seen = set()
-    for g in polys:
-        if g.lm in seen and not reducer.nf(g).is_zero:
+    if not is_groebner(polys, order):
+        return False
+    heads = list(dict.fromkeys(g.lm for g in polys))
+    partition = division.partition(heads)
+    if division.name == ALEX_DIVISION:
+        return _box_complete(heads, partition)
+    return _locally_complete(heads, partition)
+
+
+def _locally_complete(heads, partition: Partition) -> bool:
+    """Whether every nonmultiplicative prolongation x_i·u of a head lies
+    in some head's involutive cone.  For a continuous division, Janet and
+    Thomas among them, that is equivalent to the cones covering ⟨heads⟩
+    (Gerdt and Blinkov, "Involutive bases of polynomial ideals", 1998)."""
+    n = partition.division.vars.n
+    return all(
+        partition.divisors(mono_mul(u, mono_var(i, n)))
+        for u in heads
+        for i in bit_indices(partition.nm_mask(u))
+    )
+
+
+def _box_complete(heads, partition: Partition) -> bool:
+    """Whether the involutive cones of the heads cover ⟨heads⟩, checked on
+    the finite box [0, M] with M_j = max over the heads of u_j, plus one.
+    No continuity is assumed: whether the alex division is continuous is
+    not shown here.
+
+    The box suffices.  Cap a monomial w at M coordinate by coordinate, c =
+    min(w, M).  If u divides w, then u_j < M_j, so u divides c: c lies in
+    ⟨heads⟩ when w does.  If c lies in the cone of u, so does w: u
+    divides c, which divides w, and w/u has a positive exponent exactly
+    where c/u has one, since c_j = w_j where w_j ≤ M_j, and c_j = M_j >
+    u_j elsewhere.  So every w of ⟨heads⟩ lies in a cone when every monomial
+    of ⟨heads⟩ in the box does.  Membership in ⟨heads⟩ is tested against
+    the divisibility-minimal heads alone."""
+    minimal = [u.exps for u, keep in zip(heads, _minimal(heads)) if keep]
+    box = [range(max(exps) + 2) for exps in zip(*(u.exps for u in heads))]
+    for e in itertools.product(*box):
+        if any(all(map(le, v, e)) for v in minimal) and not partition.divisors(Monomial(e)):
             return False
-        seen.add(g.lm)
-        for i in sorted(reducer.partition.nonmult(g.lm)):
-            if not reducer.nf(g, mono_var(i, n)).is_zero:
-                return False
     return True
 
 

@@ -1,5 +1,6 @@
 """Shared fixtures and hypothesis strategies for the test suite, a sampler
-of random ideal members, and a time limit per test."""
+of random ideal members, a reducer-based involutivity reference, and a
+time limit per test."""
 from __future__ import annotations
 
 import random
@@ -17,9 +18,10 @@ from invbases.core import (
     VarSet,
     degrevlex,
     lex,
+    mono_var,
     sum_of_products,
 )
-from invbases.engine import EngineOptions, _Engine
+from invbases.engine import EngineOptions, _Engine, _InvolutiveReducer
 from invbases.systems import parse_system
 
 # Two generators in the plane whose completion is tiny enough to check by
@@ -126,6 +128,28 @@ def engine_over(division, order, basis) -> _Engine:
     for t in basis:
         engine._grow(t)
     return engine
+
+
+def reducer_is_involutive(G, division, order) -> bool:
+    """The reference for `oracles.is_involutive`, by reduction: each
+    nonmultiplicative prolongation x*g, and each g whose head repeats an
+    earlier one's, has involutive normal form zero against G itself
+    (`_InvolutiveReducer.nf`, the engine's reducer).  Under a continuous
+    division that is involutivity (Gerdt and Blinkov 1998)."""
+    polys = list(G)
+    if not polys:
+        raise UsageError("cannot test an empty basis")
+    reducer = _InvolutiveReducer(polys, division)
+    n = order.vars.n
+    seen = set()
+    for g in polys:
+        if g.lm in seen and not reducer.nf(g).is_zero:
+            return False
+        seen.add(g.lm)
+        for i in sorted(reducer.partition.nonmult(g.lm)):
+            if not reducer.nf(g, mono_var(i, n)).is_zero:
+                return False
+    return True
 
 
 class counted_keys:

@@ -23,6 +23,8 @@ from invbases.core import (
 from invbases.division import Division, division_by_name, janet, thomas_division
 from invbases.engine import inv_comp
 from invbases.oracles import (
+    _box_complete,
+    _locally_complete,
     _open_pairs,
     admissibility_check,
     buchberger_nf,
@@ -33,7 +35,7 @@ from invbases.oracles import (
 from invbases.signatures import Signature
 from invbases.systems import load_builtin, parse_polynomial, parse_system
 
-from conftest import WORKED_EXAMPLE, polynomials, random_ideal_member
+from conftest import WORKED_EXAMPLE, polynomials, random_ideal_member, reducer_is_involutive
 
 VS = VarSet(("x", "y"))
 LEX = lex(VS)
@@ -266,6 +268,76 @@ class TestIsInvolutive:
         assert is_involutive(basis, janet(sf.vars), sf.order)
         assert len(built) == 1
         assert built[0].monomials == tuple(g.lm for g in basis)
+
+
+# Minimal bases whose drop-one subsets are compared with the reducer: the
+# Janet and alex bases of five systems (7-27 elements each) and the two
+# smallest Thomas bases (98 and 129 elements).
+DROP_ONE_CASES = [
+    (system, division_name)
+    for division_name in ("janet", "alex")
+    for system in ("katsura4", "noon3", "cyclic4", "weispfenning94", "cyclic5")
+] + [("cyclic4", "thomas"), ("noon3", "thomas")]
+
+
+@st.composite
+def monomial_boxes(draw):
+    """Sets of 1-6 monomials in 2-3 variables, each exponent at most 3."""
+    n = draw(st.sampled_from((2, 3)))
+    exps = st.tuples(*[st.integers(0, 3)] * n)
+    return n, [Monomial(e) for e in draw(st.sets(exps, min_size=1, max_size=6))]
+
+
+class TestHeadCompleteness:
+    """`is_involutive` is `is_groebner` plus a monomial check on the heads;
+    the reducer-based reference (`reducer_is_involutive`) is what it
+    replaced."""
+
+    @pytest.mark.parametrize("system,division_name", DROP_ONE_CASES)
+    def test_agrees_with_the_reducer_on_drop_one_subsets(self, system, division_name):
+        sf = load_builtin(system, order="degrevlex")
+        div = division_by_name(division_name, sf.vars)
+        basis = list(inv_comp(sf.polynomials, div, sf.order).basis)
+        assert is_involutive(basis, div, sf.order)
+        for k in range(len(basis)):
+            subset = basis[:k] + basis[k + 1:]
+            assert is_involutive(subset, div, sf.order) == (
+                is_groebner(subset, sf.order) and reducer_is_involutive(subset, div, sf.order)
+            )
+
+    @given(case=monomial_boxes(), division_name=st.sampled_from(("janet", "thomas", "alex")))
+    @settings(max_examples=300, deadline=None)
+    def test_local_and_box_checks_agree_on_random_monomial_sets(self, case, division_name):
+        # A set of monomials is always Gröbner, so only completeness is
+        # asked.  The box check is the definition on a finite box, the
+        # local check is exact for continuous divisions (Janet, Thomas).
+        # Agreement under alex is evidence, not a proof, that alex is
+        # continuous on such sets; `is_involutive` uses the box there.
+        n, U = case
+        vs = VarSet(("x", "y", "z")[:n])
+        order = degrevlex(vs)
+        div = division_by_name(division_name, vs)
+        partition = div.partition(U)
+        complete = _box_complete(U, partition)
+        assert _locally_complete(U, partition) == complete
+        polys = [Polynomial(order, [(1, u)]) for u in U]
+        assert is_involutive(polys, div, order) == complete
+        assert reducer_is_involutive(polys, div, order) == complete
+
+    def test_a_dropped_non_minimal_head_is_rejected(self):
+        # Dropping an element whose head a smaller head divides keeps G
+        # Gröbner, of the same ideal, but a minimal involutive basis has no
+        # head to spare.  noon3/Janet has two such elements (every head of
+        # katsura4/Janet is divisibility-minimal).
+        sf, basis = janet_basis("noon3")
+        heads = [g.lm for g in basis]
+        spare = [k for k, m in enumerate(heads) if any(h != m and h.divides(m) for h in heads)]
+        assert len(spare) == 2
+        for k in spare:
+            dropped = basis[:k] + basis[k + 1:]
+            assert is_groebner(dropped, sf.order)
+            assert not is_involutive(dropped, janet(sf.vars), sf.order)
+            assert not reducer_is_involutive(dropped, janet(sf.vars), sf.order)
 
 
 class TestExpandCofactors:

@@ -236,3 +236,55 @@ def test_the_benchmark_tracer_finds_every_name_it_patches(capsys):
     capsys.readouterr()
     assert (core.Ordering.key, engine.mono_div, cli.main) == originals
     assert tracer.spans and tracer.counts["core.mono_div"][0] > 0
+
+
+def identifiers(source: str, filename: str) -> set[str]:
+    """Every name, attribute and imported name used in the source."""
+    tree = ast.parse(source, filename=filename)
+    names = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name):
+            names.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            names.add(n.attr)
+        elif isinstance(n, ast.alias):
+            names.update(filter(None, (n.name, n.asname)))
+    return names
+
+
+def calls_in(source: str, filename: str, function: str) -> set[str]:
+    """The names that the top-level `function` calls, by name or attribute."""
+    tree = ast.parse(source, filename=filename)
+    (body,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == function]
+    called = set()
+    for n in ast.walk(body):
+        if isinstance(n, ast.Call):
+            f = n.func
+            if isinstance(f, ast.Name):
+                called.add(f.id)
+            elif isinstance(f, ast.Attribute):
+                called.add(f.attr)
+    return called
+
+
+def test_the_oracles_share_no_involutive_reducer_with_the_engine():
+    # `is_involutive` decides completeness on the heads; no oracle reduces
+    # with the engine's involutive normal form.
+    assert "_InvolutiveReducer" not in identifiers((SRC / "oracles.py").read_text(), "oracles.py")
+    # `verify_basis` proves G Gröbner once, inside `is_involutive`, and
+    # reduces each input once, classically.
+    called = calls_in((SRC / "bench.py").read_text(), "bench.py", "verify_basis")
+    assert {"is_involutive", "buchberger_nf"} <= called
+    assert not called & {"is_groebner", "nf_full"}
+
+
+def test_the_scans_find_names_and_calls():
+    source = (
+        "from .engine import _InvolutiveReducer as R, nf_full\n"
+        "def f(G):\n"
+        "    return engine.Reducer(G).nf(x) and g(nf_full)\n"
+    )
+    assert {"R", "_InvolutiveReducer", "nf_full", "engine", "Reducer", "nf", "g"} <= identifiers(
+        source, "s.py"
+    )
+    assert calls_in(source, "s.py", "f") == {"Reducer", "nf", "g"}
